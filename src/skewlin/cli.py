@@ -16,8 +16,9 @@ failures (attack gave up, policy cap exceeded, division by zero, and so
 on), 2 for malformed input (bad JSON, schema violations, unreadable
 files, bad flags).  All randomness is seeded (default 0), so reruns with
 the same arguments produce byte-identical output; input files are never
-written to.  The environment variable TOOL_POLICY_MAX_Q overrides the
-default field-size cap for exhaustive decryption steps.
+written to.  The environment variable TOOL_POLICY_MAX_Q lowers the
+field-size cap for exhaustive decryption steps; values above
+hfe.POLICY_MAX_Q are clamped to it, values below 1 are rejected.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .decompose import decompose_complete, estimate_split_success
 from .errors import AttackFailedError, ParseError, SkewlinError
 from .fields import FiniteField
 from .hfe import (
+    POLICY_MAX_Q,
     decrypt_with_factors,
     gcldf_attack,
     hfe_decrypt,
@@ -266,15 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _policy_cap(raw: Optional[str]) -> Optional[int]:
+    """The decrypt cap set by TOOL_POLICY_MAX_Q, clamped to POLICY_MAX_Q."""
+    if raw is None:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ParseError(f"TOOL_POLICY_MAX_Q must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ParseError(f"TOOL_POLICY_MAX_Q must be at least 1, got {cap}")
+    return min(cap, POLICY_MAX_Q)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = os.environ.get("TOOL_POLICY_MAX_Q")
-        try:
-            args._max_q = int(raw) if raw is not None else None
-        except ValueError:
-            raise ParseError(f"TOOL_POLICY_MAX_Q must be an integer, got {raw!r}") from None
+        args._max_q = _policy_cap(os.environ.get("TOOL_POLICY_MAX_Q"))
         out = args.func(args)
     except ParseError as exc:
         print(f"skewlin: {exc}", file=sys.stderr)

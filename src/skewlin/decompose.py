@@ -1,24 +1,42 @@
 """Complete decomposition of additive polynomials via the skew ring.
 
 Under to_skew, composition of additive polynomials becomes multiplication
-in F_q[Y; sigma] and skew degrees add, so a complete decomposition into
-indecomposable additive polynomials is exactly a factorisation into
-irreducible skew polynomials.  The randomised splitter looks for zero
-divisors in the eigenring
+in R = F_q[Y; sigma] and skew degrees add, so a complete decomposition
+into indecomposable additive polynomials is exactly a factorisation into
+irreducible skew polynomials.
 
-    E(f) = { u : deg u < deg f and f u is a left multiple of f },
+split_once follows Giesbrecht (J. Symb. Comp. 1998) when the twist s is
+coprime to e.  Then Y^e is central, and the minimal polynomial mu over
+F_p of u = Y^e acting on R/Rf (mu(Y^e) is the bound of f) settles the
+question in one of three ways:
 
-an F_p-algebra under residue multiplication modulo f.  A zero divisor z
-with nonzero witness v (z v = 0 mod f) always yields a proper right
-factor gcd_right(z, f); zero divisors are found from the minimal
-polynomial over F_p of a random nonscalar residue (a reducible minimal
-polynomial splits u into annihilating pieces, an irreducible one means
-the try failed).
+  * mu irreducible of degree deg f: f is irreducible, certified.
+  * mu has a proper monic factor nu: gcd_right(nu(u) mod f, f) is a
+    proper right factor of f, found without randomness.
+  * mu = Z, so u = 0: f right-divides Y^e, hence f = Y^n, and Y is a
+    right factor.
+  * mu irreducible of degree below deg f, mu != Z: R/Rf is isotypic
+    semisimple, so the eigenring
 
-Randomised splitting can fail in principle, so small instances (skew
-degree times field degree at most ORACLE_LIMIT) fall back to an
-exhaustive right-factor sweep and their verdicts are certified.  Larger
-instances report an uncertified verdict with a heuristic confidence.
+        E(f) = { u : deg u < deg f and f u is a left multiple of f }
+
+    is a full matrix algebra over F_(p^deg mu) of size at least 2 and
+    holds zero divisors.  The randomised search below is repeated until
+    it finds one; most draws succeed.
+
+The zero-divisor search samples E(f), an F_p-algebra under residue
+multiplication modulo f.  A zero divisor z with nonzero witness v
+(z v = 0 mod f) always yields a proper right factor gcd_right(z, f);
+zero divisors come from the minimal polynomial over F_p of a random
+nonscalar residue (a reducible minimal polynomial splits u into
+annihilating pieces, an irreducible one means the try failed).
+
+Twists with gcd(s, e) > 1 have a larger fixed field, where the F_p
+certificate does not apply.  They keep the randomised search alone:
+small instances (skew degree times field degree at most ORACLE_LIMIT)
+fall back to an exhaustive right-factor sweep and their verdicts are
+certified, larger ones report an uncertified verdict with a heuristic
+confidence.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
 peels the lexicographically first smallest-degree monic right factor.
@@ -34,13 +52,13 @@ from typing import Optional, Union
 
 from . import _fppoly as fp
 from . import _linalg
-from .errors import TooLargeError
+from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, FqElem
 from .linpoly import LinPoly
 from .skew import SkewPoly, gcd_right, to_linear, to_skew
 
 ORACLE_LIMIT = 12  # max deg(f) * e for exhaustive sweeps
-RANDOM_BUDGET = 8  # random tries before a small instance falls back
+RANDOM_BUDGET = 8  # random tries before a small instance falls back (gcd(s, e) > 1)
 
 
 # ----------------------------------------------------------------------
@@ -112,19 +130,34 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
 
 
 def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> list[int]:
-    """Monic minimal polynomial of the residue u over F_p, little-endian."""
+    """Monic minimal polynomial of the residue u over F_p, little-endian.
+
+    The powers 1, u, u^2, ... (right products modulo the modulus) are
+    reduced one at a time against a single growing echelon form whose
+    rows also record which combination of powers they stand for; the
+    first power that reduces to zero gives the monic relation.
+    """
     field = modulus.field
     n, e, p = len(modulus.coeffs) - 1, field.e, field.p
-    r = SkewPoly.one(field, modulus.twist)
-    vecs = [_flatten(r, n, e)]
+    rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
+    power = SkewPoly.one(field, modulus.twist)
+    k = 0
     while True:
-        r = (r * u).mod_right(modulus)
-        target = _flatten(r, n, e)
-        rows = [[vecs[j][i] for j in range(len(vecs))] for i in range(n * e)]
-        sol = _linalg.solve(rows, target, p)
-        if sol is not None:
-            return [(-c) % p for c in sol] + [1]
-        vecs.append(target)
+        vec = _flatten(power, n, e)
+        combo = [0] * k + [1]
+        for pivot, row, row_combo in rows:
+            c = vec[pivot]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                for i, b in enumerate(row_combo):
+                    combo[i] = (combo[i] - c * b) % p
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return combo
+        inv = pow(vec[pivot], p - 2, p)
+        rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
+        power = (power * u).mod_right(modulus)
+        k += 1
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +205,7 @@ def find_zero_divisor(
             u = E.random_element(rng)
             guard += 1
             if guard > 1000:
-                raise AssertionError("nonscalar redraw failed to terminate")
+                raise InvariantError("nonscalar redraw failed to terminate")
         m = minimal_polynomial(u, f)
         parts = fp.factor_monic(m, p)
         if len(parts) == 1 and parts[0][1] == 1:
@@ -181,7 +214,8 @@ def find_zero_divisor(
             g, k = parts[0]
             z = _eval_fp_poly(fp.poly_pow(g, k, p), u, f)
             rest, rem = fp.divmod_(m, fp.poly_pow(g, k, p), p)
-            assert not rem
+            if rem:
+                raise InvariantError("a factor of the minimal polynomial does not divide it")
             v = _eval_fp_poly(rest, u, f)
         else:
             g, k = parts[0]  # m = g^k with k >= 2
@@ -189,8 +223,8 @@ def find_zero_divisor(
             v = z
             for _ in range(k - 2):
                 v = E.multiply(v, z)
-        assert not z.is_zero and not v.is_zero
-        assert E.multiply(z, v).is_zero
+        if z.is_zero or v.is_zero or not E.multiply(z, v).is_zero:
+            raise InvariantError("zero-divisor witness does not annihilate")
         return ZeroDivisor(element=z, witness=v, tries=t)
     return None
 
@@ -223,9 +257,9 @@ class Split:
 class Indecomposable:
     """Verdict that the input has no proper factorisation.
 
-    certified is True when an exhaustive right-factor sweep proved it;
-    otherwise confidence is the heuristic 1 - (8/9)**tries for the
-    random tries actually spent.
+    certified is True when the bound certificate or an exhaustive
+    right-factor sweep proved it; otherwise confidence is the heuristic
+    1 - (8/9)**tries for the random tries actually spent.
     """
 
     certified: bool
@@ -255,21 +289,47 @@ def _smallest_right_factor(f: SkewPoly) -> Optional[SkewPoly]:
     return None
 
 
+def _split_off(f: SkewPoly, right: SkewPoly, tries: int) -> Split:
+    """The Split f = left * right for a proper monic right factor."""
+    left, rem = f.divmod_right(right)
+    if not rem.is_zero or not 0 < right.degree < f.degree:
+        raise InvariantError("splitting step produced no proper right factor")
+    return Split(left=left, right=right, tries=tries)
+
+
 def split_once(
     f: SkewPoly, rng: random.Random, max_tries: int = 32
 ) -> Union[Split, Indecomposable]:
     """One splitting step on a monic skew polynomial.
 
-    Small instances (degree * e <= ORACLE_LIMIT) cap the random phase at
-    RANDOM_BUDGET tries and then settle the question exhaustively, so
-    their Indecomposable verdicts are certified.  Larger instances spend
-    the full budget and may return an uncertified verdict.
+    When the twist s is coprime to e, the minimal polynomial mu over F_p
+    of the central residue u = Y^e mod f decides:
+
+      * mu irreducible of degree deg f: a certified Indecomposable, with
+        no eigenring and no sweep (tries 0);
+      * mu with a proper monic factor nu: the Split through
+        gcd_right(nu(u) mod f, f), without randomness (tries 0);
+      * mu = Z, which happens exactly for f = Y^n with n <= e: the Split
+        with right factor Y (tries 0);
+      * any other irreducible mu of lower degree: f is reducible, and
+        the eigenring search runs in rounds of max_tries until it finds
+        a zero divisor (tries counts every draw).
+
+    Every verdict on this path is certified, whatever the size of f.
+
+    Other twists search the eigenring alone.  Small instances
+    (degree * e <= ORACLE_LIMIT) cap the random phase at RANDOM_BUDGET
+    tries and then settle the question exhaustively, so their
+    Indecomposable verdicts are certified; larger instances spend
+    max_tries and may return an uncertified verdict.
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
     deg = len(f.coeffs) - 1
     if deg <= 1:
         return Indecomposable(certified=True, confidence=1.0, tries=0)
+    if math.gcd(f.twist, f.field.e) == 1:
+        return _split_central(f, rng, max(max_tries, 1))
     small = deg * f.field.e <= ORACLE_LIMIT
     budget = min(max_tries, RANDOM_BUDGET) if small else max_tries
     E = eigen_ring(f)
@@ -277,21 +337,41 @@ def split_once(
     if E.dim > 1:
         zd = find_zero_divisor(f, rng, budget, ring=E)
         if zd is not None:
-            right = gcd_right(zd.element, f)
-            left, rem = f.divmod_right(right)
-            assert rem.is_zero and 0 < right.degree < deg
-            return Split(left=left, right=right, tries=zd.tries)
+            return _split_off(f, gcd_right(zd.element, f), zd.tries)
         tries = budget
     if small:
         g = _smallest_right_factor(f)
         if g is None:
             return Indecomposable(certified=True, confidence=1.0, tries=tries)
-        left, rem = f.divmod_right(g)
-        assert rem.is_zero
-        return Split(left=left, right=g, tries=tries)
+        return _split_off(f, g, tries)
     return Indecomposable(
         certified=False, confidence=1.0 - (8.0 / 9.0) ** tries, tries=tries
     )
+
+
+def _split_central(f: SkewPoly, rng: random.Random, rounds: int) -> Union[Split, Indecomposable]:
+    """split_once for a twist coprime to e, through the bound of f."""
+    field, p = f.field, f.field.p
+    u = SkewPoly.monomial(field, field.e, field.one(), f.twist).mod_right(f)
+    mu = minimal_polynomial(u, f)
+    if not fp.is_irreducible(mu, p):
+        nu = fp.factor_monic(mu, p)[0][0]  # a proper factor: nu(u) is a nonzero central non-unit
+        return _split_off(f, gcd_right(_eval_fp_poly(nu, u, f), f), 0)
+    if len(mu) - 1 == f.degree:
+        return Indecomposable(certified=True, confidence=1.0, tries=0)
+    if mu == [0, 1]:
+        # u = 0: f right-divides Y^e, so f = Y^n and Y splits off
+        return _split_off(f, SkewPoly.monomial(field, 1, field.one(), f.twist), 0)
+    # isotypic: E(f) is a matrix algebra of size deg f / deg mu >= 2
+    E = eigen_ring(f)
+    if E.dim <= 1:
+        raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
+    tries = 0
+    while True:
+        zd = find_zero_divisor(f, rng, rounds, ring=E)
+        if zd is not None:
+            return _split_off(f, gcd_right(zd.element, f), tries + zd.tries)
+        tries += rounds
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +465,8 @@ def oracle_decompose(f: SkewPoly) -> Decomposition:
             factors.append(g)
             break
         q, rem = g.divmod_right(h)
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise InvariantError("sweep factor does not right-divide")
         factors.append(h)
         g = q
     factors.reverse()

@@ -46,6 +46,10 @@ class NotInRingError(SkewlinError):
     """The residue is not a member of the eigenring it was used with."""
 
 
+class InvariantError(SkewlinError):
+    """A result failed a check that the underlying theory guarantees."""
+
+
 class TooLargeError(SkewlinError):
     """The instance exceeds the exhaustive-search size bound."""
 

@@ -42,6 +42,7 @@ from .errors import (
     ContextMismatchError,
     DegreeBoundTooSmallError,
     DegreeTooLargeError,
+    InvariantError,
     PolicyBoundError,
     ShapeViolationError,
     TwistMismatchError,
@@ -611,7 +612,8 @@ def hfe_keygen(
     outer = _random_permutation_poly(field, rng)
     inner = _random_permutation_poly(field, rng)
     E = do_compose_lin(outer, do_compose_lin(inner, core, "right"), "left").reduce()
-    assert E.has_quadratic and not E.const
+    if not E.has_quadratic or E.const:
+        raise InvariantError("public key lost its quadratic part or gained a constant")
     public = HFEPublicKey(field, E, to_multivariate(E))
     secret = HFESecretKey(field, outer, core, inner, d)
     return HFEKeyPair(public, secret)
@@ -743,7 +745,8 @@ def try_left_factor(L: LinPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
                 else:
                     f = f + DOPoly(field, {}, None, c)
         f = f.reduce()
-    assert do_compose_lin(Lr, f, "left", reduce=True) == E
+    if do_compose_lin(Lr, f, "left", reduce=True) != E:
+        raise InvariantError("left factor and core do not recompose to E")
     return f
 
 

@@ -9,7 +9,14 @@ import skewlin.serialize as ser
 from skewlin.cli import main
 from skewlin.decompose import estimate_split_success
 from skewlin.fields import FiniteField
-from skewlin.hfe import DOPoly, HFEPublicKey, do_compose_lin, to_multivariate
+from skewlin.hfe import (
+    POLICY_MAX_Q,
+    DOPoly,
+    HFEPublicKey,
+    HFESecretKey,
+    do_compose_lin,
+    to_multivariate,
+)
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly, to_linear
 
@@ -285,3 +292,22 @@ def test_policy_cap_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TOOL_POLICY_MAX_Q", "eight")
     code, _, err = run(capsys, "decrypt", "--key", str(path), "--ciphertext", "1,0,0,0")
     assert code == 2 and "TOOL_POLICY_MAX_Q" in err
+    for bad in ("0", "-5"):
+        monkeypatch.setenv("TOOL_POLICY_MAX_Q", bad)
+        code, _, err = run(capsys, "decrypt", "--key", str(path), "--ciphertext", "1,0,0,0")
+        assert code == 2 and "at least 1" in err
+    # the variable can only lower the cap: 2^20 is clamped to 2^16, so a
+    # bare secret key over GF(2^17) is still refused before any table work
+    big = FiniteField(2, 17)
+    secret = HFESecretKey(
+        big, LinPoly.identity(big), DOPoly(big, {(0, 1): big.one()}), LinPoly.identity(big), 3
+    )
+    key_path, field_path = tmp_path / "big.json", tmp_path / "big-field.json"
+    key_path.write_text(ser.dumps(ser.secret_to_obj(secret)))
+    field_path.write_text(ser.dumps(ser.field_to_obj(big)))
+    monkeypatch.setenv("TOOL_POLICY_MAX_Q", str(1 << 20))
+    code, _, err = run(
+        capsys, "decrypt", "--key", str(key_path), "--field", str(field_path),
+        "--ciphertext", ",".join(["0"] * 17),
+    )
+    assert code == 1 and f"exceeds decrypt cap {POLICY_MAX_Q}" in err

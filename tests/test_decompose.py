@@ -6,12 +6,14 @@ import random
 import pytest
 
 import skewlin._fppoly as fp
+from skewlin import decompose
 from skewlin.decompose import (
     ORACLE_LIMIT,
     Indecomposable,
     Split,
     SplitStats,
     _eval_fp_poly,
+    _smallest_right_factor,
     decompose_complete,
     decompose_linear,
     eigen_ring,
@@ -21,7 +23,8 @@ from skewlin.decompose import (
     oracle_decompose,
     split_once,
 )
-from skewlin.errors import TooLargeError
+from skewlin.errors import InvariantError, TooLargeError
+from skewlin.fields import FiniteField
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly, to_linear
 
@@ -188,16 +191,127 @@ def test_split_once_certifies_irreducible(gf4):
     assert checked > 0
 
 
-def test_split_once_uncertified_above_oracle_limit(gf256):
-    # degree 2 over GF(2^8): 2 * 8 = 16 > ORACLE_LIMIT, verdicts stay heuristic
+def test_split_once_certified_above_oracle_limit(gf256):
+    # degree 2 over GF(2^8): 2 * 8 = 16 > ORACLE_LIMIT, yet the bound
+    # certificate proves every Indecomposable verdict
     rng = random.Random(67)
-    for f in itertools.islice(all_monic(gf256, 2), 0, 200, 37):
+    kinds = set()
+    for f in itertools.islice(all_monic(gf256, 2), 0, 65536, 997):
         res = split_once(f, rng, max_tries=6)
+        kinds.add(type(res))
         if isinstance(res, Indecomposable):
-            assert not res.certified
-            assert 0.0 <= res.confidence < 1.0
-            return
-    raise AssertionError("expected at least one heuristic verdict")
+            assert res.certified and res.confidence == 1.0 and res.tries == 0
+            assert not any(f.mod_right(g).is_zero for g in all_monic(gf256, 1))
+        else:
+            assert res.left * res.right == f and res.right.degree == 1
+    assert kinds == {Split, Indecomposable}
+
+
+def _reducible_table(field, degree, twist):
+    """Coefficient tuples of every monic product of two positive-degree factors."""
+    out = set()
+    for i in range(1, degree):
+        for a in all_monic(field, degree - i, twist):
+            for b in all_monic(field, i, twist):
+                out.add((a * b).coeffs)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, e, degrees, twists",
+    [
+        (2, 2, (2, 3, 4, 5), (1, 3)),
+        (2, 3, (2, 3), (1, 2)),
+        (3, 2, (2, 3), (1, 3)),
+        (2, 4, (2, 3), (1, 3)),
+    ],
+    ids=["gf4", "gf8", "gf9", "gf16"],
+)
+def test_split_once_certificate_exhaustive(p, e, degrees, twists):
+    # every monic f, twists coprime to e: a Split must rebuild f, an
+    # Indecomposable must be certified and absent from the table of all
+    # proper products, the same set _smallest_right_factor decides
+    field = FiniteField(p, e)
+    rng = random.Random(74)
+    mismatches = []
+    for degree in degrees:
+        for twist in twists:
+            reducible = _reducible_table(field, degree, twist)
+            if degree == 2:
+                for f in all_monic(field, degree, twist):
+                    swept = _smallest_right_factor(f) is not None
+                    assert swept == (f.coeffs in reducible)
+            for f in all_monic(field, degree, twist):
+                res = split_once(f, rng)
+                if isinstance(res, Indecomposable):
+                    ok = res.certified and res.tries == 0 and f.coeffs not in reducible
+                else:
+                    ok = res.left * res.right == f and 0 < res.right.degree < degree
+                if not ok:
+                    mismatches.append((degree, twist, f))
+    assert mismatches == []
+
+
+def test_split_once_twist_not_coprime_keeps_sweep_path(gf16, monkeypatch):
+    # twist 2 over GF(2^4): gcd(2, 4) = 2, so the F_p certificate does not
+    # apply and verdicts still come from the eigenring and the sweep
+    calls = []
+    for name in ("eigen_ring", "_smallest_right_factor"):
+        real = getattr(decompose, name)
+        monkeypatch.setattr(decompose, name, lambda f, n=name, r=real: calls.append(n) or r(f))
+    rng = random.Random(75)
+    irreducible = next(
+        f
+        for f in all_monic(gf16, 2, twist=2)
+        if not any(f.mod_right(g).is_zero for g in all_monic(gf16, 1, twist=2))
+    )
+    res = split_once(irreducible, rng)
+    assert isinstance(res, Indecomposable) and res.certified
+    assert calls == ["eigen_ring", "_smallest_right_factor"]
+    calls.clear()
+    split_once(SkewPoly(gf16, irreducible.coeffs, 1), rng)
+    assert calls == []
+
+
+def test_split_once_central_branches(gf4, monkeypatch):
+    # over GF(4), twist 1, u = Y^2 mod f.  Y^2 + 1 (mu = Z + 1) and
+    # Y^4 + Y^2 + 1 (mu = Z^2 + Z + 1) have an irreducible mu of lower
+    # degree, so they are isotypic and only they reach the eigenring;
+    # every other degree-2 verdict is settled by mu alone
+    calls = []
+    real = decompose.eigen_ring
+    monkeypatch.setattr(decompose, "eigen_ring", lambda f: calls.append(f) or real(f))
+    one, zero = gf4.one(), gf4.zero()
+    isotypic = [SkewPoly(gf4, [one, zero, one]), SkewPoly(gf4, [one, zero, one, zero, one])]
+    rng = random.Random(76)
+    for f in isotypic:
+        res = split_once(f, rng)
+        assert isinstance(res, Split) and res.left * res.right == f and res.tries >= 1
+    assert calls == isotypic
+    calls.clear()
+    for f in all_monic(gf4, 2):
+        if f not in isotypic:
+            assert split_once(f, rng).tries == 0
+    assert calls == []
+
+
+def test_split_once_powers_of_y_split_off_y(gf256):
+    # mu = Z exactly when f = Y^n with n <= e; E(Y^n) is not semisimple and
+    # random draws there rarely give a zero divisor, so Y is split off directly
+    Y = SkewPoly.monomial(gf256, 1, gf256.one())
+    for n in (2, 5, 8):
+        f = SkewPoly.monomial(gf256, n, gf256.one())
+        res = split_once(f, random.Random(n))
+        assert isinstance(res, Split) and res.tries == 0
+        assert res.right == Y and res.left * Y == f
+
+
+def test_split_once_isotypic_needs_nontrivial_eigenring(gf4, monkeypatch):
+    f = SkewPoly(gf4, [gf4.one(), gf4.zero(), gf4.one()])  # (Y + 1)^2
+    trivial = decompose.EigenRing(gf4, f, (SkewPoly.one(gf4),))
+    monkeypatch.setattr(decompose, "eigen_ring", lambda g: trivial)
+    with pytest.raises(InvariantError):
+        split_once(f, random.Random(77))
 
 
 def test_decompose_matches_oracle_exhaustively(gf4):

@@ -1,0 +1,97 @@
+"""Invariant checks in the package stay active under python -O."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import skewlin
+
+PACKAGE = pathlib.Path(skewlin.__file__).resolve().parent
+
+OPTIMIZED_RUN = r"""
+import random
+import sys
+
+from skewlin import FiniteField, decompose, hfe
+from skewlin.errors import InvariantError
+from skewlin.hfe import DOPoly, do_compose_lin, gcldf_attack, try_left_factor
+from skewlin.linpoly import LinPoly
+from skewlin.skew import SkewPoly
+
+if sys.flags.optimize < 1:
+    raise SystemExit("not running under -O")
+
+# a decomposition: (Y + a)(Y^2 + b Y + c) over GF(2^4)
+gf16 = FiniteField(2, 4)
+a, b, c = (gf16.from_int(n) for n in (3, 7, 9))
+f = SkewPoly(gf16, [a, gf16.one()]) * SkewPoly(gf16, [c, b, gf16.one()])
+dec = decompose.decompose_complete(f, random.Random(1))
+if dec.product() != f or sum(dec.degrees()) != 3 or not dec.certified:
+    raise SystemExit("decomposition is wrong")
+
+# a fold-free attack over GF(2^8)
+gf256 = FiniteField(2, 8)
+core = DOPoly(
+    gf256,
+    {(0, 1): gf256.generator(), (0, 2): gf256.from_int(77)},
+    LinPoly(gf256, [gf256.from_int(9), gf256.from_int(140)]),
+    gf256.zero(),
+)
+rng = random.Random(3)
+while True:
+    outer = LinPoly(gf256, [gf256.random_element(rng) for _ in range(3)])
+    if not outer.is_zero and outer.is_permutation():
+        break
+E = do_compose_lin(outer, core, "left")
+res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
+if do_compose_lin(res.left, res.core, "left", reduce=True) != E.reduce():
+    raise SystemExit("attack result does not recompose")
+
+# the checks themselves still fire
+decompose.gcd_right = lambda z, g: g
+try:
+    decompose.split_once(f, random.Random(2))
+except InvariantError:
+    pass
+else:
+    raise SystemExit("split check was stripped")
+
+real_compose = hfe.do_compose_lin
+hfe.do_compose_lin = lambda L, D, side, reduce=False: (
+    DOPoly.zero(D.field) if reduce else real_compose(L, D, side)
+)
+try:
+    try_left_factor(res.left, E, 16)
+except InvariantError:
+    pass
+else:
+    raise SystemExit("recomposition check was stripped")
+print("ok")
+"""
+
+
+def test_no_bare_asserts_in_package():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_checks_survive_optimize_flag():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
