@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .errors import InvariantError
+
 
 def trim(a: list[int]) -> list[int]:
     n = len(a)
@@ -180,7 +182,7 @@ def first_irreducible(p: int, e: int) -> list[int]:
     for cand in iter_monic(p, e):
         if is_irreducible(cand, p):
             return cand
-    raise AssertionError("unreachable: irreducibles exist in every degree")
+    raise InvariantError("unreachable: irreducibles exist in every degree")
 
 
 def factor_monic(m: list[int], p: int) -> list[tuple[list[int], int]]:

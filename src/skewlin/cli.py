@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from . import serialize as ser
 from .decompose import decompose_complete, estimate_split_success
-from .errors import AttackFailedError, ParseError, SkewlinError
+from .errors import AttackFailedError, InvariantError, ParseError, SkewlinError
 from .fields import FiniteField
 from .hfe import (
     POLICY_MAX_Q,
@@ -182,7 +182,7 @@ def _attack_batch(args: argparse.Namespace) -> dict:
             y = hfe_encrypt(kp.public, m)
             recovered = decrypt_with_factors(res.left, res.core, y, max_q=args._max_q)
             if m not in recovered:
-                raise AssertionError("recovered factors failed to decrypt a test message")
+                raise InvariantError("recovered factors failed to decrypt a test message")
             entry["ok"] = True
             entry["rounds"] = res.rounds
             successes += 1

@@ -1,21 +1,22 @@
 """Complete decomposition of additive polynomials via the skew ring.
 
-Under to_skew, composition of additive polynomials becomes multiplication
-in R = F_q[Y; sigma] and skew degrees add, so a complete decomposition
-into indecomposable additive polynomials is exactly a factorisation into
-irreducible skew polynomials.
+A SkewPoly is at once an additive polynomial and an element of
+R = F_q[Y; sigma] (Ore's correspondence): composition is multiplication
+and skew degrees add, so a complete decomposition into indecomposable
+additive polynomials is exactly a factorisation into irreducible skew
+polynomials.
 
-split_once follows Giesbrecht (J. Symb. Comp. 1998) when the twist s is
-coprime to e.  Then Y^e is central, and the minimal polynomial mu over
-F_p of u = Y^e acting on R/Rf (mu(Y^e) is the bound of f) settles the
-question in one of three ways:
+split_once splits off Y whenever f_0 = 0, for every twist: then
+f = (sum_i f_i Y^(i-1)) * Y exactly.  Otherwise it follows Giesbrecht
+(J. Symb. Comp. 1998) when the twist s is coprime to e.  Then Y^e is
+central, and the minimal polynomial mu over F_p of u = Y^e acting on
+R/Rf (mu(Y^e) is the bound of f) settles the question in one of three
+ways (mu = Z would need f = Y^n, which has f_0 = 0):
 
   * mu irreducible of degree deg f: f is irreducible, certified.
   * mu has a proper monic factor nu: gcd_right(nu(u) mod f, f) is a
     proper right factor of f, found without randomness.
-  * mu = Z, so u = 0: f right-divides Y^e, hence f = Y^n, and Y is a
-    right factor.
-  * mu irreducible of degree below deg f, mu != Z: R/Rf is isotypic
+  * mu irreducible of degree below deg f: R/Rf is isotypic
     semisimple, so the eigenring
 
         E(f) = { u : deg u < deg f and f u is a left multiple of f }
@@ -54,8 +55,7 @@ from . import _fppoly as fp
 from . import _linalg
 from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, FqElem
-from .linpoly import LinPoly
-from .skew import SkewPoly, gcd_right, to_linear, to_skew
+from .skew import SkewPoly, gcd_right
 
 ORACLE_LIMIT = 12  # max deg(f) * e for exhaustive sweeps
 RANDOM_BUDGET = 8  # random tries before a small instance falls back (gcd(s, e) > 1)
@@ -302,15 +302,14 @@ def split_once(
 ) -> Union[Split, Indecomposable]:
     """One splitting step on a monic skew polynomial.
 
-    When the twist s is coprime to e, the minimal polynomial mu over F_p
-    of the central residue u = Y^e mod f decides:
+    For every twist, f with f_0 = 0 gives the Split with right factor Y
+    (tries 0).  Otherwise, when the twist s is coprime to e, the minimal
+    polynomial mu over F_p of the central residue u = Y^e mod f decides:
 
       * mu irreducible of degree deg f: a certified Indecomposable, with
         no eigenring and no sweep (tries 0);
       * mu with a proper monic factor nu: the Split through
         gcd_right(nu(u) mod f, f), without randomness (tries 0);
-      * mu = Z, which happens exactly for f = Y^n with n <= e: the Split
-        with right factor Y (tries 0);
       * any other irreducible mu of lower degree: f is reducible, and
         the eigenring search runs in rounds of max_tries until it finds
         a zero divisor (tries counts every draw).
@@ -328,6 +327,9 @@ def split_once(
     deg = len(f.coeffs) - 1
     if deg <= 1:
         return Indecomposable(certified=True, confidence=1.0, tries=0)
+    if not f.coeffs[0]:
+        Y = SkewPoly.monomial(f.field, 1, f.field.one(), f.twist)
+        return Split(left=SkewPoly(f.field, f.coeffs[1:], f.twist), right=Y, tries=0)
     if math.gcd(f.twist, f.field.e) == 1:
         return _split_central(f, rng, max(max_tries, 1))
     small = deg * f.field.e <= ORACLE_LIMIT
@@ -359,9 +361,6 @@ def _split_central(f: SkewPoly, rng: random.Random, rounds: int) -> Union[Split,
         return _split_off(f, gcd_right(_eval_fp_poly(nu, u, f), f), 0)
     if len(mu) - 1 == f.degree:
         return Indecomposable(certified=True, confidence=1.0, tries=0)
-    if mu == [0, 1]:
-        # u = 0: f right-divides Y^e, so f = Y^n and Y splits off
-        return _split_off(f, SkewPoly.monomial(field, 1, field.one(), f.twist), 0)
     # isotypic: E(f) is a matrix algebra of size deg f / deg mu >= 2
     E = eigen_ring(f)
     if E.dim <= 1:
@@ -393,9 +392,6 @@ class Decomposition:
         for g in self.factors:
             acc = acc * g
         return acc.left_scalar(self.unit)
-
-    def linear_factors(self) -> tuple[LinPoly, ...]:
-        return tuple(to_linear(g) for g in self.factors)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.factors)
@@ -429,13 +425,6 @@ def decompose_complete(
     return Decomposition(
         field=f.field, twist=f.twist, unit=unit, factors=tuple(factors), certified=certified
     )
-
-
-def decompose_linear(
-    L: LinPoly, rng: Optional[random.Random] = None, max_tries: int = 200
-) -> Decomposition:
-    """Complete decomposition of an additive polynomial under composition."""
-    return decompose_complete(to_skew(L), rng=rng, max_tries=max_tries)
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,7 @@ from typing import Iterable, Mapping
 
 from .errors import ContextMismatchError
 from .fields import FiniteField, FqElem
-
-NEG_INF = float("-inf")
-
-
-def _trim(coeffs: list[FqElem]) -> tuple[FqElem, ...]:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
+from .skew import NEG_INF, _trim
 
 
 class FqPoly:

@@ -2,12 +2,13 @@
 
 A DO polynomial is sum c_ij X^(p^i + p^j) plus an additive part plus a
 constant.  Terms are stored structurally: a dict over index pairs
-(i, j) with i <= j, a twist-1 LinPoly, and a constant.  In
-characteristic 2 a diagonal pair is linear (X^(2^i + 2^i) = X^(2^(i+1)))
-and is migrated into the additive part on construction, so stored quad
-entries are genuinely quadratic.  reduce() folds indices through
-x^(p^e) = x; a reduced polynomial has ordinary degree below q, so two
-reduced polynomials are equal exactly when they agree as functions.
+(i, j) with i <= j, a twist-1 SkewPoly read as an additive polynomial,
+and a constant.  In characteristic 2 a diagonal pair is linear
+(X^(2^i + 2^i) = X^(2^(i+1))) and is migrated into the additive part on
+construction, so stored quad entries are genuinely quadratic.
+reduce() folds indices through x^(p^e) = x; a reduced polynomial has
+ordinary degree below q, so two reduced polynomials are equal exactly
+when they agree as functions.
 
 The difference operator t -> t(X + a) - t(X) - t(a) sends a constant-free
 DO polynomial to an additive polynomial in X, computed symbolically here
@@ -36,7 +37,6 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import _linalg
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -49,8 +49,7 @@ from .errors import (
 )
 from .fields import FiniteField, FqElem
 from .fqpoly import FqPoly
-from .linpoly import NEG_INF, LinPoly
-from .skew import gcldf
+from .skew import NEG_INF, SkewPoly, gcldf
 
 POLICY_MAX_Q = 1 << 16
 
@@ -64,11 +63,11 @@ class DOPoly:
         self,
         field: FiniteField,
         quad: Mapping[tuple[int, int], FqElem],
-        lin: Optional[LinPoly] = None,
+        lin: Optional[SkewPoly] = None,
         const: Optional[FqElem] = None,
     ):
         if lin is None:
-            lin = LinPoly.zero(field)
+            lin = SkewPoly.zero(field)
         if const is None:
             const = field.zero()
         if lin.field != field:
@@ -101,7 +100,7 @@ class DOPoly:
                 coeffs += [zero] * (top + 1 - len(coeffs))
             for k, v in migrated.items():
                 coeffs[k] = coeffs[k] + v
-            lin = LinPoly(field, coeffs, 1)
+            lin = SkewPoly(field, coeffs, 1)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "quad", qd)
         object.__setattr__(self, "lin", lin)
@@ -130,7 +129,8 @@ class DOPoly:
         best = NEG_INF
         for i, j in self.quad:
             best = max(best, p**i + p**j)
-        best = max(best, self.lin.degree)
+        if not self.lin.is_zero:
+            best = max(best, p**self.lin.degree)  # the additive part has twist 1
         if self.const:
             best = max(best, 0)
         return best
@@ -195,7 +195,7 @@ class DOPoly:
                 lin_arr[k] = lin_arr[k] + c
             else:
                 qd[(ii, jj)] = qd.get((ii, jj), zero) + c
-        return DOPoly(field, qd, LinPoly(field, lin_arr, 1), self.const)
+        return DOPoly(field, qd, SkewPoly(field, lin_arr, 1), self.const)
 
     def to_fqpoly(self) -> FqPoly:
         """Dense form; distinct structural slots land on distinct exponents."""
@@ -214,7 +214,7 @@ class DOPoly:
         return FqPoly.from_monomials(self.field, terms)
 
 
-def lin_to_dense(L: LinPoly) -> FqPoly:
+def lin_to_dense(L: SkewPoly) -> FqPoly:
     p = L.field.p
     return FqPoly.from_monomials(
         L.field, {p ** (L.twist * i): c for i, c in enumerate(L.coeffs) if c}
@@ -225,7 +225,7 @@ def lin_to_dense(L: LinPoly) -> FqPoly:
 # difference operator
 
 
-def difference_poly(t: DOPoly, a: FqElem) -> LinPoly:
+def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
     """Symbolic t(X + a) - t(X) - t(a) as a twist-1 additive polynomial.
 
     The additive part of t drops out exactly and each quadratic term
@@ -249,7 +249,7 @@ def difference_poly(t: DOPoly, a: FqElem) -> LinPoly:
         else:
             out[i] = out[i] + c * a.frobenius(j)
             out[j] = out[j] + c * a.frobenius(i)
-    return LinPoly(field, out, 1)
+    return SkewPoly(field, out, 1)
 
 
 def dense_difference(f: FqPoly, a: FqElem) -> FqPoly:
@@ -336,7 +336,7 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     if offender is None:
         top = max(lin_terms, default=-1)
         coeffs = [lin_terms.get(k, zero) for k in range(top + 1)]
-        value = DOPoly(field, quad, LinPoly(field, coeffs, 1), const)
+        value = DOPoly(field, quad, SkewPoly(field, coeffs, 1), const)
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
     f0 = f(zero)
     for a in field.elements():
@@ -353,14 +353,14 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
                         offender=offender,
                         witness=FailedLinearity(a=a, x=x, y=y),
                     )
-    raise AssertionError("structural offender without a pointwise witness")
+    raise InvariantError("structural offender without a pointwise witness")
 
 
 # ----------------------------------------------------------------------
 # composition with additive polynomials
 
 
-def do_compose_lin(L: LinPoly, D: DOPoly, side: str, reduce: bool = False) -> DOPoly:
+def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> DOPoly:
     """Compose an additive polynomial with a DO polynomial, symbolically.
 
     side='left' gives L(D(X)); side='right' gives D(L(X)).  Both stay in
@@ -526,23 +526,23 @@ class HFESecretKey:
     """outer . core . inner with additive permutations around a DO core."""
 
     def __init__(
-        self, field: FiniteField, outer: LinPoly, core: DOPoly, inner: LinPoly, bound: int
+        self, field: FiniteField, outer: SkewPoly, core: DOPoly, inner: SkewPoly, bound: int
     ):
         self.field = field
         self.outer = outer
         self.core = core
         self.inner = inner
         self.bound = bound
-        self._outer_inv: Optional[LinPoly] = None
-        self._inner_inv: Optional[LinPoly] = None
+        self._outer_inv: Optional[SkewPoly] = None
+        self._inner_inv: Optional[SkewPoly] = None
         self._table: Optional[dict[tuple[int, ...], list[FqElem]]] = None
 
-    def outer_inverse(self) -> LinPoly:
+    def outer_inverse(self) -> SkewPoly:
         if self._outer_inv is None:
             self._outer_inv = self.outer.inverse()
         return self._outer_inv
 
-    def inner_inverse(self) -> LinPoly:
+    def inner_inverse(self) -> SkewPoly:
         if self._inner_inv is None:
             self._inner_inv = self.inner.inverse()
         return self._inner_inv
@@ -567,9 +567,9 @@ class HFEKeyPair:
         self.secret = secret
 
 
-def _random_permutation_poly(field: FiniteField, rng: random.Random) -> LinPoly:
+def _random_permutation_poly(field: FiniteField, rng: random.Random) -> SkewPoly:
     while True:
-        L = LinPoly(field, [field.random_element(rng) for _ in range(field.e)], 1)
+        L = SkewPoly(field, [field.random_element(rng) for _ in range(field.e)], 1)
         if not L.is_zero and L.is_permutation():
             return L
 
@@ -604,11 +604,11 @@ def hfe_keygen(
         coeffs = [zero] * e
         for k in lin_idx:
             coeffs[k] = field.random_element(rng)
-        core = DOPoly(field, quad, LinPoly(field, coeffs, 1), zero)
+        core = DOPoly(field, quad, SkewPoly(field, coeffs, 1), zero)
         if core.has_quadratic:
             break
     else:
-        raise AssertionError("failed to sample a quadratic core")
+        raise InvariantError("failed to sample a quadratic core")
     outer = _random_permutation_poly(field, rng)
     inner = _random_permutation_poly(field, rng)
     E = do_compose_lin(outer, do_compose_lin(inner, core, "right"), "left").reduce()
@@ -656,95 +656,21 @@ def core_preimages(
 # key recovery
 
 
-def _do_slots(field: FiniteField, bound: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Reduced-form slots whose exponent does not exceed bound."""
-    p, e = field.p, field.e
-    slots: list[tuple[str, tuple[int, ...]]] = []
-    for i in range(e):
-        for j in range(i, e):
-            if p == 2 and i == j:
-                continue
-            if p**i + p**j <= bound:
-                slots.append(("quad", (i, j)))
-    for k in range(e):
-        if p**k <= bound:
-            slots.append(("lin", (k,)))
-    slots.append(("const", ()))
-    return slots
+def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
+    """Peel a permutation L off E: the DO polynomial f with L . f = E (reduced).
 
-
-def _do_flatten(D: DOPoly) -> list[int]:
-    """Digit vector of a reduced DO polynomial over the full slot space."""
-    field = D.field
-    zero = field.zero()
-    out: list[int] = []
-    for kind, idx in _do_slots(field, 2 * field.q):
-        if kind == "quad":
-            c = D.quad.get((idx[0], idx[1]), zero)
-        elif kind == "lin":
-            k = idx[0]
-            c = D.lin.coeffs[k] if k < len(D.lin.coeffs) else zero
-        else:
-            c = D.const
-        out.extend(c.digits)
-    return out
-
-
-def _do_from_slot_digit(
-    field: FiniteField, kind: str, idx: tuple[int, ...], digit: int
-) -> DOPoly:
-    digits = [0] * field.e
-    digits[digit] = 1
-    c = field.element(tuple(digits))
-    if kind == "quad":
-        return DOPoly(field, {(idx[0], idx[1]): c})
-    if kind == "lin":
-        return DOPoly(field, {}, LinPoly.monomial(field, idx[0], c, 1))
-    return DOPoly(field, {}, None, c)
-
-
-def try_left_factor(L: LinPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
-    """Search for a DO polynomial f with L . f = E (reduced) and deg f <= bound.
-
-    A permutation candidate is peeled off directly; otherwise the
-    coefficients of f are solved for as a Z_p-linear system over the
-    slots allowed by the bound.  Returns the reduced f, or None.
+    Returns the reduced f, or None when L does not permute the field
+    (the zero polynomial included) or deg f exceeds the bound.
     """
     if L.field != E.field:
         raise ContextMismatchError("operands over different fields")
     E = E.reduce()
     Lr = L.reduce()
-    if Lr.is_zero:
+    if not Lr.is_permutation():
         return None
-    if Lr.is_permutation():
-        f = do_compose_lin(Lr.inverse(), E, "left").reduce()
-        if f.degree != NEG_INF and f.degree > bound:
-            return None
-    else:
-        field, p, e = E.field, E.field.p, E.field.e
-        slots = _do_slots(field, bound)
-        cols: list[list[int]] = []
-        for kind, idx in slots:
-            for d in range(e):
-                g = _do_from_slot_digit(field, kind, idx, d)
-                cols.append(_do_flatten(do_compose_lin(Lr, g, "left").reduce()))
-        target = _do_flatten(E)
-        rows = [[col[r] for col in cols] for r in range(len(target))]
-        sol = _linalg.solve(rows, target, p)
-        if sol is None:
-            return None
-        f = DOPoly.zero(field)
-        for n, (kind, idx) in enumerate(slots):
-            digits = tuple(sol[n * e + d] for d in range(e))
-            if any(digits):
-                c = field.element(digits)
-                if kind == "quad":
-                    f = f + DOPoly(field, {(idx[0], idx[1]): c})
-                elif kind == "lin":
-                    f = f + DOPoly(field, {}, LinPoly.monomial(field, idx[0], c, 1))
-                else:
-                    f = f + DOPoly(field, {}, None, c)
-        f = f.reduce()
+    f = do_compose_lin(Lr.inverse(), E, "left").reduce()
+    if f.degree > bound:
+        return None
     if do_compose_lin(Lr, f, "left", reduce=True) != E:
         raise InvariantError("left factor and core do not recompose to E")
     return f
@@ -752,7 +678,7 @@ def try_left_factor(L: LinPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
 
 @dataclass(eq=False)
 class AttackResult:
-    left: LinPoly
+    left: SkewPoly
     core: DOPoly
     rounds: int
 
@@ -779,7 +705,7 @@ def gcldf_attack(
     pool = [x for x in field.elements() if x]
     rng.shuffle(pool)
 
-    def next_delta(rounds_so_far: int) -> LinPoly:
+    def next_delta(rounds_so_far: int) -> SkewPoly:
         while pool:
             d = difference_poly(E, pool.pop())
             if not d.is_zero:
@@ -799,7 +725,7 @@ def gcldf_attack(
 
 
 def decrypt_with_factors(
-    left: LinPoly, core: DOPoly, y: FqElem, max_q: Optional[int] = None
+    left: SkewPoly, core: DOPoly, y: FqElem, max_q: Optional[int] = None
 ) -> list[FqElem]:
     """Decrypt using a recovered factorisation E = left . core."""
     w = left.reduce().inverse()(y)

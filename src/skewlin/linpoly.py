@@ -1,245 +1,12 @@
-"""Additive (linearised) polynomials over GF(p^e).
+"""Additive (linearised) polynomials: the name LinPoly for skew.SkewPoly.
 
-A polynomial sum_i a_i X^(p^(w i)) is stored as its coefficient tuple
-(a_0, ..., a_n) together with the twist step w >= 1; index i stands for
-the exponent p^(w i).  With w = 1 these are the plain p-polynomials; a
-larger twist restricts the support to exponents p^w, p^{2w}, and so on.
-The induced map x -> L(x) on the field is Z_p-linear, and composition of
-two polynomials with the same twist is again one of the same twist.
-
-The zero polynomial has an empty coefficient tuple; its degree (and its
-twist-side degree ps_degree) is float('-inf').
-
-Reduction folds exponents through x^(p^e) = x and always re-bases the
-result to twist 1, so reduced polynomials live on indices 0 .. e-1 and
-are in bijection with the Z_p-linear maps of the field.  The matrix view
-is taken relative to the owning field's ordered basis: column j of
-to_matrix(L) holds the coordinates of L(basis_j).
+By Ore's correspondence the additive polynomial sum_i a_i X^(p^(w i))
+and the skew polynomial sum_i a_i Y^i in F_q[Y; sigma], sigma(a) =
+a^(p^w), are one object: composition is the ring product.  SkewPoly
+therefore carries both views, and LinPoly is the same class under the
+name the additive view uses.
 """
 
-from __future__ import annotations
+from .skew import SkewPoly
 
-from typing import Iterable, Sequence
-
-from . import _linalg
-from .errors import (
-    ContextMismatchError,
-    NotAPermutationError,
-    SingularSystemError,
-    TwistMismatchError,
-)
-from .fields import FiniteField, FqElem
-
-NEG_INF = float("-inf")
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _trim(coeffs: list[FqElem]) -> tuple[FqElem, ...]:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-class LinPoly:
-    """Additive polynomial with a fixed twist step."""
-
-    __slots__ = ("field", "twist", "coeffs")
-
-    def __init__(self, field: FiniteField, coeffs: Iterable[FqElem], twist: int = 1):
-        if not isinstance(twist, int) or twist < 1:
-            raise TwistMismatchError(f"twist step must be a positive int, got {twist!r}")
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, FqElem) or c.field != field:
-                raise ContextMismatchError("coefficient from a different field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "coeffs", _trim(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinPoly is immutable")
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls, field: FiniteField, twist: int = 1) -> "LinPoly":
-        return cls(field, (), twist)
-
-    @classmethod
-    def identity(cls, field: FiniteField, twist: int = 1) -> "LinPoly":
-        """The polynomial X."""
-        return cls(field, (field.one(),), twist)
-
-    @classmethod
-    def monomial(cls, field: FiniteField, index: int, coeff: FqElem, twist: int = 1) -> "LinPoly":
-        """coeff * X^(p^(twist*index))."""
-        zero = field.zero()
-        return cls(field, [zero] * index + [coeff], twist)
-
-    # ------------------------------------------------------------------
-    # basic views
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def ps_degree(self):
-        """Top coefficient index n, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def degree(self):
-        """Degree as an ordinary polynomial: p^(twist*n), or -inf."""
-        if not self.coeffs:
-            return NEG_INF
-        return self.field.p ** (self.twist * (len(self.coeffs) - 1))
-
-    @property
-    def lead(self) -> FqElem:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinPoly)
-            and self.field == other.field
-            and self.twist == other.twist
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.twist, self.coeffs))
-
-    def __repr__(self) -> str:
-        digs = [list(c.digits) for c in self.coeffs]
-        return f"LinPoly(twist={self.twist}, coeffs={digs})"
-
-    # ------------------------------------------------------------------
-    # arithmetic
-
-    def _peer(self, other: "LinPoly") -> None:
-        if not isinstance(other, LinPoly):
-            raise TypeError(f"expected LinPoly, got {type(other).__name__}")
-        if self.field != other.field:
-            raise ContextMismatchError("polynomials over different fields")
-        if self.twist != other.twist:
-            raise TwistMismatchError(
-                f"twist steps differ: {self.twist} vs {other.twist}"
-            )
-
-    def __add__(self, other: "LinPoly") -> "LinPoly":
-        self._peer(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LinPoly(self.field, out, self.twist)
-
-    def __neg__(self) -> "LinPoly":
-        return LinPoly(self.field, [-c for c in self.coeffs], self.twist)
-
-    def __sub__(self, other: "LinPoly") -> "LinPoly":
-        return self + (-other)
-
-    def __call__(self, x: FqElem) -> FqElem:
-        if x.field != self.field:
-            raise ContextMismatchError("evaluation point from a different field")
-        e = self.field.e
-        acc = self.field.zero()
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * x.frobenius((self.twist * i) % e)
-        return acc
-
-    def compose(self, other: "LinPoly") -> "LinPoly":
-        """self after other: (self . other)(x) = self(other(x)), kept symbolic."""
-        self._peer(other)
-        field, w, e = self.field, self.twist, self.field.e
-        if self.is_zero or other.is_zero:
-            return LinPoly.zero(field, w)
-        a, b = self.coeffs, other.coeffs
-        out = [field.zero()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            shift = (w * i) % e
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj.frobenius(shift)
-        return LinPoly(field, out, w)
-
-    def scale(self, c: FqElem) -> "LinPoly":
-        """c * L, the composition (c X) . L."""
-        return LinPoly(self.field, [c * a for a in self.coeffs], self.twist)
-
-    # ------------------------------------------------------------------
-    # reduction and rebasing
-
-    def as_p_poly(self) -> "LinPoly":
-        """Exact re-expression with twist 1 (indices spread out, no folding)."""
-        if self.twist == 1:
-            return self
-        field = self.field
-        zero = field.zero()
-        out = [zero] * (self.twist * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[self.twist * i] = c
-        return LinPoly(field, out, 1)
-
-    def reduce(self) -> "LinPoly":
-        """Fold through x^(p^e) = x; result has twist 1 and indices < e."""
-        field, e = self.field, self.field.e
-        out = [field.zero()] * e
-        for i, c in enumerate(self.coeffs):
-            if c:
-                k = (self.twist * i) % e
-                out[k] = out[k] + c
-        return LinPoly(field, out, 1)
-
-    # ------------------------------------------------------------------
-    # matrix view
-
-    def to_matrix(self) -> Matrix:
-        """e x e matrix over Z_p of the induced linear map, in the field basis."""
-        field = self.field
-        reduced = self.reduce()
-        cols = [field.coordinates(reduced(b)) for b in field.basis]
-        return tuple(
-            tuple(cols[j][r] for j in range(field.e)) for r in range(field.e)
-        )
-
-    @classmethod
-    def from_matrix(cls, field: FiniteField, matrix: Sequence[Sequence[int]]) -> "LinPoly":
-        """Reduced polynomial inducing the given matrix (Moore system solve)."""
-        e, p = field.e, field.p
-        rows = [list(r) for r in matrix]
-        if len(rows) != e or any(len(r) != e for r in rows):
-            raise SingularSystemError(f"matrix must be {e} x {e}")
-        targets = [
-            field.combine([rows[r][j] % p for r in range(e)]) for j in range(e)
-        ]
-        moore = [[field.basis[j].frobenius(k) for k in range(e)] for j in range(e)]
-        sol = _linalg.solve_field(moore, targets)
-        if sol is None:
-            raise SingularSystemError("basis images do not determine a polynomial")
-        return cls(field, sol, 1)
-
-    # ------------------------------------------------------------------
-    # permutation structure
-
-    def is_permutation(self) -> bool:
-        return _linalg.rank([list(r) for r in self.to_matrix()], self.field.p) == self.field.e
-
-    def inverse(self) -> "LinPoly":
-        """Compositional inverse of a permutation polynomial, reduced."""
-        m = _linalg.inv([list(r) for r in self.to_matrix()], self.field.p)
-        if m is None:
-            raise NotAPermutationError("polynomial does not permute the field")
-        return LinPoly.from_matrix(self.field, m)
+LinPoly = SkewPoly

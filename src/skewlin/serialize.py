@@ -24,7 +24,6 @@ from .hfe import (
     HFESecretKey,
     MultivariateKey,
 )
-from .linpoly import LinPoly
 from .skew import SkewPoly
 
 
@@ -114,11 +113,14 @@ def element_from_obj(field: FiniteField, obj: Any) -> FqElem:
 # twisted polynomials
 
 
-def linpoly_to_obj(L: LinPoly) -> dict:
-    return {"s": L.twist, "coeffs": [list(c.digits) for c in L.coeffs]}
+def skewpoly_to_obj(f: SkewPoly) -> dict:
+    return {"s": f.twist, "coeffs": [list(c.digits) for c in f.coeffs]}
 
 
-def _twisted_from_obj(field: FiniteField, obj: Any, what: str):
+linpoly_to_obj = skewpoly_to_obj
+
+
+def _twisted_from_obj(field: FiniteField, obj: Any, what: str) -> SkewPoly:
     obj = _need_dict(obj, what, {"s", "coeffs"})
     twist = _need_int(obj["s"], f"{what}.s")
     if twist < 1:
@@ -126,21 +128,15 @@ def _twisted_from_obj(field: FiniteField, obj: Any, what: str):
     coeffs = [
         element_from_obj(field, c) for c in _need_list(obj["coeffs"], f"{what}.coeffs")
     ]
-    return twist, coeffs
+    return SkewPoly(field, coeffs, twist)
 
 
-def linpoly_from_obj(field: FiniteField, obj: Any) -> LinPoly:
-    twist, coeffs = _twisted_from_obj(field, obj, "additive polynomial")
-    return LinPoly(field, coeffs, twist)
-
-
-def skewpoly_to_obj(f: SkewPoly) -> dict:
-    return {"s": f.twist, "coeffs": [list(c.digits) for c in f.coeffs]}
+def linpoly_from_obj(field: FiniteField, obj: Any) -> SkewPoly:
+    return _twisted_from_obj(field, obj, "additive polynomial")
 
 
 def skewpoly_from_obj(field: FiniteField, obj: Any) -> SkewPoly:
-    twist, coeffs = _twisted_from_obj(field, obj, "skew polynomial")
-    return SkewPoly(field, coeffs, twist)
+    return _twisted_from_obj(field, obj, "skew polynomial")
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +167,7 @@ def dopoly_from_obj(field: FiniteField, obj: Any) -> DOPoly:
         if key in quad:
             raise ParseError(f"duplicate quad term for indices {key}")
         quad[key] = c
-    lin = LinPoly.zero(field) if obj["lin"] is None else linpoly_from_obj(field, obj["lin"])
+    lin = SkewPoly.zero(field) if obj["lin"] is None else linpoly_from_obj(field, obj["lin"])
     if lin.twist != 1:
         raise ParseError("DO polynomial additive part must have s = 1")
     const = element_from_obj(field, obj["const"])

@@ -1,14 +1,20 @@
-"""Skew polynomial ring F_q[Y; sigma] with sigma the twist Frobenius.
+"""Skew polynomial ring F_q[Y; sigma], which is also the ring of additive
+polynomials under composition.
 
 Elements are coefficient tuples (f_0, ..., f_n) for sum_i f_i Y^i, zero
-being the empty tuple, with multiplication twisted by Y a = sigma(a) Y
-where sigma(a) = a^(p^twist).  The ring is a left and right Euclidean
-domain, so both one-sided divisions, both one-sided gcds, and greatest
-common left divisors of images of additive polynomials are all exact.
+being the empty tuple (degree float('-inf')), with multiplication twisted
+by Y a = sigma(a) Y where sigma(a) = a^(p^twist).  The ring is a left and
+right Euclidean domain, so both one-sided divisions, both one-sided gcds,
+and greatest common left divisors of additive polynomials are all exact.
 
-to_skew / to_linear translate between this ring and LinPoly with the
-same twist: coefficient tuples are carried over unchanged, and
-composition of additive polynomials matches ring multiplication.
+Ore's correspondence reads the same tuple as the additive polynomial
+sum_i f_i X^(p^(twist i)): the ring product f * g is the composition
+f(g(X)), so SkewPoly carries the function view too (evaluation,
+reduction through x^(p^e) = x, the matrix of the induced Z_p-linear map
+relative to the field's ordered basis, permutation test and inverse).
+Reduction always re-bases to twist 1, so reduced polynomials live on
+indices 0 .. e-1 and are in bijection with the Z_p-linear maps of the
+field; column j of to_matrix() holds the coordinates of f(basis_j).
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair is multiplied back and compared against the dividend before being
@@ -17,14 +23,25 @@ returned, and DIVISION_CHECKS counts how many such checks ran.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import BothZeroError, ContextMismatchError, TwistMismatchError
+from . import _linalg
+from .errors import (
+    BothZeroError,
+    ContextMismatchError,
+    InvariantError,
+    NotAPermutationError,
+    SingularSystemError,
+    TwistMismatchError,
+)
 from .fields import FiniteField, FqElem
-from .linpoly import NEG_INF, LinPoly
 
 CHECK_DIVISION = False
 DIVISION_CHECKS = 0
+
+NEG_INF = float("-inf")
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _trim(coeffs: list[FqElem]) -> tuple[FqElem, ...]:
@@ -35,6 +52,9 @@ def _trim(coeffs: list[FqElem]) -> tuple[FqElem, ...]:
 
 
 class SkewPoly:
+    """sum_i f_i Y^i in F_q[Y; sigma], equally the additive polynomial
+    sum_i f_i X^(p^(twist i))."""
+
     __slots__ = ("field", "twist", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs: Iterable[FqElem], twist: int = 1):
@@ -59,10 +79,12 @@ class SkewPoly:
 
     @classmethod
     def one(cls, field: FiniteField, twist: int = 1) -> "SkewPoly":
+        """1 in the ring, the identity map X as an additive polynomial."""
         return cls(field, (field.one(),), twist)
 
     @classmethod
     def monomial(cls, field: FiniteField, index: int, coeff: FqElem, twist: int = 1) -> "SkewPoly":
+        """coeff * Y^index, that is coeff * X^(p^(twist*index))."""
         zero = field.zero()
         return cls(field, [zero] * index + [coeff], twist)
 
@@ -72,6 +94,7 @@ class SkewPoly:
 
     @property
     def degree(self):
+        """Skew degree n (the index of X^(p^(twist*n))), or -inf for zero."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     @property
@@ -132,6 +155,7 @@ class SkewPoly:
         return self + (-other)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
+        """Ring product; as additive polynomials, self after other."""
         self._peer(other)
         field = self.field
         if self.is_zero or other.is_zero:
@@ -145,6 +169,8 @@ class SkewPoly:
                 if bj:
                     out[i + j] = out[i + j] + ai * self._sigma(bj, i)
         return SkewPoly(field, out, self.twist)
+
+    compose = __mul__
 
     def left_scalar(self, c: FqElem) -> "SkewPoly":
         """(c) * self as ring elements: coefficients multiplied by c on the left."""
@@ -230,13 +256,82 @@ class SkewPoly:
         c = self._sigma(self.lead.inv(), -(len(self.coeffs) - 1))
         return self.right_scalar(c)
 
+    # ------------------------------------------------------------------
+    # function view
+
+    def __call__(self, x: FqElem) -> FqElem:
+        if x.field != self.field:
+            raise ContextMismatchError("evaluation point from a different field")
+        e = self.field.e
+        acc = self.field.zero()
+        for i, c in enumerate(self.coeffs):
+            if c:
+                acc = acc + c * x.frobenius((self.twist * i) % e)
+        return acc
+
+    def as_p_poly(self) -> "SkewPoly":
+        """Exact re-expression with twist 1 (indices spread out, no folding)."""
+        if self.twist == 1:
+            return self
+        field = self.field
+        zero = field.zero()
+        out = [zero] * (self.twist * len(self.coeffs))
+        for i, c in enumerate(self.coeffs):
+            out[self.twist * i] = c
+        return SkewPoly(field, out, 1)
+
+    def reduce(self) -> "SkewPoly":
+        """Fold through x^(p^e) = x; result has twist 1 and indices < e."""
+        field, e = self.field, self.field.e
+        out = [field.zero()] * e
+        for i, c in enumerate(self.coeffs):
+            if c:
+                k = (self.twist * i) % e
+                out[k] = out[k] + c
+        return SkewPoly(field, out, 1)
+
+    def to_matrix(self) -> Matrix:
+        """e x e matrix over Z_p of the induced linear map, in the field basis."""
+        field = self.field
+        reduced = self.reduce()
+        cols = [field.coordinates(reduced(b)) for b in field.basis]
+        return tuple(
+            tuple(cols[j][r] for j in range(field.e)) for r in range(field.e)
+        )
+
+    @classmethod
+    def from_matrix(cls, field: FiniteField, matrix: Sequence[Sequence[int]]) -> "SkewPoly":
+        """Reduced polynomial inducing the given matrix (Moore system solve)."""
+        e, p = field.e, field.p
+        rows = [list(r) for r in matrix]
+        if len(rows) != e or any(len(r) != e for r in rows):
+            raise SingularSystemError(f"matrix must be {e} x {e}")
+        targets = [
+            field.combine([rows[r][j] % p for r in range(e)]) for j in range(e)
+        ]
+        moore = [[field.basis[j].frobenius(k) for k in range(e)] for j in range(e)]
+        sol = _linalg.solve_field(moore, targets)
+        if sol is None:
+            raise SingularSystemError("basis images do not determine a polynomial")
+        return cls(field, sol, 1)
+
+    def is_permutation(self) -> bool:
+        return _linalg.rank([list(r) for r in self.to_matrix()], self.field.p) == self.field.e
+
+    def inverse(self) -> "SkewPoly":
+        """Compositional inverse of a permutation polynomial, reduced."""
+        m = _linalg.inv([list(r) for r in self.to_matrix()], self.field.p)
+        if m is None:
+            raise NotAPermutationError("polynomial does not permute the field")
+        return SkewPoly.from_matrix(self.field, m)
+
 
 def _maybe_check(expected: SkewPoly, rebuilt: SkewPoly) -> None:
     global DIVISION_CHECKS
     if CHECK_DIVISION:
         DIVISION_CHECKS += 1
         if rebuilt != expected:
-            raise AssertionError("division check failed: q, r do not rebuild the dividend")
+            raise InvariantError("division check failed: q, r do not rebuild the dividend")
 
 
 # ----------------------------------------------------------------------
@@ -273,20 +368,7 @@ def skew_gcd(f: SkewPoly, g: SkewPoly, side: str) -> SkewPoly:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-# ----------------------------------------------------------------------
-# correspondence with additive polynomials
-
-
-def to_skew(L: LinPoly) -> SkewPoly:
-    """Ring image of an additive polynomial; composition becomes product."""
-    return SkewPoly(L.field, L.coeffs, L.twist)
-
-
-def to_linear(f: SkewPoly) -> LinPoly:
-    return LinPoly(f.field, f.coeffs, f.twist)
-
-
-def gcldf(L1: LinPoly, L2: LinPoly) -> tuple[LinPoly, LinPoly, LinPoly]:
+def gcldf(L1: SkewPoly, L2: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
     """Greatest common left divisor factor of two additive polynomials.
 
     Returns (G, A, B) with L1 = G . A and L2 = G . B exactly (symbolic
@@ -294,10 +376,9 @@ def gcldf(L1: LinPoly, L2: LinPoly) -> tuple[LinPoly, LinPoly, LinPoly]:
     inputs are zero; if exactly one is zero the other's monic form is
     returned with the matching witness zero.
     """
-    f1, f2 = to_skew(L1), to_skew(L2)
-    g = gcd_left(f1, f2)
-    a, ra = f1.divmod_left(g)
-    b, rb = f2.divmod_left(g)
+    g = gcd_left(L1, L2)
+    a, ra = L1.divmod_left(g)
+    b, rb = L2.divmod_left(g)
     if not (ra.is_zero and rb.is_zero):
-        raise AssertionError("left gcd does not left-divide its inputs")
-    return to_linear(g), to_linear(a), to_linear(b)
+        raise InvariantError("left gcd does not left-divide its inputs")
+    return g, a, b

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+import skewlin.cli as cli
 import skewlin.serialize as ser
 from skewlin.cli import main
 from skewlin.decompose import estimate_split_success
+from skewlin.errors import InvariantError
 from skewlin.fields import FiniteField
 from skewlin.hfe import (
     POLICY_MAX_Q,
@@ -18,7 +20,7 @@ from skewlin.hfe import (
     to_multivariate,
 )
 from skewlin.linpoly import LinPoly
-from skewlin.skew import SkewPoly, to_linear
+from skewlin.skew import SkewPoly
 
 
 def run(capsys, *argv):
@@ -98,6 +100,23 @@ def test_decompose_verb(capsys, tmp_path):
     assert (code2, out2) == (code, out)
 
 
+def test_invariant_failure_exits_1(capsys, tmp_path, monkeypatch):
+    field = FiniteField(2, 2)
+    path = tmp_path / "poly.json"
+    path.write_text(
+        ser.dumps(
+            {"field": ser.field_to_obj(field), "poly": ser.skewpoly_to_obj(SkewPoly.one(field))}
+        )
+    )
+
+    def broken(*args, **kwargs):
+        raise InvariantError("check failed")
+
+    monkeypatch.setattr(cli, "decompose_complete", broken)
+    code, out, err = run(capsys, "decompose", "--in", str(path))
+    assert (code, out, err) == (1, "", "skewlin: check failed\n")
+
+
 def test_decompose_input_validation(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(ser.dumps({"field": {"p": 2, "e": 2, "modulus": [1, 1, 1]}}))
@@ -127,9 +146,9 @@ def test_unreadable_file_exits_2(capsys, tmp_path):
 def test_gcldf_verb(capsys, tmp_path):
     field = FiniteField(2, 3)
     rng = random.Random(5)
-    G0 = to_linear(SkewPoly(field, [field.random_element(rng), field.one()]))
-    A0 = to_linear(SkewPoly(field, [field.random_element(rng), field.one()]))
-    B0 = to_linear(SkewPoly(field, [field.one()]))
+    G0 = SkewPoly(field, [field.random_element(rng), field.one()])
+    A0 = SkewPoly(field, [field.random_element(rng), field.one()])
+    B0 = SkewPoly(field, [field.one()])
     f, g = G0.compose(A0), G0.compose(B0)
     path = tmp_path / "pair.json"
     path.write_text(
@@ -148,7 +167,7 @@ def test_gcldf_verb(capsys, tmp_path):
     A = ser.linpoly_from_obj(field, obj["A"])
     B = ser.linpoly_from_obj(field, obj["B"])
     assert G.compose(A) == f and G.compose(B) == g
-    assert G.ps_degree >= 1  # the planted common factor is detected
+    assert G.degree >= 1  # the planted common factor is detected
 
 
 def test_keygen_encrypt_decrypt_roundtrip(capsys, tmp_path):
@@ -300,7 +319,7 @@ def test_policy_cap_env(capsys, tmp_path, monkeypatch):
     # bare secret key over GF(2^17) is still refused before any table work
     big = FiniteField(2, 17)
     secret = HFESecretKey(
-        big, LinPoly.identity(big), DOPoly(big, {(0, 1): big.one()}), LinPoly.identity(big), 3
+        big, LinPoly.one(big), DOPoly(big, {(0, 1): big.one()}), LinPoly.one(big), 3
     )
     key_path, field_path = tmp_path / "big.json", tmp_path / "big-field.json"
     key_path.write_text(ser.dumps(ser.secret_to_obj(secret)))

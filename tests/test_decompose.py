@@ -15,7 +15,6 @@ from skewlin.decompose import (
     _eval_fp_poly,
     _smallest_right_factor,
     decompose_complete,
-    decompose_linear,
     eigen_ring,
     estimate_split_success,
     find_zero_divisor,
@@ -25,8 +24,7 @@ from skewlin.decompose import (
 )
 from skewlin.errors import InvariantError, TooLargeError
 from skewlin.fields import FiniteField
-from skewlin.linpoly import LinPoly
-from skewlin.skew import SkewPoly, to_linear
+from skewlin.skew import SkewPoly
 
 
 def all_monic(field, degree, twist=1):
@@ -296,14 +294,22 @@ def test_split_once_central_branches(gf4, monkeypatch):
 
 
 def test_split_once_powers_of_y_split_off_y(gf256):
-    # mu = Z exactly when f = Y^n with n <= e; E(Y^n) is not semisimple and
-    # random draws there rarely give a zero divisor, so Y is split off directly
-    Y = SkewPoly.monomial(gf256, 1, gf256.one())
-    for n in (2, 5, 8):
-        f = SkewPoly.monomial(gf256, n, gf256.one())
-        res = split_once(f, random.Random(n))
-        assert isinstance(res, Split) and res.tries == 0
-        assert res.right == Y and res.left * Y == f
+    # f_0 = 0 gives f = (sum f_i Y^(i-1)) * Y for every twist.  E(Y^n) is
+    # not semisimple and random draws there rarely give a zero divisor; with
+    # gcd(s, e) > 1 they used to end in an uncertified Indecomposable
+    c = gf256.from_int(77)
+    for twist in (1, 2, 4):
+        Y = SkewPoly.monomial(gf256, 1, gf256.one(), twist)
+        inputs = [SkewPoly.monomial(gf256, n, gf256.one(), twist) for n in (2, 5, 8)]
+        inputs.append(SkewPoly(gf256, [gf256.zero(), c, gf256.one()], twist))
+        for f in inputs:
+            res = split_once(f, random.Random(f.degree), max_tries=6)
+            assert isinstance(res, Split) and res.tries == 0
+            assert res.right == Y and res.left * Y == f
+    gf2_16 = FiniteField(2, 16)
+    f = SkewPoly.monomial(gf2_16, 2, gf2_16.one(), 2)
+    dec = decompose_complete(f, random.Random(0))
+    assert dec.certified and dec.degrees() == (1, 1) and dec.product() == f
 
 
 def test_split_once_isotypic_needs_nontrivial_eigenring(gf4, monkeypatch):
@@ -386,14 +392,18 @@ def test_decompose_twist2(gf16):
 
 
 def test_decompose_linear_wrapper(gf8):
+    # the factors of an additive polynomial, composed as maps, rebuild it
     rng = random.Random(73)
     for _ in range(8):
-        L = to_linear(random_monic(gf8, rng, 2))
-        dec = decompose_linear(L, rng)
-        rebuilt = LinPoly.identity(gf8)
-        for part in dec.linear_factors():
+        L = random_monic(gf8, rng, 2)
+        dec = decompose_complete(L, rng)
+        rebuilt = SkewPoly.one(gf8)
+        for part in dec.factors:
             rebuilt = rebuilt.compose(part)
-        assert rebuilt.scale(dec.unit) == L
+        rebuilt = rebuilt.left_scalar(dec.unit)
+        assert rebuilt == L
+        for x in gf8.elements():
+            assert rebuilt(x) == L(x)
 
 
 def test_oracle_refuses_large_instances(gf256):

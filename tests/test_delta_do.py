@@ -69,9 +69,9 @@ def test_constructor_validation(gf4, gf9, gf16):
     with pytest.raises(ContextMismatchError):
         DOPoly(gf4, {(0, 1): gf9.one()})
     with pytest.raises(ContextMismatchError):
-        DOPoly(gf4, {}, LinPoly.identity(gf9))
+        DOPoly(gf4, {}, LinPoly.one(gf9))
     with pytest.raises(TwistMismatchError):
-        DOPoly(gf16, {}, LinPoly.identity(gf16, twist=2))
+        DOPoly(gf16, {}, LinPoly.one(gf16, twist=2))
     # unordered pairs normalise, zero coefficients drop
     t = gf4.generator()
     assert DOPoly(gf4, {(1, 0): t}).quad == {(0, 1): t}
@@ -269,9 +269,9 @@ def test_compose_right_pointwise(gf16, gf9):
 def test_compose_side_validation(gf4):
     D = DOPoly(gf4, {(0, 1): gf4.one()})
     with pytest.raises(ValueError):
-        do_compose_lin(LinPoly.identity(gf4), D, "both")
+        do_compose_lin(LinPoly.one(gf4), D, "both")
     with pytest.raises(TwistMismatchError):
-        do_compose_lin(LinPoly.identity(gf4, twist=2), D, "left")
+        do_compose_lin(LinPoly.one(gf4, twist=2), D, "left")
 
 
 def test_chain_rule_exact(gf16, gf9):

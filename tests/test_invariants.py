@@ -72,11 +72,20 @@ print("ok")
 """
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_bare_asserts_in_package():
+    # invariant checks raise errors.InvariantError: no assert statement
+    # (stripped by -O) and no raise AssertionError (not a SkewlinError)
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
+            if isinstance(node, ast.Assert) or _raises_assertion_error(node):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

@@ -10,7 +10,9 @@ from skewlin.errors import (
     SingularSystemError,
     TwistMismatchError,
 )
-from skewlin.linpoly import NEG_INF, LinPoly
+from skewlin.hfe import lin_to_dense
+from skewlin.linpoly import LinPoly
+from skewlin.skew import NEG_INF
 
 
 def random_linpoly(field, rng, max_index, twist=1):
@@ -23,19 +25,19 @@ def test_construction_and_views(gf4):
     t = gf4.generator()
     zero = LinPoly.zero(gf4)
     assert zero.is_zero
-    assert zero.ps_degree == NEG_INF
     assert zero.degree == NEG_INF
+    assert lin_to_dense(zero).degree == NEG_INF
     with pytest.raises(ValueError):
         zero.lead
-    ident = LinPoly.identity(gf4)
-    assert ident.ps_degree == 0
-    assert ident.degree == 1
+    ident = LinPoly.one(gf4)
+    assert ident.degree == 0
+    assert lin_to_dense(ident).degree == 1
     mono = LinPoly.monomial(gf4, 2, t)
-    assert mono.ps_degree == 2
-    assert mono.degree == 4  # p^(twist*2)
+    assert mono.degree == 2
+    assert lin_to_dense(mono).degree == 4  # p^(twist*2)
     assert mono.lead == t
     # trailing zeros are trimmed away
-    assert LinPoly(gf4, [gf4.one(), gf4.zero()]).ps_degree == 0
+    assert LinPoly(gf4, [gf4.one(), gf4.zero()]).degree == 0
 
 
 def test_constructor_validation(gf4, gf9):
@@ -95,7 +97,7 @@ def test_compose_hand_values(gf4):
 
 def test_identity_neutral(gf9):
     rng = random.Random(23)
-    ident = LinPoly.identity(gf9)
+    ident = LinPoly.one(gf9)
     for _ in range(10):
         L = random_linpoly(gf9, rng, 3)
         assert L.compose(ident) == L
@@ -107,7 +109,7 @@ def test_scale_pointwise(gf16):
     for _ in range(10):
         L = random_linpoly(gf16, rng, 3)
         c = gf16.random_element(rng)
-        S = L.scale(c)
+        S = L.left_scalar(c)
         x = gf16.random_element(rng)
         assert S(x) == c * L(x)
 
@@ -128,7 +130,7 @@ def test_reduce_preserves_function(gf8, gf27):
         for _ in range(10):
             L = random_linpoly(field, rng, 6)
             R = L.reduce()
-            assert R.ps_degree < field.e or R.is_zero
+            assert R.degree < field.e or R.is_zero
             assert R.reduce() == R
             for x in field.elements():
                 assert R(x) == L(x)
@@ -144,7 +146,7 @@ def test_as_p_poly(gf16):
             assert P(x) == L(x)
         # indices are spread exactly, not folded
         if not L.is_zero:
-            assert P.ps_degree == 2 * L.ps_degree
+            assert P.degree == 2 * L.degree
 
 
 def test_twist2_compose_and_reduce(gf16):
@@ -162,7 +164,7 @@ def test_twist2_compose_and_reduce(gf16):
 def test_matrix_hand_value(gf4):
     frob = LinPoly.monomial(gf4, 1, gf4.one())  # X^2
     assert frob.to_matrix() == ((1, 1), (0, 1))
-    ident = LinPoly.identity(gf4)
+    ident = LinPoly.one(gf4)
     assert ident.to_matrix() == ((1, 0), (0, 1))
 
 
@@ -207,7 +209,7 @@ def test_permutation_detection(gf8, gf9):
 
 def test_inverse(gf8):
     rng = random.Random(31)
-    ident = LinPoly.identity(gf8)
+    ident = LinPoly.one(gf8)
     found = 0
     for _ in range(40):
         L = random_linpoly(gf8, rng, 3)
@@ -238,22 +240,22 @@ def test_kernel_poly_not_permutation(gf4):
 
 
 def test_peer_errors(gf4, gf9):
-    L4 = LinPoly.identity(gf4)
-    L9 = LinPoly.identity(gf9)
+    L4 = LinPoly.one(gf4)
+    L9 = LinPoly.one(gf9)
     with pytest.raises(ContextMismatchError):
         L4 + L9
     with pytest.raises(TypeError):
         L4 + 1
     with pytest.raises(TwistMismatchError):
-        LinPoly.identity(gf4, twist=1) + LinPoly.identity(gf4, twist=2)
+        LinPoly.one(gf4, twist=1) + LinPoly.one(gf4, twist=2)
     with pytest.raises(ContextMismatchError):
         L4(gf9.one())
 
 
 def test_eq_hash_immutable(gf4):
-    a = LinPoly.identity(gf4)
-    b = LinPoly.identity(gf4)
+    a = LinPoly.one(gf4)
+    b = LinPoly.one(gf4)
     assert a == b and hash(a) == hash(b)
-    assert a != LinPoly.identity(gf4, twist=2)
+    assert a != LinPoly.one(gf4, twist=2)
     with pytest.raises(AttributeError):
         a.twist = 3

@@ -4,10 +4,16 @@ import random
 
 import pytest
 
+import skewlin.linpoly as linpoly
+import skewlin.serialize as ser
 import skewlin.skew as skew
-from skewlin.errors import BothZeroError, ContextMismatchError, TwistMismatchError
-from skewlin.linpoly import LinPoly
-from skewlin.skew import SkewPoly, gcd_left, gcd_right, gcldf, skew_gcd, to_linear, to_skew
+from skewlin.errors import (
+    BothZeroError,
+    ContextMismatchError,
+    InvariantError,
+    TwistMismatchError,
+)
+from skewlin.skew import SkewPoly, gcd_left, gcd_right, gcldf, skew_gcd
 
 
 def random_skew(field, rng, max_deg, twist=1, monic=False):
@@ -34,7 +40,7 @@ def test_product_matches_composition(gf8, gf9):
         for _ in range(15):
             f = random_skew(field, rng, 3)
             g = random_skew(field, rng, 3)
-            assert to_linear(f * g) == to_linear(f).compose(to_linear(g))
+            assert f * g == f.compose(g)
 
 
 def test_ring_axioms(gf9):
@@ -110,6 +116,19 @@ def test_division_checks_counter(gf4):
     f.divmod_right(g)
     f.divmod_left(g)
     assert skew.DIVISION_CHECKS == before + 2
+
+
+def test_tampered_division_raises_invariant_error(gf4, monkeypatch):
+    # with the multiply-back check on, a product that no longer rebuilds
+    # the dividend is reported as a broken invariant
+    assert skew.CHECK_DIVISION
+    f = SkewPoly(gf4, [gf4.one(), gf4.one(), gf4.one()])
+    g = SkewPoly(gf4, [gf4.generator(), gf4.one()])
+    monkeypatch.setattr(SkewPoly, "__mul__", lambda a, b: SkewPoly.zero(a.field, a.twist))
+    with pytest.raises(InvariantError):
+        f.divmod_right(g)
+    with pytest.raises(InvariantError):
+        f.divmod_left(g)
 
 
 def test_monic_normalisations(gf9):
@@ -191,7 +210,7 @@ def test_twist2_ring(gf16):
     for _ in range(15):
         f = random_skew(gf16, rng, 3, twist=2)
         g = random_skew(gf16, rng, 3, twist=2)
-        assert to_linear(f * g) == to_linear(f).compose(to_linear(g))
+        assert f * g == f.compose(g)
         q, r = f.divmod_right(g)
         assert q * g + r == f
         d = gcd_right(f, g)
@@ -199,22 +218,46 @@ def test_twist2_ring(gf16):
 
 
 def test_conversion_roundtrip(gf9):
+    # the additive and the skew encodings read back to the same polynomial,
+    # and the polynomial evaluates as sum c_i x^(p^i)
     rng = random.Random(49)
     for _ in range(10):
         f = random_skew(gf9, rng, 4)
-        assert to_skew(to_linear(f)) == f
-        L = to_linear(f)
-        assert to_linear(to_skew(L)) == L
+        text = ser.dumps(ser.linpoly_to_obj(f))
+        assert ser.skewpoly_from_obj(gf9, ser.parse_text(text)) == f
+        text = ser.dumps(ser.skewpoly_to_obj(f))
+        assert ser.linpoly_from_obj(gf9, ser.parse_text(text)) == f
+        for x in gf9.elements():
+            acc = gf9.zero()
+            for i, c in enumerate(f.coeffs):
+                acc = acc + c * x ** (gf9.p ** i)
+            assert f(x) == acc
+
+
+def test_one_type_for_ore_correspondence(gf9, gf16):
+    # additive and skew polynomials are one class; the ring product is
+    # composition of the induced maps, checked at every point
+    assert linpoly.LinPoly is SkewPoly
+    for field in (gf9, gf16):
+        for twist in (1, 2):
+            rng = random.Random(49)
+            for _ in range(6):
+                f = random_skew(field, rng, 3, twist=twist)
+                g = random_skew(field, rng, 3, twist=twist)
+                fg = f * g
+                for x in field.elements():
+                    assert fg(x) == f(g(x))
+                assert ser.dumps(ser.linpoly_to_obj(f)) == ser.dumps(ser.skewpoly_to_obj(f))
 
 
 def test_gcldf_witnesses(gf8, gf9, gf16):
     for field in (gf8, gf9, gf16):
         rng = random.Random(50)
         for _ in range(20):
-            L1 = to_linear(random_skew(field, rng, 4))
-            L2 = to_linear(random_skew(field, rng, 4))
+            L1 = random_skew(field, rng, 4)
+            L2 = random_skew(field, rng, 4)
             G, A, B = gcldf(L1, L2)
-            assert to_skew(G).is_monic
+            assert G.is_monic
             # witnesses are exact symbolic compositions, no reduction
             assert G.compose(A) == L1
             assert G.compose(B) == L2
@@ -226,16 +269,16 @@ def test_gcldf_planted_left_factor(gf8):
         G0 = random_skew(gf8, rng, 3, monic=True)
         A0 = random_skew(gf8, rng, 2)
         B0 = random_skew(gf8, rng, 2)
-        L1 = to_linear(G0 * A0)
-        L2 = to_linear(G0 * B0)
+        L1 = G0 * A0
+        L2 = G0 * B0
         G, _, _ = gcldf(L1, L2)
         # the planted factor left-divides the reported gcd
-        assert to_skew(G).mod_left(G0).is_zero
+        assert G.mod_left(G0).is_zero
 
 
 def test_gcldf_zero_cases(gf4):
-    L = to_linear(SkewPoly(gf4, [gf4.generator(), gf4.one()]))
-    Z = LinPoly.zero(gf4)
+    L = SkewPoly(gf4, [gf4.generator(), gf4.one()])
+    Z = SkewPoly.zero(gf4)
     G, A, B = gcldf(L, Z)
     assert G.compose(A) == L and B.is_zero
     with pytest.raises(BothZeroError):
