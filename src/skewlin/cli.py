@@ -90,7 +90,7 @@ def cmd_decompose(args: argparse.Namespace) -> dict:
     field = ser.field_from_obj(obj["field"])
     poly = ser.skewpoly_from_obj(field, obj["poly"])
     rng = random.Random(args.seed)
-    dec = decompose_complete(poly, rng=rng, max_tries=args.max_tries)
+    dec = decompose_complete(poly, rng=rng)
     return ser.decomposition_to_obj(dec)
 
 
@@ -149,7 +149,7 @@ def cmd_attack(args: argparse.Namespace) -> dict:
     if args.key is None:
         raise ParseError("attack needs --key, or --instances with --p/--e")
     public = _public_from_file(_load_json(args.key))
-    bound = args.degree_bound or public.field.p**4
+    bound = public.field.p**4 if args.degree_bound is None else args.degree_bound
     rng = random.Random(args.seed)
     result = gcldf_attack(public.poly, bound, rng, max_rounds=args.max_rounds)
     return {
@@ -165,7 +165,7 @@ def _attack_batch(args: argparse.Namespace) -> dict:
     if args.instances < 0:
         raise ParseError("--instances must be nonnegative")
     field = FiniteField(args.p, args.e, args.modulus)
-    bound = args.degree_bound or field.p**4
+    bound = field.p**4 if args.degree_bound is None else args.degree_bound
     results = []
     successes = 0
     for i in range(args.instances):
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("decompose", help="completely decompose a skew polynomial")
     s.add_argument("--in", dest="input", required=True, help="JSON file with field and poly")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-tries", type=int, default=200)
     s.set_defaults(func=cmd_decompose)
 
     s = subs.add_parser("gcldf", help="common left divisor factor of two additive polynomials")

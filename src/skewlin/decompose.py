@@ -8,22 +8,29 @@ polynomials.
 
 split_once splits off Y whenever f_0 = 0, for every twist: then
 f = (sum_i f_i Y^(i-1)) * Y exactly.  Otherwise it follows Giesbrecht
-(J. Symb. Comp. 1998) when the twist s is coprime to e.  Then Y^e is
-central, and the minimal polynomial mu over F_p of u = Y^e acting on
-R/Rf (mu(Y^e) is the bound of f) settles the question in one of three
-ways (mu = Z would need f = Y^n, which has f_0 = 0):
+(J. Symb. Comp. 1998) for every twist s.  Let g = gcd(s, e) and
+r = e/g: Y^r is central, the fixed field of sigma^s is F_Q with Q = p^g,
+and F_Q[Y^r] is the centre.  The residue u = Y^r mod f generates
+F_Q[u] = F_Q[Z]/(m), where m(Y^r) is the bound of f, and f is
+irreducible exactly when m is irreducible of degree deg f.  Both are
+read off the minimal polynomial mu of u over F_p, of degree d, and
+D = dim_Fp F_Q[u] (mu = Z would need f_0 = 0):
 
-  * mu irreducible of degree deg f: f is irreducible, certified.
   * mu has a proper monic factor nu: gcd_right(nu(u) mod f, f) is a
     proper right factor of f, found without randomness.
-  * mu irreducible of degree below deg f: R/Rf is isotypic
-    semisimple, so the eigenring
+  * mu irreducible: F_Q[u] is a quotient of F_Q (x) F_(p^d), a product
+    of fields F_(p^lcm(g, d)), so it is a field exactly when
+    D = lcm(g, d), and then deg m = D/g.  D = g deg f = lcm(g, d)
+    certifies f irreducible.  For g = 1, D = d and the rule reads
+    deg mu = deg f.
+  * otherwise f is reducible and R/Rf is semisimple (m is squarefree),
+    so the eigenring
 
         E(f) = { u : deg u < deg f and f u is a left multiple of f }
 
-    is a full matrix algebra over F_(p^deg mu) of size at least 2 and
-    holds zero divisors.  The randomised search below is repeated until
-    it finds one; most draws succeed.
+    is a product of matrix algebras that is not a field, and holds
+    zero divisors.  The randomised search below is repeated until it
+    finds one; most draws succeed.
 
 The zero-divisor search samples E(f), an F_p-algebra under residue
 multiplication modulo f.  A zero divisor z with nonzero witness v
@@ -31,13 +38,6 @@ multiplication modulo f.  A zero divisor z with nonzero witness v
 zero divisors come from the minimal polynomial over F_p of a random
 nonscalar residue (a reducible minimal polynomial splits u into
 annihilating pieces, an irreducible one means the try failed).
-
-Twists with gcd(s, e) > 1 have a larger fixed field, where the F_p
-certificate does not apply.  They keep the randomised search alone:
-small instances (skew degree times field degree at most ORACLE_LIMIT)
-fall back to an exhaustive right-factor sweep and their verdicts are
-certified, larger ones report an uncertified verdict with a heuristic
-confidence.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
 peels the lexicographically first smallest-degree monic right factor.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -57,8 +58,7 @@ from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, FqElem
 from .skew import SkewPoly, gcd_right
 
-ORACLE_LIMIT = 12  # max deg(f) * e for exhaustive sweeps
-RANDOM_BUDGET = 8  # random tries before a small instance falls back (gcd(s, e) > 1)
+ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
 
 
 # ----------------------------------------------------------------------
@@ -257,13 +257,10 @@ class Split:
 class Indecomposable:
     """Verdict that the input has no proper factorisation.
 
-    certified is True when the bound certificate or an exhaustive
-    right-factor sweep proved it; otherwise confidence is the heuristic
-    1 - (8/9)**tries for the random tries actually spent.
+    Every verdict is proved: degree at most 1, or the fixed-field
+    certificate of split_once.  tries is always 0.
     """
 
-    certified: bool
-    confidence: float
     tries: int
 
 
@@ -297,80 +294,67 @@ def _split_off(f: SkewPoly, right: SkewPoly, tries: int) -> Split:
     return Split(left=left, right=right, tries=tries)
 
 
-def split_once(
-    f: SkewPoly, rng: random.Random, max_tries: int = 32
-) -> Union[Split, Indecomposable]:
-    """One splitting step on a monic skew polynomial.
+def _fixed_field_span(u: SkewPoly, f: SkewPoly, g: int, d: int) -> int:
+    """dim over F_p of F_Q[u] modulo f, Q = p^g, for u of degree-d mu.
 
-    For every twist, f with f_0 = 0 gives the Split with right factor Y
-    (tries 0).  Otherwise, when the twist s is coprime to e, the minimal
-    polynomial mu over F_p of the central residue u = Y^e mod f decides:
+    The F_p-basis of F_Q is the kernel of x -> x^(p^g) - x on the digit
+    basis; F_Q[u] is spanned by b u^i for b in it and i < d.
+    """
+    field = f.field
+    n, e, p = len(f.coeffs) - 1, field.e, field.p
+    images = [(x.frobenius(g) - x).digits for x in (field.from_int(p**j) for j in range(e))]
+    fixed = [field.element(v) for v in _linalg.nullspace(list(zip(*images)), p)]
+    rows = []
+    power = SkewPoly.one(field, f.twist)
+    for _ in range(d):
+        rows.extend(_flatten(power.left_scalar(b), n, e) for b in fixed)
+        power = (power * u).mod_right(f)
+    return _linalg.rank(rows, p)
 
-      * mu irreducible of degree deg f: a certified Indecomposable, with
-        no eigenring and no sweep (tries 0);
+
+def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
+    """One splitting step on a monic skew polynomial, for every twist.
+
+    f with f_0 = 0 gives the Split with right factor Y (tries 0).
+    Otherwise let g = gcd(s, e) and Q = p^g.  The minimal polynomial mu
+    over F_p of the central residue u = Y^(e/g) mod f, of degree d, and
+    D = dim_Fp F_Q[u] (equal to d when g = 1) decide:
+
       * mu with a proper monic factor nu: the Split through
         gcd_right(nu(u) mod f, f), without randomness (tries 0);
-      * any other irreducible mu of lower degree: f is reducible, and
-        the eigenring search runs in rounds of max_tries until it finds
-        a zero divisor (tries counts every draw).
+      * mu irreducible and D = g deg f = lcm(g, d): a certified
+        Indecomposable, with no eigenring (tries 0);
+      * any other irreducible mu: f is reducible, and the eigenring
+        search runs until it finds a zero divisor (tries counts every
+        draw).
 
-    Every verdict on this path is certified, whatever the size of f.
-
-    Other twists search the eigenring alone.  Small instances
-    (degree * e <= ORACLE_LIMIT) cap the random phase at RANDOM_BUDGET
-    tries and then settle the question exhaustively, so their
-    Indecomposable verdicts are certified; larger instances spend
-    max_tries and may return an uncertified verdict.
+    Every verdict is certified, whatever the size of f.
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
-    deg = len(f.coeffs) - 1
-    if deg <= 1:
-        return Indecomposable(certified=True, confidence=1.0, tries=0)
+    field, p, n = f.field, f.field.p, len(f.coeffs) - 1
+    if n <= 1:
+        return Indecomposable(tries=0)
     if not f.coeffs[0]:
-        Y = SkewPoly.monomial(f.field, 1, f.field.one(), f.twist)
-        return Split(left=SkewPoly(f.field, f.coeffs[1:], f.twist), right=Y, tries=0)
-    if math.gcd(f.twist, f.field.e) == 1:
-        return _split_central(f, rng, max(max_tries, 1))
-    small = deg * f.field.e <= ORACLE_LIMIT
-    budget = min(max_tries, RANDOM_BUDGET) if small else max_tries
-    E = eigen_ring(f)
-    tries = 0
-    if E.dim > 1:
-        zd = find_zero_divisor(f, rng, budget, ring=E)
-        if zd is not None:
-            return _split_off(f, gcd_right(zd.element, f), zd.tries)
-        tries = budget
-    if small:
-        g = _smallest_right_factor(f)
-        if g is None:
-            return Indecomposable(certified=True, confidence=1.0, tries=tries)
-        return _split_off(f, g, tries)
-    return Indecomposable(
-        certified=False, confidence=1.0 - (8.0 / 9.0) ** tries, tries=tries
-    )
-
-
-def _split_central(f: SkewPoly, rng: random.Random, rounds: int) -> Union[Split, Indecomposable]:
-    """split_once for a twist coprime to e, through the bound of f."""
-    field, p = f.field, f.field.p
-    u = SkewPoly.monomial(field, field.e, field.one(), f.twist).mod_right(f)
+        Y = SkewPoly.monomial(field, 1, field.one(), f.twist)
+        return Split(left=SkewPoly(field, f.coeffs[1:], f.twist), right=Y, tries=0)
+    g = math.gcd(f.twist, field.e)
+    u = SkewPoly.monomial(field, field.e // g, field.one(), f.twist).mod_right(f)
     mu = minimal_polynomial(u, f)
     if not fp.is_irreducible(mu, p):
         nu = fp.factor_monic(mu, p)[0][0]  # a proper factor: nu(u) is a nonzero central non-unit
         return _split_off(f, gcd_right(_eval_fp_poly(nu, u, f), f), 0)
-    if len(mu) - 1 == f.degree:
-        return Indecomposable(certified=True, confidence=1.0, tries=0)
-    # isotypic: E(f) is a matrix algebra of size deg f / deg mu >= 2
+    d = len(mu) - 1
+    span = d if g == 1 else _fixed_field_span(u, f, g, d)
+    if span == g * n == math.lcm(g, d):
+        return Indecomposable(tries=0)
+    # f is reducible and R/Rf is semisimple, so E(f) is not a field and
+    # the search cannot run dry
     E = eigen_ring(f)
     if E.dim <= 1:
         raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
-    tries = 0
-    while True:
-        zd = find_zero_divisor(f, rng, rounds, ring=E)
-        if zd is not None:
-            return _split_off(f, gcd_right(zd.element, f), tries + zd.tries)
-        tries += rounds
+    zd = find_zero_divisor(f, rng, sys.maxsize, ring=E)
+    return _split_off(f, gcd_right(zd.element, f), zd.tries)
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +369,6 @@ class Decomposition:
     twist: int
     unit: FqElem
     factors: tuple[SkewPoly, ...]
-    certified: bool
 
     def product(self) -> SkewPoly:
         acc = SkewPoly.one(self.field, self.twist)
@@ -397,9 +380,7 @@ class Decomposition:
         return tuple(g.degree for g in self.factors)
 
 
-def decompose_complete(
-    f: SkewPoly, rng: Optional[random.Random] = None, max_tries: int = 200
-) -> Decomposition:
+def decompose_complete(f: SkewPoly, rng: Optional[random.Random] = None) -> Decomposition:
     """Complete factorisation of f into monic irreducible skew polynomials."""
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
@@ -408,23 +389,18 @@ def decompose_complete(
     unit = f.lead
     g = f.monic_left()
     factors: list[SkewPoly] = []
-    certified = True
 
     def rec(h: SkewPoly) -> None:
-        nonlocal certified
-        res = split_once(h, rng, max_tries=max_tries)
+        res = split_once(h, rng)
         if isinstance(res, Indecomposable):
             factors.append(h)
-            certified = certified and res.certified
         else:
             rec(res.left)
             rec(res.right)
 
     if g.degree >= 1:
         rec(g)
-    return Decomposition(
-        field=f.field, twist=f.twist, unit=unit, factors=tuple(factors), certified=certified
-    )
+    return Decomposition(field=f.field, twist=f.twist, unit=unit, factors=tuple(factors))
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +435,7 @@ def oracle_decompose(f: SkewPoly) -> Decomposition:
         factors.append(h)
         g = q
     factors.reverse()
-    return Decomposition(
-        field=f.field, twist=f.twist, unit=unit, factors=tuple(factors), certified=True
-    )
+    return Decomposition(field=f.field, twist=f.twist, unit=unit, factors=tuple(factors))
 
 
 # ----------------------------------------------------------------------

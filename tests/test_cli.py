@@ -277,6 +277,11 @@ def test_attack_batch_validation(capsys):
     assert code == 2 and "--p" in err
     code, _, err = run(capsys, "attack", "--instances", "-1", "--p", "2", "--e", "4")
     assert code == 2
+    # an explicit bound of 0 is below p^2, not a request for the p^4 default
+    code, out, err = run(
+        capsys, "attack", "--instances", "1", "--p", "2", "--e", "4", "--degree-bound", "0"
+    )
+    assert code == 1 and out == "" and "below p^2" in err
 
 
 def test_probe_verb(capsys):

@@ -1,6 +1,7 @@
 """Eigenrings, zero divisors, splitting, complete decomposition."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -161,7 +162,7 @@ def test_split_once_validation(gf4):
     with pytest.raises(ValueError):
         split_once(SkewPoly(gf4, [gf4.one(), t]), rng)  # lead t, not monic
     res = split_once(SkewPoly.monomial(gf4, 1, gf4.one()), rng)
-    assert isinstance(res, Indecomposable) and res.certified and res.tries == 0
+    assert isinstance(res, Indecomposable) and res.tries == 0
 
 
 def test_split_once_splits_products(gf4, gf9):
@@ -183,26 +184,32 @@ def test_split_once_certifies_irreducible(gf4):
         if any(f.mod_right(g).is_zero for g in all_monic(gf4, 1)):
             continue
         res = split_once(f, rng)
-        assert isinstance(res, Indecomposable)
-        assert res.certified and res.confidence == 1.0
+        assert isinstance(res, Indecomposable) and res.tries == 0
         checked += 1
     assert checked > 0
 
 
-def test_split_once_certified_above_oracle_limit(gf256):
+def test_split_once_certified_above_oracle_limit(gf256, monkeypatch):
     # degree 2 over GF(2^8): 2 * 8 = 16 > ORACLE_LIMIT, yet the bound
-    # certificate proves every Indecomposable verdict
+    # certificate proves every Indecomposable verdict without an eigenring,
+    # for gcd(s, e) = 1, 2 and 4 alike
+    calls = []
+    real = decompose.eigen_ring
+    monkeypatch.setattr(decompose, "eigen_ring", lambda f: calls.append(f) or real(f))
     rng = random.Random(67)
-    kinds = set()
-    for f in itertools.islice(all_monic(gf256, 2), 0, 65536, 997):
-        res = split_once(f, rng, max_tries=6)
-        kinds.add(type(res))
-        if isinstance(res, Indecomposable):
-            assert res.certified and res.confidence == 1.0 and res.tries == 0
-            assert not any(f.mod_right(g).is_zero for g in all_monic(gf256, 1))
-        else:
-            assert res.left * res.right == f and res.right.degree == 1
-    assert kinds == {Split, Indecomposable}
+    for twist in (1, 2, 4):
+        linear = list(all_monic(gf256, 1, twist))
+        kinds = set()
+        for f in itertools.islice(all_monic(gf256, 2, twist), 0, 65536, 997):
+            calls.clear()
+            res = split_once(f, rng)
+            kinds.add(type(res))
+            if isinstance(res, Indecomposable):
+                assert res.tries == 0 and calls == []
+                assert not any(f.mod_right(g).is_zero for g in linear)
+            else:
+                assert res.left * res.right == f and res.right.degree == 1
+        assert kinds == {Split, Indecomposable}
 
 
 def _reducible_table(field, degree, twist):
@@ -218,17 +225,19 @@ def _reducible_table(field, degree, twist):
 @pytest.mark.parametrize(
     "p, e, degrees, twists",
     [
-        (2, 2, (2, 3, 4, 5), (1, 3)),
-        (2, 3, (2, 3), (1, 2)),
-        (3, 2, (2, 3), (1, 3)),
+        (2, 2, (2, 3, 4, 5), (1, 2, 3)),
+        (2, 3, (2, 3), (1, 2, 3)),
+        (3, 2, (2, 3), (1, 2, 3)),
         (2, 4, (2, 3), (1, 3)),
+        (2, 4, (2,), (2, 4, 6)),
+        (3, 3, (2,), (3,)),
     ],
-    ids=["gf4", "gf8", "gf9", "gf16"],
+    ids=["gf4", "gf8", "gf9", "gf16", "gf16-gcd", "gf27"],
 )
 def test_split_once_certificate_exhaustive(p, e, degrees, twists):
-    # every monic f, twists coprime to e: a Split must rebuild f, an
-    # Indecomposable must be certified and absent from the table of all
-    # proper products, the same set _smallest_right_factor decides
+    # every monic f, twists coprime to e and not: a Split must rebuild f,
+    # an Indecomposable must have tries 0 and be absent from the table of
+    # all proper products, the same set _smallest_right_factor decides
     field = FiniteField(p, e)
     rng = random.Random(74)
     mismatches = []
@@ -242,7 +251,7 @@ def test_split_once_certificate_exhaustive(p, e, degrees, twists):
             for f in all_monic(field, degree, twist):
                 res = split_once(f, rng)
                 if isinstance(res, Indecomposable):
-                    ok = res.certified and res.tries == 0 and f.coeffs not in reducible
+                    ok = res.tries == 0 and f.coeffs not in reducible
                 else:
                     ok = res.left * res.right == f and 0 < res.right.degree < degree
                 if not ok:
@@ -250,25 +259,30 @@ def test_split_once_certificate_exhaustive(p, e, degrees, twists):
     assert mismatches == []
 
 
-def test_split_once_twist_not_coprime_keeps_sweep_path(gf16, monkeypatch):
-    # twist 2 over GF(2^4): gcd(2, 4) = 2, so the F_p certificate does not
-    # apply and verdicts still come from the eigenring and the sweep
+def test_split_once_never_sweeps(gf16, monkeypatch):
+    # one path for every twist: split_once never runs the exhaustive sweep,
+    # and builds E(f) only when f is reducible and mu has no proper factor
     calls = []
     for name in ("eigen_ring", "_smallest_right_factor"):
         real = getattr(decompose, name)
         monkeypatch.setattr(decompose, name, lambda f, n=name, r=real: calls.append(n) or r(f))
     rng = random.Random(75)
-    irreducible = next(
-        f
-        for f in all_monic(gf16, 2, twist=2)
-        if not any(f.mod_right(g).is_zero for g in all_monic(gf16, 1, twist=2))
-    )
-    res = split_once(irreducible, rng)
-    assert isinstance(res, Indecomposable) and res.certified
-    assert calls == ["eigen_ring", "_smallest_right_factor"]
-    calls.clear()
-    split_once(SkewPoly(gf16, irreducible.coeffs, 1), rng)
-    assert calls == []
+    for twist in (1, 2, 4):
+        reducible = _reducible_table(gf16, 2, twist)
+        r = gf16.e // math.gcd(twist, gf16.e)
+        searched = 0
+        for f in all_monic(gf16, 2, twist):
+            calls.clear()
+            split_once(f, rng)
+            u = SkewPoly.monomial(gf16, r, gf16.one(), twist).mod_right(f)
+            needs_search = (
+                bool(f.coeffs[0])
+                and f.coeffs in reducible
+                and fp.is_irreducible(minimal_polynomial(u, f), gf16.p)
+            )
+            assert calls == (["eigen_ring"] if needs_search else [])
+            searched += needs_search
+        assert searched > 0
 
 
 def test_split_once_central_branches(gf4, monkeypatch):
@@ -295,21 +309,21 @@ def test_split_once_central_branches(gf4, monkeypatch):
 
 def test_split_once_powers_of_y_split_off_y(gf256):
     # f_0 = 0 gives f = (sum f_i Y^(i-1)) * Y for every twist.  E(Y^n) is
-    # not semisimple and random draws there rarely give a zero divisor; with
-    # gcd(s, e) > 1 they used to end in an uncertified Indecomposable
+    # not semisimple and random draws there rarely give a zero divisor
     c = gf256.from_int(77)
     for twist in (1, 2, 4):
         Y = SkewPoly.monomial(gf256, 1, gf256.one(), twist)
         inputs = [SkewPoly.monomial(gf256, n, gf256.one(), twist) for n in (2, 5, 8)]
         inputs.append(SkewPoly(gf256, [gf256.zero(), c, gf256.one()], twist))
         for f in inputs:
-            res = split_once(f, random.Random(f.degree), max_tries=6)
+            res = split_once(f, random.Random(f.degree))
             assert isinstance(res, Split) and res.tries == 0
             assert res.right == Y and res.left * Y == f
     gf2_16 = FiniteField(2, 16)
     f = SkewPoly.monomial(gf2_16, 2, gf2_16.one(), 2)
     dec = decompose_complete(f, random.Random(0))
-    assert dec.certified and dec.degrees() == (1, 1) and dec.product() == f
+    Y = SkewPoly.monomial(gf2_16, 1, gf2_16.one(), 2)
+    assert dec.factors == (Y, Y) and dec.product() == f
 
 
 def test_split_once_isotypic_needs_nontrivial_eigenring(gf4, monkeypatch):
@@ -328,8 +342,8 @@ def test_decompose_matches_oracle_exhaustively(gf4):
             count += 1
             mine = decompose_complete(f, rng)
             ref = oracle_decompose(f)
-            assert mine.certified and ref.certified
             assert sorted(mine.degrees()) == sorted(ref.degrees())
+            assert all(oracle_decompose(g).factors == (g,) for g in mine.factors)
             assert mine.product() == f
             assert ref.product() == f
             assert all(g.is_monic for g in mine.factors)
@@ -377,7 +391,7 @@ def test_decompose_planted_product(gf4, gf9):
             dec = decompose_complete(f, rng)
             assert dec.degrees() == (1, 1, 1)
             assert dec.product() == f
-            assert dec.certified
+            assert oracle_decompose(f).degrees() == (1, 1, 1)
 
 
 def test_decompose_twist2(gf16):

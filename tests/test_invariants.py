@@ -28,11 +28,23 @@ gf16 = FiniteField(2, 4)
 a, b, c = (gf16.from_int(n) for n in (3, 7, 9))
 f = SkewPoly(gf16, [a, gf16.one()]) * SkewPoly(gf16, [c, b, gf16.one()])
 dec = decompose.decompose_complete(f, random.Random(1))
-if dec.product() != f or sum(dec.degrees()) != 3 or not dec.certified:
+if dec.product() != f or sorted(dec.degrees()) != [1, 2]:
     raise SystemExit("decomposition is wrong")
 
-# a fold-free attack over GF(2^8)
+# twist 2 over GF(2^8), gcd(2, 8) = 2: the fixed-field certificate
 gf256 = FiniteField(2, 8)
+linear = [SkewPoly(gf256, [x, gf256.one()], 2) for x in gf256.elements()]
+quad = next(
+    q
+    for q in (SkewPoly(gf256, [gf256.from_int(n), gf256.one(), gf256.one()], 2) for n in range(1, 256))
+    if not any(q.mod_right(g).is_zero for g in linear)
+)
+f2 = linear[5] * quad
+dec = decompose.decompose_complete(f2, random.Random(4))
+if dec.product() != f2 or sorted(dec.degrees()) != [1, 2]:
+    raise SystemExit("twist-2 decomposition is wrong")
+
+# a fold-free attack over GF(2^8)
 core = DOPoly(
     gf256,
     {(0, 1): gf256.generator(), (0, 2): gf256.from_int(77)},
