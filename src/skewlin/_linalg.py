@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Z_p, plus a generic field solver.
+"""Exact dense linear algebra over Z_p.
 
 Matrices are lists of row lists of ints in [0, p).  Everything copies its
 input; nothing here mutates caller data.  Sizes are desk scale, so plain
@@ -108,24 +108,3 @@ def inv(a, p: int) -> Optional[list[list[int]]]:
         return None
     return [row[n:] for row in m]
 
-
-def solve_field(a, b) -> Optional[list]:
-    """Solve the square system a x = b over an arbitrary field.
-
-    Entries must support +, -, *, inversion via .inv(), and truth testing
-    (zero is falsy).  Returns None when the matrix is singular.
-    """
-    n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv_p = m[c][c].inv()
-        m[c] = [x * inv_p for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[c][j] for j in range(n + 1)]
-    return [m[i][n] for i in range(n)]

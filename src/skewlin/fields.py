@@ -34,6 +34,7 @@ from . import _linalg
 from .errors import (
     ContextMismatchError,
     DegreeMismatchError,
+    InvariantError,
     NonPrimeError,
     PolicyBoundError,
     ReducibleModulusError,
@@ -158,6 +159,7 @@ class FiniteField:
         "_red",
         "_frob_cache",
         "_coord_inv",
+        "_dual_frob",
         "_key",
     )
 
@@ -208,6 +210,7 @@ class FiniteField:
         object.__setattr__(self, "_red", tuple(red))
         object.__setattr__(self, "_frob_cache", {})
         object.__setattr__(self, "_coord_inv", None)
+        object.__setattr__(self, "_dual_frob", None)
 
         if basis is None:
             basis_digits = tuple(
@@ -321,6 +324,40 @@ class FiniteField:
                 for i in range(self.e):
                     digs[i] = (digs[i] + c * b.digits[i]) % self.p
         return FqElem(self, tuple(digs))
+
+    def dual_frobenius(self) -> tuple[tuple[FqElem, ...], ...]:
+        """Row j holds d_j^(p^k) for k = 0 .. e-1, where d is the trace-dual
+        of the ordered basis: Tr(basis_i * d_j) is 1 if i == j, else 0.
+
+        Every x equals sum_j Tr(d_j x) basis_j, so a Z_p-linear map L is
+        sum_k (sum_j L(basis_j) d_j^(p^k)) x^(p^k).  Built on first use.
+        """
+        rows = self._dual_frob
+        if rows is None:
+            p, e = self.p, self.e
+            # Tr is Z_p-linear with values in Z_p (digit 0), so Tr(x) is the
+            # dot product of the digits of x with the traces of 1, t, .., t^(e-1)
+            tr_t = []
+            for j in range(e):
+                t_j = FqElem(self, tuple(int(i == j) for i in range(e)))
+                acc = t_j
+                for k in range(1, e):
+                    acc = acc + t_j.frobenius(k)
+                tr_t.append(acc.digits[0])
+            gram = [
+                [sum(d * c for d, c in zip((bi * bj).digits, tr_t)) % p for bj in self.basis]
+                for bi in self.basis
+            ]
+            gram_inv = _linalg.inv(gram, p)
+            if gram_inv is None:
+                raise InvariantError("trace form of the field basis is degenerate")
+            rows = []
+            for j in range(e):
+                d = self.combine(gram_inv[j])
+                rows.append(tuple(d.frobenius(k) for k in range(e)))
+            rows = tuple(rows)
+            object.__setattr__(self, "_dual_frob", rows)
+        return rows
 
     # ------------------------------------------------------------------
     # digit kernels

@@ -43,6 +43,7 @@ from .errors import (
     DegreeBoundTooSmallError,
     DegreeTooLargeError,
     InvariantError,
+    NotAPermutationError,
     PolicyBoundError,
     ShapeViolationError,
     TwistMismatchError,
@@ -666,9 +667,11 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
         raise ContextMismatchError("operands over different fields")
     E = E.reduce()
     Lr = L.reduce()
-    if not Lr.is_permutation():
+    try:
+        Lr_inv = Lr.inverse()
+    except NotAPermutationError:
         return None
-    f = do_compose_lin(Lr.inverse(), E, "left").reduce()
+    f = do_compose_lin(Lr_inv, E, "left").reduce()
     if f.degree > bound:
         return None
     if do_compose_lin(Lr, f, "left", reduce=True) != E:
@@ -692,12 +695,16 @@ def gcldf_attack(
     running greatest common left divisor factor is refined with fresh
     difference polynomials each round; whenever the running factor
     permutes the field, the attack tries to peel it off leaving a core
-    within the degree bound.  Raises AttackFailedError after max_rounds
+    within the degree bound.  Raises DegreeBoundTooSmallError for a bound
+    below p^2, as hfe_keygen does, and AttackFailedError after max_rounds
     checks (or when fresh shift points run out).  The recovered pair is
     verified to recompose to E before being returned.
     """
     E = E.reduce()
     field = E.field
+    p = field.p
+    if bound < p * p:
+        raise DegreeBoundTooSmallError(f"degree bound {bound} is below p^2 = {p * p}")
     if E.const:
         raise ShapeViolationError("attack input must be constant-free")
     if not E.has_quadratic:
@@ -715,10 +722,9 @@ def gcldf_attack(
     L = gcldf(next_delta(0), next_delta(0))[0]
     for r in range(1, max_rounds + 1):
         Lr = L.reduce()
-        if Lr.is_permutation():
-            f = try_left_factor(Lr, E, bound)
-            if f is not None:
-                return AttackResult(left=Lr, core=f, rounds=r)
+        f = try_left_factor(Lr, E, bound)
+        if f is not None:
+            return AttackResult(left=Lr, core=f, rounds=r)
         if r < max_rounds:
             L = gcldf(L, next_delta(r))[0]
     raise AttackFailedError(max_rounds)

@@ -15,6 +15,9 @@ relative to the field's ordered basis, permutation test and inverse).
 Reduction always re-bases to twist 1, so reduced polynomials live on
 indices 0 .. e-1 and are in bijection with the Z_p-linear maps of the
 field; column j of to_matrix() holds the coordinates of f(basis_j).
+from_matrix() goes back through the trace-dual basis d of the ordered
+basis (cached per field), as x = sum_j Tr(d_j x) basis_j, so an inverse
+costs one Z_p matrix inversion and an e x e product over F_q.
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair is multiplied back and compared against the dividend before being
@@ -301,7 +304,11 @@ class SkewPoly:
 
     @classmethod
     def from_matrix(cls, field: FiniteField, matrix: Sequence[Sequence[int]]) -> "SkewPoly":
-        """Reduced polynomial inducing the given matrix (Moore system solve)."""
+        """Reduced polynomial inducing the given matrix.
+
+        With t_j = combine(column j), the image of basis_j, and d the
+        trace-dual basis, the coefficient of x^(p^k) is sum_j t_j d_j^(p^k).
+        """
         e, p = field.e, field.p
         rows = [list(r) for r in matrix]
         if len(rows) != e or any(len(r) != e for r in rows):
@@ -309,11 +316,13 @@ class SkewPoly:
         targets = [
             field.combine([rows[r][j] % p for r in range(e)]) for j in range(e)
         ]
-        moore = [[field.basis[j].frobenius(k) for k in range(e)] for j in range(e)]
-        sol = _linalg.solve_field(moore, targets)
-        if sol is None:
-            raise SingularSystemError("basis images do not determine a polynomial")
-        return cls(field, sol, 1)
+        dual = field.dual_frobenius()
+        coeffs = [field.zero()] * e
+        for t, d_pows in zip(targets, dual):
+            if t:
+                for k in range(e):
+                    coeffs[k] = coeffs[k] + t * d_pows[k]
+        return cls(field, coeffs, 1)
 
     def is_permutation(self) -> bool:
         return _linalg.rank([list(r) for r in self.to_matrix()], self.field.p) == self.field.e

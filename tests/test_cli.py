@@ -241,6 +241,17 @@ def test_attack_single_failure_exits_1(capsys, tmp_path):
     assert "round" in err
 
 
+def test_attack_key_bound_below_p2_exits_1(capsys, tmp_path):
+    _, out, _ = run(capsys, "keygen", "--p", "2", "--e", "4", "--seed", "4")
+    path = tmp_path / "kp.json"
+    path.write_text(out)
+    for bound in ("0", "3"):
+        code, out2, err = run(
+            capsys, "attack", "--key", str(path), "--seed", "0", "--degree-bound", bound
+        )
+        assert code == 1 and out2 == "" and "below p^2" in err
+
+
 def test_attack_requires_key_or_instances(capsys):
     code, _, err = run(capsys, "attack")
     assert code == 2 and "--key" in err

@@ -182,6 +182,30 @@ def test_attack_recovers_foldfree_composition(gf256):
     assert res.core.degree <= 16
 
 
+def test_attack_builds_one_matrix_per_round(gf256, monkeypatch):
+    # inverse() is the one permutation test: each round that reaches
+    # try_left_factor builds the matrix of its candidate exactly once
+    import skewlin.hfe as hfe
+
+    counts = {"matrix": 0, "peel": 0}
+    real_matrix, real_peel = LinPoly.to_matrix, hfe.try_left_factor
+
+    def to_matrix(self):
+        counts["matrix"] += 1
+        return real_matrix(self)
+
+    def peel(L, E, bound):
+        counts["peel"] += 1
+        return real_peel(L, E, bound)
+
+    _, _, E = foldfree_instance(gf256)
+    monkeypatch.setattr(LinPoly, "to_matrix", to_matrix)
+    monkeypatch.setattr(hfe, "try_left_factor", peel)
+    res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
+    assert counts["peel"] == res.rounds == 2
+    assert counts["matrix"] == counts["peel"]
+
+
 def test_attack_recovery_decrypts(gf256):
     _, _, E = foldfree_instance(gf256)
     res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
@@ -211,6 +235,11 @@ def test_attack_input_validation(gf16):
     no_quad = DOPoly(gf16, {}, LinPoly.one(gf16))
     with pytest.raises(ShapeViolationError):
         gcldf_attack(no_quad, 16, random.Random(0))
+    # a bound below p^2 admits no quadratic core, as in hfe_keygen
+    E = hfe_keygen(gf16, random.Random(4)).public.poly
+    for bound in (0, 3):
+        with pytest.raises(DegreeBoundTooSmallError):
+            gcldf_attack(E, bound, random.Random(0))
 
 
 def test_attack_failure_reports_rounds(gf256):

@@ -14,7 +14,7 @@ OPTIMIZED_RUN = r"""
 import random
 import sys
 
-from skewlin import FiniteField, decompose, hfe
+from skewlin import FiniteField, _linalg, decompose, hfe
 from skewlin.errors import InvariantError
 from skewlin.hfe import DOPoly, do_compose_lin, gcldf_attack, try_left_factor
 from skewlin.linpoly import LinPoly
@@ -61,7 +61,24 @@ res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
 if do_compose_lin(res.left, res.core, "left", reduce=True) != E.reduce():
     raise SystemExit("attack result does not recompose")
 
+# an inverse through the trace-dual basis of a non-default GF(9) basis
+gf9 = FiniteField(3, 2, basis=[(1, 2), (2, 2)])
+L9 = LinPoly(gf9, [gf9.from_int(3), gf9.from_int(4)])
+one9 = LinPoly.one(gf9)
+if L9.inverse().compose(L9).reduce() != one9 or L9.compose(L9.inverse()).reduce() != one9:
+    raise SystemExit("inverse over GF(9) does not invert")
+
 # the checks themselves still fire
+real_inv = _linalg.inv
+_linalg.inv = lambda a, p: None
+try:
+    FiniteField(2, 3).dual_frobenius()
+except InvariantError:
+    pass
+else:
+    raise SystemExit("dual-basis check was stripped")
+_linalg.inv = real_inv
+
 decompose.gcd_right = lambda z, g: g
 try:
     decompose.split_once(f, random.Random(2))

@@ -1,9 +1,12 @@
 """Additive polynomials: evaluation, composition, reduction, matrix view."""
 
+import itertools
 import random
 
 import pytest
 
+import skewlin._linalg as la
+from skewlin import FiniteField
 from skewlin.errors import (
     ContextMismatchError,
     NotAPermutationError,
@@ -180,8 +183,6 @@ def test_matrix_roundtrip(gf8, gf9):
 
 def test_matrix_of_composition(gf8):
     rng = random.Random(29)
-    import skewlin._linalg as la
-
     for _ in range(10):
         L = random_linpoly(gf8, rng, 3)
         M = random_linpoly(gf8, rng, 3)
@@ -189,6 +190,73 @@ def test_matrix_of_composition(gf8):
             [list(r) for r in L.to_matrix()], [list(r) for r in M.to_matrix()], gf8.p
         )
         assert tuple(tuple(r) for r in prod) == L.compose(M).to_matrix()
+
+
+def _trace(x):
+    acc = x
+    for k in range(1, x.field.e):
+        acc = acc + x.frobenius(k)
+    return acc
+
+
+def _check_matrix_oracle(field, M):
+    """from_matrix against the evaluation path (to_matrix) and, for an
+    invertible M, inverse() against composition with L."""
+    L = LinPoly.from_matrix(field, M)
+    assert L.twist == 1 and L.degree < field.e
+    assert L.to_matrix() == tuple(tuple(r) for r in M)
+    if la.inv(M, field.p) is None:
+        with pytest.raises(NotAPermutationError):
+            L.inverse()
+        return False
+    ident = LinPoly.one(field)
+    inv = L.inverse()
+    assert inv.compose(L).reduce() == ident
+    assert L.compose(inv).reduce() == ident
+    return True
+
+
+ORACLE_FIELDS = {
+    "gf4": (2, 2, None),
+    "gf8": (2, 3, None),
+    "gf9": (3, 2, None),
+    "gf8-basis": (2, 3, [(1, 1, 0), (0, 1, 1), (1, 1, 1)]),
+    "gf9-basis": (3, 2, [(1, 2), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_from_matrix_inverse_oracle_exhaustive(name):
+    p, e, basis = ORACLE_FIELDS[name]
+    field = FiniteField(p, e, basis=basis)
+    assert field._default_basis == (basis is None)
+    dual = [row[0] for row in field.dual_frobenius()]
+    for i, b in enumerate(field.basis):
+        for j, d in enumerate(dual):
+            assert _trace(b * d) == field.scalar(int(i == j))
+    invertible = 0
+    for digits in itertools.product(range(p), repeat=e * e):
+        M = [list(digits[r * e:(r + 1) * e]) for r in range(e)]
+        invertible += _check_matrix_oracle(field, M)
+    # |GL_e(Z_p)|: every invertible matrix was reached
+    order = 1
+    for k in range(e):
+        order *= p**e - p**k
+    assert invertible == order
+
+
+@pytest.mark.parametrize("p, e, samples", [(2, 8, 4), (3, 6, 4), (2, 20, 2)])
+def test_from_matrix_inverse_oracle_sampled(p, e, samples):
+    field = FiniteField(p, e)
+    rng = random.Random(p * 100 + e)
+    dual = [row[0] for row in field.dual_frobenius()]
+    for i in rng.sample(range(e), 3):
+        for j in rng.sample(range(e), 3):
+            assert _trace(field.basis[i] * dual[j]) == field.scalar(int(i == j))
+    invertible = 0
+    while invertible < samples:  # singular draws are checked on the way
+        M = [[rng.randrange(p) for _ in range(e)] for _ in range(e)]
+        invertible += _check_matrix_oracle(field, M)
 
 
 def test_from_matrix_validation(gf4):
