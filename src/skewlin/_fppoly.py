@@ -133,20 +133,6 @@ def pow_mod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def poly_pow(a: list[int], n: int, p: int) -> list[int]:
-    result = [1]
-    for _ in range(n):
-        result = mul(result, a, p)
-    return result
-
-
-def eval_at(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def is_irreducible(m: list[int], p: int) -> bool:
     """Irreducibility of a monic m over Z_p.
 

@@ -81,25 +81,6 @@ def nullspace(a, p: int) -> list[list[int]]:
     return basis
 
 
-def solve(a, b, p: int) -> Optional[list[int]]:
-    """One solution of a x = b, or None if inconsistent."""
-    if not a:
-        return None if any(x % p for x in b) else []
-    cols = len(a[0])
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    m, pivots = rref(aug, p)
-    for row in m:
-        if any(row[:cols]) or not row[cols]:
-            continue
-        return None
-    x = [0] * cols
-    for row, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = m[row][cols]
-    return x
-
-
 def inv(a, p: int) -> Optional[list[list[int]]]:
     n = len(a)
     aug = [list(a[i]) + identity(n)[i] for i in range(n)]

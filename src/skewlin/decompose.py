@@ -16,8 +16,8 @@ irreducible exactly when m is irreducible of degree deg f.  Both are
 read off the minimal polynomial mu of u over F_p, of degree d, and
 D = dim_Fp F_Q[u] (mu = Z would need f_0 = 0):
 
-  * mu has a proper monic factor nu: gcd_right(nu(u) mod f, f) is a
-    proper right factor of f, found without randomness.
+  * mu reducible: the zero-divisor rule below splits f, without
+    randomness.
   * mu irreducible: F_Q[u] is a quotient of F_Q (x) F_(p^d), a product
     of fields F_(p^lcm(g, d)), so it is a field exactly when
     D = lcm(g, d), and then deg m = D/g.  D = g deg f = lcm(g, d)
@@ -29,15 +29,17 @@ D = dim_Fp F_Q[u] (mu = Z would need f_0 = 0):
         E(f) = { u : deg u < deg f and f u is a left multiple of f }
 
     is a product of matrix algebras that is not a field, and holds
-    zero divisors.  The randomised search below is repeated until it
-    finds one; most draws succeed.
+    zero divisors.  Random residues of E(f), an F_p-algebra under
+    multiplication modulo f, are drawn until one has a reducible
+    minimal polynomial; most draws succeed.
 
-The zero-divisor search samples E(f), an F_p-algebra under residue
-multiplication modulo f.  A zero divisor z with nonzero witness v
-(z v = 0 mod f) always yields a proper right factor gcd_right(z, f);
-zero divisors come from the minimal polynomial over F_p of a random
-nonscalar residue (a reducible minimal polynomial splits u into
-annihilating pieces, an irreducible one means the try failed).
+One zero-divisor rule serves the central residue and every eigenring
+draw.  minimal_polynomial returns mu together with the powers
+u^0, ..., u^(d-1) its Krylov loop builds, so a polynomial of degree
+below d in u is an F_p-combination of them.  For the first irreducible
+factor nu of a reducible mu, z = nu(u) and w = (mu/nu)(u) are nonzero
+(mu is minimal) while z w = mu(u) = 0, so z is a zero divisor and
+gcd_right(z, f) is a proper right factor of f.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
 peels the lexicographically first smallest-degree monic right factor.
@@ -129,22 +131,24 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     return EigenRing(field, f, basis)
 
 
-def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> list[int]:
-    """Monic minimal polynomial of the residue u over F_p, little-endian.
+def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[list[int]]]:
+    """Monic minimal polynomial mu of the residue u over F_p, and the powers of u.
 
-    The powers 1, u, u^2, ... (right products modulo the modulus) are
-    reduced one at a time against a single growing echelon form whose
-    rows also record which combination of powers they stand for; the
-    first power that reduces to zero gives the monic relation.
+    mu is little-endian; powers[i] is the flattened residue u^i modulo
+    the modulus, for i < deg mu.  The powers 1, u, u^2, ... (right
+    products modulo the modulus) are reduced one at a time against a
+    single growing echelon form whose rows also record which combination
+    of powers they stand for; the first power that reduces to zero gives
+    the monic relation.
     """
     field = modulus.field
     n, e, p = len(modulus.coeffs) - 1, field.e, field.p
     rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
+    powers: list[list[int]] = []
     power = SkewPoly.one(field, modulus.twist)
-    k = 0
     while True:
-        vec = _flatten(power, n, e)
-        combo = [0] * k + [1]
+        flat = _flatten(power, n, e)
+        vec, combo = flat, [0] * len(powers) + [1]
         for pivot, row, row_combo in rows:
             c = vec[pivot]
             if c:
@@ -153,15 +157,47 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> list[int]:
                     combo[i] = (combo[i] - c * b) % p
         pivot = next((i for i, a in enumerate(vec) if a), None)
         if pivot is None:
-            return combo
+            return combo, powers
+        powers.append(flat)
         inv = pow(vec[pivot], p - 2, p)
         rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
         power = (power * u).mod_right(modulus)
-        k += 1
+
+
+def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> SkewPoly:
+    """poly(u) modulo the modulus from the flattened powers of u; deg poly < len(powers)."""
+    field, p = modulus.field, modulus.field.p
+    acc = [0] * len(powers[0])
+    for c, vec in zip(poly, powers):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, vec)]
+    return _unflatten(field, [a % p for a in acc], len(modulus.coeffs) - 1, modulus.twist)
 
 
 # ----------------------------------------------------------------------
 # zero divisors
+
+
+def _zero_divisor_pair(
+    mu: list[int], powers: list[list[int]], modulus: SkewPoly
+) -> Optional[tuple[SkewPoly, SkewPoly]]:
+    """(nu(u), (mu/nu)(u)) for the first irreducible factor nu of mu.
+
+    None when mu, the minimal polynomial of u with the powers of
+    minimal_polynomial, is irreducible.  Otherwise both residues are
+    nonzero and their product is zero modulo the modulus.
+    """
+    p = modulus.field.p
+    if fp.is_irreducible(mu, p):
+        return None
+    nu = fp.factor_monic(mu, p)[0][0]
+    rest, rem = fp.divmod_(mu, nu, p)
+    if rem:
+        raise InvariantError("a factor of the minimal polynomial does not divide it")
+    z, w = _poly_at(nu, powers, modulus), _poly_at(rest, powers, modulus)
+    if z.is_zero or w.is_zero or not (z * w).mod_right(modulus).is_zero:
+        raise InvariantError("zero-divisor witness does not annihilate")
+    return z, w
 
 
 @dataclass(frozen=True)
@@ -181,23 +217,17 @@ def _is_p_scalar(u: SkewPoly) -> bool:
     return not any(u.coeffs[0].digits[1:])
 
 
-def find_zero_divisor(
-    f: SkewPoly,
-    rng: random.Random,
-    max_tries: int,
-    ring: Optional[EigenRing] = None,
-) -> Optional[ZeroDivisor]:
-    """Randomised zero-divisor search in E(f).
+def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optional[ZeroDivisor]:
+    """Randomised zero-divisor search in the eigenring E = E(f).
 
     Returns None when the eigenring is too small to contain one (dim at
     most 1) or when max_tries nonscalar samples all had irreducible
     minimal polynomials.  Draws landing in F_p * 1 are redrawn without
     being counted as tries.
     """
-    E = ring if ring is not None else eigen_ring(f)
     if E.dim <= 1:
         return None
-    field, p = E.field, E.field.p
+    f = E.modulus
     for t in range(1, max_tries + 1):
         u = E.random_element(rng)
         guard = 0
@@ -206,38 +236,10 @@ def find_zero_divisor(
             guard += 1
             if guard > 1000:
                 raise InvariantError("nonscalar redraw failed to terminate")
-        m = minimal_polynomial(u, f)
-        parts = fp.factor_monic(m, p)
-        if len(parts) == 1 and parts[0][1] == 1:
-            continue  # irreducible minimal polynomial, no zero divisor here
-        if len(parts) >= 2:
-            g, k = parts[0]
-            z = _eval_fp_poly(fp.poly_pow(g, k, p), u, f)
-            rest, rem = fp.divmod_(m, fp.poly_pow(g, k, p), p)
-            if rem:
-                raise InvariantError("a factor of the minimal polynomial does not divide it")
-            v = _eval_fp_poly(rest, u, f)
-        else:
-            g, k = parts[0]  # m = g^k with k >= 2
-            z = _eval_fp_poly(g, u, f)
-            v = z
-            for _ in range(k - 2):
-                v = E.multiply(v, z)
-        if z.is_zero or v.is_zero or not E.multiply(z, v).is_zero:
-            raise InvariantError("zero-divisor witness does not annihilate")
-        return ZeroDivisor(element=z, witness=v, tries=t)
+        pair = _zero_divisor_pair(*minimal_polynomial(u, f), f)
+        if pair is not None:
+            return ZeroDivisor(element=pair[0], witness=pair[1], tries=t)
     return None
-
-
-def _eval_fp_poly(poly: list[int], u: SkewPoly, modulus: SkewPoly) -> SkewPoly:
-    """Evaluate an F_p polynomial at the residue u, modulo modulus."""
-    field = modulus.field
-    acc = SkewPoly.zero(field, modulus.twist)
-    for c in reversed(poly):
-        acc = (acc * u).mod_right(modulus)
-        if c:
-            acc = acc + SkewPoly.one(field, modulus.twist).left_scalar(field.scalar(c))
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +260,8 @@ class Indecomposable:
     """Verdict that the input has no proper factorisation.
 
     Every verdict is proved: degree at most 1, or the fixed-field
-    certificate of split_once.  tries is always 0.
+    certificate of split_once.
     """
-
-    tries: int
 
 
 def _iter_monic_skew(field: FiniteField, degree: int, twist: int):
@@ -294,21 +294,21 @@ def _split_off(f: SkewPoly, right: SkewPoly, tries: int) -> Split:
     return Split(left=left, right=right, tries=tries)
 
 
-def _fixed_field_span(u: SkewPoly, f: SkewPoly, g: int, d: int) -> int:
-    """dim over F_p of F_Q[u] modulo f, Q = p^g, for u of degree-d mu.
+def _fixed_field_span(powers: list[list[int]], f: SkewPoly, g: int) -> int:
+    """dim over F_p of F_Q[u] modulo f, Q = p^g, from the powers of u.
 
     The F_p-basis of F_Q is the kernel of x -> x^(p^g) - x on the digit
-    basis; F_Q[u] is spanned by b u^i for b in it and i < d.
+    basis; F_Q[u] is spanned by b u^i for b in it and i < deg mu, with
+    the powers u^i of minimal_polynomial.
     """
     field = f.field
     n, e, p = len(f.coeffs) - 1, field.e, field.p
     images = [(x.frobenius(g) - x).digits for x in (field.from_int(p**j) for j in range(e))]
     fixed = [field.element(v) for v in _linalg.nullspace(list(zip(*images)), p)]
     rows = []
-    power = SkewPoly.one(field, f.twist)
-    for _ in range(d):
+    for vec in powers:
+        power = _unflatten(field, vec, n, f.twist)
         rows.extend(_flatten(power.left_scalar(b), n, e) for b in fixed)
-        power = (power * u).mod_right(f)
     return _linalg.rank(rows, p)
 
 
@@ -320,8 +320,8 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     over F_p of the central residue u = Y^(e/g) mod f, of degree d, and
     D = dim_Fp F_Q[u] (equal to d when g = 1) decide:
 
-      * mu with a proper monic factor nu: the Split through
-        gcd_right(nu(u) mod f, f), without randomness (tries 0);
+      * mu reducible: the Split through gcd_right(nu(u), f) for the
+        first irreducible factor nu of mu, without randomness (tries 0);
       * mu irreducible and D = g deg f = lcm(g, d): a certified
         Indecomposable, with no eigenring (tries 0);
       * any other irreducible mu: f is reducible, and the eigenring
@@ -332,28 +332,28 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
-    field, p, n = f.field, f.field.p, len(f.coeffs) - 1
+    field, n = f.field, len(f.coeffs) - 1
     if n <= 1:
-        return Indecomposable(tries=0)
+        return Indecomposable()
     if not f.coeffs[0]:
         Y = SkewPoly.monomial(field, 1, field.one(), f.twist)
         return Split(left=SkewPoly(field, f.coeffs[1:], f.twist), right=Y, tries=0)
     g = math.gcd(f.twist, field.e)
     u = SkewPoly.monomial(field, field.e // g, field.one(), f.twist).mod_right(f)
-    mu = minimal_polynomial(u, f)
-    if not fp.is_irreducible(mu, p):
-        nu = fp.factor_monic(mu, p)[0][0]  # a proper factor: nu(u) is a nonzero central non-unit
-        return _split_off(f, gcd_right(_eval_fp_poly(nu, u, f), f), 0)
+    mu, powers = minimal_polynomial(u, f)
+    pair = _zero_divisor_pair(mu, powers, f)
+    if pair is not None:
+        return _split_off(f, gcd_right(pair[0], f), 0)
     d = len(mu) - 1
-    span = d if g == 1 else _fixed_field_span(u, f, g, d)
+    span = d if g == 1 else _fixed_field_span(powers, f, g)
     if span == g * n == math.lcm(g, d):
-        return Indecomposable(tries=0)
+        return Indecomposable()
     # f is reducible and R/Rf is semisimple, so E(f) is not a field and
     # the search cannot run dry
     E = eigen_ring(f)
     if E.dim <= 1:
         raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
-    zd = find_zero_divisor(f, rng, sys.maxsize, ring=E)
+    zd = find_zero_divisor(E, rng, sys.maxsize)
     return _split_off(f, gcd_right(zd.element, f), zd.tries)
 
 
@@ -488,9 +488,10 @@ def estimate_split_success(
     """First-try zero-divisor success rate on random decomposable inputs.
 
     Each trial builds a fresh product of at least two random monic
-    factors, then asks find_zero_divisor for one try; failed trials keep
-    retrying on the same input up to a cap of 64 tries so mean_tries
-    stays finite.  Per-trial randomness is seeded independently.
+    factors and searches its eigenring with find_zero_divisor, up to a
+    cap of 64 tries so mean_tries stays finite; a trial succeeds first
+    try when the first draw splits.  Per-trial randomness is seeded
+    independently.
     """
     if degree < 2:
         raise ValueError("decomposable inputs need degree at least 2")
@@ -502,12 +503,8 @@ def estimate_split_success(
     for i in range(trials):
         rng = random.Random(seed * 1_000_003 + i)
         f = _random_decomposable(field, degree, twist, rng)
-        ring = eigen_ring(f)
-        used = cap
-        for t in range(1, cap + 1):
-            if find_zero_divisor(f, rng, 1, ring=ring) is not None:
-                used = t
-                break
+        zd = find_zero_divisor(eigen_ring(f), rng, cap)
+        used = zd.tries if zd is not None else cap
         if used == 1:
             successes += 1
         total_tries += used

@@ -42,10 +42,6 @@ class BothZeroError(SkewlinError):
     """A gcd of two zero polynomials was requested."""
 
 
-class NotInRingError(SkewlinError):
-    """The residue is not a member of the eigenring it was used with."""
-
-
 class InvariantError(SkewlinError):
     """A result failed a check that the underlying theory guarantees."""
 

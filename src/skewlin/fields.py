@@ -58,6 +58,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _over_cap(p: int, e: int) -> PolicyBoundError:
+    return PolicyBoundError(f"field of size {p}^{e} exceeds the policy cap of 2^20 elements")
+
+
 class FqElem:
     """Element of a FiniteField.
 
@@ -170,14 +174,16 @@ class FiniteField:
         modulus: Optional[Sequence[int]] = None,
         basis: Optional[Sequence[Sequence[int]]] = None,
     ):
+        # the cap comes before any work that grows with p or e: trial
+        # division of p, and the power p**e (e >= 21 exceeds 2^20 for every p)
+        if isinstance(p, int) and p > MAX_FIELD_SIZE:
+            raise _over_cap(p, e)
         if not isinstance(p, int) or not _is_prime(p):
             raise NonPrimeError(f"characteristic {p!r} is not a prime")
         if not isinstance(e, int) or e < 1:
             raise DegreeMismatchError(f"extension degree must be a positive int, got {e!r}")
-        if p**e > MAX_FIELD_SIZE:
-            raise PolicyBoundError(
-                f"field of size {p}^{e} exceeds the policy cap of 2^20 elements"
-            )
+        if e >= MAX_FIELD_SIZE.bit_length() or p**e > MAX_FIELD_SIZE:
+            raise _over_cap(p, e)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "q", p**e)

@@ -56,6 +56,13 @@ def test_field_verb(capsys):
     assert (code2, out2) == (code, out)
 
 
+def test_field_over_cap_exits_1(capsys):
+    # refused by the cap before primality of p or the size p^e is computed
+    for p, e in (("2305843009213693951", "1"), ("3", "100000000")):
+        code, out, err = run(capsys, "field", "--p", p, "--e", e)
+        assert code == 1 and out == "" and "exceeds the policy cap of 2^20" in err
+
+
 def test_field_custom_modulus(capsys):
     code, out, _ = run(capsys, "field", "--p", "2", "--e", "3", "--modulus", "1,1,0,1")
     assert code == 0
@@ -305,6 +312,28 @@ def test_probe_verb(capsys):
     assert out == ser.dumps(ser.stats_to_obj(expect))
     code2, out2, _ = run(capsys, *args)
     assert out2 == out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            "--p 2 --e 6 --degree 4 --trials 200 --seed 1",
+            '{"ci95": [0.9722256001302286, 0.999116854010634], "first_try_successes": 199, '
+            '"mean_tries": 1.005, "seed": 1, "trials": 200}\n',
+        ),
+        (
+            "--p 2 --e 2 --degree 3 --trials 60 --seed 5 --twist 2",
+            '{"ci95": [0.8863601247107462, 0.9908108735098498], "first_try_successes": 58, '
+            '"mean_tries": 1.0333333333333334, "seed": 5, "trials": 60}\n',
+        ),
+    ],
+    ids=["readme", "multi-try"],
+)
+def test_probe_bytes_pinned(capsys, argv, expected):
+    # the README example, and a case whose trials need more than one try
+    code, out, err = run(capsys, "probe", *argv.split())
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_probe_domain_error_exits_1(capsys):

@@ -13,8 +13,8 @@ from skewlin.decompose import (
     Indecomposable,
     Split,
     SplitStats,
-    _eval_fp_poly,
     _smallest_right_factor,
+    _zero_divisor_pair,
     decompose_complete,
     eigen_ring,
     estimate_split_success,
@@ -38,6 +38,24 @@ def all_monic(field, degree, twist=1):
 def random_monic(field, rng, degree, twist=1):
     coeffs = [field.random_element(rng) for _ in range(degree)] + [field.one()]
     return SkewPoly(field, coeffs, twist)
+
+
+def _eval_fp_poly(poly: list[int], u: SkewPoly, modulus: SkewPoly) -> SkewPoly:
+    """Evaluate an F_p polynomial at the residue u, modulo modulus."""
+    field = modulus.field
+    acc = SkewPoly.zero(field, modulus.twist)
+    for c in reversed(poly):
+        acc = (acc * u).mod_right(modulus)
+        if c:
+            acc = acc + SkewPoly.one(field, modulus.twist).left_scalar(field.scalar(c))
+    return acc
+
+
+def flat_digits(u, n):
+    """Digits of the residue u, n coefficients of e digits each, test-local."""
+    e = u.field.e
+    digits = [d for c in u.coeffs for d in c.digits]
+    return digits + [0] * (n * e - len(digits))
 
 
 def test_eigen_ring_dims_frozen(gf2, gf4):
@@ -92,8 +110,14 @@ def test_minimal_polynomial_annuls_and_is_minimal(gf4, gf9):
             f = random_monic(field, rng, 2)
             E = eigen_ring(f)
             u = E.random_element(rng)
-            m = minimal_polynomial(u, f)
+            m, powers = minimal_polynomial(u, f)
             assert m[-1] == 1
+            # powers[i] is the flattened u^i, one for each i < deg m
+            assert len(powers) == len(m) - 1
+            power = SkewPoly.one(field)
+            for vec in powers:
+                assert vec == flat_digits(power, 2)
+                power = (power * u).mod_right(f)
             assert _eval_fp_poly(m, u, f).is_zero
             # dropping any irreducible factor breaks annihilation
             for g, _ in fp.factor_monic(m, field.p):
@@ -101,6 +125,46 @@ def test_minimal_polynomial_annuls_and_is_minimal(gf4, gf9):
                 assert not rem
                 if fp.degree(smaller) >= 1 or smaller != [1]:
                     assert not _eval_fp_poly(smaller, u, f).is_zero
+
+
+@pytest.mark.parametrize("twist", [1, 2])
+@pytest.mark.parametrize("name", ["gf4", "gf9", "gf16"])
+def test_zero_divisor_pair_matches_horner(name, twist, request):
+    # one rule for the central residue Y^(e/g) and for eigenring draws:
+    # the pair read off the Krylov powers equals nu(u) and (mu/nu)(u)
+    # evaluated by Horner, nu the first irreducible factor of mu
+    field = request.getfixturevalue(name)
+    p = field.p
+    r = field.e // math.gcd(twist, field.e)
+    rng = random.Random(78)
+    seen = {"central": 0, "eigen": 0}
+    for _ in range(10):
+        f = random_monic(field, rng, 1, twist) * random_monic(field, rng, 2, twist)
+        E = eigen_ring(f)
+        residues = [("central", SkewPoly.monomial(field, r, field.one(), twist).mod_right(f))]
+        residues += [("eigen", E.random_element(rng)) for _ in range(3)]
+        for kind, u in residues:
+            mu, powers = minimal_polynomial(u, f)
+            pair = _zero_divisor_pair(mu, powers, f)
+            if fp.is_irreducible(mu, p):
+                assert pair is None
+                continue
+            nu = fp.factor_monic(mu, p)[0][0]
+            rest, rem = fp.divmod_(mu, nu, p)
+            assert not rem
+            assert pair == (_eval_fp_poly(nu, u, f), _eval_fp_poly(rest, u, f))
+            seen[kind] += 1
+    assert seen["central"] >= 5 and seen["eigen"] >= 10
+
+
+def test_zero_divisor_pair_refuses_a_non_annihilating_mu(gf4):
+    f = random_monic(gf4, random.Random(79), 3)
+    u = SkewPoly.monomial(gf4, 1, gf4.one()).mod_right(f)
+    _, powers = minimal_polynomial(u, f)
+    assert len(powers) >= 3
+    # Z (Z + 1) is reducible but does not annihilate u = Y
+    with pytest.raises(InvariantError):
+        _zero_divisor_pair([0, 1, 1], powers, f)
 
 
 def test_zero_divisor_gf2_degree2_always_first_try(gf2):
@@ -113,7 +177,7 @@ def test_zero_divisor_gf2_degree2_always_first_try(gf2):
     ]
     for f in decomposables:
         for seed in range(10):
-            zd = find_zero_divisor(f, random.Random(seed), max_tries=1)
+            zd = find_zero_divisor(eigen_ring(f), random.Random(seed), max_tries=1)
             assert zd is not None and zd.tries == 1
             assert not zd.element.is_zero and not zd.witness.is_zero
             assert zd.element.degree < 2 and zd.witness.degree < 2
@@ -126,14 +190,14 @@ def test_zero_divisor_none_for_irreducible(gf2):
     # Y^2 + Y + 1 is irreducible in F_2[Y]; its eigenring is the field GF(4)
     f = SkewPoly(gf2, [one, one, one])
     assert eigen_ring(f).dim == 2
-    assert find_zero_divisor(f, random.Random(0), max_tries=20) is None
+    assert find_zero_divisor(eigen_ring(f), random.Random(0), max_tries=20) is None
 
 
 def test_zero_divisor_none_for_small_eigenring(gf4):
     # a degree-1 modulus with nonzero constant has eigenring F_p alone
     f = SkewPoly(gf4, [gf4.generator(), gf4.one()])
     assert eigen_ring(f).dim == 1
-    assert find_zero_divisor(f, random.Random(1), max_tries=4) is None
+    assert find_zero_divisor(eigen_ring(f), random.Random(1), max_tries=4) is None
 
 
 def test_zero_divisor_gives_proper_factor(gf4, gf9):
@@ -142,7 +206,7 @@ def test_zero_divisor_gives_proper_factor(gf4, gf9):
         hits = 0
         for _ in range(20):
             f = random_monic(field, rng, 1) * random_monic(field, rng, 2)
-            zd = find_zero_divisor(f, rng, max_tries=16)
+            zd = find_zero_divisor(eigen_ring(f), rng, max_tries=16)
             if zd is None:
                 continue
             hits += 1
@@ -162,7 +226,7 @@ def test_split_once_validation(gf4):
     with pytest.raises(ValueError):
         split_once(SkewPoly(gf4, [gf4.one(), t]), rng)  # lead t, not monic
     res = split_once(SkewPoly.monomial(gf4, 1, gf4.one()), rng)
-    assert isinstance(res, Indecomposable) and res.tries == 0
+    assert isinstance(res, Indecomposable)
 
 
 def test_split_once_splits_products(gf4, gf9):
@@ -184,7 +248,7 @@ def test_split_once_certifies_irreducible(gf4):
         if any(f.mod_right(g).is_zero for g in all_monic(gf4, 1)):
             continue
         res = split_once(f, rng)
-        assert isinstance(res, Indecomposable) and res.tries == 0
+        assert isinstance(res, Indecomposable)
         checked += 1
     assert checked > 0
 
@@ -205,7 +269,7 @@ def test_split_once_certified_above_oracle_limit(gf256, monkeypatch):
             res = split_once(f, rng)
             kinds.add(type(res))
             if isinstance(res, Indecomposable):
-                assert res.tries == 0 and calls == []
+                assert calls == []
                 assert not any(f.mod_right(g).is_zero for g in linear)
             else:
                 assert res.left * res.right == f and res.right.degree == 1
@@ -236,8 +300,8 @@ def _reducible_table(field, degree, twist):
 )
 def test_split_once_certificate_exhaustive(p, e, degrees, twists):
     # every monic f, twists coprime to e and not: a Split must rebuild f,
-    # an Indecomposable must have tries 0 and be absent from the table of
-    # all proper products, the same set _smallest_right_factor decides
+    # an Indecomposable must be absent from the table of all proper
+    # products, the same set _smallest_right_factor decides
     field = FiniteField(p, e)
     rng = random.Random(74)
     mismatches = []
@@ -251,7 +315,7 @@ def test_split_once_certificate_exhaustive(p, e, degrees, twists):
             for f in all_monic(field, degree, twist):
                 res = split_once(f, rng)
                 if isinstance(res, Indecomposable):
-                    ok = res.tries == 0 and f.coeffs not in reducible
+                    ok = f.coeffs not in reducible
                 else:
                     ok = res.left * res.right == f and 0 < res.right.degree < degree
                 if not ok:
@@ -278,7 +342,7 @@ def test_split_once_never_sweeps(gf16, monkeypatch):
             needs_search = (
                 bool(f.coeffs[0])
                 and f.coeffs in reducible
-                and fp.is_irreducible(minimal_polynomial(u, f), gf16.p)
+                and fp.is_irreducible(minimal_polynomial(u, f)[0], gf16.p)
             )
             assert calls == (["eigen_ring"] if needs_search else [])
             searched += needs_search
@@ -303,7 +367,8 @@ def test_split_once_central_branches(gf4, monkeypatch):
     calls.clear()
     for f in all_monic(gf4, 2):
         if f not in isotypic:
-            assert split_once(f, rng).tries == 0
+            res = split_once(f, rng)
+            assert isinstance(res, Indecomposable) or res.tries == 0
     assert calls == []
 
 

@@ -1,9 +1,11 @@
 """Finite field construction and arithmetic."""
 
 import random
+import time
 
 import pytest
 
+import skewlin.fields as fields
 from skewlin.errors import (
     ContextMismatchError,
     DegreeMismatchError,
@@ -43,6 +45,26 @@ def test_construction_errors():
         FiniteField(2, 2, modulus=[1, 1, 2])  # not monic
     with pytest.raises(DegreeMismatchError):
         FiniteField(2, 2, modulus=[1, 1, 1, 1])  # wrong length
+
+
+def test_cap_before_primality_and_power(monkeypatch):
+    # a prime p = 2^61 - 1 would need about 10^9 trial divisions, and
+    # 3^(10^8) a 160-million-bit power: the cap refuses both first
+    def no_trial_division(n):
+        raise AssertionError("primality test ran before the cap")
+
+    monkeypatch.setattr(fields, "_is_prime", no_trial_division)
+    start = time.perf_counter()
+    with pytest.raises(PolicyBoundError):
+        FiniteField(2**61 - 1, 1)
+    monkeypatch.undo()
+    with pytest.raises(PolicyBoundError):
+        FiniteField(3, 10**8)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(NonPrimeError):
+        FiniteField(4, 2)
+    with pytest.raises(NonPrimeError):
+        FiniteField(1, 3)
 
 
 def test_element_validation(gf9):

@@ -115,7 +115,8 @@ def test_factor_monic():
             for g, k in parts:
                 assert fp.is_irreducible(g, p)
                 assert g[-1] == 1
-                rebuilt = fp.mul(rebuilt, fp.poly_pow(g, k, p), p)
+                for _ in range(k):
+                    rebuilt = fp.mul(rebuilt, g, p)
             assert rebuilt == a
             # agreement with sympy's factorisation
             _, sy = to_sympy(a, p).factor_list()
@@ -137,10 +138,3 @@ def test_pow_mod():
             naive = fp.mod(fp.mul(naive, a, 3), m, 3)
         assert fp.pow_mod(a, n, m, 3) == naive
 
-
-def test_eval_at():
-    # f(x) = x^2 + 2x + 1 over GF(3)
-    f = [1, 2, 1]
-    assert fp.eval_at(f, 0, 3) == 1
-    assert fp.eval_at(f, 1, 3) == (1 + 2 + 1) % 3
-    assert fp.eval_at(f, 2, 3) == (4 + 4 + 1) % 3
