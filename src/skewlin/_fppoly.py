@@ -171,6 +171,27 @@ def first_irreducible(p: int, e: int) -> list[int]:
     raise InvariantError("unreachable: irreducibles exist in every degree")
 
 
+def first_factor(m: list[int], p: int) -> list[int]:
+    """The first irreducible factor of monic m, in factor_monic order.
+
+    Distinct-degree search: for the first k with h = gcd(m, x^(p^k) - x)
+    nonconstant, h is the product of the distinct degree-k irreducible
+    factors of m, so the answer is h itself when deg h = k and otherwise
+    the first degree-k iter_monic candidate dividing h.  m is returned
+    when no k <= deg(m)/2 qualifies, that is when m is irreducible.
+    """
+    x = [0, 1]
+    y = x
+    for k in range(1, degree(m) // 2 + 1):
+        y = pow_mod(y, p, m, p)
+        h = gcd(sub(y, x, p), m, p)
+        if degree(h) == k:
+            return h
+        if degree(h) > k:
+            return next(c for c in iter_monic(p, k) if not mod(h, c, p))
+    return trim(list(m))
+
+
 def factor_monic(m: list[int], p: int) -> list[tuple[list[int], int]]:
     """Complete factorization of monic m by trial division.
 

@@ -33,13 +33,31 @@ D = dim_Fp F_Q[u] (mu = Z would need f_0 = 0):
     multiplication modulo f, are drawn until one has a reducible
     minimal polynomial; most draws succeed.
 
+No Krylov power and no eigenring column needs a ring product or
+division.  Rf is a left ideal, so left multiplication by Y is well
+defined on R/Rf (sigma on the coefficients, a shift, and subtracting
+top * f), and reduction modulo f is left F_q-linear:
+(sum_i a_i Y^i) u mod f = sum_i a_i (Y^i u mod f).  So for any residue
+u, central or an eigenring draw, minimal_polynomial builds the rows
+Y^i u mod f, i < deg f, one left multiplication by Y each, and every
+Krylov step a -> a u is a left F_q-combination of them.  For the
+central u = Y^r these rows are the residue table rows T[r+i] of
+T[j] = Y^j mod f, whose rows j < deg f are the monomials; eigen_ring
+reads each column f b Y^i = sum_j f_j sigma^j(b) Y^(i+j) off the same
+table.  Right multiplication by Y is not defined on R/Rf and is never
+used.  skew.CHECK_DIVISION multiplies back, like a division and
+without one, every computed row and the last Krylov step of each
+minimal polynomial (through its quotient); find_zero_divisor checks
+each eigenring draw u against f u mod f = 0.
+
 One zero-divisor rule serves the central residue and every eigenring
 draw.  minimal_polynomial returns mu together with the powers
 u^0, ..., u^(d-1) its Krylov loop builds, so a polynomial of degree
 below d in u is an F_p-combination of them.  For the first irreducible
-factor nu of a reducible mu, z = nu(u) and w = (mu/nu)(u) are nonzero
-(mu is minimal) while z w = mu(u) = 0, so z is a zero divisor and
-gcd_right(z, f) is a proper right factor of f.
+factor nu of a reducible mu, found by distinct-degree search,
+z = nu(u) and w = (mu/nu)(u) are nonzero (mu is minimal) while
+z w = mu(u) = 0, so z is a zero divisor and gcd_right(z, f) is a
+proper right factor of f.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
 peels the lexicographically first smallest-degree monic right factor.
@@ -58,7 +76,7 @@ from . import _fppoly as fp
 from . import _linalg
 from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, FqElem
-from .skew import SkewPoly, gcd_right
+from .skew import SkewPoly, check_rebuild, gcd_right
 
 ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
 
@@ -111,19 +129,109 @@ def _unflatten(field: FiniteField, vec: list[int], n: int, twist: int) -> SkewPo
     return SkewPoly(field, coeffs, twist)
 
 
+def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[FqElem, SkewPoly]:
+    """(t, Y a - t f) for a residue a modulo the monic f: one left
+    multiplication by Y on R/Rf.  Y a = sum_i sigma(a_i) Y^(i+1), and t is
+    its coefficient of Y^(deg f)."""
+    field, n = f.field, len(f.coeffs) - 1
+    shifted = [field.zero()] + [c.frobenius(f.twist) for c in a.coeffs]
+    shifted += [field.zero()] * (n + 1 - len(shifted))
+    top = shifted[n]
+    if top:
+        shifted = [c - top * fc for c, fc in zip(shifted, f.coeffs)]
+    return top, SkewPoly(field, shifted[:n], f.twist)
+
+
+def _y_rows(a: SkewPoly, f: SkewPoly, count: int) -> list[SkewPoly]:
+    """[Y^i a mod f for i < count], for a residue a of the monic f.
+
+    Rf is a left ideal, so left multiplication by Y is well defined on
+    R/Rf: each row is _times_y of the row before, and under
+    skew.CHECK_DIVISION it is multiplied back through the ring product
+    (t f + row = Y prev) and counted like a division.
+    """
+    Y = SkewPoly.monomial(f.field, 1, f.field.one(), f.twist)
+    rows = [a]
+    for _ in range(1, count):
+        prev = rows[-1]
+        top, row = _times_y(prev, f)
+        check_rebuild(lambda: (Y * prev, f.left_scalar(top) + row))
+        rows.append(row)
+    return rows
+
+
+def _residue_table(f: SkewPoly, size: int) -> list[SkewPoly]:
+    """T[j] = Y^j mod f for j < size, f monic of degree n.
+
+    The rows j < n are the monomials themselves; the rows past them are
+    the _y_rows of Y^(n-1), each one checked step.
+    """
+    field, n = f.field, len(f.coeffs) - 1
+    k = min(n, size)
+    monomials = [SkewPoly.monomial(field, j, field.one(), f.twist) for j in range(k)]
+    return monomials[:-1] + _y_rows(monomials[-1], f, size - k + 1)
+
+
+def _combine(coeffs: list[FqElem], rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
+    """sum_k c_k rows[k], a residue modulo f; len(coeffs) <= len(rows).
+
+    Reduction modulo the left ideal Rf is left F_q-linear, so with
+    rows[k] = Y^k a mod f this is (sum_k c_k Y^k) a mod f.
+    """
+    out = [f.field.zero()] * (len(f.coeffs) - 1)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, t in enumerate(row.coeffs):
+                if t:
+                    out[i] = out[i] + c * t
+    return SkewPoly(f.field, out, f.twist)
+
+
+def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
+    """Q with a u = Q f + sum_i a_i rows[i], for the _y_rows of u.
+
+    Y^i u = q_i f + rows[i] with q_0 = 0 and q_i = Y q_(i-1) + t_i, where
+    t_i = sigma(c_(i-1)), c_k the coefficient of Y^(n-1) in rows[k], is
+    the multiple of f that _times_y subtracted.  So q_i is
+    sum_(m<i) sigma^(m+1)(c_(i-m-1)) Y^m, and Q = sum_i a_i q_i.
+    """
+    field, n = f.field, len(f.coeffs) - 1
+    zero = field.zero()
+    tops = [row.coeffs[n - 1] if len(row.coeffs) == n else zero for row in rows]
+    cs = a.coeffs
+    out = []
+    for m in range(len(cs) - 1):
+        acc = zero
+        for i in range(m + 1, len(cs)):
+            if cs[i] and tops[i - m - 1]:
+                acc = acc + cs[i] * tops[i - m - 1].frobenius(f.twist * (m + 1))
+        out.append(acc)
+    return SkewPoly(field, out, f.twist)
+
+
 def eigen_ring(f: SkewPoly) -> EigenRing:
-    """Compute an F_p-basis of E(f) as the nullspace of u -> f u mod f."""
+    """Compute an F_p-basis of E(f) as the nullspace of u -> f u mod f.
+
+    The column of b Y^i, for b in the digit basis of F_q and i < deg f, is
+    f b Y^i = sum_j f_j sigma^j(b) Y^(i+j), combined from the residue
+    table of Y^j mod f: no ring product or division.
+    """
     if f.is_zero or f.degree < 1:
         raise ValueError("eigenring needs a modulus of degree at least 1")
     field = f.field
     n, e, p = len(f.coeffs) - 1, field.e, field.p
+    monic = f.monic_left()  # R f = R monic, with the same residues
+    high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f for n <= j < 2n
+    zero = field.zero()
     cols = []
     for i in range(n):
         for d in range(e):
             digits = [0] * e
             digits[d] = 1
-            u = SkewPoly.monomial(field, i, field.element(tuple(digits)), f.twist)
-            cols.append(_flatten((f * u).mod_right(f), n, e))
+            fb = [zero] * i + list(f.right_scalar(field.element(tuple(digits))).coeffs)
+            # the terms below Y^n are residues already
+            col = SkewPoly(field, fb[:n], f.twist) + _combine(fb[n:], high, monic)
+            cols.append(_flatten(col, n, e))
     rows = [[cols[j][r] for j in range(n * e)] for r in range(n * e)]
     basis = tuple(
         _unflatten(field, vec, n, f.twist) for vec in _linalg.nullspace(rows, p)
@@ -132,20 +240,27 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
 
 
 def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[list[int]]]:
-    """Monic minimal polynomial mu of the residue u over F_p, and the powers of u.
+    """Monic minimal polynomial mu over F_p of the residue u, and the powers of u.
 
-    mu is little-endian; powers[i] is the flattened residue u^i modulo
-    the modulus, for i < deg mu.  The powers 1, u, u^2, ... (right
-    products modulo the modulus) are reduced one at a time against a
-    single growing echelon form whose rows also record which combination
-    of powers they stand for; the first power that reduces to zero gives
-    the monic relation.
+    With f the monic form of the modulus (same residues), the rows
+    M_i = Y^i u mod f, i < deg f, are the _y_rows of u, and each
+    power is one Krylov step a -> a u = sum_i a_i M_i (mod f) from the one
+    before, with no ring product or division; for the central u = Y^r the
+    rows are the residue table rows T[r+i].  Under skew.CHECK_DIVISION the
+    last step is multiplied back like a division, a u = Q f + (a u mod f)
+    with the quotient Q of _step_quotient, and counted.  mu is
+    little-endian; powers[i] is the flattened u^i, for i < deg mu.  The
+    powers are reduced one at a time against a single growing echelon
+    form whose rows also record which combination of powers they stand
+    for; the first power that reduces to zero gives the monic relation.
     """
     field = modulus.field
     n, e, p = len(modulus.coeffs) - 1, field.e, field.p
+    f = modulus.monic_left()  # R modulus = R f, with the same residues
+    ys = _y_rows(u, f, n)
     rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
     powers: list[list[int]] = []
-    power = SkewPoly.one(field, modulus.twist)
+    prev, power = None, SkewPoly.one(field, modulus.twist)
     while True:
         flat = _flatten(power, n, e)
         vec, combo = flat, [0] * len(powers) + [1]
@@ -157,11 +272,12 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[
                     combo[i] = (combo[i] - c * b) % p
         pivot = next((i for i, a in enumerate(vec) if a), None)
         if pivot is None:
+            check_rebuild(lambda: (prev * u, _step_quotient(prev, ys, f) * f + power))
             return combo, powers
         powers.append(flat)
         inv = pow(vec[pivot], p - 2, p)
         rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
-        power = (power * u).mod_right(modulus)
+        prev, power = power, _combine(power.coeffs, ys, f)
 
 
 def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> SkewPoly:
@@ -188,9 +304,9 @@ def _zero_divisor_pair(
     nonzero and their product is zero modulo the modulus.
     """
     p = modulus.field.p
-    if fp.is_irreducible(mu, p):
+    nu = fp.first_factor(mu, p)
+    if nu == mu:
         return None
-    nu = fp.factor_monic(mu, p)[0][0]
     rest, rem = fp.divmod_(mu, nu, p)
     if rem:
         raise InvariantError("a factor of the minimal polynomial does not divide it")
@@ -223,11 +339,15 @@ def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optio
     Returns None when the eigenring is too small to contain one (dim at
     most 1) or when max_tries nonscalar samples all had irreducible
     minimal polynomials.  Draws landing in F_p * 1 are redrawn without
-    being counted as tries.
+    being counted as tries.  Under skew.CHECK_DIVISION each draw u is
+    checked to lie in E(f), (f u) mod f = 0: a basis whose span leaves
+    E(f) raises InvariantError after a few draws (each lands in E(f)
+    with probability at most 1/p) instead of feeding the search.
     """
     if E.dim <= 1:
         return None
     f = E.modulus
+    none = SkewPoly.zero(f.field, f.twist)
     for t in range(1, max_tries + 1):
         u = E.random_element(rng)
         guard = 0
@@ -236,6 +356,7 @@ def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optio
             guard += 1
             if guard > 1000:
                 raise InvariantError("nonscalar redraw failed to terminate")
+        check_rebuild(lambda: (none, (f * u).mod_right(f)))
         pair = _zero_divisor_pair(*minimal_polynomial(u, f), f)
         if pair is not None:
             return ZeroDivisor(element=pair[0], witness=pair[1], tries=t)
@@ -318,7 +439,10 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     f with f_0 = 0 gives the Split with right factor Y (tries 0).
     Otherwise let g = gcd(s, e) and Q = p^g.  The minimal polynomial mu
     over F_p of the central residue u = Y^(e/g) mod f, of degree d, and
-    D = dim_Fp F_Q[u] (equal to d when g = 1) decide:
+    D = dim_Fp F_Q[u] (equal to d when g = 1) decide.  u and its powers
+    are read off the residue table of Y^j mod f, so no verdict before the
+    split needs a ring division, nor does any check of
+    skew.CHECK_DIVISION on the way:
 
       * mu reducible: the Split through gcd_right(nu(u), f) for the
         first irreducible factor nu of mu, without randomness (tries 0);
@@ -339,8 +463,8 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
         Y = SkewPoly.monomial(field, 1, field.one(), f.twist)
         return Split(left=SkewPoly(field, f.coeffs[1:], f.twist), right=Y, tries=0)
     g = math.gcd(f.twist, field.e)
-    u = SkewPoly.monomial(field, field.e // g, field.one(), f.twist).mod_right(f)
-    mu, powers = minimal_polynomial(u, f)
+    r = field.e // g
+    mu, powers = minimal_polynomial(_residue_table(f, r + 1)[r], f)
     pair = _zero_divisor_pair(mu, powers, f)
     if pair is not None:
         return _split_off(f, gcd_right(pair[0], f), 0)

@@ -21,12 +21,16 @@ costs one Z_p matrix inversion and an e x e product over F_q.
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair is multiplied back and compared against the dividend before being
-returned, and DIVISION_CHECKS counts how many such checks ran.
+returned, and DIVISION_CHECKS counts how many such checks ran.  The
+multiply-back is built only then: with the flag off a division makes no
+ring product.  check_rebuild is that check; code that computes a residue
+modulo f without a division (the residue rows of decompose) calls it
+too, so DIVISION_CHECKS counts those multiply-backs as well.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _linalg
 from .errors import (
@@ -65,7 +69,7 @@ class SkewPoly:
             raise TwistMismatchError(f"twist step must be a positive int, got {twist!r}")
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, FqElem) or c.field != field:
+            if not isinstance(c, FqElem) or (c.field is not field and c.field != field):
                 raise ContextMismatchError("coefficient from a different field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "twist", twist)
@@ -165,12 +169,15 @@ class SkewPoly:
             return SkewPoly.zero(field, self.twist)
         a, b = self.coeffs, other.coeffs
         out = [field.zero()] * (len(a) + len(b) - 1)
+        one = field.one()
         for i, ai in enumerate(a):
             if not ai:
                 continue
+            k = (self.twist * i) % field.e
             for j, bj in enumerate(b):
                 if bj:
-                    out[i + j] = out[i + j] + ai * self._sigma(bj, i)
+                    t = bj.frobenius(k) if k else bj
+                    out[i + j] = out[i + j] + (t if ai == one else ai * t)
         return SkewPoly(field, out, self.twist)
 
     compose = __mul__
@@ -199,7 +206,7 @@ class SkewPoly:
         n = len(g.coeffs) - 1
         r = list(self.coeffs)
         q = [field.zero()] * max(len(r) - n, 0)
-        g_inv = g.lead.inv()
+        g_inv = g.lead if g.is_monic else g.lead.inv()
         while len(r) > n:
             k = len(r) - 1 - n
             c = r[-1] * self._sigma(g_inv, k)
@@ -212,7 +219,7 @@ class SkewPoly:
                 del r[-1]
         qq = SkewPoly(field, q, self.twist)
         rr = SkewPoly(field, r, self.twist)
-        _maybe_check(self, qq * g + rr)
+        check_rebuild(lambda: (self, qq * g + rr))
         return qq, rr
 
     def divmod_left(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
@@ -222,7 +229,7 @@ class SkewPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         field = self.field
         n = len(g.coeffs) - 1
-        g_inv = g.lead.inv()
+        g_inv = g.lead if g.is_monic else g.lead.inv()
         r = list(self.coeffs)
         q = [field.zero()] * max(len(r) - n, 0)
         while len(r) > n:
@@ -237,7 +244,7 @@ class SkewPoly:
                 del r[-1]
         qq = SkewPoly(field, q, self.twist)
         rr = SkewPoly(field, r, self.twist)
-        _maybe_check(self, g * qq + rr)
+        check_rebuild(lambda: (self, g * qq + rr))
         return qq, rr
 
     def mod_right(self, g: "SkewPoly") -> "SkewPoly":
@@ -248,7 +255,7 @@ class SkewPoly:
 
     def monic_left(self) -> "SkewPoly":
         """Monic left-scalar normalisation c * self."""
-        if self.is_zero:
+        if self.is_zero or self.is_monic:
             return self
         return self.left_scalar(self.lead.inv())
 
@@ -335,12 +342,21 @@ class SkewPoly:
         return SkewPoly.from_matrix(self.field, m)
 
 
-def _maybe_check(expected: SkewPoly, rebuilt: SkewPoly) -> None:
+def check_rebuild(sides: Callable[[], tuple[SkewPoly, SkewPoly]]) -> None:
+    """Under CHECK_DIVISION, count one check and compare the two sides that
+    sides() returns: a dividend and its rebuild from quotient and
+    remainder, or any residue computed without a division and its
+    multiply-back through the ring product.
+
+    sides is called only when the flag is on, so the multiply-back costs
+    nothing otherwise.
+    """
     global DIVISION_CHECKS
     if CHECK_DIVISION:
         DIVISION_CHECKS += 1
+        expected, rebuilt = sides()
         if rebuilt != expected:
-            raise InvariantError("division check failed: q, r do not rebuild the dividend")
+            raise InvariantError("division check failed: the multiply-back does not rebuild")
 
 
 # ----------------------------------------------------------------------

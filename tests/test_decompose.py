@@ -7,13 +7,16 @@ import random
 import pytest
 
 import skewlin._fppoly as fp
-from skewlin import decompose
+from skewlin import _linalg, decompose, skew
 from skewlin.decompose import (
     ORACLE_LIMIT,
+    EigenRing,
     Indecomposable,
     Split,
     SplitStats,
+    _residue_table,
     _smallest_right_factor,
+    _y_rows,
     _zero_divisor_pair,
     decompose_complete,
     eigen_ring,
@@ -49,6 +52,31 @@ def _eval_fp_poly(poly: list[int], u: SkewPoly, modulus: SkewPoly) -> SkewPoly:
         if c:
             acc = acc + SkewPoly.one(field, modulus.twist).left_scalar(field.scalar(c))
     return acc
+
+
+def times_right(u, modulus):
+    """The product-built Krylov step a -> (a u) mod modulus, the oracle of
+    the Krylov steps of minimal_polynomial."""
+    return lambda a: (a * u).mod_right(modulus)
+
+
+def eigen_ring_by_products(f):
+    """E(f) from product-built columns (f b Y^i) mod f, the oracle of eigen_ring."""
+    field = f.field
+    n, e, p = len(f.coeffs) - 1, field.e, field.p
+    cols = []
+    for i in range(n):
+        for d in range(e):
+            digits = [0] * e
+            digits[d] = 1
+            u = SkewPoly.monomial(field, i, field.element(tuple(digits)), f.twist)
+            cols.append(flat_digits((f * u).mod_right(f), n))
+    rows = [[cols[j][r] for j in range(n * e)] for r in range(n * e)]
+    basis = []
+    for vec in _linalg.nullspace(rows, p):
+        coeffs = [field.element(tuple(vec[i * e : i * e + e])) for i in range(n)]
+        basis.append(SkewPoly(field, coeffs, f.twist))
+    return EigenRing(field, f, tuple(basis))
 
 
 def flat_digits(u, n):
@@ -101,6 +129,141 @@ def test_eigen_ring_needs_positive_degree(gf4):
         eigen_ring(SkewPoly.one(gf4))
     with pytest.raises(ValueError):
         eigen_ring(SkewPoly.zero(gf4))
+
+
+TABLE_FIELDS = ["gf4", "gf8", "gf9", "gf16"]
+
+
+@pytest.mark.parametrize("twist", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLE_FIELDS)
+def test_residue_table_rows_match_division(name, twist, request):
+    # T[j] = Y^j mod f, each row past deg f multiplied back and counted
+    field = request.getfixturevalue(name)
+    rng = random.Random(80)
+    for degree in (1, 2, 3, 4):
+        f = random_monic(field, rng, degree, twist)
+        size = 2 * degree + field.e
+        before = skew.DIVISION_CHECKS
+        table = _residue_table(f, size)
+        assert skew.DIVISION_CHECKS - before == size - degree
+        assert len(table) == size
+        for j, row in enumerate(table):
+            assert row == SkewPoly.monomial(field, j, field.one(), twist).mod_right(f)
+
+
+@pytest.mark.parametrize("twist", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLE_FIELDS)
+def test_krylov_powers_match_products(name, twist, request):
+    # for the central u = Y^r and for eigenring draws, the rows Y^i u mod f
+    # equal the divisions, and the powers of minimal_polynomial equal the
+    # product-built Krylov (a u) mod f
+    field = request.getfixturevalue(name)
+    r = field.e // math.gcd(twist, field.e)
+    rng = random.Random(81)
+    for degree in (1, 2, 3):
+        f = random_monic(field, rng, degree, twist)
+        central = _residue_table(f, r + 1)[r]
+        assert central == SkewPoly.monomial(field, r, field.one(), twist).mod_right(f)
+        residues = [central] + [eigen_ring(f).random_element(rng) for _ in range(2)]
+        for u in residues:
+            for i, row in enumerate(_y_rows(u, f, degree)):
+                Yi = SkewPoly.monomial(field, i, field.one(), twist)
+                assert row == (Yi * u).mod_right(f)
+            mu, powers = minimal_polynomial(u, f)
+            step, a = times_right(u, f), SkewPoly.one(field, twist)
+            for vec in powers:
+                assert vec == flat_digits(a, degree)
+                a = step(a)
+            assert _eval_fp_poly(mu, u, f).is_zero
+
+
+@pytest.mark.parametrize("twist", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLE_FIELDS)
+def test_eigen_ring_matches_product_columns(name, twist, request):
+    field = request.getfixturevalue(name)
+    rng = random.Random(82)
+    inputs = [random_monic(field, rng, d, twist) for d in (1, 2, 3)]
+    inputs.append(random_monic(field, rng, 2, twist) * random_monic(field, rng, 1, twist))
+    inputs.append(inputs[-1].left_scalar(field.random_element(rng, nonzero=True)))
+    for f in inputs:
+        E = eigen_ring(f)
+        assert E.modulus == f
+        assert E.basis == eigen_ring_by_products(f).basis
+
+
+def test_corrupted_table_row_raises(gf8, monkeypatch):
+    # the multiply-back of each table step catches a wrong row
+    assert skew.CHECK_DIVISION
+    real = decompose._times_y
+    one = SkewPoly.one(gf8, 2)
+
+    def corrupted(a, f):
+        top, row = real(a, f)
+        return top, row + one
+
+    monkeypatch.setattr(decompose, "_times_y", corrupted)
+    f = random_monic(gf8, random.Random(83), 2, 2)
+    with pytest.raises(InvariantError):
+        _residue_table(f, 4)
+    with pytest.raises(InvariantError):
+        split_once(f, random.Random(83))
+    with pytest.raises(InvariantError):
+        eigen_ring(f)
+
+
+def test_corrupted_krylov_step_raises(gf8, monkeypatch):
+    # the multiply-back of the last Krylov step catches a wrong combination
+    assert skew.CHECK_DIVISION
+    real = decompose._combine
+    one = SkewPoly.one(gf8, 2)
+    monkeypatch.setattr(decompose, "_combine", lambda c, rows, f: real(c, rows, f) + one)
+    f = random_monic(gf8, random.Random(85), 3, 2)
+    with pytest.raises(InvariantError):
+        minimal_polynomial(SkewPoly.monomial(gf8, 1, gf8.one(), 2), f)
+
+
+def test_wrong_eigen_ring_column_raises(gf16, monkeypatch):
+    # a fault in the eigen_ring columns (left instead of right scalars)
+    # gives a basis outside E(f); the membership check of the eigenring
+    # draws raises instead of sending the search after zero divisors
+    # that are not there
+    assert skew.CHECK_DIVISION
+    rng = random.Random(86)
+    needs_search = []
+    while len(needs_search) < 3:
+        f = random_monic(gf16, rng, 1) * random_monic(gf16, rng, 1)
+        mu, _ = minimal_polynomial(_residue_table(f, 5)[4], f)
+        if f.coeffs[0] and fp.is_irreducible(mu, gf16.p) and len(mu) - 1 != f.degree:
+            needs_search.append(f)
+    monkeypatch.setattr(SkewPoly, "right_scalar", SkewPoly.left_scalar)
+    for f in needs_search:
+        E = eigen_ring(f)
+        assert any(not (f * b).mod_right(f).is_zero for b in E.basis)
+        with pytest.raises(InvariantError):
+            find_zero_divisor(E, random.Random(87), 1000)
+        with pytest.raises(InvariantError):
+            split_once(f, random.Random(87))
+
+
+@pytest.mark.parametrize("twist", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLE_FIELDS)
+def test_certified_irreducible_makes_no_division(name, twist, request, monkeypatch):
+    # the table, the central Krylov and the fixed-field certificate need
+    # no ring division, and neither do their multiply-back checks
+    field = request.getfixturevalue(name)
+    assert skew.CHECK_DIVISION
+    calls = []
+    real = SkewPoly.divmod_right
+    monkeypatch.setattr(SkewPoly, "divmod_right", lambda a, g: calls.append(g) or real(a, g))
+    rng = random.Random(84)
+    certified = 0
+    for _ in range(40):
+        f = random_monic(field, rng, rng.randint(2, 3), twist)
+        calls.clear()
+        if isinstance(split_once(f, rng), Indecomposable):
+            assert calls == []
+            certified += 1
+    assert certified >= 3
 
 
 def test_minimal_polynomial_annuls_and_is_minimal(gf4, gf9):

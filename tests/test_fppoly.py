@@ -126,6 +126,60 @@ def test_factor_monic():
             assert sorted((tuple(g), k) for g, k in parts) == sy_parts
 
 
+def test_first_factor_matches_factor_monic():
+    # the distinct-degree search returns the first factor of factor_monic;
+    # products of two factors of one degree make the candidate scan run
+    rng = random.Random(7)
+    kinds = {"irreducible": 0, "equal_degree": 0}
+    for p in (2, 3, 5):
+        for i in range(400):
+            if i % 4:
+                a = fp.monic(random_poly(rng, p, 6), p)
+            else:
+                k = rng.randint(1, 3)
+                b, c = (fp.monic(random_poly(rng, p, k), p) for _ in range(2))
+                a = fp.mul(b, c, p)
+            if fp.degree(a) < 1:
+                continue
+            parts = fp.factor_monic(a, p)
+            nu = fp.first_factor(a, p)
+            assert nu == parts[0][0], (p, a)
+            kinds["irreducible"] += parts == [(a, 1)]
+            k = fp.degree(nu)
+            kinds["equal_degree"] += sum(fp.degree(g) == k for g, _ in parts) > 1
+    assert kinds["irreducible"] >= 50 and kinds["equal_degree"] >= 100
+
+
+def test_first_factor_divides_far_less_than_full_factorisation(monkeypatch):
+    # the degree-30 minimal polynomial of the central Y modulo a product of
+    # random monic factors of degrees 1 and 2 over GF(2^10), twist 10: its
+    # first factor has degree 10, which trial division reaches only after
+    # every candidate of lower degree.  Counting Z_p divisions keeps the
+    # comparison deterministic.
+    from skewlin.decompose import minimal_polynomial
+    from skewlin.fields import FiniteField
+    from skewlin.skew import SkewPoly
+
+    field = FiniteField(2, 10)
+    rng = random.Random(1)
+    parts = [
+        SkewPoly(field, [field.random_element(rng) for _ in range(d)] + [field.one()], 10)
+        for d in (1, 2)
+    ]
+    f = parts[0] * parts[1]
+    mu, _ = minimal_polynomial(SkewPoly.monomial(field, 1, field.one(), 10), f)
+    assert fp.degree(mu) == 30
+    calls = []
+    real = fp.divmod_
+    monkeypatch.setattr(fp, "divmod_", lambda a, b, p: calls.append(b) or real(a, b, p))
+    nu = fp.first_factor(mu, 2)
+    searched = len(calls)
+    calls.clear()
+    full = fp.factor_monic(mu, 2)
+    assert nu == full[0][0] and fp.degree(nu) == 10
+    assert 4 * searched < len(calls)
+
+
 def test_pow_mod():
     rng = random.Random(6)
     m = [1, 0, 1]  # x^2 + 1 over GF(3), irreducible

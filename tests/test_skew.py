@@ -118,6 +118,25 @@ def test_division_checks_counter(gf4):
     assert skew.DIVISION_CHECKS == before + 2
 
 
+def test_unchecked_division_makes_no_product(gf16, monkeypatch):
+    # with the multiply-back off, neither division builds a ring product,
+    # counts a check, or inverts the lead of a monic divisor
+    monkeypatch.setattr(skew, "CHECK_DIVISION", False)
+    rng = random.Random(45)
+    products, inversions = [], []
+    real_mul, real_inv = SkewPoly.__mul__, type(gf16.one()).inv
+    monkeypatch.setattr(SkewPoly, "__mul__", lambda a, b: products.append(b) or real_mul(a, b))
+    f = SkewPoly(gf16, [gf16.random_element(rng) for _ in range(6)] + [gf16.generator()])
+    g = SkewPoly(gf16, [gf16.random_element(rng) for _ in range(3)] + [gf16.one()])
+    before = skew.DIVISION_CHECKS
+    monkeypatch.setattr(type(gf16.one()), "inv", lambda a: inversions.append(a) or real_inv(a))
+    qr, rr = f.divmod_right(g)
+    ql, rl = f.divmod_left(g)
+    assert products == [] and inversions == []
+    assert skew.DIVISION_CHECKS == before
+    assert real_mul(qr, g) + rr == f and real_mul(g, ql) + rl == f
+
+
 def test_tampered_division_raises_invariant_error(gf4, monkeypatch):
     # with the multiply-back check on, a product that no longer rebuilds
     # the dividend is reported as a broken invariant
