@@ -144,6 +144,8 @@ def cmd_decrypt(args: argparse.Namespace) -> dict:
 
 
 def cmd_attack(args: argparse.Namespace) -> dict:
+    if args.max_rounds < 1:
+        raise ParseError("--max-rounds must be at least 1")
     if args.instances is not None:
         return _attack_batch(args)
     if args.key is None:

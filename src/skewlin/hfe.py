@@ -28,7 +28,12 @@ greatest common left divisor factors of difference polynomials of E
 factor off E leaving a low-degree core; on success the recovered pair
 decrypts without the secret key.  Reduction modulo x^q - x does not
 always respect exact left divisibility, so honest instances may resist;
-failures are reported, never hidden.
+failures are reported, never hidden.  On honest keys the running gcld
+usually collapses to the unit 1 after two or three differences, and 1
+stays the gcld whatever is drawn next.  Since a -> difference_poly(E, a)
+is Z_p-linear and nonzero, at most q/p - 1 nonzero shifts have a zero
+difference; when the field leaves enough of the others for every round,
+the attack stops as soon as the unit's peel has failed.
 """
 
 from __future__ import annotations
@@ -692,41 +697,64 @@ def gcldf_attack(
     """Key recovery from common left divisor factors of differences of E.
 
     Differences of E = S . G share the additive left factor S, so their
-    running greatest common left divisor factor is refined with fresh
-    difference polynomials each round; whenever the running factor
-    permutes the field, the attack tries to peel it off leaving a core
-    within the degree bound.  Raises DegreeBoundTooSmallError for a bound
-    below p^2, as hfe_keygen does, and AttackFailedError after max_rounds
-    checks (or when fresh shift points run out).  The recovered pair is
-    verified to recompose to E before being returned.
+    running greatest common left divisor factor L is refined with a fresh
+    difference polynomial each round, and the attack tries to peel L off
+    E leaving a core within the degree bound.  The peel depends on L
+    alone, so it runs only when L has changed; once L is the unit 1 it
+    left-divides every difference and stays 1, so the gcld is no longer
+    recomputed.  Raises ValueError for max_rounds below 1,
+    DegreeBoundTooSmallError for a bound below p^2, as hfe_keygen does,
+    and AttackFailedError after max_rounds checks (or when fresh shift
+    points run out).
+
+    Shift points are drawn without replacement, and shifts with a zero
+    difference are skipped.  The map a -> difference_poly(E, a) is
+    Z_p-linear and nonzero on a reduced E with a quadratic term, so its
+    kernel is a proper additive subgroup and at most q/p - 1 nonzero
+    shifts are skipped.  When q - q/p >= max_rounds + 1 the pool cannot
+    run out, and a unit L whose peel failed decides the failure at once.
+    The recovered pair is verified to recompose to E before being
+    returned.
     """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     E = E.reduce()
     field = E.field
-    p = field.p
+    p, q = field.p, field.q
     if bound < p * p:
         raise DegreeBoundTooSmallError(f"degree bound {bound} is below p^2 = {p * p}")
     if E.const:
         raise ShapeViolationError("attack input must be constant-free")
     if not E.has_quadratic:
         raise ShapeViolationError("attack input has no quadratic part")
-    pool = [x for x in field.elements() if x]
+    # element indices: shuffle's draws depend only on the pool's length
+    pool = list(range(1, q))
     rng.shuffle(pool)
+    pool_lasts = q - q // p >= max_rounds + 1
 
     def next_delta(rounds_so_far: int) -> SkewPoly:
         while pool:
-            d = difference_poly(E, pool.pop())
+            d = difference_poly(E, field.from_int(pool.pop()))
             if not d.is_zero:
                 return d
         raise AttackFailedError(rounds_so_far, "ran out of fresh shift points")
 
     L = gcldf(next_delta(0), next_delta(0))[0]
+    peeled = None
     for r in range(1, max_rounds + 1):
         Lr = L.reduce()
-        f = try_left_factor(Lr, E, bound)
-        if f is not None:
-            return AttackResult(left=Lr, core=f, rounds=r)
+        if Lr != peeled:
+            f = try_left_factor(Lr, E, bound)
+            if f is not None:
+                return AttackResult(left=Lr, core=f, rounds=r)
+            peeled = Lr
+        unit = L.degree == 0
+        if unit and pool_lasts:
+            break
         if r < max_rounds:
-            L = gcldf(L, next_delta(r))[0]
+            delta = next_delta(r)
+            if not unit:
+                L = gcldf(L, delta)[0]
     raise AttackFailedError(max_rounds)
 
 

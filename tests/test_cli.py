@@ -302,6 +302,28 @@ def test_attack_batch_validation(capsys):
     assert code == 1 and out == "" and "below p^2" in err
 
 
+def test_attack_rejects_nonpositive_max_rounds(capsys, tmp_path):
+    _, out, _ = run(capsys, "keygen", "--p", "2", "--e", "4", "--seed", "4")
+    path = tmp_path / "kp.json"
+    path.write_text(out)
+    for rounds in ("0", "-3"):
+        for source in (["--key", str(path)], ["--instances", "1", "--p", "2", "--e", "4"]):
+            code, out2, err = run(capsys, "attack", *source, "--max-rounds", rounds)
+            assert (code, out2) == (2, "") and "--max-rounds" in err
+
+
+def test_attack_bytes_pinned(capsys):
+    # the README example
+    argv = "--instances 3 --p 2 --e 8 --seed 5 --max-rounds 4".split()
+    code, out, err = run(capsys, "attack", *argv)
+    expected = (
+        '{"instances": 3, "rate": 0.0, "results": [{"instance": 0, "ok": false, '
+        '"rounds": 4}, {"instance": 1, "ok": false, "rounds": 4}, {"instance": 2, '
+        '"ok": false, "rounds": 4}], "successes": 0}\n'
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_probe_verb(capsys):
     args = ["probe", "--p", "2", "--e", "2", "--degree", "2", "--trials", "5", "--seed", "1"]
     code, out, err = run(capsys, *args)

@@ -11,11 +11,14 @@ from skewlin.errors import (
     PolicyBoundError,
     ShapeViolationError,
 )
+from skewlin.fields import FiniteField
 from skewlin.hfe import (
+    AttackResult,
     DOPoly,
     HFESecretKey,
     core_preimages,
     decrypt_with_factors,
+    difference_poly,
     do_compose_lin,
     gcldf_attack,
     hfe_decrypt,
@@ -24,6 +27,7 @@ from skewlin.hfe import (
     try_left_factor,
 )
 from skewlin.linpoly import LinPoly
+from skewlin.skew import gcldf
 
 
 def foldfree_instance(field):
@@ -246,7 +250,9 @@ def test_attack_failure_reports_rounds(gf256):
     kp = hfe_keygen(gf256, random.Random(4))
     with pytest.raises(AttackFailedError) as exc:
         gcldf_attack(kp.public.poly, kp.secret.bound, random.Random(9), max_rounds=2)
-    assert exc.value.rounds_used <= 2
+    # GF(2^8) has at most 127 shifts with a zero difference, so the pool
+    # cannot run out in two rounds
+    assert exc.value.rounds_used == 2
 
 
 def test_decrypt_with_factors_policy_cap(gf256):
@@ -254,3 +260,116 @@ def test_decrypt_with_factors_policy_cap(gf256):
     res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
     with pytest.raises(PolicyBoundError):
         decrypt_with_factors(res.left, res.core, gf256.one(), max_q=64)
+
+
+def reference_attack(E, bound, rng, max_rounds):
+    """The attack loop without its shortcuts: a peel and a gcldf every round."""
+    E = E.reduce()
+    pool = [x for x in E.field.elements() if x]
+    rng.shuffle(pool)
+
+    def next_delta(rounds_so_far):
+        while pool:
+            d = difference_poly(E, pool.pop())
+            if not d.is_zero:
+                return d
+        raise AttackFailedError(rounds_so_far, "ran out of fresh shift points")
+
+    L = gcldf(next_delta(0), next_delta(0))[0]
+    for r in range(1, max_rounds + 1):
+        Lr = L.reduce()
+        f = try_left_factor(Lr, E, bound)
+        if f is not None:
+            return AttackResult(left=Lr, core=f, rounds=r)
+        if r < max_rounds:
+            L = gcldf(L, next_delta(r))[0]
+    raise AttackFailedError(max_rounds)
+
+
+def attack_outcome(attack, E, bound, seed, max_rounds):
+    rng = random.Random(seed)
+    try:
+        res = attack(E, bound, rng, max_rounds)
+    except AttackFailedError as exc:
+        return ("failed", exc.rounds_used, str(exc), rng.getstate())
+    return ("ok", res.left, res.core, res.rounds, rng.getstate())
+
+
+def test_attack_rejects_nonpositive_max_rounds(gf16, monkeypatch):
+    import skewlin.hfe as hfe
+
+    E = hfe_keygen(gf16, random.Random(4)).public.poly
+    calls = []
+    monkeypatch.setattr(hfe, "difference_poly", lambda *a: calls.append(a))
+    for max_rounds in (0, -3):
+        with pytest.raises(ValueError, match="max_rounds"):
+            gcldf_attack(E, 16, random.Random(0), max_rounds=max_rounds)
+    assert calls == []
+
+
+def test_attack_matches_reference_loop():
+    outcomes = {}
+    for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)):
+        field = FiniteField(p, e)
+        for seed in range(3):
+            for degree_bound in (None, p * p):
+                kp = hfe_keygen(field, random.Random(seed), degree_bound=degree_bound)
+                E, bound = kp.public.poly, kp.secret.bound
+                for max_rounds in (1, 2, 3, 8, 16, 40):
+                    case = (field.q, seed, degree_bound, max_rounds)
+                    got = attack_outcome(gcldf_attack, E, bound, seed, max_rounds)
+                    assert got == attack_outcome(reference_attack, E, bound, seed, max_rounds), case
+                    outcomes[case] = got
+    # every outcome kind is covered: recovery, failure after max_rounds,
+    # and a pool that runs out of shifts with a nonzero difference
+    failures = {o[2].split(" after ")[0] for o in outcomes.values() if o[0] == "failed"}
+    assert failures == {"attack failed", "ran out of fresh shift points"}
+    assert any(o[0] == "ok" for o in outcomes.values())
+    # GF(4) has three shifts, and three rounds need four differences
+    assert outcomes[(4, 0, 4, 3)][:3] == ("failed", 2, "ran out of fresh shift points")
+
+
+def test_attack_peels_each_running_factor_once(monkeypatch):
+    # the criterion 09 batch: the running gcld is 1 after two or three
+    # differences, and a unit whose peel failed ends the attack
+    import skewlin.hfe as hfe
+
+    field = FiniteField(2, 8)
+    counts = {"peel": 0, "gcldf": 0, "difference": 0}
+
+    def spy(name, real):
+        def wrapped(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(hfe, "try_left_factor", spy("peel", hfe.try_left_factor))
+    monkeypatch.setattr(hfe, "gcldf", spy("gcldf", hfe.gcldf))
+    monkeypatch.setattr(hfe, "difference_poly", spy("difference", hfe.difference_poly))
+    for i in range(20):
+        rng = random.Random(1 * 1_000_003 + i)
+        kp = hfe_keygen(field, rng)
+        with pytest.raises(AttackFailedError) as exc:
+            gcldf_attack(kp.public.poly, kp.secret.bound, rng, max_rounds=16)
+        assert exc.value.rounds_used == 16
+    assert counts == {"peel": 21, "gcldf": 21, "difference": 41}
+
+
+def test_zero_difference_shifts_form_a_small_subgroup():
+    # the premise of the attack's early exit: a -> difference_poly(E, a)
+    # is additive and nonzero, so its kernel is a proper subgroup
+    nontrivial = 0
+    for p, e in ((2, 2), (2, 3), (3, 2), (2, 4)):
+        field = FiniteField(p, e)
+        for seed in range(24):
+            for degree_bound in (None, p * p, p * p + 1):
+                kp = hfe_keygen(field, random.Random(seed), degree_bound=degree_bound)
+                E = kp.public.poly
+                kernel = {a for a in field.elements() if difference_poly(E, a).is_zero}
+                assert field.zero() in kernel
+                assert all(a + b in kernel for a in kernel for b in kernel)
+                assert len(kernel) <= field.q // p
+                nontrivial += len(kernel) > 1
+    # GF(8) keys of seeds 5 and 20 and GF(9) keys of seeds 8 and 19
+    assert nontrivial == 8
