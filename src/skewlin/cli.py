@@ -151,9 +151,8 @@ def cmd_attack(args: argparse.Namespace) -> dict:
     if args.key is None:
         raise ParseError("attack needs --key, or --instances with --p/--e")
     public = _public_from_file(_load_json(args.key))
-    bound = public.field.p**4 if args.degree_bound is None else args.degree_bound
     rng = random.Random(args.seed)
-    result = gcldf_attack(public.poly, bound, rng, max_rounds=args.max_rounds)
+    result = gcldf_attack(public.poly, args.degree_bound, rng, max_rounds=args.max_rounds)
     return {
         "left": ser.linpoly_to_obj(result.left),
         "core": ser.dopoly_to_obj(result.core),
@@ -167,15 +166,14 @@ def _attack_batch(args: argparse.Namespace) -> dict:
     if args.instances < 0:
         raise ParseError("--instances must be nonnegative")
     field = FiniteField(args.p, args.e, args.modulus)
-    bound = field.p**4 if args.degree_bound is None else args.degree_bound
     results = []
     successes = 0
     for i in range(args.instances):
         rng = random.Random(args.seed * SEED_STRIDE + i)
-        kp = hfe_keygen(field, rng, degree_bound=bound)
+        kp = hfe_keygen(field, rng, degree_bound=args.degree_bound)
         entry: dict[str, Any] = {"instance": i}
         try:
-            res = gcldf_attack(kp.public.poly, bound, rng, max_rounds=args.max_rounds)
+            res = gcldf_attack(kp.public.poly, args.degree_bound, rng, args.max_rounds)
         except AttackFailedError as exc:
             entry["ok"] = False
             entry["rounds"] = exc.rounds_used

@@ -34,6 +34,9 @@ stays the gcld whatever is drawn next.  Since a -> difference_poly(E, a)
 is Z_p-linear and nonzero, at most q/p - 1 nonzero shifts have a zero
 difference; when the field leaves enough of the others for every round,
 the attack stops as soon as the unit's peel has failed.
+
+The public key is E alone; its coordinate quadratic forms over Z_p are
+derived from E on first use.
 """
 
 from __future__ import annotations
@@ -470,19 +473,28 @@ class MultivariateKey:
 
 
 def to_multivariate(E: DOPoly) -> MultivariateKey:
-    """Expand a (reduced) DO polynomial into coordinate quadratic forms."""
+    """Expand a (reduced) DO polynomial into coordinate quadratic forms.
+
+    With X = sum x_s b_s, x_s x_t has coefficient sum_i b_s^(p^i) G_i(t),
+    G_i(t) = sum_j c_ij b_t^(p^j): |quad|·e + e^3 products, not |quad|·e^2.
+    """
     E = E.reduce()
     field = E.field
     e, p = field.e, field.p
     zero = field.zero()
     frob = [[field.basis[s].frobenius(u) for s in range(e)] for u in range(e)]
-    qcoef: dict[tuple[int, int], FqElem] = {}
+    G: dict[int, list[FqElem]] = {}
     for (i, j), c in E.quad.items():
+        row = G.setdefault(i, [zero] * e)
+        for t in range(e):
+            row[t] = row[t] + c * frob[j][t]
+    qcoef: dict[tuple[int, int], FqElem] = {}
+    for i, row in G.items():
         for s in range(e):
-            ci = c * frob[i][s]
+            bs = frob[i][s]
             for t in range(e):
                 key = (s, t) if s <= t else (t, s)
-                qcoef[key] = qcoef.get(key, zero) + ci * frob[j][t]
+                qcoef[key] = qcoef.get(key, zero) + bs * row[t]
     lincoef = [E.lin(field.basis[s]) for s in range(e)]
     quad_out: list[dict[tuple[int, int], int]] = [dict() for _ in range(e)]
     lin_out: list[dict[int, int]] = [dict() for _ in range(e)]
@@ -517,15 +529,26 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
 
 
 class HFEPublicKey:
-    __slots__ = ("field", "poly", "multivariate")
+    """The public map E; its coordinate forms are derived from it on first use."""
 
-    def __init__(self, field: FiniteField, poly: DOPoly, multivariate: MultivariateKey):
-        self.field = field
+    __slots__ = ("poly", "_multivariate")
+
+    def __init__(self, poly: DOPoly):
         self.poly = poly
-        self.multivariate = multivariate
+        self._multivariate: Optional[MultivariateKey] = None
+
+    @property
+    def field(self) -> FiniteField:
+        return self.poly.field
+
+    @property
+    def multivariate(self) -> MultivariateKey:
+        if self._multivariate is None:
+            self._multivariate = to_multivariate(self.poly)
+        return self._multivariate
 
     def __repr__(self) -> str:
-        return f"HFEPublicKey(field={self.field!r}, terms={self.multivariate.max_terms})"
+        return f"HFEPublicKey(field={self.field!r}, degree={self.poly.degree})"
 
 
 class HFESecretKey:
@@ -580,6 +603,15 @@ def _random_permutation_poly(field: FiniteField, rng: random.Random) -> SkewPoly
             return L
 
 
+def _degree_bound(field: FiniteField, bound: Optional[int]) -> int:
+    """The core degree bound: p^4 by default; below p^2 no core is quadratic."""
+    p = field.p
+    d = p**4 if bound is None else bound
+    if d < p * p:
+        raise DegreeBoundTooSmallError(f"degree bound {d} is below p^2 = {p * p}")
+    return d
+
+
 def hfe_keygen(
     field: FiniteField, rng: random.Random, degree_bound: Optional[int] = None
 ) -> HFEKeyPair:
@@ -590,9 +622,7 @@ def hfe_keygen(
     genuinely quadratic term is present.
     """
     p, e = field.p, field.e
-    d = p**4 if degree_bound is None else degree_bound
-    if d < p * p:
-        raise DegreeBoundTooSmallError(f"degree bound {d} is below p^2 = {p * p}")
+    d = _degree_bound(field, degree_bound)
     pairs = [
         (i, j)
         for i in range(e)
@@ -620,7 +650,7 @@ def hfe_keygen(
     E = do_compose_lin(outer, do_compose_lin(inner, core, "right"), "left").reduce()
     if not E.has_quadratic or E.const:
         raise InvariantError("public key lost its quadratic part or gained a constant")
-    public = HFEPublicKey(field, E, to_multivariate(E))
+    public = HFEPublicKey(E)
     secret = HFESecretKey(field, outer, core, inner, d)
     return HFEKeyPair(public, secret)
 
@@ -692,7 +722,7 @@ class AttackResult:
 
 
 def gcldf_attack(
-    E: DOPoly, bound: int, rng: random.Random, max_rounds: int = 16
+    E: DOPoly, bound: Optional[int], rng: random.Random, max_rounds: int = 16
 ) -> AttackResult:
     """Key recovery from common left divisor factors of differences of E.
 
@@ -702,10 +732,10 @@ def gcldf_attack(
     E leaving a core within the degree bound.  The peel depends on L
     alone, so it runs only when L has changed; once L is the unit 1 it
     left-divides every difference and stays 1, so the gcld is no longer
-    recomputed.  Raises ValueError for max_rounds below 1,
-    DegreeBoundTooSmallError for a bound below p^2, as hfe_keygen does,
-    and AttackFailedError after max_rounds checks (or when fresh shift
-    points run out).
+    recomputed.  The bound defaults to p^4, as in hfe_keygen.  Raises
+    ValueError for max_rounds below 1, DegreeBoundTooSmallError for a
+    bound below p^2, as hfe_keygen does, and AttackFailedError after
+    max_rounds checks (or when fresh shift points run out).
 
     Shift points are drawn without replacement, and shifts with a zero
     difference are skipped.  The map a -> difference_poly(E, a) is
@@ -721,8 +751,7 @@ def gcldf_attack(
     E = E.reduce()
     field = E.field
     p, q = field.p, field.q
-    if bound < p * p:
-        raise DegreeBoundTooSmallError(f"degree bound {bound} is below p^2 = {p * p}")
+    bound = _degree_bound(field, bound)
     if E.const:
         raise ShapeViolationError("attack input must be constant-free")
     if not E.has_quadratic:

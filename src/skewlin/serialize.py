@@ -12,7 +12,7 @@ left to the constructors and surface as domain errors instead.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from .decompose import Decomposition, SplitStats
 from .errors import ParseError
@@ -190,41 +190,6 @@ def multivariate_to_obj(M: MultivariateKey) -> dict:
     }
 
 
-def multivariate_from_obj(obj: Any) -> MultivariateKey:
-    obj = _need_dict(obj, "multivariate key", {"p", "n_vars", "quad", "lin", "const"})
-    p = _need_int(obj["p"], "multivariate.p")
-    n = _need_int(obj["n_vars"], "multivariate.n_vars")
-    quads = _need_list(obj["quad"], "multivariate.quad")
-    lins = _need_list(obj["lin"], "multivariate.lin")
-    consts = _need_list(obj["const"], "multivariate.const")
-    if len(quads) != n or len(lins) != n or len(consts) != n:
-        raise ParseError("multivariate arrays must have n_vars entries")
-    quad_out = []
-    for row in quads:
-        d: dict[tuple[int, int], int] = {}
-        for entry in _need_list(row, "multivariate quad row"):
-            entry = _need_list(entry, "multivariate quad term")
-            if len(entry) != 3:
-                raise ParseError("multivariate quad term must be [s, t, c]")
-            s, t, c = (_need_int(v, "multivariate quad term entry") for v in entry)
-            d[(s, t)] = c % p
-        quad_out.append(d)
-    lin_out = []
-    for row in lins:
-        d2: dict[int, int] = {}
-        for entry in _need_list(row, "multivariate lin row"):
-            entry = _need_list(entry, "multivariate lin term")
-            if len(entry) != 2:
-                raise ParseError("multivariate lin term must be [s, c]")
-            s, c = (_need_int(v, "multivariate lin term entry") for v in entry)
-            d2[s] = c % p
-        lin_out.append(d2)
-    const_out = tuple(_need_int(c, "multivariate const entry") % p for c in consts)
-    return MultivariateKey(
-        p=p, n_vars=n, quad=tuple(quad_out), lin=tuple(lin_out), const=const_out
-    )
-
-
 # ----------------------------------------------------------------------
 # key material
 
@@ -238,13 +203,16 @@ def public_to_obj(pub: HFEPublicKey) -> dict:
 
 
 def public_from_obj(obj: Any) -> HFEPublicKey:
+    """Parse a public key; E is authoritative and the stored forms must be E's.
+
+    Compared as canonical text, so true, 1.0 or an explicit zero term fails.
+    """
     obj = _need_dict(obj, "public key", {"field", "E", "multivariate"})
     field = field_from_obj(obj["field"])
-    poly = dopoly_from_obj(field, obj["E"])
-    mv = multivariate_from_obj(obj["multivariate"])
-    if mv.p != field.p or mv.n_vars != field.e:
-        raise ParseError("multivariate key does not match the field shape")
-    return HFEPublicKey(field, poly, mv)
+    public = HFEPublicKey(dopoly_from_obj(field, obj["E"]))
+    if dumps(obj["multivariate"]) != dumps(multivariate_to_obj(public.multivariate)):
+        raise ParseError("multivariate key is not the coordinate form of E")
+    return public
 
 
 def secret_to_obj(sec: HFESecretKey) -> dict:

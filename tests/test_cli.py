@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, canonical output."""
 
+import hashlib
 import json
 import random
 
@@ -17,7 +18,6 @@ from skewlin.hfe import (
     HFEPublicKey,
     HFESecretKey,
     do_compose_lin,
-    to_multivariate,
 )
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly
@@ -44,7 +44,7 @@ def foldfree_public_obj():
         if not outer.is_zero and outer.is_permutation():
             break
     E = do_compose_lin(outer, core, "left")
-    return ser.public_to_obj(HFEPublicKey(field, E, to_multivariate(E))), field, E
+    return ser.public_to_obj(HFEPublicKey(E)), field, E
 
 
 def test_field_verb(capsys):
@@ -195,6 +195,61 @@ def test_keygen_encrypt_decrypt_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     assert [1, 0, 1, 0] in json.loads(out_m)["plaintexts"]
+
+
+def test_readme_key_transcript(capsys, tmp_path):
+    # the four commands of the README's key transcript, in order
+    code, out, err = run(capsys, "keygen", "--p", "2", "--e", "4", "--seed", "9")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "223cedabf97dce8c6d7a4ab17f4b814a85dfed427e758d9ef5c89c237def8a06"
+    )
+    path = tmp_path / "kp.json"
+    path.write_text(out)
+    key = str(path)
+    assert run(capsys, "encrypt", "--key", key, "--message", "1,0,1,0") == (
+        0, '{"ciphertext": [0, 1, 0, 1]}\n', ""
+    )
+    assert run(capsys, "decrypt", "--key", key, "--ciphertext", "0,1,0,1") == (
+        0,
+        '{"plaintexts": [[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 1], '
+        '[0, 0, 1, 1]]}\n',
+        "",
+    )
+    # every reduced DO exponent over GF(2^4) is at most 2^3 + 2^2 = 12, below
+    # the default bound 16, so peeling the unit leaves E itself as the core
+    code, out_a, err = run(capsys, "attack", "--key", key, "--seed", "0", "--max-rounds", "4")
+    assert code == 0 and err == ""
+    E = json.loads(out)["public"]["E"]
+    assert json.loads(out_a) == {
+        "left": {"coeffs": [[1, 0, 0, 0]], "s": 1},
+        "core": E,
+        "rounds": 1,
+    }
+    assert out_a == ser.dumps(json.loads(out_a))
+
+
+def test_tampered_forms_exit_2(capsys, tmp_path):
+    # E intact, the forms changed with the same shape: one term dropped
+    # (GF(2^4)), or one coefficient moved to another nonzero value (GF(3^2))
+    for p, e, seed in (("2", "4", "9"), ("3", "2", "2")):
+        _, out, _ = run(capsys, "keygen", "--p", p, "--e", e, "--seed", seed)
+        kp_obj = json.loads(out)
+        row = kp_obj["public"]["multivariate"]["quad"][0]
+        if p == "2":
+            row.pop()
+        else:
+            row[0][2] = 3 - row[0][2]
+        path = tmp_path / f"kp-{p}.json"
+        path.write_text(ser.dumps(kp_obj))
+        pub_path = tmp_path / f"pub-{p}.json"
+        pub_path.write_text(ser.dumps(kp_obj["public"]))
+        message = ",".join(["1"] * int(e))
+        for key in (str(path), str(pub_path)):
+            code, out_c, err = run(capsys, "encrypt", "--key", key, "--message", message)
+            assert code == 2 and out_c == "" and "coordinate form of E" in err
+            code, out_a, err = run(capsys, "attack", "--key", key, "--seed", "0")
+            assert code == 2 and out_a == "" and "coordinate form of E" in err
 
 
 def test_encrypt_with_bare_public(capsys, tmp_path):

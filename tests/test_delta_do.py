@@ -10,6 +10,7 @@ from skewlin.errors import (
     ShapeViolationError,
     TwistMismatchError,
 )
+from skewlin.fields import FiniteField
 from skewlin.fqpoly import FqPoly
 from skewlin.hfe import (
     DOPoly,
@@ -298,7 +299,8 @@ def test_multivariate_frozen_square(gf4):
 
 
 def test_multivariate_pointwise(gf16, gf9):
-    for field in (gf16, gf9):
+    # the last field has a non-default coordinate basis
+    for field in (gf16, gf9, FiniteField(3, 2, basis=[[1, 2], [2, 2]])):
         rng = random.Random(93)
         for _ in range(8):
             E = random_do(field, rng, with_const=True)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import skewlin.hfe as hfe
 from skewlin.errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -24,6 +25,7 @@ from skewlin.hfe import (
     hfe_decrypt,
     hfe_encrypt,
     hfe_keygen,
+    to_multivariate,
     try_left_factor,
 )
 from skewlin.linpoly import LinPoly
@@ -77,6 +79,23 @@ def test_keygen_multivariate_agrees(gf256):
     for _ in range(30):
         x = field.random_element(rng)
         assert mv.evaluate(field.coordinates(x)) == field.coordinates(E(x))
+
+
+def test_public_key_derives_forms_once(gf256, monkeypatch):
+    calls = []
+
+    def counting(E):
+        calls.append(E)
+        return to_multivariate(E)
+
+    monkeypatch.setattr(hfe, "to_multivariate", counting)
+    kp = hfe_keygen(gf256, random.Random(42))
+    assert calls == []  # keygen derives no forms
+    assert kp.public.field is gf256
+    mv = kp.public.multivariate
+    assert kp.public.multivariate is mv
+    assert calls == [kp.public.poly]
+    assert mv == to_multivariate(kp.public.poly)
 
 
 def test_encrypt_decrypt_roundtrip(gf256, gf9):
@@ -244,6 +263,21 @@ def test_attack_input_validation(gf16):
     for bound in (0, 3):
         with pytest.raises(DegreeBoundTooSmallError):
             gcldf_attack(E, bound, random.Random(0))
+
+
+def test_attack_default_bound_is_p4(gf16, gf9):
+    for field in (gf16, gf9):
+        E = hfe_keygen(field, random.Random(9)).public.poly
+        outcomes = []
+        for bound in (None, field.p**4):
+            rng = random.Random(0)
+            try:
+                res = gcldf_attack(E, bound, rng, max_rounds=4)
+            except AttackFailedError as exc:
+                outcomes.append(("failed", exc.rounds_used, rng.getstate()))
+            else:
+                outcomes.append((res.left, res.core, res.rounds, rng.getstate()))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_attack_failure_reports_rounds(gf256):

@@ -1,5 +1,6 @@
 """JSON object mapping: roundtrips, canonical bytes, strict parsing."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import skewlin.serialize as ser
 from skewlin.decompose import decompose_complete, estimate_split_success
 from skewlin.errors import ParseError
 from skewlin.fields import FiniteField
-from skewlin.hfe import DOPoly, hfe_keygen, to_multivariate
+from skewlin.hfe import DOPoly, HFEPublicKey, hfe_keygen, to_multivariate
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly
 
@@ -140,22 +141,59 @@ def test_multivariate_roundtrip(gf16):
         gf16.random_element(rng),
     )
     mv = to_multivariate(D)
-    obj = ser.multivariate_to_obj(mv)
-    assert set(obj) == {"p", "n_vars", "quad", "lin", "const"}
-    assert ser.multivariate_from_obj(obj) == mv
+    obj = ser.public_to_obj(HFEPublicKey(D))
+    assert set(obj["multivariate"]) == {"p", "n_vars", "quad", "lin", "const"}
+    assert obj["multivariate"] == ser.multivariate_to_obj(mv)
+    assert ser.public_from_obj(obj).multivariate == mv
 
 
-def test_multivariate_parse_errors():
+def test_multivariate_parse_errors(gf2):
+    # the forms of the zero map on GF(2); every variant below disagrees with E
     base = {"p": 2, "n_vars": 1, "quad": [[]], "lin": [[]], "const": [0]}
-    assert ser.multivariate_from_obj(base)
-    with pytest.raises(ParseError):
-        ser.multivariate_from_obj({**base, "quad": []})
-    with pytest.raises(ParseError):
-        ser.multivariate_from_obj({**base, "quad": [[[0, 0]]]})
-    with pytest.raises(ParseError):
-        ser.multivariate_from_obj({**base, "lin": [[[0]]]})
-    with pytest.raises(ParseError):
-        ser.multivariate_from_obj({**base, "const": [0], "n_vars": 2})
+    public = {
+        "field": ser.field_to_obj(gf2),
+        "E": ser.dopoly_to_obj(DOPoly.zero(gf2)),
+        "multivariate": base,
+    }
+    assert ser.public_from_obj(public)
+    for bad in (
+        {**base, "quad": []},
+        {**base, "quad": [[[0, 0]]]},
+        {**base, "lin": [[[0]]]},
+        {**base, "const": [0], "n_vars": 2},
+        # the comparison is on canonical text: no spelling of zero but 0 passes
+        {**base, "const": [False]},
+        {**base, "const": [0.0]},
+        {**base, "lin": [[[0, 0]]]},
+        None,
+    ):
+        with pytest.raises(ParseError):
+            ser.public_from_obj({**public, "multivariate": bad})
+
+
+def tampered(mv_obj: dict, p: int) -> dict:
+    """Same shape, another map: one term dropped (p = 2) or its coefficient changed."""
+    out = json.loads(json.dumps(mv_obj))
+    row = out["quad"][0]
+    if p == 2:
+        row.pop()
+    else:
+        row[0][2] = row[0][2] % (p - 1) + 1
+    return out
+
+
+def test_tampered_forms_rejected(gf16, gf27):
+    for field, seed in ((gf16, 9), (gf27, 4)):
+        kp = hfe_keygen(field, random.Random(seed))
+        obj = ser.keypair_to_obj(kp)
+        assert ser.keypair_from_obj(obj).public.poly == kp.public.poly
+        bad_mv = tampered(obj["public"]["multivariate"], field.p)
+        assert bad_mv != obj["public"]["multivariate"]
+        bad_public = {**obj["public"], "multivariate": bad_mv}
+        with pytest.raises(ParseError):
+            ser.public_from_obj(bad_public)
+        with pytest.raises(ParseError):
+            ser.keypair_from_obj({**obj, "public": bad_public})
 
 
 def test_keypair_roundtrip_bytes(gf9):
