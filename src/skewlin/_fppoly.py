@@ -99,27 +99,23 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
-def ext_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = trim(list(a)), trim(list(b))
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
+def inv_mod(a: list[int], m: list[int], p: int) -> list[int]:
+    """The inverse of a modulo m (deg m >= 1), by one Euclid loop from (m, a).
+
+    For each remainder r it keeps s with s*a = r (mod m); when the last
+    nonzero remainder is a constant c, s/c is the inverse, already of
+    degree below deg m.  An unreduced a is reduced by the loop's first
+    steps.
+    """
+    r0, r1 = trim(list(m)), trim(list(a))
+    s0, s1 = [], [1]
     while r1:
         q, r = divmod_(r0, r1, p)
         r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, mul(q, u1, p), p)
-        v0, v1 = v1, sub(v0, mul(q, v1, p), p)
-    if r0:
-        scale = pow(r0[-1], p - 2, p)
-        return mul_scalar(r0, scale, p), mul_scalar(u0, scale, p), mul_scalar(v0, scale, p)
-    return r0, u0, v0
-
-
-def inv_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    g, u, _ = ext_gcd(a, m, p)
-    if degree(g) != 0:
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+    if degree(r0) != 0:
         raise ZeroDivisionError("element has no inverse modulo the given polynomial")
-    return mod(u, m, p)
+    return mul_scalar(s0, pow(r0[0], p - 2, p), p)
 
 
 def pow_mod(a: list[int], n: int, m: list[int], p: int) -> list[int]:

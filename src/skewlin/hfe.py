@@ -21,8 +21,12 @@ x -> f(x+a) - f(x) - f(a) + f(0) for some shift a.
 
 The HFE scheme publishes E = S . D . T for secret additive permutations
 S, T and a secret constant-free DO core D of ordinary degree at most a
-bound d.  Decryption inverts S and T and walks preimages of D by table
-lookup, so field size is capped by a policy bound.  The attack takes
+bound d.  Decryption inverts S and T and looks up the preimages of D in
+a table built once by walking the whole field, so field size is capped
+by a policy bound.  The walk evaluates D's own coordinate quadratic
+forms over Z_p (to_multivariate), not D itself, and the table is keyed
+by the coordinates of D(x) in the field's basis; exhaustive preimage
+search for a recovered core walks the same way.  The attack takes
 greatest common left divisor factors of difference polynomials of E
 (they share the left factor S), and tries to peel a candidate left
 factor off E leaving a low-degree core; on success the recovered pair
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     AttackFailedError,
@@ -524,6 +528,15 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     )
 
 
+def _core_images(D: DOPoly) -> Iterator[tuple[FqElem, tuple[int, ...]]]:
+    """Every x of D's field, in element-index order, with the coordinates
+    of D(x), read off D's coordinate forms over Z_p."""
+    field = D.field
+    evaluate = to_multivariate(D).evaluate
+    for x in field.elements():
+        yield x, evaluate(field.coordinates(x))
+
+
 # ----------------------------------------------------------------------
 # HFE keys
 
@@ -577,10 +590,14 @@ class HFESecretKey:
         return self._inner_inv
 
     def core_table(self) -> dict[tuple[int, ...], list[FqElem]]:
+        """Preimages under the core, keyed by the coordinates of their image.
+
+        Built on first use from the core's coordinate forms over Z_p.
+        """
         if self._table is None:
             table: dict[tuple[int, ...], list[FqElem]] = {}
-            for x in self.field.elements():
-                table.setdefault(self.core(x).digits, []).append(x)
+            for x, y in _core_images(self.core):
+                table.setdefault(y, []).append(x)
             self._table = table
         return self._table
 
@@ -664,7 +681,11 @@ def hfe_encrypt(public: HFEPublicKey, m: FqElem) -> FqElem:
 def hfe_decrypt(
     secret: HFESecretKey, y: FqElem, max_q: Optional[int] = None
 ) -> list[FqElem]:
-    """All plaintexts mapping to y, sorted by element index."""
+    """All plaintexts mapping to y, sorted by element index.
+
+    The core's preimages of S^-1(y) come from the core table, looked up
+    by coordinates; T^-1 maps them back to plaintexts.
+    """
     cap = POLICY_MAX_Q if max_q is None else max_q
     if secret.field.q > cap:
         raise PolicyBoundError(f"field size {secret.field.q} exceeds decrypt cap {cap}")
@@ -672,7 +693,7 @@ def hfe_decrypt(
         raise ContextMismatchError("ciphertext from a different field")
     z = secret.outer_inverse()(y)
     inner_inv = secret.inner_inverse()
-    ms = [inner_inv(u) for u in secret.core_table().get(z.digits, [])]
+    ms = [inner_inv(u) for u in secret.core_table().get(secret.field.coordinates(z), [])]
     return sorted(ms, key=lambda m: m.as_int())
 
 
@@ -685,7 +706,8 @@ def core_preimages(
         raise PolicyBoundError(f"field size {D.field.q} exceeds preimage cap {cap}")
     if z.field != D.field:
         raise ContextMismatchError("target from a different field")
-    return [x for x in D.field.elements() if D(x) == z]
+    target = D.field.coordinates(z)
+    return [x for x, y in _core_images(D) if y == target]
 
 
 # ----------------------------------------------------------------------

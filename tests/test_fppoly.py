@@ -62,12 +62,17 @@ def test_gcd_and_bezout():
             b = random_poly(rng, p, 5)
             if not a and not b:
                 continue
-            g, u, v = fp.ext_gcd(a, b, p)
-            assert g == fp.gcd(a, b, p)
-            assert fp.add(fp.mul(u, a, p), fp.mul(v, b, p), p) == g
+            g = fp.gcd(a, b, p)
+            assert to_sympy(g, p) == to_sympy(a, p).gcd(to_sympy(b, p))
             if g:
                 assert g[-1] == 1  # monic
                 assert not fp.mod(a, g, p) and not fp.mod(b, g, p)
+
+
+def residues(p, deg):
+    """Every polynomial of degree below deg over Z_p, trimmed."""
+    for n in range(p**deg):
+        yield fp.trim([(n // p**i) % p for i in range(deg)])
 
 
 def test_inv_mod():
@@ -81,6 +86,30 @@ def test_inv_mod():
         assert fp.mod(fp.mul(a, inv, 2), m, 2) == [1]
     with pytest.raises(ZeroDivisionError):
         fp.inv_mod([], m, 2)
+    # exhaustively over irreducible moduli for odd p: every nonzero residue
+    # has a reduced inverse, and an unreduced a inverts like its residue
+    for p, m in ((3, [1, 2, 0, 1]), (5, [2, 0, 1])):
+        assert fp.is_irreducible(m, p)
+        for a in residues(p, fp.degree(m)):
+            if not a:
+                with pytest.raises(ZeroDivisionError):
+                    fp.inv_mod(a, m, p)
+                continue
+            inv = fp.inv_mod(a, m, p)
+            assert fp.degree(inv) < fp.degree(m)
+            assert fp.mod(fp.mul(a, inv, p), m, p) == [1]
+            assert fp.inv_mod(fp.add(a, fp.mul([1, 2], m, p), p), m, p) == inv
+    # modulo a reducible m, a inverts exactly when it is coprime to m
+    for p, m in ((3, [1, 1, 1, 1]), (5, [4, 0, 1])):  # (x+1)(x^2+1), (x-1)(x+1)
+        assert not fp.is_irreducible(m, p)
+        for a in residues(p, fp.degree(m)):
+            if fp.gcd(a, m, p) != [1]:
+                with pytest.raises(ZeroDivisionError):
+                    fp.inv_mod(a, m, p)
+            else:
+                assert fp.mod(fp.mul(a, fp.inv_mod(a, m, p), p), m, p) == [1]
+    with pytest.raises(ZeroDivisionError):
+        fp.inv_mod([1, 1], [1, 1, 1, 1], 3)  # x + 1 divides the modulus
 
 
 def test_irreducibility_matches_sympy():

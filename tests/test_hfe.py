@@ -114,11 +114,17 @@ def test_encrypt_decrypt_roundtrip(gf256, gf9):
 
 
 def test_decrypt_lists_all_preimages(gf9):
-    kp = hfe_keygen(gf9, random.Random(11))
-    E = kp.public.poly
-    for y in gf9.elements():
-        expect = [x for x in gf9.elements() if E(x) == y]
-        assert hfe_decrypt(kp.secret, y) == expect
+    # GF(3^3) with a basis whose coordinates differ from the digits
+    gf27_basis = FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1)))
+    assert gf27_basis.coordinates(gf27_basis.from_int(5)) != gf27_basis.from_int(5).digits
+    for field in (gf9, FiniteField(3, 5), gf27_basis):
+        kp = hfe_keygen(field, random.Random(11))
+        E = kp.public.poly
+        expect = {y: [] for y in field.elements()}
+        for x in field.elements():
+            expect[E(x)].append(x)
+        for y, xs in expect.items():
+            assert hfe_decrypt(kp.secret, y) == xs
 
 
 def test_permutation_core_gives_singletons(gf8):
@@ -156,6 +162,34 @@ def test_core_preimages_bruteforce(gf16):
         z = gf16.random_element(rng)
         pre = core_preimages(D, z)
         assert pre == [x for x in gf16.elements() if D(x) == z]
+    # a nonzero constant and an unreduced index: X^(2 + 2^5) acts as X^4 on GF(2^4)
+    D = DOPoly(
+        gf16,
+        {(1, gf16.e + 1): gf16.from_int(6), (0, 2): gf16.generator()},
+        LinPoly(gf16, [gf16.from_int(3), gf16.zero(), gf16.one()]),
+        gf16.from_int(11),
+    )
+    values = [D(x) for x in gf16.elements()]
+    for z in gf16.elements():
+        assert core_preimages(D, z) == [x for x, v in zip(gf16.elements(), values) if v == z]
+
+
+def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
+    kp = hfe_keygen(gf9, random.Random(11))
+    D = kp.secret.core
+    z = D(gf9.from_int(4))
+    pre = [x for x in gf9.elements() if D(x) == z]
+    y = kp.public.poly(gf9.from_int(4))
+    plain = [x for x in gf9.elements() if kp.public.poly(x) == y]
+
+    def refuse(self, x):
+        raise AssertionError("per-point DOPoly evaluation")
+
+    monkeypatch.setattr(DOPoly, "__call__", refuse)
+    table = kp.secret.core_table()
+    assert table[gf9.coordinates(z)] == pre
+    assert core_preimages(D, z) == pre
+    assert hfe_decrypt(kp.secret, y) == plain
 
 
 def test_try_left_factor_permutation_branch(gf16):
