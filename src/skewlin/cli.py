@@ -19,6 +19,10 @@ the same arguments produce byte-identical output; input files are never
 written to.  The environment variable TOOL_POLICY_MAX_Q lowers the
 field-size cap for exhaustive decryption steps; values above
 hfe.POLICY_MAX_Q are clamped to it, values below 1 are rejected.
+
+A key pair file loads only when its secret half composes to its public
+map E (exit 2 otherwise).  A bare secret key given to decrypt with
+--field has no E to check against, so it is used as it stands.
 """
 
 from __future__ import annotations

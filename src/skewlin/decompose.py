@@ -86,7 +86,7 @@ ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
 
 
 class EigenRing:
-    """F_p-basis of E(f), with residue arithmetic modulo f."""
+    """F_p-basis of E(f), the residues modulo f; products are (u * v).mod_right(f)."""
 
     __slots__ = ("field", "modulus", "basis")
 
@@ -98,9 +98,6 @@ class EigenRing:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def multiply(self, u: SkewPoly, v: SkewPoly) -> SkewPoly:
-        return (u * v).mod_right(self.modulus)
 
     def random_element(self, rng: random.Random) -> SkewPoly:
         p = self.field.p

@@ -204,25 +204,17 @@ class FiniteField:
 
         # reduction table: digits of t^(e+k) for k = 0 .. e-2
         red = []
-        if e > 0:
-            cur = [(-mod[i]) % p for i in range(e)]
-            red.append(tuple(cur))
-            for _ in range(e - 2):
-                spill = cur[e - 1]
-                cur = [0] + cur[: e - 1]
-                if spill:
-                    cur = [(cur[i] + spill * red[0][i]) % p for i in range(e)]
-                red.append(tuple(cur))
+        for k in range(e - 1):
+            row = fp.mod([0] * (e + k) + [1], list(mod), p)
+            red.append(tuple(row + [0] * (e - len(row))))
         object.__setattr__(self, "_red", tuple(red))
         object.__setattr__(self, "_frob_cache", {})
         object.__setattr__(self, "_coord_inv", None)
         object.__setattr__(self, "_dual_frob", None)
 
+        identity = tuple(tuple(int(i == j) for i in range(e)) for j in range(e))
         if basis is None:
-            basis_digits = tuple(
-                tuple(1 if i == j else 0 for i in range(e)) for j in range(e)
-            )
-            default = True
+            basis_digits = identity
         else:
             basis_digits = tuple(tuple(int(d) for d in b) for b in basis)
             if len(basis_digits) != e or any(len(b) != e for b in basis_digits):
@@ -232,11 +224,7 @@ class FiniteField:
             cols = [[basis_digits[j][i] for j in range(e)] for i in range(e)]
             if _linalg.inv(cols, p) is None:
                 raise DegreeMismatchError("basis vectors are not Z_p-independent")
-            default = all(
-                basis_digits[j] == tuple(1 if i == j else 0 for i in range(e))
-                for j in range(e)
-            )
-        object.__setattr__(self, "_default_basis", default)
+        object.__setattr__(self, "_default_basis", basis_digits == identity)
         object.__setattr__(self, "_key", (p, e, mod, basis_digits))
         object.__setattr__(
             self, "basis", tuple(FqElem(self, b) for b in basis_digits)
@@ -421,7 +409,3 @@ class FiniteField:
                     out[r] += d * img[r]
         return tuple(c % p for c in out)
 
-
-def field_create(p: int, e: int, modulus: Optional[Sequence[int]] = None) -> FiniteField:
-    """Convenience constructor mirroring FiniteField(p, e, modulus)."""
-    return FiniteField(p, e, modulus)

@@ -40,7 +40,9 @@ difference; when the field leaves enough of the others for every round,
 the attack stops as soon as the unit's peel has failed.
 
 The public key is E alone; its coordinate quadratic forms over Z_p are
-derived from E on first use.
+derived from E on first use.  A key pair is consistent when S . D . T
+and E agree as coordinate maps at the few points that fix a map of
+degree at most 2 (HFEKeyPair.is_consistent); loading one checks this.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+from . import _linalg
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -106,14 +109,8 @@ class DOPoly:
             else:
                 qd[(i, j)] = qd.get((i, j), zero) + c
         qd = {k: v for k, v in qd.items() if v}
-        if any(migrated.values()):
-            coeffs = list(lin.coeffs)
-            top = max(migrated)
-            if len(coeffs) <= top:
-                coeffs += [zero] * (top + 1 - len(coeffs))
-            for k, v in migrated.items():
-                coeffs[k] = coeffs[k] + v
-            lin = SkewPoly(field, coeffs, 1)
+        if migrated:
+            lin = lin + SkewPoly(field, [migrated.get(k, zero) for k in range(max(migrated) + 1)])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "quad", qd)
         object.__setattr__(self, "lin", lin)
@@ -218,13 +215,9 @@ class DOPoly:
         for (i, j), c in self.quad.items():
             exp = p**i + p**j
             terms[exp] = terms.get(exp, zero) + c
-        for k, b in enumerate(self.lin.coeffs):
-            if b:
-                exp = p**k
-                terms[exp] = terms.get(exp, zero) + b
         if self.const:
-            terms[0] = terms.get(0, zero) + self.const
-        return FqPoly.from_monomials(self.field, terms)
+            terms[0] = self.const
+        return FqPoly.from_monomials(self.field, terms) + lin_to_dense(self.lin)
 
 
 def lin_to_dense(L: SkewPoly) -> FqPoly:
@@ -402,7 +395,7 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
                 for m, bm in enumerate(L.coeffs):
                     if not bm:
                         continue
-                    key = (k + i, m + j) if k + i <= m + j else (m + j, k + i)
+                    key = (k + i, m + j)
                     qd[key] = qd.get(key, zero) + c * bk.frobenius(i) * bm.frobenius(j)
         lin = D.lin.compose(L)
         const = D.const
@@ -440,12 +433,12 @@ class MultivariateKey:
         self.lin = lin
         self.const = const
 
-    def term_count(self, k: int) -> int:
-        return len(self.quad[k]) + len(self.lin[k]) + (1 if self.const[k] else 0)
-
     @property
     def max_terms(self) -> int:
-        return max(self.term_count(k) for k in range(self.n_vars))
+        return max(
+            len(quad) + len(lin) + (1 if c else 0)
+            for quad, lin, c in zip(self.quad, self.lin, self.const)
+        )
 
     def evaluate(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.n_vars:
@@ -499,9 +492,9 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
             for t in range(e):
                 key = (s, t) if s <= t else (t, s)
                 qcoef[key] = qcoef.get(key, zero) + bs * row[t]
-    lincoef = [E.lin(field.basis[s]) for s in range(e)]
     quad_out: list[dict[tuple[int, int], int]] = [dict() for _ in range(e)]
-    lin_out: list[dict[int, int]] = [dict() for _ in range(e)]
+    # row k, column s of the matrix is coordinate k of E.lin(basis_s)
+    lin_out = [{s: c for s, c in enumerate(row) if c} for row in E.lin.to_matrix()]
     for (s, t), v in qcoef.items():
         coords = field.coordinates(v)
         for k in range(e):
@@ -512,11 +505,6 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
                 lin_out[k][s] = (lin_out[k].get(s, 0) + d) % p
             else:
                 quad_out[k][(s, t)] = d
-    for s, v in enumerate(lincoef):
-        coords = field.coordinates(v)
-        for k in range(e):
-            if coords[k]:
-                lin_out[k][s] = (lin_out[k].get(s, 0) + coords[k]) % p
     const_out = field.coordinates(E.const)
     lin_out = [{s: c for s, c in d.items() if c} for d in lin_out]
     return MultivariateKey(
@@ -611,6 +599,39 @@ class HFEKeyPair:
     def __init__(self, public: HFEPublicKey, secret: HFESecretKey):
         self.public = public
         self.secret = secret
+
+    def is_consistent(self) -> bool:
+        """Whether the secret half composes to the public map: S . D . T = E.
+
+        Both sides are read as maps F_p^e -> F_p^e on basis coordinates:
+        x -> E's coordinate forms at x, and x -> S·D(T·x) with S and T
+        their Z_p matrices and D the core's coordinate forms.  Each is a
+        polynomial map of degree at most 2, compared only at 0, at every
+        unit vector u_s, at every u_s + u_t with s < t and, for odd p, at
+        every 2·u_s.  That is exact.  For p = 2 such a map is its
+        multilinear form c + sum l_s x_s + sum q_st x_s x_t, and the values
+        at 0, u_s and u_s + u_t give c, then l_s, then q_st.  For odd p
+        every variable has degree below p, so the form with squares
+        q_ss x_s^2 is unique; f(u_s) = c + l_s + q_ss and
+        f(2·u_s) = c + 2 l_s + 4 q_ss separate l_s from q_ss because 2 is
+        invertible, and u_s + u_t again gives q_st.  Equal coordinate maps
+        are equal maps of the field.
+        """
+        p, e = self.public.field.p, self.public.field.e
+        outer = self.secret.outer.to_matrix()
+        inner = self.secret.inner.to_matrix()
+        core = to_multivariate(self.secret.core).evaluate
+        public = self.public.multivariate.evaluate
+        unit = [[int(i == s) for i in range(e)] for s in range(e)]
+        points = [[0] * e] + unit
+        for s in range(e):
+            points += [[a + b for a, b in zip(unit[s], unit[t])] for t in range(s + 1, e)]
+        if p > 2:
+            points += [[2 * a for a in u] for u in unit]
+        return all(
+            public(x) == tuple(_linalg.matvec(outer, core(_linalg.matvec(inner, x, p)), p))
+            for x in points
+        )
 
 
 def _random_permutation_poly(field: FiniteField, rng: random.Random) -> SkewPoly:

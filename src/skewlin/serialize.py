@@ -244,7 +244,10 @@ def keypair_from_obj(obj: Any) -> HFEKeyPair:
     obj = _need_dict(obj, "key pair", {"public", "secret"})
     public = public_from_obj(obj["public"])
     secret = secret_from_obj(public.field, obj["secret"])
-    return HFEKeyPair(public, secret)
+    kp = HFEKeyPair(public, secret)
+    if not kp.is_consistent():
+        raise ParseError("secret key does not compose to the public map E")
+    return kp
 
 
 # ----------------------------------------------------------------------

@@ -385,14 +385,6 @@ def gcd_left(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     return a.monic_right()
 
 
-def skew_gcd(f: SkewPoly, g: SkewPoly, side: str) -> SkewPoly:
-    if side == "right":
-        return gcd_right(f, g)
-    if side == "left":
-        return gcd_left(f, g)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def gcldf(L1: SkewPoly, L2: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
     """Greatest common left divisor factor of two additive polynomials.
 

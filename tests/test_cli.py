@@ -252,6 +252,24 @@ def test_tampered_forms_exit_2(capsys, tmp_path):
             assert code == 2 and out_a == "" and "coordinate form of E" in err
 
 
+def test_tampered_secret_exit_2(capsys, tmp_path):
+    # the README key with one digit of a secret.D quad coefficient flipped
+    _, out, _ = run(capsys, "keygen", "--p", "2", "--e", "4", "--seed", "9")
+    kp_obj = json.loads(out)
+    digits = kp_obj["secret"]["D"]["quad"][0][2]
+    digits[0] ^= 1
+    path = tmp_path / "kp.json"
+    path.write_text(ser.dumps(kp_obj))
+    key = str(path)
+    for argv in (
+        ("decrypt", "--key", key, "--ciphertext", "0,1,0,1"),
+        ("encrypt", "--key", key, "--message", "1,0,1,0"),
+        ("attack", "--key", key, "--seed", "0"),
+    ):
+        code, out_v, err = run(capsys, *argv)
+        assert code == 2 and out_v == "" and "compose to the public map E" in err
+
+
 def test_encrypt_with_bare_public(capsys, tmp_path):
     _, out, _ = run(capsys, "keygen", "--p", "3", "--e", "2", "--seed", "2")
     kp_obj = json.loads(out)

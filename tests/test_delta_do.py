@@ -53,6 +53,22 @@ def test_char2_diagonal_migrates(gf4):
     assert D.lin == LinPoly(gf4, [gf4.zero(), t])
     for x in gf4.elements():
         assert D(x) == t * x * x
+    one, zero = gf4.one(), gf4.zero()
+    cases = [
+        # onto a nonzero additive coefficient
+        ([t, one], 0, t, [t, one + t]),
+        # cancelling the top additive coefficient, which is trimmed
+        ([t, one], 0, one, [t]),
+        # past the top of the additive part
+        ([t], 2, t, [t, zero, zero, t]),
+    ]
+    for lin, i, c, want in cases:
+        L = LinPoly(gf4, lin)
+        D = DOPoly(gf4, {(i, i): c}, L)
+        assert D.quad == {}
+        assert D.lin.coeffs == tuple(want)
+        for x in gf4.elements():
+            assert D(x) == L(x) + c * x.frobenius(i + 1)
 
 
 def test_diagonal_stays_quadratic_odd_char(gf9):
@@ -299,8 +315,14 @@ def test_multivariate_frozen_square(gf4):
 
 
 def test_multivariate_pointwise(gf16, gf9):
-    # the last field has a non-default coordinate basis
-    for field in (gf16, gf9, FiniteField(3, 2, basis=[[1, 2], [2, 2]])):
+    # the last two fields have a non-default coordinate basis; over GF(2^4)
+    # the char-2 diagonal fold meets the basis-relative columns of to_matrix
+    for field in (
+        gf16,
+        gf9,
+        FiniteField(3, 2, basis=[[1, 2], [2, 2]]),
+        FiniteField(2, 4, basis=[[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]]),
+    ):
         rng = random.Random(93)
         for _ in range(8):
             E = random_do(field, rng, with_const=True)

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from sympy import GF, Poly, symbols
 
 import skewlin.fields as fields
 from skewlin.errors import (
@@ -13,9 +14,11 @@ from skewlin.errors import (
     PolicyBoundError,
     ReducibleModulusError,
 )
-from skewlin.fields import MAX_FIELD_SIZE, FiniteField, field_create
+from skewlin.fields import MAX_FIELD_SIZE, FiniteField
 
 ALL_FIELDS = ["gf2", "gf4", "gf8", "gf9", "gf16", "gf27", "gf64", "gf256"]
+
+X = symbols("x")
 
 
 def test_default_moduli_frozen():
@@ -98,6 +101,44 @@ def test_gf4_hand_table(gf4):
     assert t.inv() == t + one
 
 
+def sympy_product(field, a, b):
+    """Digits of a * b from sympy: the digit polynomials multiplied over
+    GF(p) and reduced modulo the field modulus."""
+
+    def poly(digits):
+        return Poly(list(reversed(digits)), X, domain=GF(field.p))
+
+    rem = (poly(a.digits) * poly(b.digits)).rem(poly(field.modulus))
+    digits = [int(c) % field.p for c in reversed(rem.all_coeffs())]
+    return tuple(digits + [0] * (field.e - len(digits)))
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus, samples",
+    [
+        (2, 4, None, None),
+        (3, 3, None, None),
+        (5, 2, None, None),
+        (2, 4, [1, 1, 1, 1, 1], None),
+        (2, 8, None, 300),
+        (3, 6, None, 300),
+        (7, 3, None, 300),
+        (2, 16, None, 300),
+    ],
+    ids=["gf16", "gf27", "gf25", "gf16-m11111", "gf256", "gf729", "gf343", "gf65536"],
+)
+def test_mul_matches_sympy(p, e, modulus, samples):
+    # every pair when samples is None, else that many random pairs
+    field = FiniteField(p, e, modulus)
+    if samples is None:
+        pairs = [(a, b) for a in field.elements() for b in field.elements()]
+    else:
+        rng = random.Random(p * 100 + e)
+        pairs = [(field.random_element(rng), field.random_element(rng)) for _ in range(samples)]
+    for a, b in pairs:
+        assert (a * b).digits == sympy_product(field, a, b), (a, b)
+
+
 @pytest.mark.parametrize("name", ALL_FIELDS)
 def test_field_axioms(name, request):
     field = request.getfixturevalue(name)
@@ -169,7 +210,6 @@ def test_equality_and_hash(gf4):
     assert FiniteField(2, 2) == gf4
     assert hash(FiniteField(2, 2)) == hash(gf4)
     assert FiniteField(2, 3) != gf4
-    assert field_create(2, 2) == gf4
     a = gf4.from_int(3)
     assert a == FiniteField(2, 2).from_int(3)
     assert len({a, FiniteField(2, 2).from_int(3)}) == 1

@@ -17,6 +17,7 @@ from skewlin.hfe import (
     AttackResult,
     DOPoly,
     HFESecretKey,
+    MultivariateKey,
     core_preimages,
     decrypt_with_factors,
     difference_poly,
@@ -96,6 +97,27 @@ def test_public_key_derives_forms_once(gf256, monkeypatch):
     assert kp.public.multivariate is mv
     assert calls == [kp.public.poly]
     assert mv == to_multivariate(kp.public.poly)
+
+
+def test_keypair_check_sees_every_degree_two_difference(gf16, gf27):
+    # differences that vanish at 0 and at every unit vector: x_s x_t, seen
+    # only at u_s + u_t; and, for odd p, x_s^2 - x_s, seen only at 2 u_s
+    for field, seed in ((gf16, 5), (gf27, 6)):
+        p, e = field.p, field.e
+        kp = hfe_keygen(field, random.Random(seed))
+        assert kp.is_consistent()
+        mv = kp.public.multivariate
+        diffs = [({(s, t): 1}, {}) for s in range(e) for t in range(s + 1, e)]
+        if p > 2:
+            diffs += [({(s, s): 1}, {s: p - 1}) for s in range(e)]
+        for quad, lin in diffs:
+            for k in range(e):
+                q = [dict(d) for d in mv.quad]
+                q[k].update({st: (q[k].get(st, 0) + c) % p for st, c in quad.items()})
+                ln = [dict(d) for d in mv.lin]
+                ln[k].update({s: (ln[k].get(s, 0) + c) % p for s, c in lin.items()})
+                kp.public._multivariate = MultivariateKey(p, e, tuple(q), tuple(ln), mv.const)
+                assert not kp.is_consistent(), (quad, lin, k)
 
 
 def test_encrypt_decrypt_roundtrip(gf256, gf9):

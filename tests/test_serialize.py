@@ -9,7 +9,16 @@ import skewlin.serialize as ser
 from skewlin.decompose import decompose_complete, estimate_split_success
 from skewlin.errors import ParseError
 from skewlin.fields import FiniteField
-from skewlin.hfe import DOPoly, HFEPublicKey, hfe_keygen, to_multivariate
+from skewlin.hfe import (
+    DOPoly,
+    HFEKeyPair,
+    HFEPublicKey,
+    HFESecretKey,
+    do_compose_lin,
+    hfe_decrypt,
+    hfe_keygen,
+    to_multivariate,
+)
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly
 
@@ -208,6 +217,62 @@ def test_keypair_roundtrip_bytes(gf9):
     assert back.secret.core == kp.secret.core
     assert back.secret.inner == kp.secret.inner
     assert back.secret.bound == kp.secret.bound
+
+
+def flip_digit(digits, rng, p):
+    k = rng.randrange(len(digits))
+    digits[k] = (digits[k] + 1) % p
+
+
+def test_keypair_check_agrees_with_symbolic_rebuild():
+    # the symbolic S . D . T stays the oracle: a tampered copy is rejected
+    # exactly when its rebuilt public map differs from E
+    rejected = 0
+    for p, e in ((2, 4), (3, 3), (5, 2)):
+        field = FiniteField(p, e)
+        rng = random.Random(100 * p + e)
+        for _ in range(22):
+            kp = hfe_keygen(field, rng)
+            obj = ser.keypair_to_obj(kp)
+            assert ser.keypair_from_obj(obj).is_consistent()
+            for part in ("S", "D", "T"):
+                bad = json.loads(ser.dumps(obj))
+                sec_obj = bad["secret"][part]
+                if part == "D":
+                    flip_digit(rng.choice(sec_obj["quad"])[2], rng, p)
+                else:
+                    flip_digit(rng.choice(sec_obj["coeffs"]), rng, p)
+                sec = ser.secret_from_obj(field, bad["secret"])
+                rebuilt = do_compose_lin(
+                    sec.outer, do_compose_lin(sec.inner, sec.core, "right"), "left"
+                ).reduce()
+                if rebuilt != kp.public.poly.reduce():
+                    rejected += 1
+                    with pytest.raises(ParseError, match="compose to the public map E"):
+                        ser.keypair_from_obj(bad)
+                else:
+                    assert ser.keypair_from_obj(bad).is_consistent()
+    assert rejected > 0
+
+
+def test_keypair_check_compares_maps_not_text():
+    # (S . cX, c^-1 . D) is another secret file for the same map
+    for field, seed in ((FiniteField(2, 4), 9), (FiniteField(3, 3), 4)):
+        kp = hfe_keygen(field, random.Random(seed))
+        c = field.generator()
+        sec = kp.secret
+        other = HFESecretKey(
+            field,
+            sec.outer * LinPoly(field, [c]),
+            do_compose_lin(LinPoly(field, [c.inv()]), sec.core, "left"),
+            sec.inner,
+            sec.bound,
+        )
+        text = ser.dumps(ser.keypair_to_obj(HFEKeyPair(kp.public, other)))
+        assert text != ser.dumps(ser.keypair_to_obj(kp))
+        back = ser.keypair_from_obj(ser.parse_text(text))
+        for y in field.elements():
+            assert hfe_decrypt(back.secret, y) == hfe_decrypt(sec, y)
 
 
 def test_public_shape_cross_check(gf9, gf4):

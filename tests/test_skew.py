@@ -13,7 +13,7 @@ from skewlin.errors import (
     InvariantError,
     TwistMismatchError,
 )
-from skewlin.skew import SkewPoly, gcd_left, gcd_right, gcldf, skew_gcd
+from skewlin.skew import SkewPoly, gcd_left, gcd_right, gcldf
 
 
 def random_skew(field, rng, max_deg, twist=1, monic=False):
@@ -213,15 +213,6 @@ def test_gcd_with_zero(gf4):
         gcd_right(z, z)
     with pytest.raises(BothZeroError):
         gcd_left(z, z)
-
-
-def test_skew_gcd_dispatch(gf4):
-    f = SkewPoly(gf4, [gf4.one(), gf4.one()])
-    g = SkewPoly.one(gf4)
-    assert skew_gcd(f, g, "right") == gcd_right(f, g)
-    assert skew_gcd(f, g, "left") == gcd_left(f, g)
-    with pytest.raises(ValueError):
-        skew_gcd(f, g, "middle")
 
 
 def test_twist2_ring(gf16):
