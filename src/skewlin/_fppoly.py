@@ -148,7 +148,9 @@ def is_irreducible(m: list[int], p: int) -> bool:
 
 
 def iter_monic(p: int, deg: int) -> Iterator[list[int]]:
-    """All monic polynomials of the given degree, low coefficients counting first."""
+    """All monic polynomials of the given degree, low coefficients counting first.
+
+    The base p need not be prime: base q lists them over GF(q) by element index."""
     for n in range(p**deg):
         coeffs = []
         v = n

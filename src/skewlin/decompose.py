@@ -382,23 +382,10 @@ class Indecomposable:
     """
 
 
-def _iter_monic_skew(field: FiniteField, degree: int, twist: int):
-    """All monic skew polynomials of the given degree, lexicographic order."""
-    q = field.p ** field.e
-    one = field.one()
-    for idx in range(q**degree):
-        rem = idx
-        coeffs = []
-        for _ in range(degree):
-            coeffs.append(field.from_int(rem % q))
-            rem //= q
-        coeffs.append(one)
-        yield SkewPoly(field, coeffs, twist)
-
-
 def _smallest_right_factor(f: SkewPoly) -> Optional[SkewPoly]:
     for d in range(1, len(f.coeffs) - 1):
-        for g in _iter_monic_skew(f.field, d, f.twist):
+        for cand in fp.iter_monic(f.field.q, d):
+            g = SkewPoly(f.field, [f.field.from_int(c) for c in cand], f.twist)
             if f.mod_right(g).is_zero:
                 return g
     return None

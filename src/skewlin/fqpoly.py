@@ -38,10 +38,6 @@ class FqPoly:
         return cls(c.field, (c,))
 
     @classmethod
-    def x(cls, field: FiniteField) -> "FqPoly":
-        return cls(field, (field.zero(), field.one()))
-
-    @classmethod
     def from_monomials(cls, field: FiniteField, terms: Mapping[int, FqElem]) -> "FqPoly":
         if not terms:
             return cls.zero(field)
@@ -109,9 +105,6 @@ class FqPoly:
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
         return FqPoly(self.field, out)
-
-    def scale(self, c: FqElem) -> "FqPoly":
-        return FqPoly(self.field, [c * a for a in self.coeffs])
 
     def __call__(self, x: FqElem) -> FqElem:
         if x.field != self.field:

@@ -25,16 +25,16 @@ bound d.  Decryption inverts S and T and looks up the preimages of D in
 a table built once by walking the whole field, so field size is capped
 by a policy bound.  The walk evaluates D's own coordinate quadratic
 forms over Z_p (to_multivariate), not D itself, and the table is keyed
-by the coordinates of D(x) in the field's basis; exhaustive preimage
-search for a recovered core walks the same way.  The attack takes
+by the coordinates of D(x) in the field's basis.  The attack takes
 greatest common left divisor factors of difference polynomials of E
 (they share the left factor S), and tries to peel a candidate left
 factor off E leaving a low-degree core; on success the recovered pair
-decrypts without the secret key.  Reduction modulo x^q - x does not
-always respect exact left divisibility, so honest instances may resist;
-failures are reported, never hidden.  On honest keys the running gcld
-usually collapses to the unit 1 after two or three differences, and 1
-stays the gcld whatever is drawn next.  Since a -> difference_poly(E, a)
+decrypts without the secret key: decrypt_with_factors decrypts through
+hfe_decrypt with the secret key (left, core, 1).  Reduction modulo
+x^q - x does not always respect exact left divisibility, so honest
+instances may resist; failures are reported, never hidden.  On honest
+keys the running gcld usually collapses to the unit 1 after two or
+three differences, and 1 stays the gcld whatever is drawn next.  Since a -> difference_poly(E, a)
 is Z_p-linear and nonzero, at most q/p - 1 nonzero shifts have a zero
 difference; when the field leaves enough of the others for every round,
 the attack stops as soon as the unit's peel has failed.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import _linalg
 from .errors import (
@@ -348,7 +348,7 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     for a in field.elements():
         if not a:
             continue
-        g = f.shift(a) - f - FqPoly.constant(f(a)) + FqPoly.constant(f0)
+        g = dense_difference(f, a) + FqPoly.constant(f0)
         values = {x.digits: g(x) for x in field.elements()}
         for x in field.elements():
             for y in field.elements():
@@ -516,15 +516,6 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     )
 
 
-def _core_images(D: DOPoly) -> Iterator[tuple[FqElem, tuple[int, ...]]]:
-    """Every x of D's field, in element-index order, with the coordinates
-    of D(x), read off D's coordinate forms over Z_p."""
-    field = D.field
-    evaluate = to_multivariate(D).evaluate
-    for x in field.elements():
-        yield x, evaluate(field.coordinates(x))
-
-
 # ----------------------------------------------------------------------
 # HFE keys
 
@@ -580,12 +571,15 @@ class HFESecretKey:
     def core_table(self) -> dict[tuple[int, ...], list[FqElem]]:
         """Preimages under the core, keyed by the coordinates of their image.
 
-        Built on first use from the core's coordinate forms over Z_p.
+        Built on first use by walking the field in element-index order and
+        evaluating the core's coordinate forms over Z_p at each point.
         """
         if self._table is None:
+            field = self.field
+            evaluate = to_multivariate(self.core).evaluate
             table: dict[tuple[int, ...], list[FqElem]] = {}
-            for x, y in _core_images(self.core):
-                table.setdefault(y, []).append(x)
+            for x in field.elements():
+                table.setdefault(evaluate(field.coordinates(x)), []).append(x)
             self._table = table
         return self._table
 
@@ -718,19 +712,6 @@ def hfe_decrypt(
     return sorted(ms, key=lambda m: m.as_int())
 
 
-def core_preimages(
-    D: DOPoly, z: FqElem, max_q: Optional[int] = None
-) -> list[FqElem]:
-    """Exhaustive preimages of z under D, in element-index order."""
-    cap = POLICY_MAX_Q if max_q is None else max_q
-    if D.field.q > cap:
-        raise PolicyBoundError(f"field size {D.field.q} exceeds preimage cap {cap}")
-    if z.field != D.field:
-        raise ContextMismatchError("target from a different field")
-    target = D.field.coordinates(z)
-    return [x for x, y in _core_images(D) if y == target]
-
-
 # ----------------------------------------------------------------------
 # key recovery
 
@@ -833,6 +814,7 @@ def gcldf_attack(
 def decrypt_with_factors(
     left: SkewPoly, core: DOPoly, y: FqElem, max_q: Optional[int] = None
 ) -> list[FqElem]:
-    """Decrypt using a recovered factorisation E = left . core."""
-    w = left.reduce().inverse()(y)
-    return core_preimages(core, w, max_q=max_q)
+    """Decrypt using a recovered factorisation E = left . core, as the
+    secret key (left, core, 1); its bound, never read, is the core's degree."""
+    one = SkewPoly.one(core.field)
+    return hfe_decrypt(HFESecretKey(core.field, left, core, one, core.degree), y, max_q)

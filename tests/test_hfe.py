@@ -18,7 +18,6 @@ from skewlin.hfe import (
     DOPoly,
     HFESecretKey,
     MultivariateKey,
-    core_preimages,
     decrypt_with_factors,
     difference_poly,
     do_compose_lin,
@@ -174,15 +173,16 @@ def test_decrypt_policy_cap(gf16):
     with pytest.raises(PolicyBoundError):
         hfe_decrypt(kp.secret, y, max_q=8)
     with pytest.raises(PolicyBoundError):
-        core_preimages(kp.secret.core, y, max_q=8)
+        decrypt_with_factors(LinPoly.one(gf16), kp.secret.core, y, max_q=8)
 
 
-def test_core_preimages_bruteforce(gf16):
+def test_decrypt_with_factors_unit_left_bruteforce(gf16):
     rng = random.Random(4)
-    D = DOPoly(gf16, {(0, 1): gf16.generator()}, LinPoly.one(gf16))
+    one = LinPoly.one(gf16)
+    D = DOPoly(gf16, {(0, 1): gf16.generator()}, one)
     for _ in range(5):
         z = gf16.random_element(rng)
-        pre = core_preimages(D, z)
+        pre = decrypt_with_factors(one, D, z)
         assert pre == [x for x in gf16.elements() if D(x) == z]
     # a nonzero constant and an unreduced index: X^(2 + 2^5) acts as X^4 on GF(2^4)
     D = DOPoly(
@@ -193,7 +193,42 @@ def test_core_preimages_bruteforce(gf16):
     )
     values = [D(x) for x in gf16.elements()]
     for z in gf16.elements():
-        assert core_preimages(D, z) == [x for x, v in zip(gf16.elements(), values) if v == z]
+        assert decrypt_with_factors(one, D, z) == [
+            x for x, v in zip(gf16.elements(), values) if v == z
+        ]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FiniteField(2, 4), FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1)))],
+    ids=["gf16", "gf27-basis"],
+)
+def test_decrypt_with_factors_matches_bruteforce(field):
+    # a random permutation left factor that is not 1, over a core with a constant
+    rng = random.Random(12)
+    one = LinPoly.one(field)
+    while True:
+        L = LinPoly(field, [field.random_element(rng) for _ in range(field.e)])
+        if L.reduce() != one.reduce() and L.is_permutation():
+            break
+    D = DOPoly(
+        field,
+        {(0, 1): field.generator(), (1, 2): field.from_int(5)},
+        LinPoly(field, [field.from_int(2), field.one()]),
+        field.from_int(7),
+    )
+    images = [L(D(x)) for x in field.elements()]
+    for y in field.elements():
+        want = [x for x, v in zip(field.elements(), images) if v == y]
+        assert decrypt_with_factors(L, D, y) == want
+
+
+def test_decrypt_with_factors_checks_cap_before_inverting(gf16):
+    # the cap is checked first, so a left factor that is no permutation
+    # is never inverted
+    D = DOPoly(gf16, {(0, 1): gf16.generator()})
+    with pytest.raises(PolicyBoundError):
+        decrypt_with_factors(LinPoly.zero(gf16), D, gf16.one(), max_q=8)
 
 
 def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
@@ -210,7 +245,7 @@ def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
     monkeypatch.setattr(DOPoly, "__call__", refuse)
     table = kp.secret.core_table()
     assert table[gf9.coordinates(z)] == pre
-    assert core_preimages(D, z) == pre
+    assert decrypt_with_factors(LinPoly.one(gf9), D, z) == pre
     assert hfe_decrypt(kp.secret, y) == plain
 
 
