@@ -8,7 +8,7 @@ These are internal helpers: inputs are assumed well formed.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import InvariantError
 
@@ -129,22 +129,25 @@ def pow_mod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def is_irreducible(m: list[int], p: int) -> bool:
-    """Irreducibility of a monic m over Z_p.
+def _first_split(m: list[int], p: int) -> Optional[tuple[int, list[int]]]:
+    """(k, h) for the least k <= deg(m)/2 with h = gcd(m, x^(p^k) - x) nonconstant.
 
-    m is irreducible iff gcd(x^(p^k) - x, m) is constant for every
-    k <= deg(m)/2 and x^(p^deg(m)) = x mod m.
-    """
-    e = degree(m)
-    if e < 1:
-        return False
+    h is the product of the distinct degree-k irreducible factors of m;
+    None means m has no irreducible factor of degree at most deg(m)/2."""
     x = [0, 1]
     y = x
-    for k in range(1, e + 1):
+    for k in range(1, degree(m) // 2 + 1):
         y = pow_mod(y, p, m, p)
-        if k <= e // 2 and degree(gcd(sub(y, x, p), m, p)) > 0:
-            return False
-    return not sub(y, mod(x, m, p), p)
+        h = gcd(sub(y, x, p), m, p)
+        if degree(h) > 0:
+            return k, h
+    return None
+
+
+def is_irreducible(m: list[int], p: int) -> bool:
+    """Irreducibility of a monic m over Z_p: a reducible m of degree e has
+    an irreducible factor of degree at most e/2, which _first_split finds."""
+    return degree(m) >= 1 and _first_split(m, p) is None
 
 
 def iter_monic(p: int, deg: int) -> Iterator[list[int]]:
@@ -172,22 +175,18 @@ def first_irreducible(p: int, e: int) -> list[int]:
 def first_factor(m: list[int], p: int) -> list[int]:
     """The first irreducible factor of monic m, in factor_monic order.
 
-    Distinct-degree search: for the first k with h = gcd(m, x^(p^k) - x)
-    nonconstant, h is the product of the distinct degree-k irreducible
-    factors of m, so the answer is h itself when deg h = k and otherwise
-    the first degree-k iter_monic candidate dividing h.  m is returned
-    when no k <= deg(m)/2 qualifies, that is when m is irreducible.
+    From the distinct-degree split (k, h) of _first_split, the answer is
+    h itself when deg h = k and otherwise the first degree-k iter_monic
+    candidate dividing h.  m is returned when no k <= deg(m)/2 qualifies,
+    that is when m is irreducible.
     """
-    x = [0, 1]
-    y = x
-    for k in range(1, degree(m) // 2 + 1):
-        y = pow_mod(y, p, m, p)
-        h = gcd(sub(y, x, p), m, p)
-        if degree(h) == k:
-            return h
-        if degree(h) > k:
-            return next(c for c in iter_monic(p, k) if not mod(h, c, p))
-    return trim(list(m))
+    split = _first_split(m, p)
+    if split is None:
+        return trim(list(m))
+    k, h = split
+    if degree(h) == k:
+        return h
+    return next(c for c in iter_monic(p, k) if not mod(h, c, p))
 
 
 def factor_monic(m: list[int], p: int) -> list[tuple[list[int], int]]:

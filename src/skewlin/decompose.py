@@ -488,12 +488,12 @@ class Decomposition:
         return tuple(g.degree for g in self.factors)
 
 
-def decompose_complete(f: SkewPoly, rng: Optional[random.Random] = None) -> Decomposition:
-    """Complete factorisation of f into monic irreducible skew polynomials."""
+def decompose_complete(f: SkewPoly, rng: random.Random) -> Decomposition:
+    """Complete factorisation of f into monic irreducible skew polynomials.
+
+    rng is the caller's and is required; a seeded one makes the result reproducible."""
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    if rng is None:
-        rng = random.Random()
     unit = f.lead
     g = f.monic_left()
     factors: list[SkewPoly] = []

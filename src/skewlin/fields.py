@@ -209,10 +209,10 @@ class FiniteField:
             red.append(tuple(row + [0] * (e - len(row))))
         object.__setattr__(self, "_red", tuple(red))
         object.__setattr__(self, "_frob_cache", {})
-        object.__setattr__(self, "_coord_inv", None)
         object.__setattr__(self, "_dual_frob", None)
 
         identity = tuple(tuple(int(i == j) for i in range(e)) for j in range(e))
+        coord_inv = None
         if basis is None:
             basis_digits = identity
         else:
@@ -222,8 +222,10 @@ class FiniteField:
             if any(not (0 <= d < p) for b in basis_digits for d in b):
                 raise DegreeMismatchError("basis digits must lie in [0, p)")
             cols = [[basis_digits[j][i] for j in range(e)] for i in range(e)]
-            if _linalg.inv(cols, p) is None:
+            coord_inv = _linalg.inv(cols, p)
+            if coord_inv is None:
                 raise DegreeMismatchError("basis vectors are not Z_p-independent")
+        object.__setattr__(self, "_coord_inv", coord_inv)
         object.__setattr__(self, "_default_basis", basis_digits == identity)
         object.__setattr__(self, "_key", (p, e, mod, basis_digits))
         object.__setattr__(
@@ -301,12 +303,7 @@ class FiniteField:
             raise ContextMismatchError("element belongs to a different field")
         if self._default_basis:
             return x.digits
-        inv = self._coord_inv
-        if inv is None:
-            cols = [[self.basis[j].digits[i] for j in range(self.e)] for i in range(self.e)]
-            inv = _linalg.inv(cols, self.p)
-            object.__setattr__(self, "_coord_inv", inv)
-        return tuple(_linalg.matvec(inv, list(x.digits), self.p))
+        return tuple(_linalg.matvec(self._coord_inv, list(x.digits), self.p))
 
     def combine(self, coords: Sequence[int]) -> FqElem:
         """Inverse of coordinates: sum coords[i] * basis[i]."""

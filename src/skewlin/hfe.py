@@ -15,8 +15,9 @@ DO polynomial to an additive polynomial in X, computed symbolically here
 and cross-checkable against the dense route in fqpoly.  A constant term
 c would contribute -c, which no additive polynomial matches, so
 difference_poly insists on a zero constant.  check_do_shape goes the
-other way: it parses exponents of a dense polynomial of degree below q,
-and when parsing fails it exhibits a concrete additivity failure of
+other way: it looks each exponent of a dense polynomial of degree below
+q up in the table of DO slots (the one key generation draws from), and
+when one has no slot it exhibits a concrete additivity failure of
 x -> f(x+a) - f(x) - f(a) + f(0) for some shift a.
 
 The HFE scheme publishes E = S . D . T for secret additive permutations
@@ -92,7 +93,6 @@ class DOPoly:
             raise TwistMismatchError("additive part of a DO polynomial must have twist 1")
         if not isinstance(const, FqElem) or const.field != field:
             raise ContextMismatchError("constant term belongs to a different field")
-        zero = field.zero()
         qd: dict[tuple[int, int], FqElem] = {}
         migrated: dict[int, FqElem] = {}
         for (i, j), c in quad.items():
@@ -104,12 +104,16 @@ class DOPoly:
                 continue
             if i > j:
                 i, j = j, i
+            # sums start from the first term, so only collisions add
             if i == j and field.p == 2:
-                migrated[i + 1] = migrated.get(i + 1, zero) + c
+                k = i + 1
+                migrated[k] = migrated[k] + c if k in migrated else c
             else:
-                qd[(i, j)] = qd.get((i, j), zero) + c
+                key = (i, j)
+                qd[key] = qd[key] + c if key in qd else c
         qd = {k: v for k, v in qd.items() if v}
         if migrated:
+            zero = field.zero()
             lin = lin + SkewPoly(field, [migrated.get(k, zero) for k in range(max(migrated) + 1)])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "quad", qd)
@@ -189,23 +193,18 @@ class DOPoly:
         return acc
 
     def reduce(self) -> "DOPoly":
-        """Fold indices through x^(p^e) = x; result has degree below q."""
-        field, e, p = self.field, self.field.e, self.field.p
-        zero = field.zero()
-        lin_arr = [zero] * e
-        for i, c in enumerate(self.lin.reduce().coeffs):
-            lin_arr[i] = c
+        """Fold indices through x^(p^e) = x; result has degree below q.
+
+        The constructor orders and migrates the folded pairs; a p = 2
+        diagonal at e - 1 lands on additive index e, so lin folds after.
+        """
+        e = self.field.e
         qd: dict[tuple[int, int], FqElem] = {}
         for (i, j), c in self.quad.items():
-            ii, jj = i % e, j % e
-            if ii > jj:
-                ii, jj = jj, ii
-            if ii == jj and p == 2:
-                k = (ii + 1) % e
-                lin_arr[k] = lin_arr[k] + c
-            else:
-                qd[(ii, jj)] = qd.get((ii, jj), zero) + c
-        return DOPoly(field, qd, SkewPoly(field, lin_arr, 1), self.const)
+            key = (i % e, j % e)
+            qd[key] = qd[key] + c if key in qd else c
+        folded = DOPoly(self.field, qd, self.lin, self.const)
+        return DOPoly(self.field, folded.quad, folded.lin.reduce(), self.const)
 
     def to_fqpoly(self) -> FqPoly:
         """Dense form; distinct structural slots land on distinct exponents."""
@@ -284,27 +283,14 @@ class DOShapeResult:
     witness: Optional[FailedLinearity]
 
 
-def _parse_exponent(exp: int, p: int) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Classify exp as p^i ('lin') or p^i + p^j ('quad'), else None."""
-    digits: list[tuple[int, int]] = []
-    pos = 0
-    n = exp
-    while n:
-        d = n % p
-        if d:
-            digits.append((pos, d))
-        n //= p
-        pos += 1
-    if len(digits) == 1:
-        i, d = digits[0]
-        if d == 1:
-            return ("lin", (i,))
-        if d == 2 and p > 2:
-            return ("quad", (i, i))
-        return None
-    if len(digits) == 2 and digits[0][1] == 1 and digits[1][1] == 1:
-        return ("quad", (digits[0][0], digits[1][0]))
-    return None
+def _do_slots(p: int, e: int) -> dict[int, tuple[str, tuple[int, ...]]]:
+    """Each exponent below p^e a DO + additive polynomial carries, to its slot:
+    ('quad', (i, j)) with i <= j in (i, j) order, then ('lin', (k,)) by k.
+    For p = 2 the diagonal 2^i + 2^i = 2^(i+1) is additive and has no quad
+    slot; without it, base-p digits give every exponent one slot."""
+    slots = {p**i + p**j: ("quad", (i, j)) for i in range(e) for j in range(i, e) if p > 2 or i < j}
+    slots.update({p**k: ("lin", (k,)) for k in range(e)})
+    return slots
 
 
 def check_do_shape(f: FqPoly) -> DOShapeResult:
@@ -317,12 +303,13 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     characterisation guarantees to exist below degree q.
     """
     field = f.field
-    q, p = field.q, field.p
+    q = field.q
     if f.degree != NEG_INF and f.degree >= q:
         raise DegreeTooLargeError(f"shape check needs degree < {q}, got {f.degree}")
+    slots = _do_slots(field.p, field.e)
     zero = field.zero()
     quad: dict[tuple[int, int], FqElem] = {}
-    lin_terms: dict[int, FqElem] = {}
+    lin = [zero] * field.e
     const = zero
     offender: Optional[int] = None
     for exp in sorted(f.monomials()):
@@ -330,19 +317,16 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
         if exp == 0:
             const = c
             continue
-        parsed = _parse_exponent(exp, p)
-        if parsed is None:
+        if exp not in slots:
             offender = exp
             break
-        kind, idx = parsed
+        kind, idx = slots[exp]
         if kind == "lin":
-            lin_terms[idx[0]] = c
+            lin[idx[0]] = c
         else:
-            quad[(idx[0], idx[1])] = c
+            quad[idx] = c
     if offender is None:
-        top = max(lin_terms, default=-1)
-        coeffs = [lin_terms.get(k, zero) for k in range(top + 1)]
-        value = DOPoly(field, quad, SkewPoly(field, coeffs, 1), const)
+        value = DOPoly(field, quad, SkewPoly(field, lin, 1), const)
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
     f0 = f(zero)
     for a in field.elements():
@@ -568,12 +552,17 @@ class HFESecretKey:
             self._inner_inv = self.inner.inverse()
         return self._inner_inv
 
-    def core_table(self) -> dict[tuple[int, ...], list[FqElem]]:
+    def core_table(self, max_q: Optional[int] = None) -> dict[tuple[int, ...], list[FqElem]]:
         """Preimages under the core, keyed by the coordinates of their image.
 
         Built on first use by walking the field in element-index order and
-        evaluating the core's coordinate forms over Z_p at each point.
+        evaluating the core's coordinate forms over Z_p at each point.  A
+        field larger than max_q (default POLICY_MAX_Q) is refused, built
+        table or not.
         """
+        cap = POLICY_MAX_Q if max_q is None else max_q
+        if self.field.q > cap:
+            raise PolicyBoundError(f"field size {self.field.q} exceeds decrypt cap {cap}")
         if self._table is None:
             field = self.field
             evaluate = to_multivariate(self.core).evaluate
@@ -653,15 +642,11 @@ def hfe_keygen(
     on exponents at most degree_bound (default p^4), resampled until a
     genuinely quadratic term is present.
     """
-    p, e = field.p, field.e
+    e = field.e
     d = _degree_bound(field, degree_bound)
-    pairs = [
-        (i, j)
-        for i in range(e)
-        for j in range(i, e)
-        if p**i + p**j <= d and not (p == 2 and i == j)
-    ]
-    lin_idx = [k for k in range(e) if p**k <= d]
+    support = [slot for exp, slot in _do_slots(field.p, e).items() if exp <= d]
+    pairs = [idx for kind, idx in support if kind == "quad"]
+    lin_idx = [idx[0] for kind, idx in support if kind == "lin"]
     if not pairs:
         raise DegreeBoundTooSmallError(
             f"degree bound {d} admits no quadratic exponent for this field"
@@ -701,14 +686,12 @@ def hfe_decrypt(
     The core's preimages of S^-1(y) come from the core table, looked up
     by coordinates; T^-1 maps them back to plaintexts.
     """
-    cap = POLICY_MAX_Q if max_q is None else max_q
-    if secret.field.q > cap:
-        raise PolicyBoundError(f"field size {secret.field.q} exceeds decrypt cap {cap}")
     if y.field != secret.field:
         raise ContextMismatchError("ciphertext from a different field")
+    table = secret.core_table(max_q)
     z = secret.outer_inverse()(y)
     inner_inv = secret.inner_inverse()
-    ms = [inner_inv(u) for u in secret.core_table().get(secret.field.coordinates(z), [])]
+    ms = [inner_inv(u) for u in table.get(secret.field.coordinates(z), [])]
     return sorted(ms, key=lambda m: m.as_int())
 
 

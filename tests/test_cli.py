@@ -229,6 +229,31 @@ def test_readme_key_transcript(capsys, tmp_path):
     assert out_a == ser.dumps(json.loads(out_a))
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("--p", "3", "--e", "3", "--seed", "7"),
+            "5d13302d80639b3afd55405b78f0d102113a538484d44f532f6525338e12136d",
+        ),
+        (
+            ("--p", "5", "--e", "2", "--seed", "1"),
+            "822db18f6edb0473f78cd6ab53fe1988c9c98622e43529883134664c1654206d",
+        ),
+        (
+            ("--p", "3", "--e", "4", "--seed", "2", "--degree-bound", "12"),
+            "2d36259cb325fd4c5523a98e4154aea333ef3e6d9785a26c15f7b33fe9741331",
+        ),
+    ],
+    ids=["gf27", "gf25", "gf81-bound12"],
+)
+def test_keygen_bytes_pinned_odd_p(capsys, argv, digest):
+    # odd p draws diagonal pairs (i, i): these pin that draw order
+    code, out, err = run(capsys, "keygen", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tampered_forms_exit_2(capsys, tmp_path):
     # E intact, the forms changed with the same shape: one term dropped
     # (GF(2^4)), or one coefficient moved to another nonzero value (GF(3^2))

@@ -603,11 +603,17 @@ def test_decompose_unit_and_nonmonic(gf9):
 
 
 def test_decompose_degree_zero(gf4):
-    dec = decompose_complete(SkewPoly(gf4, [gf4.generator()]))
+    dec = decompose_complete(SkewPoly(gf4, [gf4.generator()]), random.Random(0))
     assert dec.factors == ()
     assert dec.product() == SkewPoly(gf4, [gf4.generator()])
     with pytest.raises(ValueError):
-        decompose_complete(SkewPoly.zero(gf4))
+        decompose_complete(SkewPoly.zero(gf4), random.Random(0))
+
+
+def test_decompose_requires_rng(gf4):
+    # an unseeded default would make the factor list irreproducible
+    with pytest.raises(TypeError):
+        decompose_complete(SkewPoly(gf4, [gf4.one(), gf4.one()]))
 
 
 def test_decompose_planted_product(gf4, gf9):

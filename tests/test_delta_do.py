@@ -208,29 +208,29 @@ def test_check_do_shape_accepts_roundtrip(gf16, gf9):
             assert res.value == D
 
 
-def test_check_do_shape_offenders_gf16(gf16):
-    good = {0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12}
-    bad = {7, 11, 13, 14, 15}
-    assert good | bad == set(range(16))
-    for exp in sorted(good | bad):
-        f = FqPoly.from_monomials(gf16, {exp: gf16.one(), 3: gf16.generator()})
-        res = check_do_shape(f)
-        if exp in bad:
-            assert not res.ok and res.offender == exp
-        else:
-            assert res.ok
+def digit_oracle_accepts(exp, p):
+    """DO + additive exponents by their nonzero base-p digits: none, one 1,
+    two 1s, or (odd p) one 2."""
+    digits = []
+    while exp:
+        if exp % p:
+            digits.append(exp % p)
+        exp //= p
+    return digits in ([], [1], [1, 1]) or (p > 2 and digits == [2])
 
 
-def test_check_do_shape_offenders_gf9(gf9):
-    good = {0, 1, 3, 2, 4, 6}
-    bad = {5, 7, 8}
-    assert good | bad == set(range(9))
-    for exp in sorted(good | bad):
-        f = FqPoly.from_monomials(gf9, {exp: gf9.one()})
-        res = check_do_shape(f)
-        assert res.ok == (exp in good), exp
-        if exp in bad:
-            assert res.offender == exp
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2), (2, 5), (3, 3), (5, 2), (7, 2)])
+def test_check_do_shape_offenders_match_digit_oracle(p, e):
+    field = FiniteField(p, e)
+    bad = {exp for exp in range(field.q) if not digit_oracle_accepts(exp, p)}
+    hand = {(2, 4): {7, 11, 13, 14, 15}, (3, 2): {5, 7, 8}}
+    if (p, e) in hand:
+        assert bad == hand[(p, e)]
+    tX = FqPoly.from_monomials(field, {1: field.generator()})
+    for exp in range(field.q):
+        res = check_do_shape(FqPoly.from_monomials(field, {exp: field.one()}) + tX)
+        assert res.ok == (exp not in bad), exp
+        assert res.offender == (exp if exp in bad else None), exp
 
 
 def test_check_do_shape_reports_smallest_offender(gf16):

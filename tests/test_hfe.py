@@ -231,6 +231,27 @@ def test_decrypt_with_factors_checks_cap_before_inverting(gf16):
         decrypt_with_factors(LinPoly.zero(gf16), D, gf16.one(), max_q=8)
 
 
+def test_core_table_enforces_cap(gf16, monkeypatch):
+    # over the default cap the walk never starts
+    big = FiniteField(2, 17)
+    one = LinPoly.one(big)
+    key = HFESecretKey(big, one, DOPoly(big, {(0, 1): big.one()}), one, 3)
+
+    def refuse(D):
+        raise AssertionError("core walk started")
+
+    with monkeypatch.context() as m:
+        m.setattr(hfe, "to_multivariate", refuse)
+        with pytest.raises(PolicyBoundError, match="exceeds decrypt cap 65536"):
+            key.core_table()
+    # a table already built is refused all the same
+    one = LinPoly.one(gf16)
+    key = HFESecretKey(gf16, one, DOPoly(gf16, {(0, 1): gf16.one()}), one, 3)
+    assert key.core_table()
+    with pytest.raises(PolicyBoundError, match="exceeds decrypt cap 8"):
+        key.core_table(max_q=8)
+
+
 def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
     kp = hfe_keygen(gf9, random.Random(11))
     D = kp.secret.core
