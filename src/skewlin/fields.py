@@ -164,6 +164,7 @@ class FiniteField:
         "_frob_cache",
         "_coord_inv",
         "_dual_frob",
+        "_basis_frob",
         "_key",
     )
 
@@ -210,6 +211,7 @@ class FiniteField:
         object.__setattr__(self, "_red", tuple(red))
         object.__setattr__(self, "_frob_cache", {})
         object.__setattr__(self, "_dual_frob", None)
+        object.__setattr__(self, "_basis_frob", None)
 
         identity = tuple(tuple(int(i == j) for i in range(e)) for j in range(e))
         coord_inv = None
@@ -315,6 +317,18 @@ class FiniteField:
                 for i in range(self.e):
                     digs[i] = (digs[i] + c * b.digits[i]) % self.p
         return FqElem(self, tuple(digs))
+
+    def basis_frobenius(self) -> tuple[tuple[FqElem, ...], ...]:
+        """Row s holds basis_s^(p^k) for k = 0 .. e-1.  Built on first use.
+
+        A reduced additive polynomial sum_k c_k x^(p^k) sends basis_s to
+        sum_k c_k basis_s^(p^k), so its matrix needs no evaluation.
+        """
+        rows = self._basis_frob
+        if rows is None:
+            rows = tuple(tuple(b.frobenius(k) for k in range(self.e)) for b in self.basis)
+            object.__setattr__(self, "_basis_frob", rows)
+        return rows
 
     def dual_frobenius(self) -> tuple[tuple[FqElem, ...], ...]:
         """Row j holds d_j^(p^k) for k = 0 .. e-1, where d is the trace-dual

@@ -22,16 +22,19 @@ x -> f(x+a) - f(x) - f(a) + f(0) for some shift a.
 
 The HFE scheme publishes E = S . D . T for secret additive permutations
 S, T and a secret constant-free DO core D of ordinary degree at most a
-bound d.  Decryption inverts S and T and looks up the preimages of D in
-a table built once by walking the whole field, so field size is capped
-by a policy bound.  The walk evaluates D's own coordinate quadratic
-forms over Z_p (to_multivariate), not D itself, and the table is keyed
-by the coordinates of D(x) in the field's basis.  The attack takes
-greatest common left divisor factors of difference polynomials of E
-(they share the left factor S), and tries to peel a candidate left
-factor off E leaving a low-degree core; on success the recovered pair
-decrypts without the secret key: decrypt_with_factors decrypts through
-hfe_decrypt with the secret key (left, core, 1).  Reduction modulo
+bound d.  Key generation composes S and T with D on indices folded mod
+e as the sums accumulate, reading Frobenius powers from tables.
+Decryption inverts S and T and looks up the preimages of D in a table
+built once by walking the whole field, so field size is capped by a
+policy bound.  The walk follows a modular Gray code (_graywalk) and
+reads D's coordinate quadratic forms over Z_p (to_multivariate) at a
+few points only, never D itself; the table is keyed by the coordinates
+of D(x) in the field's basis.  The attack takes greatest common left
+divisor factors of difference polynomials of E (they share the left
+factor S), and tries to peel a candidate left factor off E leaving a
+low-degree core; on success the recovered pair decrypts without the
+secret key: decrypt_with_factors decrypts through hfe_decrypt with the
+secret key (left, core, 1).  Reduction modulo
 x^q - x does not always respect exact left divisibility, so honest
 instances may resist; failures are reported, never hidden.  On honest
 keys the running gcld usually collapses to the unit 1 after two or
@@ -52,7 +55,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import _linalg
+from . import _graywalk, _linalg
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -168,10 +171,10 @@ class DOPoly:
         if self.field != other.field:
             raise ContextMismatchError("polynomials over different fields")
         qd = dict(self.quad)
-        zero = self.field.zero()
         for k, v in other.quad.items():
-            qd[k] = qd.get(k, zero) + v
-        return DOPoly(self.field, qd, self.lin + other.lin, self.const + other.const)
+            qd[k] = qd[k] + v if k in qd else v
+        const = self.const + other.const if self.const else other.const
+        return DOPoly(self.field, qd, self.lin + other.lin, const)
 
     def __neg__(self) -> "DOPoly":
         return DOPoly(
@@ -234,8 +237,10 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
     """Symbolic t(X + a) - t(X) - t(a) as a twist-1 additive polynomial.
 
     The additive part of t drops out exactly and each quadratic term
-    polarises into two additive terms.  A nonzero constant would leave
-    the non-additive remainder -const, so it is rejected.
+    polarises into two additive terms, c a^(p^j) X^(p^i) and
+    c a^(p^i) X^(p^j), read off the orbit of a under Frobenius.  A nonzero
+    constant would leave the non-additive remainder -const, so it is
+    rejected.
     """
     if a.field != t.field:
         raise ContextMismatchError("shift from a different field")
@@ -244,17 +249,20 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
             "difference of a polynomial with a nonzero constant term is not additive"
         )
     field = t.field
-    zero = field.zero()
-    size = max((j + 1 for (_, j) in t.quad), default=0)
-    out = [zero] * size
+    e = field.e
+    orbit = [a.frobenius(k) for k in range(e)]
     two = field.scalar(2 % field.p)
+    acc: dict[int, FqElem] = {}
     for (i, j), c in t.quad.items():
         if i == j:
-            out[i] = out[i] + two * c * a.frobenius(i)
+            terms = ((i, two * c * orbit[i % e]),)
         else:
-            out[i] = out[i] + c * a.frobenius(j)
-            out[j] = out[j] + c * a.frobenius(i)
-    return SkewPoly(field, out, 1)
+            terms = ((i, c * orbit[j % e]), (j, c * orbit[i % e]))
+        for k, v in terms:
+            prev = acc.get(k)
+            acc[k] = prev + v if prev else v
+    zero = field.zero()
+    return SkewPoly(field, [acc.get(k, zero) for k in range(max(acc, default=-1) + 1)], 1)
 
 
 def dense_difference(f: FqPoly, a: FqElem) -> FqPoly:
@@ -354,33 +362,47 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
     """Compose an additive polynomial with a DO polynomial, symbolically.
 
     side='left' gives L(D(X)); side='right' gives D(L(X)).  Both stay in
-    DO + additive + constant shape.
+    DO + additive + constant shape.  With L = sum_k b_k X^(p^k), a term
+    c X^(p^i + p^j) of D becomes sum_k b_k c^(p^k) X^(p^(i+k) + p^(j+k)) on
+    the left and sum_(k,m) c b_k^(p^i) b_m^(p^j) X^(p^(k+i) + p^(m+j)) on
+    the right.  The right side reads b_k^(p^i) from one table row per
+    distinct quad index i of D, instead of taking two Frobenius powers
+    per term.  Each pair's sum starts from its first term.  With
+    reduce=True indices fold mod e as the sums accumulate, and the result
+    is reduced.
     """
     if L.field != D.field:
         raise ContextMismatchError("operands over different fields")
     if L.twist != 1:
         raise TwistMismatchError("composition requires a twist-1 additive polynomial")
     field = D.field
-    zero = field.zero()
+    e = field.e
+
+    def fold(i: int) -> int:
+        return i % e if reduce else i
+
+    terms = [(k, b) for k, b in enumerate(L.coeffs) if b]
     qd: dict[tuple[int, int], FqElem] = {}
     if side == "left":
         for (i, j), c in D.quad.items():
-            for k, b in enumerate(L.coeffs):
-                if b:
-                    key = (i + k, j + k)
-                    qd[key] = qd.get(key, zero) + b * c.frobenius(k)
+            for k, b in terms:
+                key = (fold(i + k), fold(j + k))
+                v = b * c.frobenius(k)
+                prev = qd.get(key)
+                qd[key] = prev + v if prev else v
         lin = L.compose(D.lin)
         const = L(D.const)
     elif side == "right":
+        indices = {i for pair in D.quad for i in pair}
+        rows = {i: [(k, b.frobenius(i)) for k, b in terms] for i in indices}
         for (i, j), c in D.quad.items():
-            for k, bk in enumerate(L.coeffs):
-                if not bk:
-                    continue
-                for m, bm in enumerate(L.coeffs):
-                    if not bm:
-                        continue
-                    key = (k + i, m + j)
-                    qd[key] = qd.get(key, zero) + c * bk.frobenius(i) * bm.frobenius(j)
+            for k, bk in rows[i]:
+                cb = c * bk
+                for m, bm in rows[j]:
+                    key = (fold(k + i), fold(m + j))
+                    v = cb * bm
+                    prev = qd.get(key)
+                    qd[key] = prev + v if prev else v
         lin = D.lin.compose(L)
         const = D.const
     else:
@@ -463,16 +485,16 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     field = E.field
     e, p = field.e, field.p
     zero = field.zero()
-    frob = [[field.basis[s].frobenius(u) for s in range(e)] for u in range(e)]
+    frob = field.basis_frobenius()
     G: dict[int, list[FqElem]] = {}
     for (i, j), c in E.quad.items():
         row = G.setdefault(i, [zero] * e)
         for t in range(e):
-            row[t] = row[t] + c * frob[j][t]
+            row[t] = row[t] + c * frob[t][j]
     qcoef: dict[tuple[int, int], FqElem] = {}
     for i, row in G.items():
         for s in range(e):
-            bs = frob[i][s]
+            bs = frob[s][i]
             for t in range(e):
                 key = (s, t) if s <= t else (t, s)
                 qcoef[key] = qcoef.get(key, zero) + bs * row[t]
@@ -555,10 +577,16 @@ class HFESecretKey:
     def core_table(self, max_q: Optional[int] = None) -> dict[tuple[int, ...], list[FqElem]]:
         """Preimages under the core, keyed by the coordinates of their image.
 
-        Built on first use by walking the field in element-index order and
-        evaluating the core's coordinate forms over Z_p at each point.  A
-        field larger than max_q (default POLICY_MAX_Q) is refused, built
-        table or not.
+        Built on first use by a modular Gray-code walk of the elements'
+        digit vectors (_graywalk.preimage_table): one step per element,
+        each a few int operations.  Its differences come from the core's
+        coordinate forms over Z_p at the elements with digits 0, u_s,
+        u_s + u_t and 2·u_s; with the default basis these are the points
+        HFEKeyPair.is_consistent uses.  Preimage lists are sorted by
+        element index.  A field larger than max_q (default POLICY_MAX_Q)
+        is refused, built table or not.  The table lives on this key only;
+        decrypt_with_factors builds a fresh key, and so a fresh table, per
+        call.
         """
         cap = POLICY_MAX_Q if max_q is None else max_q
         if self.field.q > cap:
@@ -566,10 +594,14 @@ class HFESecretKey:
         if self._table is None:
             field = self.field
             evaluate = to_multivariate(self.core).evaluate
-            table: dict[tuple[int, ...], list[FqElem]] = {}
-            for x in field.elements():
-                table.setdefault(evaluate(field.coordinates(x)), []).append(x)
-            self._table = table
+
+            def image(digits: list[int]) -> tuple[int, ...]:
+                return evaluate(field.coordinates(FqElem(field, tuple(digits))))
+
+            self._table = {
+                y: [FqElem(field, ds) for ds in xs]
+                for y, xs in _graywalk.preimage_table(field.p, field.e, image).items()
+            }
         return self._table
 
     def __repr__(self) -> str:
@@ -664,7 +696,9 @@ def hfe_keygen(
         raise InvariantError("failed to sample a quadratic core")
     outer = _random_permutation_poly(field, rng)
     inner = _random_permutation_poly(field, rng)
-    E = do_compose_lin(outer, do_compose_lin(inner, core, "right"), "left").reduce()
+    E = do_compose_lin(
+        outer, do_compose_lin(inner, core, "right", reduce=True), "left", reduce=True
+    )
     if not E.has_quadratic or E.const:
         raise InvariantError("public key lost its quadratic part or gained a constant")
     public = HFEPublicKey(E)

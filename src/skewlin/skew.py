@@ -14,7 +14,8 @@ reduction through x^(p^e) = x, the matrix of the induced Z_p-linear map
 relative to the field's ordered basis, permutation test and inverse).
 Reduction always re-bases to twist 1, so reduced polynomials live on
 indices 0 .. e-1 and are in bijection with the Z_p-linear maps of the
-field; column j of to_matrix() holds the coordinates of f(basis_j).
+field; column j of to_matrix() holds the coordinates of f(basis_j),
+summed from the field's cached table of basis Frobenius powers.
 from_matrix() goes back through the trace-dual basis d of the ordered
 basis (cached per field), as x = sum_j Tr(d_j x) basis_j, so an inverse
 costs one Z_p matrix inversion and an e x e product over F_q.
@@ -273,11 +274,12 @@ class SkewPoly:
         if x.field != self.field:
             raise ContextMismatchError("evaluation point from a different field")
         e = self.field.e
-        acc = self.field.zero()
+        acc = None
         for i, c in enumerate(self.coeffs):
             if c:
-                acc = acc + c * x.frobenius((self.twist * i) % e)
-        return acc
+                t = c * x.frobenius((self.twist * i) % e)
+                acc = acc + t if acc else t
+        return self.field.zero() if acc is None else acc
 
     def as_p_poly(self) -> "SkewPoly":
         """Exact re-expression with twist 1 (indices spread out, no folding)."""
@@ -293,18 +295,32 @@ class SkewPoly:
     def reduce(self) -> "SkewPoly":
         """Fold through x^(p^e) = x; result has twist 1 and indices < e."""
         field, e = self.field, self.field.e
-        out = [field.zero()] * e
+        acc: dict[int, FqElem] = {}
         for i, c in enumerate(self.coeffs):
             if c:
                 k = (self.twist * i) % e
-                out[k] = out[k] + c
-        return SkewPoly(field, out, 1)
+                prev = acc.get(k)
+                acc[k] = prev + c if prev else c
+        zero = field.zero()
+        return SkewPoly(field, [acc.get(k, zero) for k in range(e)], 1)
 
     def to_matrix(self) -> Matrix:
-        """e x e matrix over Z_p of the induced linear map, in the field basis."""
+        """e x e matrix over Z_p of the induced linear map, in the field basis.
+
+        Column s holds the coordinates of f(basis_s) = sum_k c_k basis_s^(p^k)
+        for the reduced f, read off the field's cached basis_frobenius table,
+        so no basis element is evaluated.
+        """
         field = self.field
-        reduced = self.reduce()
-        cols = [field.coordinates(reduced(b)) for b in field.basis]
+        coeffs = self.reduce().coeffs
+        cols = []
+        zero = field.zero()
+        for b_pows in field.basis_frobenius():
+            acc = None
+            for c, b in zip(coeffs, b_pows):
+                if c:
+                    acc = acc + c * b if acc else c * b
+            cols.append(field.coordinates(zero if acc is None else acc))
         return tuple(
             tuple(cols[j][r] for j in range(field.e)) for r in range(field.e)
         )

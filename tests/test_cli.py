@@ -254,6 +254,28 @@ def test_keygen_bytes_pinned_odd_p(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("--p", "2", "--e", "8", "--seed", "42"),
+            "1183f24ae0416843b2b1a5057d1523d10a792e2f80cabd3cd469f3a4814c2e7d",
+        ),
+        (
+            ("--p", "3", "--e", "6", "--seed", "5"),
+            "776c50367e2e59c8d8b8627040dcd6e9ae31b79df436600d987ca9de63dce78b",
+        ),
+    ],
+    ids=["gf256", "gf729"],
+)
+def test_keygen_bytes_pinned_benchmark_fields(capsys, argv, digest):
+    # the fields of the attack and roundtrip benchmarks: key generation
+    # composes on folded indices there, and these pin its bytes
+    code, out, err = run(capsys, "keygen", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tampered_forms_exit_2(capsys, tmp_path):
     # E intact, the forms changed with the same shape: one term dropped
     # (GF(2^4)), or one coefficient moved to another nonzero value (GF(3^2))

@@ -1,6 +1,8 @@
 """Structured quadratic polynomials and the three-term difference operator."""
 
+import os
 import random
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from skewlin.errors import (
     ShapeViolationError,
     TwistMismatchError,
 )
-from skewlin.fields import FiniteField
+from skewlin.fields import FiniteField, FqElem
 from skewlin.fqpoly import FqPoly
 from skewlin.hfe import (
     DOPoly,
@@ -281,6 +283,78 @@ def test_compose_right_pointwise(gf16, gf9):
             for x in field.elements():
                 assert C(x) == D(L(x))
             assert C.const == D.const
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FiniteField(2, 4), FiniteField(3, 2), FiniteField(3, 2, basis=[[1, 2], [2, 2]])],
+    ids=["gf16", "gf9", "gf9-basis"],
+)
+def test_compose_reduce_folds_as_it_accumulates(field):
+    # L of degree >= e, so folded indices collide on both sides
+    rng = random.Random(93)
+    for _ in range(8):
+        D = random_do(field, rng, max_index=2 * field.e, with_const=True)
+        coeffs = [field.random_element(rng) for _ in range(field.e + 1)]
+        L = LinPoly(field, coeffs + [field.random_element(rng, nonzero=True)])
+        assert L.degree >= field.e
+        for side in ("left", "right"):
+            R = do_compose_lin(L, D, side, reduce=True)
+            assert R == do_compose_lin(L, D, side).reduce()
+            assert R.degree < field.q
+        right = do_compose_lin(L, D, "right", reduce=True)
+        left = do_compose_lin(L, D, "left", reduce=True)
+        for x in field.elements():
+            assert right(x) == D(L(x))
+            assert left(x) == L(D(x))
+
+
+def test_sums_start_from_first_term(gf16, gf9, monkeypatch):
+    # DOPoly.__add__, SkewPoly.reduce, difference_poly and SkewPoly.__call__
+    # never add onto a zero left operand, and their outputs match the oracles
+    watched = {
+        ("hfe.py", "__add__"),
+        ("skew.py", "reduce"),
+        ("hfe.py", "difference_poly"),
+        ("skew.py", "__call__"),
+    }
+    adds = []
+    add = FqElem.__add__
+
+    def spy(self, other):
+        code = sys._getframe(1).f_code
+        caller = (os.path.basename(code.co_filename), code.co_name)
+        if caller in watched:
+            adds.append((caller, not self))
+        return add(self, other)
+
+    for field in (gf16, gf9):
+        rng = random.Random(95)
+        p, xs = field.p, list(field.elements())
+        for _ in range(6):
+            A = random_do(field, rng, with_const=True)
+            B = random_do(field, rng, with_const=True)
+            D = random_do(field, rng, max_index=2 * field.e)
+            L = random_linpoly(field, rng, 2 * field.e)
+            shifts = [field.zero()] + [field.random_element(rng) for _ in range(3)]
+            with monkeypatch.context() as m:
+                m.setattr(FqElem, "__add__", spy)
+                S = A + B
+                R = L.reduce()
+                deltas = [difference_poly(D, a) for a in shifts]
+                values = [L(x) for x in xs]
+            for x, v in zip(xs, values):
+                want = field.zero()
+                for i, c in enumerate(L.coeffs):
+                    want = want + c * x ** (p**i)
+                assert v == want
+                assert R(x) == v
+                assert S(x) == A(x) + B(x)
+                for a, delta in zip(shifts, deltas):
+                    assert delta(x) == D(x + a) - D(x) - D(a)
+            assert R.twist == 1 and R.degree < field.e
+    assert {caller for caller, _ in adds} == watched
+    assert not [caller for caller, zero_left in adds if zero_left]
 
 
 def test_compose_side_validation(gf4):

@@ -270,6 +270,43 @@ def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
     assert hfe_decrypt(kp.secret, y) == plain
 
 
+def per_point_core_table(field, core):
+    """The oracle: the core's coordinate forms at every element, in index order."""
+    evaluate = to_multivariate(core).evaluate
+    table = {}
+    for x in field.elements():
+        table.setdefault(evaluate(field.coordinates(x)), []).append(x)
+    return table
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        FiniteField(2, 4),
+        FiniteField(2, 8),
+        FiniteField(3, 5),
+        FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1))),
+    ],
+    ids=["gf16", "gf256", "gf243", "gf27-basis"],
+)
+def test_core_walk_matches_per_point_loop(field):
+    # every entry: the same keys, and preimage lists sorted by element index
+    cores = [hfe_keygen(field, random.Random(seed)).secret.core for seed in range(3)]
+    # a constant, an additive part and an unreduced index as well
+    cores.append(
+        DOPoly(
+            field,
+            {(0, 1): field.generator(), (1, field.e + 1): field.from_int(5)},
+            LinPoly(field, [field.from_int(2), field.one()]),
+            field.from_int(7),
+        )
+    )
+    one = LinPoly.one(field)
+    for core in cores:
+        table = HFESecretKey(field, one, core, one, core.degree).core_table()
+        assert table == per_point_core_table(field, core)
+
+
 def test_try_left_factor_permutation_branch(gf16):
     rng = random.Random(5)
     for _ in range(10):

@@ -171,6 +171,28 @@ def test_matrix_hand_value(gf4):
     assert ident.to_matrix() == ((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        FiniteField(2, 4, basis=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))),
+        FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1))),
+    ],
+    ids=["gf16-basis", "gf27-basis"],
+)
+def test_matrix_columns_are_basis_images(field):
+    # to_matrix reads the cached basis Frobenius table, never evaluating L
+    assert field.basis_frobenius() == tuple(
+        tuple(b.frobenius(k) for k in range(field.e)) for b in field.basis
+    )
+    rng = random.Random(31)
+    for twist in (1, 2):
+        for _ in range(8):
+            L = random_linpoly(field, rng, 2 * field.e, twist)
+            M = L.to_matrix()
+            for s, b in enumerate(field.basis):
+                assert tuple(row[s] for row in M) == field.coordinates(L(b))
+
+
 def test_matrix_roundtrip(gf8, gf9):
     for field in (gf8, gf9):
         rng = random.Random(28)
