@@ -34,14 +34,42 @@ def gray_steps(p: int, e: int) -> list[int]:
     return steps
 
 
+def differences(
+    p: int, e: int, f: Callable[[list[int]], Sequence[int]]
+) -> tuple[Vector, list[Vector], list[list[Vector]]]:
+    """f(0), f(u_s) for each s, and the second differences
+    Q[s][t] = f(u_s + u_t) - f(u_s) - f(u_t) + f(0), all mod p.
+
+    f is read at 0, u_s, u_s + u_t and 2·u_s only (for p = 2, 2·u_s = 0
+    and so Q[s][s] = 0).  For f of degree at most 2 these values fix f:
+    preimage_table rebuilds every other value from them, so two such maps
+    with equal differences are equal.
+    """
+    lanes = range(e)
+
+    def at(digits: list[int]) -> Vector:
+        return tuple(v % p for v in f([d % p for d in digits]))
+
+    unit = [[int(i == s) for i in lanes] for s in lanes]
+    f0 = at([0] * e)
+    f1 = [at(u) for u in unit]
+    second: list[list[Vector]] = [[()] * e for _ in lanes]
+    for s in lanes:
+        for t in range(s, e):
+            f2 = at([a + b for a, b in zip(unit[s], unit[t])])
+            second[s][t] = second[t][s] = tuple(
+                (a - b - c + d) % p for a, b, c, d in zip(f2, f1[s], f1[t], f0)
+            )
+    return f0, f1, second
+
+
 def preimage_table(
     p: int, e: int, f: Callable[[list[int]], Sequence[int]]
 ) -> dict[Vector, list[Vector]]:
     """Every vector of Z_p^e grouped under its image by f, in index order.
 
-    f must have degree at most 2.  It is read only at 0, u_s, u_s + u_t
-    and 2·u_s (for p = 2, 2·u_s = 0 and so Q_kk = 0), which fix such a
-    map; the walk then gives every other value.
+    f must have degree at most 2.  The walk starts from its differences
+    and gives every value of f from them.
 
     A vector is packed into an int, one lane of w bits per coordinate, and
     all e first differences share one int.  After a lane-wise sum of two
@@ -53,22 +81,10 @@ def preimage_table(
     top = w - 1
     lanes = range(e)
 
-    def at(digits: list[int]) -> Sequence[int]:
-        return f([d % p for d in digits])
-
     def pack(values) -> int:
         return sum(v << (w * i) for i, v in enumerate(values))
 
-    unit = [[int(i == s) for i in lanes] for s in lanes]
-    f0 = at([0] * e)
-    f1 = [at(u) for u in unit]
-    second: list[list[list[int]]] = [[[]] * e for _ in lanes]
-    for s in lanes:
-        for t in range(s, e):
-            f2 = at([a + b for a, b in zip(unit[s], unit[t])])
-            second[s][t] = second[t][s] = [
-                (a - b - c + d) % p for a, b, c, d in zip(f2, f1[s], f1[t], f0)
-            ]
+    f0, f1, second = differences(p, e, f)
     y = pack(f0)
     firsts = pack((a - b) % p for s in lanes for a, b in zip(f1[s], f0))
     cols = [pack(v for j in lanes for v in second[j][k]) for k in lanes]

@@ -180,7 +180,8 @@ def _combine(coeffs: list[FqElem], rows: list[SkewPoly], f: SkewPoly) -> SkewPol
         if c:
             for i, t in enumerate(row.coeffs):
                 if t:
-                    out[i] = out[i] + c * t
+                    v = c * t
+                    out[i] = out[i] + v if out[i] else v
     return SkewPoly(f.field, out, f.twist)
 
 
@@ -201,7 +202,8 @@ def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
         acc = zero
         for i in range(m + 1, len(cs)):
             if cs[i] and tops[i - m - 1]:
-                acc = acc + cs[i] * tops[i - m - 1].frobenius(f.twist * (m + 1))
+                v = cs[i] * tops[i - m - 1].frobenius(f.twist * (m + 1))
+                acc = acc + v if acc else v
         out.append(acc)
     return SkewPoly(field, out, f.twist)
 

@@ -24,12 +24,13 @@ The HFE scheme publishes E = S . D . T for secret additive permutations
 S, T and a secret constant-free DO core D of ordinary degree at most a
 bound d.  Key generation composes S and T with D on indices folded mod
 e as the sums accumulate, reading Frobenius powers from tables.
-Decryption inverts S and T and looks up the preimages of D in a table
-built once by walking the whole field, so field size is capped by a
-policy bound.  The walk follows a modular Gray code (_graywalk) and
-reads D's coordinate quadratic forms over Z_p (to_multivariate) at a
-few points only, never D itself; the table is keyed by the coordinates
-of D(x) in the field's basis.  The attack takes greatest common left
+Decryption runs on basis coordinates over Z_p from start to finish: S
+and T are inverted as Z_p matrices, and the preimages of D come from a
+table of coordinate vectors built once by walking the whole field, so
+field size is capped by a policy bound.  The walk follows a modular Gray
+code (_graywalk) and reads D's coordinate quadratic forms over Z_p
+(to_multivariate) at a few points only, never D itself.  Only the final
+combine builds field elements.  The attack takes greatest common left
 divisor factors of difference polynomials of E (they share the left
 factor S), and tries to peel a candidate left factor off E leaving a
 low-degree core; on success the recovered pair decrypts without the
@@ -45,8 +46,9 @@ the attack stops as soon as the unit's peel has failed.
 
 The public key is E alone; its coordinate quadratic forms over Z_p are
 derived from E on first use.  A key pair is consistent when S . D . T
-and E agree as coordinate maps at the few points that fix a map of
-degree at most 2 (HFEKeyPair.is_consistent); loading one checks this.
+and E have the same differences (_graywalk.differences), the few values
+that fix a coordinate map of degree at most 2 (HFEKeyPair.is_consistent);
+loading one checks this.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import _graywalk, _linalg
+from ._graywalk import Vector
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -69,7 +72,7 @@ from .errors import (
 )
 from .fields import FiniteField, FqElem
 from .fqpoly import FqPoly
-from .skew import NEG_INF, SkewPoly, gcldf
+from .skew import NEG_INF, Matrix, SkewPoly, gcldf
 
 POLICY_MAX_Q = 1 << 16
 
@@ -212,11 +215,7 @@ class DOPoly:
     def to_fqpoly(self) -> FqPoly:
         """Dense form; distinct structural slots land on distinct exponents."""
         p = self.field.p
-        terms: dict[int, FqElem] = {}
-        zero = self.field.zero()
-        for (i, j), c in self.quad.items():
-            exp = p**i + p**j
-            terms[exp] = terms.get(exp, zero) + c
+        terms = {p**i + p**j: c for (i, j), c in self.quad.items()}
         if self.const:
             terms[0] = self.const
         return FqPoly.from_monomials(self.field, terms) + lin_to_dense(self.lin)
@@ -490,14 +489,16 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     for (i, j), c in E.quad.items():
         row = G.setdefault(i, [zero] * e)
         for t in range(e):
-            row[t] = row[t] + c * frob[t][j]
+            v = c * frob[t][j]
+            row[t] = row[t] + v if row[t] else v
     qcoef: dict[tuple[int, int], FqElem] = {}
     for i, row in G.items():
         for s in range(e):
             bs = frob[s][i]
             for t in range(e):
                 key = (s, t) if s <= t else (t, s)
-                qcoef[key] = qcoef.get(key, zero) + bs * row[t]
+                v, prev = bs * row[t], qcoef.get(key)
+                qcoef[key] = prev + v if prev else v
     quad_out: list[dict[tuple[int, int], int]] = [dict() for _ in range(e)]
     # row k, column s of the matrix is coordinate k of E.lin(basis_s)
     lin_out = [{s: c for s, c in enumerate(row) if c} for row in E.lin.to_matrix()]
@@ -550,7 +551,9 @@ class HFEPublicKey:
 
 
 class HFESecretKey:
-    """outer . core . inner with additive permutations around a DO core."""
+    """outer . core . inner with additive permutations around a DO core;
+    decryption reads Z_p matrices of their inverses and a core table of
+    coordinate vectors only."""
 
     def __init__(
         self, field: FiniteField, outer: SkewPoly, core: DOPoly, inner: SkewPoly, bound: int
@@ -560,48 +563,38 @@ class HFESecretKey:
         self.core = core
         self.inner = inner
         self.bound = bound
-        self._outer_inv: Optional[SkewPoly] = None
-        self._inner_inv: Optional[SkewPoly] = None
-        self._table: Optional[dict[tuple[int, ...], list[FqElem]]] = None
+        self._outer_inv: Optional[Matrix] = None
+        self._inner_inv: Optional[Matrix] = None
+        self._table: Optional[dict[Vector, list[Vector]]] = None
 
-    def outer_inverse(self) -> SkewPoly:
+    def outer_inverse(self) -> Matrix:
         if self._outer_inv is None:
-            self._outer_inv = self.outer.inverse()
+            self._outer_inv = self.outer.inverse_matrix()
         return self._outer_inv
 
-    def inner_inverse(self) -> SkewPoly:
+    def inner_inverse(self) -> Matrix:
         if self._inner_inv is None:
-            self._inner_inv = self.inner.inverse()
+            self._inner_inv = self.inner.inverse_matrix()
         return self._inner_inv
 
-    def core_table(self, max_q: Optional[int] = None) -> dict[tuple[int, ...], list[FqElem]]:
-        """Preimages under the core, keyed by the coordinates of their image.
+    def core_table(self, max_q: Optional[int] = None) -> dict[Vector, list[Vector]]:
+        """Coordinate vectors of the core's preimages, keyed by the
+        coordinates of their image.
 
-        Built on first use by a modular Gray-code walk of the elements'
-        digit vectors (_graywalk.preimage_table): one step per element,
-        each a few int operations.  Its differences come from the core's
-        coordinate forms over Z_p at the elements with digits 0, u_s,
-        u_s + u_t and 2·u_s; with the default basis these are the points
-        HFEKeyPair.is_consistent uses.  Preimage lists are sorted by
-        element index.  A field larger than max_q (default POLICY_MAX_Q)
-        is refused, built table or not.  The table lives on this key only;
-        decrypt_with_factors builds a fresh key, and so a fresh table, per
-        call.
+        Built on first use by a modular Gray-code walk of the coordinate
+        vectors (_graywalk.preimage_table) through the core's coordinate
+        forms over Z_p: one step per element, each a few int operations.
+        Preimage lists are in coordinate-vector index order.  A field
+        larger than max_q (default POLICY_MAX_Q) is refused, built table
+        or not.  The table lives on this key only; decrypt_with_factors
+        builds a fresh key, and so a fresh table, per call.
         """
         cap = POLICY_MAX_Q if max_q is None else max_q
         if self.field.q > cap:
             raise PolicyBoundError(f"field size {self.field.q} exceeds decrypt cap {cap}")
         if self._table is None:
-            field = self.field
             evaluate = to_multivariate(self.core).evaluate
-
-            def image(digits: list[int]) -> tuple[int, ...]:
-                return evaluate(field.coordinates(FqElem(field, tuple(digits))))
-
-            self._table = {
-                y: [FqElem(field, ds) for ds in xs]
-                for y, xs in _graywalk.preimage_table(field.p, field.e, image).items()
-            }
+            self._table = _graywalk.preimage_table(self.field.p, self.field.e, evaluate)
         return self._table
 
     def __repr__(self) -> str:
@@ -620,33 +613,21 @@ class HFEKeyPair:
 
         Both sides are read as maps F_p^e -> F_p^e on basis coordinates:
         x -> E's coordinate forms at x, and x -> S·D(T·x) with S and T
-        their Z_p matrices and D the core's coordinate forms.  Each is a
-        polynomial map of degree at most 2, compared only at 0, at every
-        unit vector u_s, at every u_s + u_t with s < t and, for odd p, at
-        every 2·u_s.  That is exact.  For p = 2 such a map is its
-        multilinear form c + sum l_s x_s + sum q_st x_s x_t, and the values
-        at 0, u_s and u_s + u_t give c, then l_s, then q_st.  For odd p
-        every variable has degree below p, so the form with squares
-        q_ss x_s^2 is unique; f(u_s) = c + l_s + q_ss and
-        f(2·u_s) = c + 2 l_s + 4 q_ss separate l_s from q_ss because 2 is
-        invertible, and u_s + u_t again gives q_st.  Equal coordinate maps
-        are equal maps of the field.
+        their Z_p matrices and D the core's coordinate forms.  Both have
+        degree at most 2, so they are equal exactly when their
+        _graywalk.differences are, and equal coordinate maps are equal
+        maps of the field.
         """
         p, e = self.public.field.p, self.public.field.e
         outer = self.secret.outer.to_matrix()
         inner = self.secret.inner.to_matrix()
         core = to_multivariate(self.secret.core).evaluate
+
+        def secret(x: list[int]) -> list[int]:
+            return _linalg.matvec(outer, core(_linalg.matvec(inner, x, p)), p)
+
         public = self.public.multivariate.evaluate
-        unit = [[int(i == s) for i in range(e)] for s in range(e)]
-        points = [[0] * e] + unit
-        for s in range(e):
-            points += [[a + b for a, b in zip(unit[s], unit[t])] for t in range(s + 1, e)]
-        if p > 2:
-            points += [[2 * a for a in u] for u in unit]
-        return all(
-            public(x) == tuple(_linalg.matvec(outer, core(_linalg.matvec(inner, x, p)), p))
-            for x in points
-        )
+        return _graywalk.differences(p, e, public) == _graywalk.differences(p, e, secret)
 
 
 def _random_permutation_poly(field: FiniteField, rng: random.Random) -> SkewPoly:
@@ -717,15 +698,17 @@ def hfe_decrypt(
 ) -> list[FqElem]:
     """All plaintexts mapping to y, sorted by element index.
 
-    The core's preimages of S^-1(y) come from the core table, looked up
-    by coordinates; T^-1 maps them back to plaintexts.
+    Everything runs on basis coordinates over Z_p: S^-1 is a matrix
+    product, the core table gives the core's preimages, T^-1 maps each
+    back, and only the final combine builds field elements.
     """
     if y.field != secret.field:
         raise ContextMismatchError("ciphertext from a different field")
+    field, p = secret.field, secret.field.p
     table = secret.core_table(max_q)
-    z = secret.outer_inverse()(y)
+    z = tuple(_linalg.matvec(secret.outer_inverse(), field.coordinates(y), p))
     inner_inv = secret.inner_inverse()
-    ms = [inner_inv(u) for u in table.get(secret.field.coordinates(z), [])]
+    ms = [field.combine(_linalg.matvec(inner_inv, u, p)) for u in table.get(z, [])]
     return sorted(ms, key=lambda m: m.as_int())
 
 
@@ -747,7 +730,7 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
         Lr_inv = Lr.inverse()
     except NotAPermutationError:
         return None
-    f = do_compose_lin(Lr_inv, E, "left").reduce()
+    f = do_compose_lin(Lr_inv, E, "left", reduce=True)
     if f.degree > bound:
         return None
     if do_compose_lin(Lr, f, "left", reduce=True) != E:

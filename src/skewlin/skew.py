@@ -16,9 +16,10 @@ Reduction always re-bases to twist 1, so reduced polynomials live on
 indices 0 .. e-1 and are in bijection with the Z_p-linear maps of the
 field; column j of to_matrix() holds the coordinates of f(basis_j),
 summed from the field's cached table of basis Frobenius powers.
-from_matrix() goes back through the trace-dual basis d of the ordered
-basis (cached per field), as x = sum_j Tr(d_j x) basis_j, so an inverse
-costs one Z_p matrix inversion and an e x e product over F_q.
+inverse_matrix() is the Z_p inverse of that matrix.  from_matrix() goes
+back through the trace-dual basis d of the ordered basis (cached per
+field), as x = sum_j Tr(d_j x) basis_j, so inverse() costs one Z_p
+matrix inversion and an e x e product over F_q.
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair is multiplied back and compared against the dividend before being
@@ -153,7 +154,7 @@ class SkewPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
+            out[i] = out[i] + c if out[i] else c
         return SkewPoly(self.field, out, self.twist)
 
     def __neg__(self) -> "SkewPoly":
@@ -178,7 +179,8 @@ class SkewPoly:
             for j, bj in enumerate(b):
                 if bj:
                     t = bj.frobenius(k) if k else bj
-                    out[i + j] = out[i + j] + (t if ai == one else ai * t)
+                    t = t if ai == one else ai * t
+                    out[i + j] = out[i + j] + t if out[i + j] else t
         return SkewPoly(field, out, self.twist)
 
     compose = __mul__
@@ -281,17 +283,6 @@ class SkewPoly:
                 acc = acc + t if acc else t
         return self.field.zero() if acc is None else acc
 
-    def as_p_poly(self) -> "SkewPoly":
-        """Exact re-expression with twist 1 (indices spread out, no folding)."""
-        if self.twist == 1:
-            return self
-        field = self.field
-        zero = field.zero()
-        out = [zero] * (self.twist * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[self.twist * i] = c
-        return SkewPoly(field, out, 1)
-
     def reduce(self) -> "SkewPoly":
         """Fold through x^(p^e) = x; result has twist 1 and indices < e."""
         field, e = self.field, self.field.e
@@ -344,18 +335,23 @@ class SkewPoly:
         for t, d_pows in zip(targets, dual):
             if t:
                 for k in range(e):
-                    coeffs[k] = coeffs[k] + t * d_pows[k]
+                    v = t * d_pows[k]
+                    coeffs[k] = coeffs[k] + v if coeffs[k] else v
         return cls(field, coeffs, 1)
 
     def is_permutation(self) -> bool:
-        return _linalg.rank([list(r) for r in self.to_matrix()], self.field.p) == self.field.e
+        return _linalg.rank(self.to_matrix(), self.field.p) == self.field.e
+
+    def inverse_matrix(self) -> Matrix:
+        """Z_p matrix of the compositional inverse of a permutation polynomial."""
+        m = _linalg.inv(self.to_matrix(), self.field.p)
+        if m is None:
+            raise NotAPermutationError("polynomial does not permute the field")
+        return tuple(map(tuple, m))
 
     def inverse(self) -> "SkewPoly":
         """Compositional inverse of a permutation polynomial, reduced."""
-        m = _linalg.inv([list(r) for r in self.to_matrix()], self.field.p)
-        if m is None:
-            raise NotAPermutationError("polynomial does not permute the field")
-        return SkewPoly.from_matrix(self.field, m)
+        return SkewPoly.from_matrix(self.field, self.inverse_matrix())
 
 
 def check_rebuild(sides: Callable[[], tuple[SkewPoly, SkewPoly]]) -> None:

@@ -342,6 +342,23 @@ def test_decrypt_bare_secret_needs_field(capsys, tmp_path):
     assert code == 0 and "plaintexts" in json.loads(out_m)
 
 
+def test_decrypt_bare_secret_that_is_no_permutation_exits_1(capsys, tmp_path):
+    field = FiniteField(2, 4)
+    bad = LinPoly(field, [field.one(), field.one()])  # X^2 + X, kernel {0, 1}
+    one = LinPoly.one(field)
+    core = DOPoly(field, {(0, 1): field.generator()})
+    field_path = tmp_path / "field.json"
+    field_path.write_text(ser.dumps(ser.field_to_obj(field)))
+    for outer, inner in ((bad, one), (one, bad)):
+        sec_path = tmp_path / "sec.json"
+        sec_path.write_text(ser.dumps(ser.secret_to_obj(HFESecretKey(field, outer, core, inner, 3))))
+        code, out, err = run(
+            capsys, "decrypt", "--key", str(sec_path), "--field", str(field_path),
+            "--ciphertext", "1,0,0,0",
+        )
+        assert code == 1 and out == "" and "does not permute" in err
+
+
 def test_attack_single_success(capsys, tmp_path):
     pub_obj, field, E = foldfree_public_obj()
     path = tmp_path / "pub.json"

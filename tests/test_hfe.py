@@ -5,14 +5,16 @@ import random
 import pytest
 
 import skewlin.hfe as hfe
+from skewlin import _linalg
 from skewlin.errors import (
     AttackFailedError,
     ContextMismatchError,
     DegreeBoundTooSmallError,
+    NotAPermutationError,
     PolicyBoundError,
     ShapeViolationError,
 )
-from skewlin.fields import FiniteField
+from skewlin.fields import FiniteField, FqElem
 from skewlin.hfe import (
     AttackResult,
     DOPoly,
@@ -29,7 +31,7 @@ from skewlin.hfe import (
     try_left_factor,
 )
 from skewlin.linpoly import LinPoly
-from skewlin.skew import gcldf
+from skewlin.skew import SkewPoly, gcldf
 
 
 def foldfree_instance(field):
@@ -135,10 +137,12 @@ def test_encrypt_decrypt_roundtrip(gf256, gf9):
 
 
 def test_decrypt_lists_all_preimages(gf9):
-    # GF(3^3) with a basis whose coordinates differ from the digits
+    # GF(3^3) and GF(2^4) with bases whose coordinates differ from the digits
     gf27_basis = FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1)))
-    assert gf27_basis.coordinates(gf27_basis.from_int(5)) != gf27_basis.from_int(5).digits
-    for field in (gf9, FiniteField(3, 5), gf27_basis):
+    gf16_basis = FiniteField(2, 4, basis=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
+    for field in (gf27_basis, gf16_basis):
+        assert field.coordinates(field.from_int(5)) != field.from_int(5).digits
+    for field in (gf9, FiniteField(3, 5), gf27_basis, gf16_basis):
         kp = hfe_keygen(field, random.Random(11))
         E = kp.public.poly
         expect = {y: [] for y in field.elements()}
@@ -146,6 +150,72 @@ def test_decrypt_lists_all_preimages(gf9):
             expect[E(x)].append(x)
         for y, xs in expect.items():
             assert hfe_decrypt(kp.secret, y) == xs
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        FiniteField(2, 4),
+        FiniteField(2, 8),
+        FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1))),
+    ],
+    ids=["gf16", "gf256", "gf27-basis"],
+)
+def test_inverse_matrices_invert_the_layers(field):
+    p, e = field.p, field.e
+    ident = _linalg.identity(e)
+    for seed in range(3):
+        sec = hfe_keygen(field, random.Random(seed)).secret
+        for inv, layer in ((sec.outer_inverse(), sec.outer), (sec.inner_inverse(), sec.inner)):
+            assert _linalg.matmul(inv, layer.to_matrix(), p) == ident
+            assert _linalg.matmul(layer.to_matrix(), inv, p) == ident
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FiniteField(2, 8), FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1)))],
+    ids=["gf256", "gf27-basis"],
+)
+def test_decrypt_makes_no_field_arithmetic(field, monkeypatch):
+    # once the table and the inverses are built, a ciphertext is decrypted
+    # on Z_p coordinates: no field product, Frobenius power or evaluation
+    kp = hfe_keygen(field, random.Random(4))
+    sec = kp.secret
+    sec.core_table()
+    sec.outer_inverse()
+    sec.inner_inverse()
+    ms = [field.from_int(i) for i in (0, 1, 5, field.q - 1)]
+    ys = [hfe_encrypt(kp.public, m) for m in ms]
+    calls = []
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            calls.append(f"{cls.__name__}.{name}")
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(FqElem, "__mul__")
+    spy(FqElem, "frobenius")
+    spy(SkewPoly, "__call__")
+    got = [hfe_decrypt(sec, y) for y in ys]
+    assert calls == []
+    monkeypatch.undo()
+    for m, y, xs in zip(ms, ys, got):
+        assert m in xs and all(hfe_encrypt(kp.public, x) == y for x in xs)
+
+
+def test_decrypt_rejects_a_layer_that_is_no_permutation(gf16):
+    # X^2 + X sends 0 and 1 to 0, so it permutes nothing
+    bad = LinPoly(gf16, [gf16.one(), gf16.one()])
+    one = LinPoly.one(gf16)
+    core = DOPoly(gf16, {(0, 1): gf16.generator()})
+    for outer, inner in ((bad, one), (one, bad)):
+        sec = HFESecretKey(gf16, outer, core, inner, 3)
+        with pytest.raises(NotAPermutationError):
+            hfe_decrypt(sec, gf16.one())
 
 
 def test_permutation_core_gives_singletons(gf8):
@@ -265,18 +335,20 @@ def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
 
     monkeypatch.setattr(DOPoly, "__call__", refuse)
     table = kp.secret.core_table()
-    assert table[gf9.coordinates(z)] == pre
+    assert table[gf9.coordinates(z)] == [gf9.coordinates(x) for x in pre]
     assert decrypt_with_factors(LinPoly.one(gf9), D, z) == pre
     assert hfe_decrypt(kp.secret, y) == plain
 
 
 def per_point_core_table(field, core):
-    """The oracle: the core's coordinate forms at every element, in index order."""
+    """The oracle: the core's coordinate forms at the coordinates of every
+    element, each preimage list in coordinate-vector index order."""
     evaluate = to_multivariate(core).evaluate
     table = {}
     for x in field.elements():
-        table.setdefault(evaluate(field.coordinates(x)), []).append(x)
-    return table
+        xs = field.coordinates(x)
+        table.setdefault(evaluate(xs), []).append(xs)
+    return {y: sorted(xs, key=lambda v: v[::-1]) for y, xs in table.items()}
 
 
 @pytest.mark.parametrize(
@@ -290,7 +362,7 @@ def per_point_core_table(field, core):
     ids=["gf16", "gf256", "gf243", "gf27-basis"],
 )
 def test_core_walk_matches_per_point_loop(field):
-    # every entry: the same keys, and preimage lists sorted by element index
+    # every entry: the same keys, and the same coordinate vectors in the same order
     cores = [hfe_keygen(field, random.Random(seed)).secret.core for seed in range(3)]
     # a constant, an additive part and an unreduced index as well
     cores.append(

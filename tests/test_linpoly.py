@@ -139,19 +139,6 @@ def test_reduce_preserves_function(gf8, gf27):
                 assert R(x) == L(x)
 
 
-def test_as_p_poly(gf16):
-    rng = random.Random(26)
-    for _ in range(10):
-        L = random_linpoly(gf16, rng, 3, twist=2)
-        P = L.as_p_poly()
-        assert P.twist == 1
-        for x in gf16.elements():
-            assert P(x) == L(x)
-        # indices are spread exactly, not folded
-        if not L.is_zero:
-            assert P.degree == 2 * L.degree
-
-
 def test_twist2_compose_and_reduce(gf16):
     rng = random.Random(27)
     for _ in range(10):
