@@ -173,7 +173,7 @@ def first_irreducible(p: int, e: int) -> list[int]:
 
 
 def first_factor(m: list[int], p: int) -> list[int]:
-    """The first irreducible factor of monic m, in factor_monic order.
+    """The first irreducible factor of monic m: least degree, then first in iter_monic order.
 
     From the distinct-degree split (k, h) of _first_split, the answer is
     h itself when deg h = k and otherwise the first degree-k iter_monic
@@ -187,34 +187,3 @@ def first_factor(m: list[int], p: int) -> list[int]:
     if degree(h) == k:
         return h
     return next(c for c in iter_monic(p, k) if not mod(h, c, p))
-
-
-def factor_monic(m: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Complete factorization of monic m by trial division.
-
-    Candidates are enumerated degree by degree in the iter_monic order, so
-    the returned (factor, multiplicity) list is deterministic and sorted.
-    Intended for desk-scale inputs only.
-    """
-    work = trim(list(m))
-    if degree(work) < 1:
-        return []
-    out: list[tuple[list[int], int]] = []
-    d = 1
-    while 2 * d <= degree(work):
-        for cand in iter_monic(p, d):
-            mult = 0
-            while True:
-                q, r = divmod_(work, cand, p)
-                if r:
-                    break
-                work = q
-                mult += 1
-            if mult:
-                out.append((cand, mult))
-            if 2 * d > degree(work):
-                break
-        d += 1
-    if degree(work) >= 1:
-        out.append((work, 1))
-    return out

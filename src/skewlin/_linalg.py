@@ -14,21 +14,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matmul(a, b, p: int) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] = (oi[j] + v * bk[j]) % p
-    return out
-
-
 def matvec(a, v, p: int) -> list[int]:
     return [sum(r[j] * v[j] for j in range(len(v))) % p for r in a]
 

@@ -1,12 +1,12 @@
 """Dembowski-Ostrom polynomials, a desk-scale HFE scheme, and its attack.
 
 A DO polynomial is sum c_ij X^(p^i + p^j) plus an additive part plus a
-constant.  Terms are stored structurally: a dict over index pairs
-(i, j) with i <= j, a twist-1 SkewPoly read as an additive polynomial,
-and a constant.  In characteristic 2 a diagonal pair is linear
-(X^(2^i + 2^i) = X^(2^(i+1))) and is migrated into the additive part on
-construction, so stored quad entries are genuinely quadratic.
-reduce() folds indices through x^(p^e) = x; a reduced polynomial has
+constant: every exponent has base-p digit sum at most 2.  It is stored as
+one dict from exponent to coefficient, so the algebra is exponent
+arithmetic.  In characteristic 2 a diagonal pair is the carry
+2^i + 2^i = 2^(i+1), an additive exponent.  Composing with X^(p^k)
+multiplies exponents by p^k, and reduce() folds each exponent x >= 1
+through x^q = x to (x - 1) mod (q - 1) + 1; a reduced polynomial has
 ordinary degree below q, so two reduced polynomials are equal exactly
 when they agree as functions.
 
@@ -22,8 +22,8 @@ x -> f(x+a) - f(x) - f(a) + f(0) for some shift a.
 
 The HFE scheme publishes E = S . D . T for secret additive permutations
 S, T and a secret constant-free DO core D of ordinary degree at most a
-bound d.  Key generation composes S and T with D on indices folded mod
-e as the sums accumulate, reading Frobenius powers from tables.
+bound d.  Key generation composes S and T with D on exponents folded
+as the sums accumulate, reading Frobenius powers from tables.
 Decryption runs on basis coordinates over Z_p from start to finish: S
 and T are inverted as Z_p matrices, and the preimages of D come from a
 table of coordinate vectors built once by walking the whole field, so
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _graywalk, _linalg
 from ._graywalk import Vector
@@ -77,10 +77,45 @@ from .skew import NEG_INF, Matrix, SkewPoly, gcldf
 POLICY_MAX_Q = 1 << 16
 
 
-class DOPoly:
-    """Structured DO + additive + constant polynomial."""
+def _indices(x: int, p: int) -> tuple[int, ...]:
+    """The indices of exponent x by its base-p digits, with multiplicity:
+    p^i + p^j (i <= j) gives (i, j), p^k gives (k,) and 0 gives ()."""
+    out: list[int] = []
+    k = 0
+    while x:
+        x, d = divmod(x, p)
+        out += [k] * d
+        k += 1
+    return tuple(out)
 
-    __slots__ = ("field", "quad", "lin", "const")
+
+def _fold(x: int, q: int) -> int:
+    """The exponent of X^x modulo X^q - X: x >= 1 goes to (x - 1) mod (q - 1) + 1."""
+    return (x - 1) % (q - 1) + 1 if x else 0
+
+
+def _sum_terms(pairs: Iterable[tuple[int, FqElem]]) -> dict[int, FqElem]:
+    """Exponent -> sum of the coefficients paired with it; each sum starts
+    from its first term, and zero sums drop."""
+    acc: dict[int, FqElem] = {}
+    for x, c in pairs:
+        prev = acc.get(x)
+        acc[x] = prev + c if prev else c
+    return {x: c for x, c in acc.items() if c}
+
+
+class DOPoly:
+    """sum_x c_x X^x over exponents with base-p digit sum at most 2: the
+    constant 0, additive p^k and quadratic p^i + p^j.
+
+    terms maps each exponent to its nonzero coefficient.  The constructor
+    takes the parts (index pairs, a twist-1 additive SkewPoly, a constant)
+    and adds each term at its exponent, so in characteristic 2 a diagonal
+    pair is the carry 2^i + 2^i = 2^(i+1), additive index i + 1.  quad, lin
+    and const read the parts back off the base-p digits.
+    """
+
+    __slots__ = ("field", "terms")
 
     def __init__(
         self,
@@ -99,32 +134,24 @@ class DOPoly:
             raise TwistMismatchError("additive part of a DO polynomial must have twist 1")
         if not isinstance(const, FqElem) or const.field != field:
             raise ContextMismatchError("constant term belongs to a different field")
-        qd: dict[tuple[int, int], FqElem] = {}
-        migrated: dict[int, FqElem] = {}
+        p = field.p
+        pairs = [(0, const)] + [(p**k, c) for k, c in enumerate(lin.coeffs)]
         for (i, j), c in quad.items():
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                 raise ValueError(f"quad indices must be ints >= 0, got {(i, j)!r}")
             if not isinstance(c, FqElem) or c.field != field:
                 raise ContextMismatchError("quad coefficient belongs to a different field")
-            if not c:
-                continue
-            if i > j:
-                i, j = j, i
-            # sums start from the first term, so only collisions add
-            if i == j and field.p == 2:
-                k = i + 1
-                migrated[k] = migrated[k] + c if k in migrated else c
-            else:
-                key = (i, j)
-                qd[key] = qd[key] + c if key in qd else c
-        qd = {k: v for k, v in qd.items() if v}
-        if migrated:
-            zero = field.zero()
-            lin = lin + SkewPoly(field, [migrated.get(k, zero) for k in range(max(migrated) + 1)])
+            pairs.append((p**i + p**j, c))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "quad", qd)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "terms", _sum_terms(pairs))
+
+    @classmethod
+    def _of(cls, field: FiniteField, pairs: Iterable[tuple[int, FqElem]]) -> "DOPoly":
+        """sum c X^x over the (x, c) pairs, whose exponents have digit sum <= 2."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "terms", _sum_terms(pairs))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("DOPoly is immutable")
@@ -135,9 +162,30 @@ class DOPoly:
     def zero(cls, field: FiniteField) -> "DOPoly":
         return cls(field, {})
 
+    def _part(self, n: int) -> dict[tuple[int, ...], FqElem]:
+        """The terms whose exponent has digit sum n, by their indices."""
+        p = self.field.p
+        return {idx: c for x, c in self.terms.items() if len(idx := _indices(x, p)) == n}
+
+    @property
+    def quad(self) -> dict[tuple[int, int], FqElem]:
+        """The quadratic terms c X^(p^i + p^j), keyed by (i, j) with i <= j."""
+        return self._part(2)
+
+    @property
+    def lin(self) -> SkewPoly:
+        """The additive part, a twist-1 SkewPoly."""
+        part, zero = self._part(1), self.field.zero()
+        n = max((k for k, in part), default=-1) + 1
+        return SkewPoly(self.field, [part.get((k,), zero) for k in range(n)])
+
+    @property
+    def const(self) -> FqElem:
+        return self.terms.get(0) or self.field.zero()
+
     @property
     def is_zero(self) -> bool:
-        return not self.quad and self.lin.is_zero and not self.const
+        return not self.terms
 
     @property
     def has_quadratic(self) -> bool:
@@ -145,47 +193,26 @@ class DOPoly:
 
     @property
     def degree(self):
-        p = self.field.p
-        best = NEG_INF
-        for i, j in self.quad:
-            best = max(best, p**i + p**j)
-        if not self.lin.is_zero:
-            best = max(best, p**self.lin.degree)  # the additive part has twist 1
-        if self.const:
-            best = max(best, 0)
-        return best
+        return max(self.terms, default=NEG_INF)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, DOPoly)
-            and self.field == other.field
-            and self.quad == other.quad
-            and self.lin == other.lin
-            and self.const == other.const
+            isinstance(other, DOPoly) and self.field == other.field and self.terms == other.terms
         )
 
     def __repr__(self) -> str:
-        qd = {k: list(v.digits) for k, v in sorted(self.quad.items())}
-        return f"DOPoly(quad={qd}, lin={self.lin!r}, const={list(self.const.digits)})"
+        terms = {x: list(c.digits) for x, c in sorted(self.terms.items())}
+        return f"DOPoly(terms={terms})"
 
     def __add__(self, other: "DOPoly") -> "DOPoly":
         if not isinstance(other, DOPoly):
             raise TypeError(f"expected DOPoly, got {type(other).__name__}")
         if self.field != other.field:
             raise ContextMismatchError("polynomials over different fields")
-        qd = dict(self.quad)
-        for k, v in other.quad.items():
-            qd[k] = qd[k] + v if k in qd else v
-        const = self.const + other.const if self.const else other.const
-        return DOPoly(self.field, qd, self.lin + other.lin, const)
+        return DOPoly._of(self.field, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "DOPoly":
-        return DOPoly(
-            self.field,
-            {k: -v for k, v in self.quad.items()},
-            -self.lin,
-            -self.const,
-        )
+        return DOPoly._of(self.field, [(x, -c) for x, c in self.terms.items()])
 
     def __sub__(self, other: "DOPoly") -> "DOPoly":
         return self + (-other)
@@ -193,32 +220,28 @@ class DOPoly:
     def __call__(self, x: FqElem) -> FqElem:
         if x.field != self.field:
             raise ContextMismatchError("evaluation point from a different field")
-        acc = self.const + self.lin(x)
-        for (i, j), c in self.quad.items():
-            acc = acc + c * x.frobenius(i) * x.frobenius(j)
-        return acc
+        field, e = self.field, self.field.e
+        orbit = [x.frobenius(k) for k in range(e)]
+        acc = None
+        for y, c in self.terms.items():
+            for i in _indices(y, field.p):
+                c = c * orbit[i % e]
+            acc = acc + c if acc else c
+        return field.zero() if acc is None else acc
 
     def reduce(self) -> "DOPoly":
-        """Fold indices through x^(p^e) = x; result has degree below q.
+        """Fold every exponent through X^q = X; the result has degree below q.
 
-        The constructor orders and migrates the folded pairs; a p = 2
-        diagonal at e - 1 lands on additive index e, so lin folds after.
+        Folding keeps the digit sum at most 2: p^i + p^j goes to
+        p^(i mod e) + p^(j mod e), except that in characteristic 2 the
+        carry 2^(e-1) + 2^(e-1) = q wraps to the additive X.
         """
-        e = self.field.e
-        qd: dict[tuple[int, int], FqElem] = {}
-        for (i, j), c in self.quad.items():
-            key = (i % e, j % e)
-            qd[key] = qd[key] + c if key in qd else c
-        folded = DOPoly(self.field, qd, self.lin, self.const)
-        return DOPoly(self.field, folded.quad, folded.lin.reduce(), self.const)
+        q = self.field.q
+        return DOPoly._of(self.field, [(_fold(x, q), c) for x, c in self.terms.items()])
 
     def to_fqpoly(self) -> FqPoly:
-        """Dense form; distinct structural slots land on distinct exponents."""
-        p = self.field.p
-        terms = {p**i + p**j: c for (i, j), c in self.quad.items()}
-        if self.const:
-            terms[0] = self.const
-        return FqPoly.from_monomials(self.field, terms) + lin_to_dense(self.lin)
+        """Dense form, one coefficient per exponent."""
+        return FqPoly.from_monomials(self.field, self.terms)
 
 
 def lin_to_dense(L: SkewPoly) -> FqPoly:
@@ -237,9 +260,9 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
 
     The additive part of t drops out exactly and each quadratic term
     polarises into two additive terms, c a^(p^j) X^(p^i) and
-    c a^(p^i) X^(p^j), read off the orbit of a under Frobenius.  A nonzero
-    constant would leave the non-additive remainder -const, so it is
-    rejected.
+    c a^(p^i) X^(p^j) (for odd p a diagonal gives 2 c a^(p^i) X^(p^i)),
+    read off the orbit of a under Frobenius.  A nonzero constant would
+    leave the non-additive remainder -const, so it is rejected.
     """
     if a.field != t.field:
         raise ContextMismatchError("shift from a different field")
@@ -250,14 +273,9 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
     field = t.field
     e = field.e
     orbit = [a.frobenius(k) for k in range(e)]
-    two = field.scalar(2 % field.p)
     acc: dict[int, FqElem] = {}
     for (i, j), c in t.quad.items():
-        if i == j:
-            terms = ((i, two * c * orbit[i % e]),)
-        else:
-            terms = ((i, c * orbit[j % e]), (j, c * orbit[i % e]))
-        for k, v in terms:
+        for k, v in ((i, c * orbit[j % e]), (j, c * orbit[i % e])):
             prev = acc.get(k)
             acc[k] = prev + v if prev else v
     zero = field.zero()
@@ -307,43 +325,29 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     failure the smallest offending exponent is reported together with a
     pointwise witness (a, x, y) against additivity of the centred
     difference g(x) = f(x+a) - f(x) - f(a) + f(0), which the shape
-    characterisation guarantees to exist below degree q.
+    characterisation guarantees to exist below degree q.  The search reads
+    one table F of f's values, g(x) = F[x + a] - F[x] - F[a] + F[0], and
+    tries a, then x, then y in element-index order.
     """
     field = f.field
     q = field.q
     if f.degree != NEG_INF and f.degree >= q:
         raise DegreeTooLargeError(f"shape check needs degree < {q}, got {f.degree}")
     slots = _do_slots(field.p, field.e)
-    zero = field.zero()
-    quad: dict[tuple[int, int], FqElem] = {}
-    lin = [zero] * field.e
-    const = zero
-    offender: Optional[int] = None
-    for exp in sorted(f.monomials()):
-        c = f.coeffs[exp]
-        if exp == 0:
-            const = c
-            continue
-        if exp not in slots:
-            offender = exp
-            break
-        kind, idx = slots[exp]
-        if kind == "lin":
-            lin[idx[0]] = c
-        else:
-            quad[idx] = c
+    terms = f.monomials()
+    offender = next((x for x in sorted(terms) if x and x not in slots), None)
     if offender is None:
-        value = DOPoly(field, quad, SkewPoly(field, lin, 1), const)
+        value = DOPoly._of(field, terms.items())
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
-    f0 = f(zero)
-    for a in field.elements():
-        if not a:
-            continue
-        g = dense_difference(f, a) + FqPoly.constant(f0)
-        values = {x.digits: g(x) for x in field.elements()}
-        for x in field.elements():
-            for y in field.elements():
-                if values[(x + y).digits] != values[x.digits] + values[y.digits]:
+    xs = list(field.elements())
+    F = {x.digits: sum((c * x**k for k, c in terms.items()), xs[0]) for x in xs}
+    f0 = F[xs[0].digits]
+    for a in xs[1:]:
+        shift = F[a.digits] - f0
+        g = {x.digits: F[(x + a).digits] - F[x.digits] - shift for x in xs}
+        for x in xs:
+            for y in xs:
+                if g[(x + y).digits] != g[x.digits] + g[y.digits]:
                     return DOShapeResult(
                         ok=False,
                         value=None,
@@ -361,53 +365,40 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
     """Compose an additive polynomial with a DO polynomial, symbolically.
 
     side='left' gives L(D(X)); side='right' gives D(L(X)).  Both stay in
-    DO + additive + constant shape.  With L = sum_k b_k X^(p^k), a term
-    c X^(p^i + p^j) of D becomes sum_k b_k c^(p^k) X^(p^(i+k) + p^(j+k)) on
-    the left and sum_(k,m) c b_k^(p^i) b_m^(p^j) X^(p^(k+i) + p^(m+j)) on
-    the right.  The right side reads b_k^(p^i) from one table row per
-    distinct quad index i of D, instead of taking two Frobenius powers
-    per term.  Each pair's sum starts from its first term.  With
-    reduce=True indices fold mod e as the sums accumulate, and the result
-    is reduced.
+    DO + additive + constant shape.  With L = sum_k b_k X^(p^k), raising
+    to p^k multiplies exponents by p^k, so on the left each term c X^x of
+    D becomes sum_k b_k c^(p^k) X^(x p^k), the constant included.  On the
+    right each index i of a term's exponent is expanded through the row
+    X^(p^i) -> sum_k b_k^(p^i) X^(p^(k+i)), built once per distinct index,
+    so c X^(p^i + p^j) becomes sum_(k,m) c b_k^(p^i) b_m^(p^j)
+    X^(p^(k+i) + p^(m+j)).  Each exponent's sum starts from its first
+    term.  With reduce=True exponents fold through X^q = X as the sums
+    accumulate, and the result is reduced.
     """
     if L.field != D.field:
         raise ContextMismatchError("operands over different fields")
     if L.twist != 1:
         raise TwistMismatchError("composition requires a twist-1 additive polynomial")
     field = D.field
-    e = field.e
-
-    def fold(i: int) -> int:
-        return i % e if reduce else i
-
+    p, q = field.p, field.q
     terms = [(k, b) for k, b in enumerate(L.coeffs) if b]
-    qd: dict[tuple[int, int], FqElem] = {}
     if side == "left":
-        for (i, j), c in D.quad.items():
-            for k, b in terms:
-                key = (fold(i + k), fold(j + k))
-                v = b * c.frobenius(k)
-                prev = qd.get(key)
-                qd[key] = prev + v if prev else v
-        lin = L.compose(D.lin)
-        const = L(D.const)
+        pairs = [(x * p**k, b * c.frobenius(k)) for x, c in D.terms.items() for k, b in terms]
     elif side == "right":
-        indices = {i for pair in D.quad for i in pair}
-        rows = {i: [(k, b.frobenius(i)) for k, b in terms] for i in indices}
-        for (i, j), c in D.quad.items():
-            for k, bk in rows[i]:
-                cb = c * bk
-                for m, bm in rows[j]:
-                    key = (fold(k + i), fold(m + j))
-                    v = cb * bm
-                    prev = qd.get(key)
-                    qd[key] = prev + v if prev else v
-        lin = D.lin.compose(L)
-        const = D.const
+        rows: dict[int, list[tuple[int, FqElem]]] = {}
+        pairs = []
+        for x, c in D.terms.items():
+            parts = [(0, c)]
+            for i in _indices(x, p):
+                if i not in rows:
+                    rows[i] = [(p ** (k + i), b.frobenius(i)) for k, b in terms]
+                parts = [(y + z, v * w) for y, v in parts for z, w in rows[i]]
+            pairs += parts
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = DOPoly(field, qd, lin, const)
-    return out.reduce() if reduce else out
+    if reduce:
+        pairs = [(_fold(x, q), c) for x, c in pairs]
+    return DOPoly._of(field, pairs)
 
 
 # ----------------------------------------------------------------------
@@ -551,13 +542,15 @@ class HFEPublicKey:
 
 
 class HFESecretKey:
-    """outer . core . inner with additive permutations around a DO core;
-    decryption reads Z_p matrices of their inverses and a core table of
-    coordinate vectors only."""
+    """outer . core . inner with additive permutations around a DO core,
+    all three over field; decryption reads Z_p matrices of their inverses
+    and a core table of coordinate vectors only."""
 
     def __init__(
         self, field: FiniteField, outer: SkewPoly, core: DOPoly, inner: SkewPoly, bound: int
     ):
+        if any(layer.field != field for layer in (outer, core, inner)):
+            raise ContextMismatchError("secret key layers over different fields")
         self.field = field
         self.outer = outer
         self.core = core
@@ -605,6 +598,8 @@ class HFEKeyPair:
     __slots__ = ("public", "secret")
 
     def __init__(self, public: HFEPublicKey, secret: HFESecretKey):
+        if public.field != secret.field:
+            raise ContextMismatchError("public and secret keys over different fields")
         self.public = public
         self.secret = secret
 

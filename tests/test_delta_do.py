@@ -313,7 +313,7 @@ def test_sums_start_from_first_term(gf16, gf9, monkeypatch):
     # DOPoly.__add__, SkewPoly.reduce, difference_poly and SkewPoly.__call__
     # never add onto a zero left operand, and their outputs match the oracles
     watched = {
-        ("hfe.py", "__add__"),
+        ("hfe.py", "_sum_terms"),
         ("skew.py", "reduce"),
         ("hfe.py", "difference_poly"),
         ("skew.py", "__call__"),
@@ -430,3 +430,107 @@ def test_multivariate_evaluate_validation(gf9):
     mv = to_multivariate(DOPoly(gf9, {(0, 1): gf9.one()}))
     with pytest.raises(ValueError):
         mv.evaluate([1])
+
+
+def _dense_witness(f):
+    """The witness search by dense shifts: f(X + a) - f(X) - f(a) + f(0)
+    built per shift a and evaluated at every point."""
+    field = f.field
+    f0 = f(field.zero())
+    for a in field.elements():
+        if not a:
+            continue
+        g = dense_difference(f, a) + FqPoly.constant(f0)
+        values = {x.digits: g(x) for x in field.elements()}
+        for x in field.elements():
+            for y in field.elements():
+                if values[(x + y).digits] != values[x.digits] + values[y.digits]:
+                    return a, x, y
+    return None
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2), (2, 6)])
+def test_check_do_shape_witness_matches_dense_route(p, e):
+    field = FiniteField(p, e)
+    rng = random.Random(96)
+    bad = [exp for exp in range(field.q) if not digit_oracle_accepts(exp, p)]
+    for exp in rng.sample(bad, min(len(bad), 6)):
+        body = random_do(field, rng, with_const=True).reduce().to_fqpoly()
+        f = body + FqPoly.from_monomials(field, {exp: field.random_element(rng, nonzero=True)})
+        res = check_do_shape(f)
+        w = res.witness
+        assert not res.ok and res.offender == exp
+        assert (w.a, w.x, w.y) == _dense_witness(f)
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (2, 1), (3, 1)], ids=["gf16", "gf2", "gf3"])
+def test_top_diagonal_reduces_through_the_carry(p, e):
+    # for p = 2, X^(2^(e-1) + 2^(e-1)) = X^q, which reduces to the additive
+    # X; for odd p the diagonal stays quadratic
+    field = FiniteField(p, e)
+    c = field.from_int(field.q - 1)
+    D = DOPoly(field, {(e - 1, e - 1): c})
+    if p == 2:
+        assert D.quad == {} and D.lin == LinPoly.monomial(field, e, c) and D.degree == field.q
+        want = DOPoly(field, {}, LinPoly(field, [c]))
+    else:
+        want = D
+    one = LinPoly.one(field)
+    for R in (
+        D.reduce(),
+        do_compose_lin(one, D, "left", reduce=True),
+        do_compose_lin(one, D, "right", reduce=True),
+    ):
+        assert R == want
+    # the carry also arises inside a composition: X^(p^(e-1)) after X^(1+1)
+    L = LinPoly.monomial(field, e - 1, field.one())
+    D0 = DOPoly(field, {(0, 0): c})
+    for side in ("left", "right"):
+        R = do_compose_lin(L, D0, side, reduce=True)
+        assert R == do_compose_lin(L, D0, side).reduce()
+        assert R.degree < field.q
+        assert (R.quad == {}) == (p == 2)
+        for x in field.elements():
+            assert R(x) == (L(D0(x)) if side == "left" else D0(L(x)))
+
+
+def test_parts_rebuild_and_equal_inputs_compare_equal(gf16, gf27, gf4):
+    for field in (gf16, gf27):
+        rng = random.Random(97)
+        for _ in range(10):
+            D = random_do(field, rng, max_index=2 * field.e, with_const=True)
+            assert DOPoly(field, D.quad, D.lin, D.const) == D
+            R = D.reduce()
+            assert DOPoly(field, R.quad, R.lin, R.const) == R
+    e, c, t = gf16.e, gf16.generator(), gf16.from_int(9)
+    # unordered pairs
+    assert DOPoly(gf16, {(3, 1): c}) == DOPoly(gf16, {(1, 3): c})
+    # a p = 2 diagonal is the additive index one up, added onto what is there
+    for i in range(2 * e):
+        diag = DOPoly(gf16, {(i, i): c}, LinPoly.monomial(gf16, i + 1, t))
+        assert diag == DOPoly(gf16, {}, LinPoly.monomial(gf16, i + 1, c + t))
+    assert DOPoly(gf16, {(0, 0): c}, LinPoly.monomial(gf16, 1, c)).is_zero
+    # indices >= e compare as given, and equal their folded pair once reduced
+    high = DOPoly(gf16, {(e + 2, e): c})
+    assert high == DOPoly(gf16, {(e, e + 2): c})
+    assert high != DOPoly(gf16, {(0, 2): c})
+    assert high.reduce() == DOPoly(gf16, {(0, 2): c})
+    # for odd p a diagonal stays quadratic
+    one = gf27.one()
+    assert DOPoly(gf27, {(1, 1): one}) != DOPoly(gf27, {}, LinPoly.monomial(gf27, 2, one))
+
+
+def test_evaluation_reads_the_frobenius_orbit_once(gf16, gf27, monkeypatch):
+    calls = []
+    frobenius = FqElem.frobenius
+    monkeypatch.setattr(
+        FqElem, "frobenius", lambda self, k: calls.append(k) or frobenius(self, k)
+    )
+    for field in (gf16, gf27):
+        rng = random.Random(98)
+        for _ in range(4):
+            D = random_do(field, rng, max_index=2 * field.e, with_const=True)
+            for x in field.elements():
+                calls.clear()
+                D(x)
+                assert len(calls) == field.e

@@ -18,6 +18,7 @@ from skewlin.fields import FiniteField, FqElem
 from skewlin.hfe import (
     AttackResult,
     DOPoly,
+    HFEKeyPair,
     HFESecretKey,
     MultivariateKey,
     decrypt_with_factors,
@@ -32,6 +33,8 @@ from skewlin.hfe import (
 )
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly, gcldf
+
+from oracles import matmul
 
 
 def foldfree_instance(field):
@@ -167,8 +170,8 @@ def test_inverse_matrices_invert_the_layers(field):
     for seed in range(3):
         sec = hfe_keygen(field, random.Random(seed)).secret
         for inv, layer in ((sec.outer_inverse(), sec.outer), (sec.inner_inverse(), sec.inner)):
-            assert _linalg.matmul(inv, layer.to_matrix(), p) == ident
-            assert _linalg.matmul(layer.to_matrix(), inv, p) == ident
+            assert matmul(inv, layer.to_matrix(), p) == ident
+            assert matmul(layer.to_matrix(), inv, p) == ident
 
 
 @pytest.mark.parametrize(
@@ -234,6 +237,25 @@ def test_encrypt_context_mismatch(gf9, gf4):
         hfe_encrypt(kp.public, gf4.one())
     with pytest.raises(ContextMismatchError):
         hfe_decrypt(kp.secret, gf4.one())
+
+
+def test_keys_reject_layers_over_another_field():
+    # one size, two moduli: different fields, which no key may mix
+    f1 = FiniteField(2, 4, modulus=[1, 1, 0, 0, 1])
+    f2 = FiniteField(2, 4, modulus=[1, 0, 0, 1, 1])
+    one1, one2 = LinPoly.one(f1), LinPoly.one(f2)
+    core = DOPoly(f2, {(0, 1): f2.generator()})
+    with pytest.raises(ContextMismatchError):
+        decrypt_with_factors(one1, core, f2.one())
+    for outer, inner in ((one1, one2), (one2, one1)):
+        with pytest.raises(ContextMismatchError):
+            HFESecretKey(f2, outer, core, inner, 3)
+    with pytest.raises(ContextMismatchError):
+        HFESecretKey(f1, one1, core, one1, 3)
+    kp1, kp2 = hfe_keygen(f1, random.Random(1)), hfe_keygen(f2, random.Random(1))
+    with pytest.raises(ContextMismatchError):
+        HFEKeyPair(kp1.public, kp2.secret)
+    assert HFEKeyPair(kp2.public, kp2.secret).is_consistent()
 
 
 def test_decrypt_policy_cap(gf16):

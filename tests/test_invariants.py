@@ -133,3 +133,54 @@ def test_checks_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_level(body):
+    """Statements run at import, through if/try/with blocks but not into
+    function or class bodies."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody"):
+            yield from _module_level(getattr(node, field, []))
+        for handler in getattr(node, "handlers", []):
+            yield from _module_level(handler.body)
+
+
+def _is_cache_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_no_module_level_mutable_state():
+    # the only mutable module state is skew's division-check switch and
+    # counter, rebound by skew.check_rebuild alone; no module-level dict,
+    # list or set (beyond __all__) and no functools cache
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in _module_level(tree.body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                if isinstance(node.value, MUTABLE_DISPLAYS) and names != {"__all__"}:
+                    offenders.append(f"{path.name}:{node.lineno} mutable display")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_is_cache_decorator(d) for d in node.decorator_list):
+                    offenders.append(f"{path.name}:{node.lineno} cache decorator")
+                if (path.name, node.name) != ("skew.py", "check_rebuild"):
+                    offenders += [
+                        f"{path.name}:{g.lineno} global"
+                        for g in ast.walk(node)
+                        if isinstance(g, ast.Global)
+                    ]
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if any(alias.name in ("cache", "lru_cache") for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno} cache import")
+    assert offenders == []
