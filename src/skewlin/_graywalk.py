@@ -10,7 +10,7 @@ search of Bouillaguet et al. (Fast Exhaustive Search for Polynomial
 Systems in F_2, CHES 2010), here for every p.
 
 Vectors are digit tuples, lowest coordinate first; vector n is the
-tuple of base-p digits of n.
+tuple of base-p digits of n, and n is the vector's index.
 """
 
 from __future__ import annotations
@@ -63,10 +63,16 @@ def differences(
     return f0, f1, second
 
 
+def _vectors(p: int, e: int) -> list[Vector]:
+    """The vectors of Z_p^e in index order."""
+    return [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
+
+
 def preimage_table(
     p: int, e: int, f: Callable[[list[int]], Sequence[int]]
-) -> dict[Vector, list[Vector]]:
-    """Every vector of Z_p^e grouped under its image by f, in index order.
+) -> dict[int, list[int]]:
+    """Every vector of Z_p^e grouped under its image by f: the index of
+    each image to the sorted indices of its preimages.
 
     f must have degree at most 2.  The walk starts from its differences
     and gives every value of f from them.
@@ -114,13 +120,11 @@ def preimage_table(
             table[y] = [n]
         else:
             hits.append(n)
-    # vectors by index; packed image halves to their digits
-    vectors = [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
+    # packed image halves to their share of the image's index
     low = e // 2
     cut = w * low
-    lows = {pack(ds): ds[:low] for ds in vectors[: p**low]}
-    highs = {pack(ds): ds for ds in (ds[low:] for ds in vectors[:: p**low])}
+    lows = {pack(ds): n for n, ds in enumerate(_vectors(p, low))}
+    highs = {pack(ds): n * p**low for n, ds in enumerate(_vectors(p, e - low))}
     return {
-        lows[y & ((1 << cut) - 1)] + highs[y >> cut]: [vectors[i] for i in sorted(hits)]
-        for y, hits in table.items()
+        lows[y & ((1 << cut) - 1)] + highs[y >> cut]: sorted(hits) for y, hits in table.items()
     }

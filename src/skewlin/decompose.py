@@ -329,7 +329,7 @@ def _is_p_scalar(u: SkewPoly) -> bool:
         return True
     if u.degree > 0:
         return False
-    return not any(u.coeffs[0].digits[1:])
+    return u.coeffs[0].as_int() < u.field.p
 
 
 def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optional[ZeroDivisor]:

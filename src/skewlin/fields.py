@@ -2,10 +2,37 @@
 
 A field is described by a prime characteristic p, an extension degree e,
 and a monic irreducible modulus of degree e over Z_p.  An element
-d_0 + d_1 t + ... + d_{e-1} t^{e-1}, with t a root of the modulus, is the
-digit tuple (d_0, ..., d_{e-1}), low power first, every digit in [0, p).
-The modulus uses the same little-endian convention, its leading 1
-included, so GF(4) built on t^2 + t + 1 reads [1, 1, 1].
+d_0 + d_1 t + ... + d_{e-1} t^{e-1}, with t a root of the modulus, has
+the digit tuple (d_0, ..., d_{e-1}), low power first, every digit in
+[0, p).  The modulus uses the same little-endian convention, its leading
+1 included, so GF(4) built on t^2 + t + 1 reads [1, 1, 1].
+
+An element is stored as its index n = d_0 + d_1 p + ... + d_{e-1} p^(e-1)
+in [0, q), the from_int / as_int value, and nothing else.  Its digits
+are derived from the index where they are read: at the JSON, coordinate
+and repr boundary, and inside the digit kernels.  They come from two
+tables of half-length digit tuples (low and high digits), built on the
+first read, so reading them costs two lookups and a concatenation.
+
+Arithmetic runs on indices through kernels that each field picks once,
+at construction.  A field of characteristic 2 with at most TABLE_MAX_Q
+elements builds exp and log tables on its first arithmetic, over the
+smallest index of multiplicative order q - 1 (the modulus root t need
+not be primitive).  A product is then exp[log a + log b], an inverse
+exp[q - 1 - log a], a Frobenius power exp[2^k log a mod (q - 1)], a sum
+or difference the XOR of the indices, and negation the identity; every
+result is one of the field's q elements, made once with the tables.  The
+build costs q products, which a larger field's desk-scale use would not
+repay.  There, and in odd characteristic, products, inverses and
+Frobenius powers run the digit kernels (convolution with reduction,
+Euclid modulo the modulus, the matrix of x -> x^(p^k)) on the index's
+digits.  A field used only for parsing or I/O builds no table.
+
+Odd characteristic has no tables yet.  With Zech logarithms
+z(d) = log(1 + g^d) a sum would be exp[log a + z(log b - log a)], but the
+benchmark reads a faster odd-characteristic workload as a larger peak
+memory (its worker keeps a latency and a probe per operation), so the
+tables wait for that fix (ROADMAP direction 4).
 
 When no modulus is given the constructor deterministically picks the
 lexicographically smallest monic irreducible of degree e, scanning the
@@ -17,7 +44,8 @@ Each field also carries an ordered Z_p-basis used by the matrix and
 multivariate views elsewhere in the package; it defaults to the powers
 1, t, ..., t^{e-1}.  Elements never coerce across fields: any mixed
 operation raises ContextMismatchError, even when the fields are
-isomorphic.
+isomorphic.  Two fields built separately from the same description are
+equal, and their elements compare equal and combine.
 
 Fields with more than 2^20 elements are refused outright; everything in
 this package is meant to run at desk scale, where exhaustive checks stay
@@ -26,8 +54,10 @@ feasible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import _fppoly as fp
 from . import _linalg
@@ -41,6 +71,11 @@ from .errors import (
 )
 
 MAX_FIELD_SIZE = 1 << 20
+# the largest characteristic-2 field whose arithmetic runs on exp/log tables
+TABLE_MAX_Q = 1 << 12
+
+# the per-field arithmetic kernels: element indices in, the result's FqElem out
+_KERNELS = ("_add", "_sub", "_neg", "_mul", "_inv", "_frob")
 
 
 def _is_prime(n: int) -> bool:
@@ -58,23 +93,42 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digit_tuples(p: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """The base-p digit tuples of 0 .. p^width - 1, low digit first."""
+    return tuple(ds[::-1] for ds in itertools.product(range(p), repeat=width))
+
+
 def _over_cap(p: int, e: int) -> PolicyBoundError:
     return PolicyBoundError(f"field of size {p}^{e} exceeds the policy cap of 2^20 elements")
 
 
 class FqElem:
-    """Element of a FiniteField.
+    """Element of a FiniteField, held as its index in [0, q).
 
     Instances are immutable and hashable.  They are normally produced by
     the owning field (``field.element``, ``field.from_int``, arithmetic);
     the raw constructor performs no validation.
     """
 
-    __slots__ = ("field", "digits")
+    __slots__ = ("field", "_n")
 
-    def __init__(self, field: "FiniteField", digits: tuple[int, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "digits", digits)
+    def __init__(self, field: "FiniteField", n: int):
+        _set_field(self, field)
+        _set_index(self, n)
 
     def __setattr__(self, name, value):
         raise AttributeError("FqElem is immutable")
@@ -87,34 +141,44 @@ class FqElem:
                 f"elements of {self.field} and {other.field} cannot be combined"
             )
 
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The base-p digits of the index, low first."""
+        return self.field._digits(self._n)
+
     def __bool__(self) -> bool:
-        return any(self.digits)
+        return self._n != 0
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FqElem)
-            and self.digits == other.digits
-            and self.field == other.field
+            and self._n == other._n
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.digits))
+        return hash((self.field, self._n))
 
     def __add__(self, other: "FqElem") -> "FqElem":
-        self._peer(other)
-        return FqElem(self.field, self.field._add_digits(self.digits, other.digits))
+        field = self.field
+        if other.__class__ is not FqElem or other.field is not field:
+            self._peer(other)
+        return field._add(self._n, other._n)
 
     def __sub__(self, other: "FqElem") -> "FqElem":
-        self._peer(other)
-        return FqElem(self.field, self.field._sub_digits(self.digits, other.digits))
+        field = self.field
+        if other.__class__ is not FqElem or other.field is not field:
+            self._peer(other)
+        return field._sub(self._n, other._n)
 
     def __neg__(self) -> "FqElem":
-        p = self.field.p
-        return FqElem(self.field, tuple((-d) % p for d in self.digits))
+        return self.field._neg(self._n)
 
     def __mul__(self, other: "FqElem") -> "FqElem":
-        self._peer(other)
-        return FqElem(self.field, self.field._mul_digits(self.digits, other.digits))
+        field = self.field
+        if other.__class__ is not FqElem or other.field is not field:
+            self._peer(other)
+        return field._mul(self._n, other._n)
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inv()
@@ -132,22 +196,24 @@ class FqElem:
         return result
 
     def inv(self) -> "FqElem":
-        if not self:
+        if not self._n:
             raise ZeroDivisionError("inverse of the zero field element")
-        return FqElem(self.field, self.field._inv_digits(self.digits))
+        return self.field._inv(self._n)
 
     def frobenius(self, k: int) -> "FqElem":
         """x -> x^(p^k); any integer k is reduced mod e."""
-        return FqElem(self.field, self.field._frob_digits(self.digits, k % self.field.e))
+        return self.field._frob(self._n, k)
 
     def as_int(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.field.p + d
-        return v
+        return self._n
 
     def __repr__(self) -> str:
         return f"FqElem({list(self.digits)}, {self.field})"
+
+
+# slot setters that bypass FqElem.__setattr__, for the constructor alone
+_set_field = FqElem.field.__set__
+_set_index = FqElem._n.__set__
 
 
 class FiniteField:
@@ -166,7 +232,11 @@ class FiniteField:
         "_dual_frob",
         "_basis_frob",
         "_key",
-    )
+        "_low",
+        "_high",
+        "_exp",
+        "_log",
+    ) + _KERNELS
 
     def __init__(
         self,
@@ -212,6 +282,14 @@ class FiniteField:
         object.__setattr__(self, "_frob_cache", {})
         object.__setattr__(self, "_dual_frob", None)
         object.__setattr__(self, "_basis_frob", None)
+        for name in ("_low", "_high", "_exp", "_log"):
+            object.__setattr__(self, name, None)
+        if p == 2 and self.q <= TABLE_MAX_Q:
+            kernels = {name: functools.partial(self._first_arithmetic, name) for name in _KERNELS}
+        else:
+            kernels = self._digit_kernels()
+        for name, kernel in kernels.items():
+            object.__setattr__(self, name, kernel)
 
         identity = tuple(tuple(int(i == j) for i in range(e)) for j in range(e))
         coord_inv = None
@@ -231,7 +309,7 @@ class FiniteField:
         object.__setattr__(self, "_default_basis", basis_digits == identity)
         object.__setattr__(self, "_key", (p, e, mod, basis_digits))
         object.__setattr__(
-            self, "basis", tuple(FqElem(self, b) for b in basis_digits)
+            self, "basis", tuple(FqElem(self, self._index(b)) for b in basis_digits)
         )
 
     def __setattr__(self, name, value):
@@ -259,43 +337,39 @@ class FiniteField:
             )
         if any(not (0 <= d < self.p) for d in digs):
             raise DegreeMismatchError(f"digits must lie in [0, {self.p})")
-        return FqElem(self, digs)
+        return FqElem(self, self._index(digs))
 
     def from_int(self, n: int) -> FqElem:
         """Element with index n in [0, q): base-p digits of n, low first."""
         if not (0 <= n < self.q):
             raise DegreeMismatchError(f"index {n} out of range [0, {self.q})")
-        digs = []
-        for _ in range(self.e):
-            digs.append(n % self.p)
-            n //= self.p
-        return FqElem(self, tuple(digs))
+        return FqElem(self, n)
 
     def zero(self) -> FqElem:
-        return FqElem(self, (0,) * self.e)
+        return FqElem(self, 0)
 
     def one(self) -> FqElem:
-        return FqElem(self, (1,) + (0,) * (self.e - 1))
+        return FqElem(self, 1)
 
     def scalar(self, c: int) -> FqElem:
         """The prime-subfield element c mod p."""
-        return FqElem(self, (c % self.p,) + (0,) * (self.e - 1))
+        return FqElem(self, c % self.p)
 
     def generator(self) -> FqElem:
         """The modulus root t (equals 0 when e == 1)."""
         if self.e == 1:
             return self.zero()
-        return FqElem(self, (0, 1) + (0,) * (self.e - 2))
+        return FqElem(self, self.p)
 
     def elements(self) -> Iterator[FqElem]:
         for n in range(self.q):
-            yield self.from_int(n)
+            yield FqElem(self, n)
 
     def random_element(self, rng: random.Random, nonzero: bool = False) -> FqElem:
         while True:
-            digs = tuple(rng.randrange(self.p) for _ in range(self.e))
+            digs = [rng.randrange(self.p) for _ in range(self.e)]
             if not nonzero or any(digs):
-                return FqElem(self, digs)
+                return FqElem(self, self._index(digs))
 
     # ------------------------------------------------------------------
     # coordinates relative to the chosen basis
@@ -311,12 +385,15 @@ class FiniteField:
         """Inverse of coordinates: sum coords[i] * basis[i]."""
         if len(coords) != self.e:
             raise DegreeMismatchError(f"expected {self.e} coordinates")
+        p = self.p
+        if self._default_basis:
+            return FqElem(self, self._index([c % p for c in coords]))
         digs = [0] * self.e
         for c, b in zip(coords, self.basis):
-            if c % self.p:
-                for i in range(self.e):
-                    digs[i] = (digs[i] + c * b.digits[i]) % self.p
-        return FqElem(self, tuple(digs))
+            if c % p:
+                for i, d in enumerate(b.digits):
+                    digs[i] = (digs[i] + c * d) % p
+        return FqElem(self, self._index(digs))
 
     def basis_frobenius(self) -> tuple[tuple[FqElem, ...], ...]:
         """Row s holds basis_s^(p^k) for k = 0 .. e-1.  Built on first use.
@@ -340,15 +417,16 @@ class FiniteField:
         rows = self._dual_frob
         if rows is None:
             p, e = self.p, self.e
-            # Tr is Z_p-linear with values in Z_p (digit 0), so Tr(x) is the
-            # dot product of the digits of x with the traces of 1, t, .., t^(e-1)
+            # Tr is Z_p-linear with values in Z_p (index below p), so Tr(x)
+            # is the dot product of the digits of x with the traces of
+            # 1, t, .., t^(e-1)
             tr_t = []
             for j in range(e):
-                t_j = FqElem(self, tuple(int(i == j) for i in range(e)))
+                t_j = FqElem(self, p**j)
                 acc = t_j
                 for k in range(1, e):
                     acc = acc + t_j.frobenius(k)
-                tr_t.append(acc.digits[0])
+                tr_t.append(acc.as_int())
             gram = [
                 [sum(d * c for d, c in zip((bi * bj).digits, tr_t)) % p for bj in self.basis]
                 for bi in self.basis
@@ -365,15 +443,149 @@ class FiniteField:
         return rows
 
     # ------------------------------------------------------------------
+    # index kernels
+
+    def _digits(self, n: int) -> tuple[int, ...]:
+        """The digits of index n: the digit tuples of its low e // 2 and its
+        high e - e // 2 digits, from two tables built on first use."""
+        if self.e == 1:
+            return (n,)
+        low = self._low
+        if low is None:
+            e = self.e
+            low = _digit_tuples(self.p, e // 2)
+            object.__setattr__(self, "_low", low)
+            object.__setattr__(self, "_high", _digit_tuples(self.p, e - e // 2))
+        m = len(low)
+        return low[n % m] + self._high[n // m]
+
+    def _index(self, digits: Sequence[int]) -> int:
+        p = self.p
+        n = 0
+        for d in reversed(digits):
+            n = n * p + d
+        return n
+
+    def _digit_kernels(self) -> dict[str, Callable[..., FqElem]]:
+        """Kernels that run the digit kernels on the indices' digits."""
+        e = self.e
+        digits, index = self._digits, self._index
+
+        def mul(a, b):
+            return FqElem(self, index(self._mul_digits(digits(a), digits(b))))
+
+        def inv(a):
+            return FqElem(self, index(self._inv_digits(digits(a))))
+
+        def frob(a, k):
+            return FqElem(self, index(self._frob_digits(digits(a), k % e)))
+
+        if self.p == 2:
+
+            def xor(a, b):
+                return FqElem(self, a ^ b)
+
+            def same(a):
+                return FqElem(self, a)
+
+            return dict(_add=xor, _sub=xor, _neg=same, _mul=mul, _inv=inv, _frob=frob)
+
+        p = self.p
+
+        # digit-wise mod p, packed back into an index as the digits are read
+        def add(a, b):
+            n = 0
+            for x, y in zip(reversed(digits(a)), reversed(digits(b))):
+                n = n * p + (x + y) % p
+            return FqElem(self, n)
+
+        def sub(a, b):
+            n = 0
+            for x, y in zip(reversed(digits(a)), reversed(digits(b))):
+                n = n * p + (x - y) % p
+            return FqElem(self, n)
+
+        def neg(a):
+            n = 0
+            for x in reversed(digits(a)):
+                n = n * p + -x % p
+            return FqElem(self, n)
+
+        return dict(_add=add, _sub=sub, _neg=neg, _mul=mul, _inv=inv, _frob=frob)
+
+    def _first_arithmetic(self, name: str, *args) -> FqElem:
+        """The table kernels' stand-in: build the tables, then run kernel name."""
+        self._build_tables()
+        return getattr(self, name)(*args)
+
+    def _primitive_index(self) -> int:
+        """The smallest index of an element of multiplicative order q - 1."""
+        q, p = self.q, self.p
+        modulus = list(self.modulus)
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        for n in range(1, q):
+            a = fp.trim(list(self._digits(n)))
+            if all(fp.pow_mod(a, c, modulus, p) != [1] for c in cofactors):
+                return n
+        raise InvariantError(f"{self} has no element of order {q - 1}")
+
+    def _build_tables(self) -> None:
+        """exp and log tables over the primitive element, the q elements,
+        and the table kernels (characteristic 2) that read them.
+
+        exp holds g^i for i < 2(q - 1), so a sum of two logs needs no
+        reduction, then zeros up to 4(q - 1); log[0] is 2(q - 1), so a
+        product with a zero operand lands in that zero tail.  Raises
+        InvariantError unless the powers of g visit every nonzero index
+        exactly once.
+        """
+        e, q = self.e, self.q
+        qm1 = q - 1
+        zero_log = 2 * qm1
+        g = self._primitive_index()
+        # x -> g x is Z_2-linear: column k is the index of g t^k
+        digits, index = self._digits, self._index
+        cols = [index(self._mul_digits(digits(g), digits(1 << k))) for k in range(e)]
+        exp = [0] * (2 * zero_log + 1)
+        log = [zero_log] * q
+        n = 1
+        for i in range(qm1):
+            if not n or log[n] != zero_log:
+                raise InvariantError(
+                    f"powers of {list(digits(g))} in {self} repeat before q - 1 = {qm1}: "
+                    "not primitive"
+                )
+            exp[i] = exp[i + qm1] = n
+            log[n] = i
+            m, k, n = n, 0, 0
+            while m:
+                if m & 1:
+                    n ^= cols[k]
+                m >>= 1
+                k += 1
+        elems = tuple(FqElem(self, n) for n in range(q))
+
+        def mul(a, b):
+            return elems[exp[log[a] + log[b]]]
+
+        def inv(a):
+            return elems[exp[qm1 - log[a]]]
+
+        def frob(a, k):
+            # a^(2^k) = g^(2^k log a)
+            return elems[exp[(log[a] << (k % e)) % qm1]] if a else elems[0]
+
+        def xor(a, b):
+            return elems[a ^ b]
+
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+        kernels = dict(_add=xor, _sub=xor, _neg=elems.__getitem__, _mul=mul, _inv=inv, _frob=frob)
+        for name, kernel in kernels.items():
+            object.__setattr__(self, name, kernel)
+
+    # ------------------------------------------------------------------
     # digit kernels
-
-    def _add_digits(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub_digits(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
 
     def _mul_digits(self, a, b):
         p, e = self.p, self.e
@@ -419,4 +631,3 @@ class FiniteField:
                 for r in range(e):
                     out[r] += d * img[r]
         return tuple(c % p for c in out)
-

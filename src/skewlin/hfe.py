@@ -26,9 +26,10 @@ bound d.  Key generation composes S and T with D on exponents folded
 as the sums accumulate, reading Frobenius powers from tables.
 Decryption runs on basis coordinates over Z_p from start to finish: S
 and T are inverted as Z_p matrices, and the preimages of D come from a
-table of coordinate vectors built once by walking the whole field, so
-field size is capped by a policy bound.  The walk follows a modular Gray
-code (_graywalk) and reads D's coordinate quadratic forms over Z_p
+table built once by walking the whole field, so field size is capped by
+a policy bound.  It maps the index of a coordinate vector to the indices
+of the coordinate vectors of its preimages.  The walk follows a modular
+Gray code (_graywalk) and reads D's coordinate quadratic forms over Z_p
 (to_multivariate) at a few points only, never D itself.  Only the final
 combine builds field elements.  The attack takes greatest common left
 divisor factors of difference polynomials of E (they share the left
@@ -55,10 +56,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _graywalk, _linalg
-from ._graywalk import Vector
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -94,25 +95,26 @@ def _fold(x: int, q: int) -> int:
     return (x - 1) % (q - 1) + 1 if x else 0
 
 
-def _sum_terms(pairs: Iterable[tuple[int, FqElem]]) -> dict[int, FqElem]:
-    """Exponent -> sum of the coefficients paired with it; each sum starts
-    from its first term, and zero sums drop."""
+def _sum_terms(pairs: Iterable[tuple[int, FqElem]]) -> Mapping[int, FqElem]:
+    """Exponent -> sum of the coefficients paired with it, read-only; each
+    sum starts from its first term, and zero sums drop."""
     acc: dict[int, FqElem] = {}
     for x, c in pairs:
         prev = acc.get(x)
         acc[x] = prev + c if prev else c
-    return {x: c for x, c in acc.items() if c}
+    return MappingProxyType({x: c for x, c in acc.items() if c})
 
 
 class DOPoly:
     """sum_x c_x X^x over exponents with base-p digit sum at most 2: the
     constant 0, additive p^k and quadratic p^i + p^j.
 
-    terms maps each exponent to its nonzero coefficient.  The constructor
-    takes the parts (index pairs, a twist-1 additive SkewPoly, a constant)
-    and adds each term at its exponent, so in characteristic 2 a diagonal
-    pair is the carry 2^i + 2^i = 2^(i+1), additive index i + 1.  quad, lin
-    and const read the parts back off the base-p digits.
+    terms maps each exponent to its nonzero coefficient; like the rest of
+    the polynomial it is read-only.  The constructor takes the parts
+    (index pairs, a twist-1 additive SkewPoly, a constant) and adds each
+    term at its exponent, so in characteristic 2 a diagonal pair is the
+    carry 2^i + 2^i = 2^(i+1), additive index i + 1.  quad, lin and const
+    read the parts back off the base-p digits.
     """
 
     __slots__ = ("field", "terms")
@@ -327,7 +329,8 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     difference g(x) = f(x+a) - f(x) - f(a) + f(0), which the shape
     characterisation guarantees to exist below degree q.  The search reads
     one table F of f's values, g(x) = F[x + a] - F[x] - F[a] + F[0], and
-    tries a, then x, then y in element-index order.
+    tries a, then x, then y in element-index order; F and g are lists by
+    element index.
     """
     field = f.field
     q = field.q
@@ -340,14 +343,13 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
         value = DOPoly._of(field, terms.items())
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
     xs = list(field.elements())
-    F = {x.digits: sum((c * x**k for k, c in terms.items()), xs[0]) for x in xs}
-    f0 = F[xs[0].digits]
+    F = [sum((c * x**k for k, c in terms.items()), xs[0]) for x in xs]
     for a in xs[1:]:
-        shift = F[a.digits] - f0
-        g = {x.digits: F[(x + a).digits] - F[x.digits] - shift for x in xs}
+        shift = F[a.as_int()] - F[0]
+        g = [F[(x + a).as_int()] - F[n] - shift for n, x in enumerate(xs)]
         for x in xs:
             for y in xs:
-                if g[(x + y).digits] != g[x.digits] + g[y.digits]:
+                if g[(x + y).as_int()] != g[x.as_int()] + g[y.as_int()]:
                     return DOShapeResult(
                         ok=False,
                         value=None,
@@ -544,7 +546,7 @@ class HFEPublicKey:
 class HFESecretKey:
     """outer . core . inner with additive permutations around a DO core,
     all three over field; decryption reads Z_p matrices of their inverses
-    and a core table of coordinate vectors only."""
+    and a core table of coordinate-vector indices only."""
 
     def __init__(
         self, field: FiniteField, outer: SkewPoly, core: DOPoly, inner: SkewPoly, bound: int
@@ -558,7 +560,7 @@ class HFESecretKey:
         self.bound = bound
         self._outer_inv: Optional[Matrix] = None
         self._inner_inv: Optional[Matrix] = None
-        self._table: Optional[dict[Vector, list[Vector]]] = None
+        self._table: Optional[dict[int, list[int]]] = None
 
     def outer_inverse(self) -> Matrix:
         if self._outer_inv is None:
@@ -570,16 +572,16 @@ class HFESecretKey:
             self._inner_inv = self.inner.inverse_matrix()
         return self._inner_inv
 
-    def core_table(self, max_q: Optional[int] = None) -> dict[Vector, list[Vector]]:
-        """Coordinate vectors of the core's preimages, keyed by the
-        coordinates of their image.
+    def core_table(self, max_q: Optional[int] = None) -> dict[int, list[int]]:
+        """The core's preimages by coordinates: the index of an image's
+        coordinate vector to the sorted indices of its preimages'
+        coordinate vectors (vector n holds the base-p digits of n).
 
         Built on first use by a modular Gray-code walk of the coordinate
         vectors (_graywalk.preimage_table) through the core's coordinate
         forms over Z_p: one step per element, each a few int operations.
-        Preimage lists are in coordinate-vector index order.  A field
-        larger than max_q (default POLICY_MAX_Q) is refused, built table
-        or not.  The table lives on this key only; decrypt_with_factors
+        A field larger than max_q (default POLICY_MAX_Q) is refused, built
+        table or not.  The table lives on this key only; decrypt_with_factors
         builds a fresh key, and so a fresh table, per call.
         """
         cap = POLICY_MAX_Q if max_q is None else max_q
@@ -694,16 +696,19 @@ def hfe_decrypt(
     """All plaintexts mapping to y, sorted by element index.
 
     Everything runs on basis coordinates over Z_p: S^-1 is a matrix
-    product, the core table gives the core's preimages, T^-1 maps each
-    back, and only the final combine builds field elements.
+    product, packed once into the index the core table is keyed by; the
+    table gives the indices of the core's preimages, each is unpacked
+    for T^-1, and only the final combine builds field elements.
     """
     if y.field != secret.field:
         raise ContextMismatchError("ciphertext from a different field")
     field, p = secret.field, secret.field.p
     table = secret.core_table(max_q)
-    z = tuple(_linalg.matvec(secret.outer_inverse(), field.coordinates(y), p))
+    z = field._index(_linalg.matvec(secret.outer_inverse(), field.coordinates(y), p))
     inner_inv = secret.inner_inverse()
-    ms = [field.combine(_linalg.matvec(inner_inv, u, p)) for u in table.get(z, [])]
+    ms = [
+        field.combine(_linalg.matvec(inner_inv, field._digits(u), p)) for u in table.get(z, [])
+    ]
     return sorted(ms, key=lambda m: m.as_int())
 
 

@@ -97,6 +97,19 @@ def test_constructor_validation(gf4, gf9, gf16):
     assert DOPoly(gf4, {(0, 1): gf4.zero()}).is_zero
 
 
+def test_terms_are_read_only(gf16):
+    # item assignment would leave is_zero, degree and quad stale
+    D = DOPoly(gf16, {(0, 1): gf16.one()})
+    with pytest.raises(TypeError):
+        D.terms[3] = gf16.zero()
+    with pytest.raises(TypeError):
+        del D.terms[3]
+    for E in (D + D.reduce(), -D, D.reduce(), do_compose_lin(LinPoly.one(gf16), D, "left")):
+        with pytest.raises(TypeError):
+            E.terms[3] = gf16.one()
+    assert not D.is_zero and D.degree == 3 and D.quad == {(0, 1): gf16.one()}
+
+
 def test_evaluation_is_monomial_sum(gf16):
     rng = random.Random(80)
     p = gf16.p

@@ -4,17 +4,21 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import GF, Poly, symbols
 
 import skewlin.fields as fields
+from skewlin import _fppoly
 from skewlin.errors import (
     ContextMismatchError,
     DegreeMismatchError,
+    InvariantError,
     NonPrimeError,
     PolicyBoundError,
     ReducibleModulusError,
 )
-from skewlin.fields import MAX_FIELD_SIZE, FiniteField
+from skewlin.fields import MAX_FIELD_SIZE, TABLE_MAX_Q, FiniteField
 
 ALL_FIELDS = ["gf2", "gf4", "gf8", "gf9", "gf16", "gf27", "gf64", "gf256"]
 
@@ -280,3 +284,151 @@ def test_prime_field_behaves(gf2):
 def test_repr(gf4, gf2):
     assert repr(gf4) == "GF(2^2)"
     assert repr(gf2) == "GF(2)"
+
+
+# ----------------------------------------------------------------------
+# the index kernels against the digit convolution
+
+
+def base_p_digits(n, p, e):
+    out = []
+    for _ in range(e):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
+
+
+def digit_power(field, d, n):
+    """d^n by square and multiply on digit tuples with the digit convolution."""
+    result = base_p_digits(1, field.p, field.e)
+    while n:
+        if n & 1:
+            result = field._mul_digits(result, d)
+        d = field._mul_digits(d, d)
+        n >>= 1
+    return result
+
+
+def check_unary(field, x):
+    """-x, x^-1, x^(p^k) for every k, and a few powers of x, against the
+    digit tuples and the digit convolution; and x's index and digits."""
+    p, e, q = field.p, field.e, field.q
+    n = x.as_int()
+    d = base_p_digits(n, p, e)
+    assert x.digits == d
+    assert field.from_int(n) == x and field.element(d).as_int() == n
+    assert (-x).digits == tuple((-c) % p for c in d)
+    for k in range(-1, e + 1):
+        assert x.frobenius(k).digits == digit_power(field, d, p ** (k % e)), (x, k)
+    for m in (0, 1, 2, 3, q - 2, q - 1, q):
+        assert (x**m).digits == digit_power(field, d, m), (x, m)
+    if n:
+        inv = x.inv()
+        assert field._mul_digits(d, inv.digits) == base_p_digits(1, p, e)
+        assert (x**-1) == inv and (x ** -(q - 2)) == x
+
+
+def check_binary(field, x, y):
+    p = field.p
+    a, b = x.digits, y.digits
+    assert (x + y).digits == tuple((u + v) % p for u, v in zip(a, b)), (x, y)
+    assert (x - y).digits == tuple((u - v) % p for u, v in zip(a, b)), (x, y)
+    assert (x * y).digits == field._mul_digits(a, b), (x, y)
+
+
+# beside the fixture fields: a modulus whose root t is not primitive, a
+# non-default basis, and a prime field
+ORACLE_FIELDS = {
+    "gf16-m11111": (2, 4, [1, 1, 1, 1, 1], None),
+    "gf9-basis": (3, 2, None, [(1, 2), (2, 2)]),
+    "gf7": (7, 1, None, None),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS + list(ORACLE_FIELDS))
+def test_index_kernels_match_digit_oracle_exhaustively(name, request):
+    if name in ORACLE_FIELDS:
+        field = FiniteField(*ORACLE_FIELDS[name])
+    else:
+        field = request.getfixturevalue(name)
+    elems = list(field.elements())
+    for x in elems:
+        check_unary(field, x)
+        for y in elems:
+            check_binary(field, x, y)
+
+
+def irreducible_field():
+    """GF(p^e) with q <= 2^13 on a random irreducible modulus: characteristic
+    2 on both sides of TABLE_MAX_Q, and odd characteristic."""
+    shapes = [(p, e) for p in (2, 3, 5, 7, 13) for e in range(1, 14) if p**e <= 1 << 13]
+    # half of the draws sit at the bound: GF(2^12) on tables, GF(2^13) without
+    near_bound = st.sampled_from([(2, 12), (2, 13)])
+
+    @st.composite
+    def build(draw):
+        p, e = draw(st.one_of(st.sampled_from(shapes), near_bound))
+        low = draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e))
+        modulus = low + [1]
+        assume(_fppoly.is_irreducible(modulus, p))
+        return FiniteField(p, e, modulus)
+
+    return build()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(field=irreducible_field(), data=st.data())
+def test_index_kernels_match_digit_oracle_on_random_moduli(field, data):
+    index = st.integers(0, field.q - 1)
+    xs = [field.from_int(data.draw(index)) for _ in range(4)]
+    for x in xs:
+        check_unary(field, x)
+        for y in xs:
+            check_binary(field, x, y)
+    assert (field._exp is not None) == (field.p == 2 and field.q <= TABLE_MAX_Q)
+
+
+def test_tables_are_built_on_first_arithmetic():
+    small, big, odd = FiniteField(2, 12), FiniteField(2, 13), FiniteField(3, 6)
+    assert TABLE_MAX_Q == small.q
+    for field in (small, big, odd):
+        assert field._exp is None
+        field.from_int(5).digits, field.random_element(random.Random(1))
+        assert field._exp is None
+        _ = field.from_int(5) * field.from_int(7)
+    assert len(small._exp) == 4 * (small.q - 1) + 1 and len(small._log) == small.q
+    # above the bound and for odd p the digit kernels run, with no table
+    assert big._exp is None and odd._exp is None
+
+
+def smallest_primitive_index(field):
+    """By brute force: the least index whose powers reach every nonzero element."""
+    for n in range(1, field.q):
+        x, seen = field.from_int(n), set()
+        y = x
+        while y not in seen:
+            seen.add(y)
+            y = y * x
+        if len(seen) == field.q - 1:
+            return n
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(2, 1, None), (2, 4, None), (2, 4, [1, 1, 1, 1, 1]), (2, 6, None), (2, 8, None)],
+)
+def test_generator_is_smallest_primitive_index(p, e, modulus):
+    field = FiniteField(p, e, modulus)
+    g = field._primitive_index()
+    assert g == smallest_primitive_index(field)
+    if modulus == [1, 1, 1, 1, 1]:
+        # the modulus root t (index 2) has order 5 here, so it is not the generator
+        assert g == 3 and field.generator() ** 5 == field.one()
+
+
+def test_table_build_rejects_a_non_primitive_generator(monkeypatch):
+    field = FiniteField(2, 4, [1, 1, 1, 1, 1])
+    monkeypatch.setattr(FiniteField, "_primitive_index", lambda self: self.generator().as_int())
+    with pytest.raises(InvariantError, match="not primitive"):
+        field.one() * field.one()
+    assert field._exp is None

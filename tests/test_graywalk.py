@@ -38,15 +38,20 @@ def random_quadratic_map(p, e, rng):
     return f
 
 
+def index(p, v):
+    """The index of vector v: the base-p number with digits v, low first."""
+    return sum(d * p**i for i, d in enumerate(v))
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (11, 1)])
 def test_preimage_table_matches_every_point(p, e):
     rng = random.Random(p * 100 + e)
     for _ in range(3):
         f = random_quadratic_map(p, e, rng)
         want = {}
-        for ds in itertools.product(range(p), repeat=e):
-            x = ds[::-1]  # index order: lowest digit first and fastest
-            want.setdefault(f(x), []).append(x)
+        for n, ds in enumerate(itertools.product(range(p), repeat=e)):
+            x = ds[::-1]  # vector n: lowest digit first and fastest
+            want.setdefault(index(p, f(x)), []).append(n)
         assert _graywalk.preimage_table(p, e, f) == want
 
 

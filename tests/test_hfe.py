@@ -357,20 +357,27 @@ def test_core_walk_reads_coordinate_forms(gf9, monkeypatch):
 
     monkeypatch.setattr(DOPoly, "__call__", refuse)
     table = kp.secret.core_table()
-    assert table[gf9.coordinates(z)] == [gf9.coordinates(x) for x in pre]
+    assert table[vector_index(gf9.coordinates(z), 3)] == [
+        vector_index(gf9.coordinates(x), 3) for x in pre
+    ]
     assert decrypt_with_factors(LinPoly.one(gf9), D, z) == pre
     assert hfe_decrypt(kp.secret, y) == plain
 
 
+def vector_index(v, p):
+    """The index of a coordinate vector: the base-p number with digits v, low first."""
+    return sum(c * p**i for i, c in enumerate(v))
+
+
 def per_point_core_table(field, core):
     """The oracle: the core's coordinate forms at the coordinates of every
-    element, each preimage list in coordinate-vector index order."""
+    element, by vector index, each preimage list sorted."""
     evaluate = to_multivariate(core).evaluate
     table = {}
     for x in field.elements():
         xs = field.coordinates(x)
-        table.setdefault(evaluate(xs), []).append(xs)
-    return {y: sorted(xs, key=lambda v: v[::-1]) for y, xs in table.items()}
+        table.setdefault(vector_index(evaluate(xs), field.p), []).append(vector_index(xs, field.p))
+    return {y: sorted(ns) for y, ns in table.items()}
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,20 @@ except InvariantError:
 else:
     raise SystemExit("split check was stripped")
 
+# the table build proves its generator: t is not primitive under [1,1,1,1,1]
+real_primitive = FiniteField._primitive_index
+FiniteField._primitive_index = lambda self: self.generator().as_int()
+gf16_t5 = FiniteField(2, 4, [1, 1, 1, 1, 1])
+try:
+    gf16_t5.one() * gf16_t5.generator()
+except InvariantError:
+    pass
+else:
+    raise SystemExit("primitive-generator check was stripped")
+FiniteField._primitive_index = real_primitive
+if gf16_t5.generator() ** 5 != gf16_t5.one() or gf16_t5._primitive_index() != 3:
+    raise SystemExit("table build over the smallest primitive index is wrong")
+
 real_compose = hfe.do_compose_lin
 hfe.do_compose_lin = lambda L, D, side, reduce=False: (
     DOPoly.zero(D.field) if reduce else real_compose(L, D, side)
