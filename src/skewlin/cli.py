@@ -23,6 +23,9 @@ hfe.POLICY_MAX_Q are clamped to it, values below 1 are rejected.
 A key pair file loads only when its secret half composes to its public
 map E (exit 2 otherwise).  A bare secret key given to decrypt with
 --field has no E to check against, so it is used as it stands.
+
+Each verb imports the decomposition, HFE and skew modules it runs inside
+its own function, so one call loads only what that verb needs.
 """
 
 from __future__ import annotations
@@ -34,18 +37,8 @@ import sys
 from typing import Any, Optional
 
 from . import serialize as ser
-from .decompose import decompose_complete, estimate_split_success
 from .errors import AttackFailedError, InvariantError, ParseError, SkewlinError
 from .fields import FiniteField
-from .hfe import (
-    POLICY_MAX_Q,
-    decrypt_with_factors,
-    gcldf_attack,
-    hfe_decrypt,
-    hfe_encrypt,
-    hfe_keygen,
-)
-from .skew import gcldf
 
 SEED_STRIDE = 1_000_003
 
@@ -89,6 +82,8 @@ def cmd_field(args: argparse.Namespace) -> dict:
 
 
 def cmd_decompose(args: argparse.Namespace) -> dict:
+    from .decompose import decompose_complete
+
     obj = _load_json(args.input)
     obj = ser._need_dict(obj, "decompose input", {"field", "poly"})
     field = ser.field_from_obj(obj["field"])
@@ -99,6 +94,8 @@ def cmd_decompose(args: argparse.Namespace) -> dict:
 
 
 def cmd_gcldf(args: argparse.Namespace) -> dict:
+    from .skew import gcldf
+
     obj = _load_json(args.input)
     obj = ser._need_dict(obj, "gcldf input", {"field", "f", "g"})
     field = ser.field_from_obj(obj["field"])
@@ -113,6 +110,8 @@ def cmd_gcldf(args: argparse.Namespace) -> dict:
 
 
 def cmd_keygen(args: argparse.Namespace) -> dict:
+    from .hfe import hfe_keygen
+
     field = _field_from_args(args)
     rng = random.Random(args.seed)
     kp = hfe_keygen(field, rng, degree_bound=args.degree_bound)
@@ -126,6 +125,8 @@ def _public_from_file(obj: Any):
 
 
 def cmd_encrypt(args: argparse.Namespace) -> dict:
+    from .hfe import hfe_encrypt
+
     public = _public_from_file(_load_json(args.key))
     m = ser.element_from_obj(public.field, args.message)
     c = hfe_encrypt(public, m)
@@ -133,6 +134,8 @@ def cmd_encrypt(args: argparse.Namespace) -> dict:
 
 
 def cmd_decrypt(args: argparse.Namespace) -> dict:
+    from .hfe import hfe_decrypt
+
     obj = _load_json(args.key)
     if isinstance(obj, dict) and set(obj) == {"public", "secret"}:
         kp = ser.keypair_from_obj(obj)
@@ -148,6 +151,8 @@ def cmd_decrypt(args: argparse.Namespace) -> dict:
 
 
 def cmd_attack(args: argparse.Namespace) -> dict:
+    from .hfe import gcldf_attack
+
     if args.max_rounds < 1:
         raise ParseError("--max-rounds must be at least 1")
     if args.instances is not None:
@@ -165,6 +170,8 @@ def cmd_attack(args: argparse.Namespace) -> dict:
 
 
 def _attack_batch(args: argparse.Namespace) -> dict:
+    from .hfe import decrypt_with_factors, gcldf_attack, hfe_encrypt, hfe_keygen
+
     if args.p is None or args.e is None:
         raise ParseError("attack --instances needs --p and --e")
     if args.instances < 0:
@@ -201,6 +208,8 @@ def _attack_batch(args: argparse.Namespace) -> dict:
 
 
 def cmd_probe(args: argparse.Namespace) -> dict:
+    from .decompose import estimate_split_success
+
     field = _field_from_args(args)
     stats = estimate_split_success(
         field, args.degree, args.trials, args.seed, twist=args.twist
@@ -281,6 +290,8 @@ def _policy_cap(raw: Optional[str]) -> Optional[int]:
         raise ParseError(f"TOOL_POLICY_MAX_Q must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ParseError(f"TOOL_POLICY_MAX_Q must be at least 1, got {cap}")
+    from .hfe import POLICY_MAX_Q
+
     return min(cap, POLICY_MAX_Q)
 
 

@@ -23,10 +23,17 @@ exp[q - 1 - log a], a Frobenius power exp[2^k log a mod (q - 1)], a sum
 or difference the XOR of the indices, and negation the identity; every
 result is one of the field's q elements, made once with the tables.  The
 build costs q products, which a larger field's desk-scale use would not
-repay.  There, and in odd characteristic, products, inverses and
-Frobenius powers run the digit kernels (convolution with reduction,
-Euclid modulo the modulus, the matrix of x -> x^(p^k)) on the index's
-digits.  A field used only for parsing or I/O builds no table.
+repay.  Above TABLE_MAX_Q a field of characteristic 2 reads its index as
+a polynomial over Z_2 instead, one bit per digit, and builds no table: a
+product is a carry-less shift and XOR, reduced by the modulus bits as it
+goes; an inverse runs the binary extended Euclid algorithm against the
+modulus bits; a Frobenius power XORs, over the set bits of the index,
+the indices of (t^i)^(2^k), one row per k cached on first use.  In odd
+characteristic products, inverses and Frobenius powers run the digit
+kernels (convolution with reduction, Euclid modulo the modulus, the
+matrix of x -> x^(p^k)) on the index's digits; those kernels are also
+the tests' oracle for the other two.  A field used only for parsing or
+I/O builds no table.
 
 Odd characteristic has no tables yet.  With Zech logarithms
 z(d) = log(1 + g^d) a sum would be exp[log a + z(log b - log a)], but the
@@ -284,10 +291,12 @@ class FiniteField:
         object.__setattr__(self, "_basis_frob", None)
         for name in ("_low", "_high", "_exp", "_log"):
             object.__setattr__(self, name, None)
-        if p == 2 and self.q <= TABLE_MAX_Q:
+        if p != 2:
+            kernels = self._digit_kernels()
+        elif self.q <= TABLE_MAX_Q:
             kernels = {name: functools.partial(self._first_arithmetic, name) for name in _KERNELS}
         else:
-            kernels = self._digit_kernels()
+            kernels = self._bit_kernels()
         for name, kernel in kernels.items():
             object.__setattr__(self, name, kernel)
 
@@ -467,8 +476,8 @@ class FiniteField:
         return n
 
     def _digit_kernels(self) -> dict[str, Callable[..., FqElem]]:
-        """Kernels that run the digit kernels on the indices' digits."""
-        e = self.e
+        """Odd characteristic: the digit kernels on the indices' digits."""
+        p, e = self.p, self.e
         digits, index = self._digits, self._index
 
         def mul(a, b):
@@ -479,18 +488,6 @@ class FiniteField:
 
         def frob(a, k):
             return FqElem(self, index(self._frob_digits(digits(a), k % e)))
-
-        if self.p == 2:
-
-            def xor(a, b):
-                return FqElem(self, a ^ b)
-
-            def same(a):
-                return FqElem(self, a)
-
-            return dict(_add=xor, _sub=xor, _neg=same, _mul=mul, _inv=inv, _frob=frob)
-
-        p = self.p
 
         # digit-wise mod p, packed back into an index as the digits are read
         def add(a, b):
@@ -512,6 +509,75 @@ class FiniteField:
             return FqElem(self, n)
 
         return dict(_add=add, _sub=sub, _neg=neg, _mul=mul, _inv=inv, _frob=frob)
+
+    def _bit_kernels(self) -> dict[str, Callable[..., FqElem]]:
+        """Characteristic 2 above TABLE_MAX_Q: the index's bits are its
+        digits, so the kernels work on the index as a polynomial over Z_2."""
+        e = self.e
+        top = 1 << e
+        modulus = self._index(self.modulus)
+        frob_rows: dict[int, tuple[int, ...]] = {}
+
+        def product(a, b):
+            # shift and XOR over the bits of the smaller operand b; at bit i,
+            # a holds the first operand times t^i, reduced by the modulus bits
+            if a < b:
+                a, b = b, a
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= modulus
+            return r
+
+        def mul(a, b):
+            return FqElem(self, product(a, b))
+
+        def inv(a):
+            # binary extended Euclid on (a, modulus): g a = u and h a = v
+            # modulo the modulus throughout, until u = 1
+            u, v, g, h = a, modulus, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g, h, j = v, u, h, g, -j
+                u ^= v << j
+                g ^= h << j
+            return FqElem(self, g)
+
+        def frob(a, k):
+            # x -> x^(2^k) is Z_2-linear: row i is the index of (t^i)^(2^k)
+            k %= e
+            if not k:
+                return FqElem(self, a)
+            row = frob_rows.get(k)
+            if row is None:
+                s = 2
+                for _ in range(k):
+                    s = product(s, s)
+                row, x = [], 1
+                for _ in range(e):
+                    row.append(x)
+                    x = product(x, s)
+                row = frob_rows[k] = tuple(row)
+            r = i = 0
+            while a:
+                if a & 1:
+                    r ^= row[i]
+                a >>= 1
+                i += 1
+            return FqElem(self, r)
+
+        def xor(a, b):
+            return FqElem(self, a ^ b)
+
+        def same(a):
+            return FqElem(self, a)
+
+        return dict(_add=xor, _sub=xor, _neg=same, _mul=mul, _inv=inv, _frob=frob)
 
     def _first_arithmetic(self, name: str, *args) -> FqElem:
         """The table kernels' stand-in: build the tables, then run kernel name."""

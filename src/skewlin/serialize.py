@@ -7,24 +7,23 @@ their twist step under the key "s".  Parsing is strict: missing or
 unknown keys, wrong JSON types, and out-of-range digits all raise
 ParseError; semantic problems (a reducible modulus, a non-prime p) are
 left to the constructors and surface as domain errors instead.
+
+The HFE types are imported inside the functions that build them, so a
+caller that reads only fields and polynomials never loads hfe.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .decompose import Decomposition, SplitStats
 from .errors import ParseError
 from .fields import FiniteField, FqElem
-from .hfe import (
-    DOPoly,
-    HFEKeyPair,
-    HFEPublicKey,
-    HFESecretKey,
-    MultivariateKey,
-)
 from .skew import SkewPoly
+
+if TYPE_CHECKING:
+    from .decompose import Decomposition, SplitStats
+    from .hfe import DOPoly, HFEKeyPair, HFEPublicKey, HFESecretKey, MultivariateKey
 
 
 def dumps(obj: Any) -> str:
@@ -152,6 +151,8 @@ def dopoly_to_obj(D: DOPoly) -> dict:
 
 
 def dopoly_from_obj(field: FiniteField, obj: Any) -> DOPoly:
+    from .hfe import DOPoly
+
     obj = _need_dict(obj, "DO polynomial", {"quad", "lin", "const"})
     quad: dict[tuple[int, int], FqElem] = {}
     for entry in _need_list(obj["quad"], "quad terms"):
@@ -207,6 +208,8 @@ def public_from_obj(obj: Any) -> HFEPublicKey:
 
     Compared as canonical text, so true, 1.0 or an explicit zero term fails.
     """
+    from .hfe import HFEPublicKey
+
     obj = _need_dict(obj, "public key", {"field", "E", "multivariate"})
     field = field_from_obj(obj["field"])
     public = HFEPublicKey(dopoly_from_obj(field, obj["E"]))
@@ -225,6 +228,8 @@ def secret_to_obj(sec: HFESecretKey) -> dict:
 
 
 def secret_from_obj(field: FiniteField, obj: Any) -> HFESecretKey:
+    from .hfe import HFESecretKey
+
     obj = _need_dict(obj, "secret key", {"S", "D", "T", "d"})
     outer = linpoly_from_obj(field, obj["S"])
     core = dopoly_from_obj(field, obj["D"])
@@ -241,6 +246,8 @@ def keypair_to_obj(kp: HFEKeyPair) -> dict:
 
 
 def keypair_from_obj(obj: Any) -> HFEKeyPair:
+    from .hfe import HFEKeyPair
+
     obj = _need_dict(obj, "key pair", {"public", "secret"})
     public = public_from_obj(obj["public"])
     secret = secret_from_obj(public.field, obj["secret"])

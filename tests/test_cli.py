@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-import skewlin.cli as cli
 import skewlin.serialize as ser
 from skewlin.cli import main
 from skewlin.decompose import estimate_split_success
@@ -119,7 +118,7 @@ def test_invariant_failure_exits_1(capsys, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantError("check failed")
 
-    monkeypatch.setattr(cli, "decompose_complete", broken)
+    monkeypatch.setattr("skewlin.decompose.decompose_complete", broken)
     code, out, err = run(capsys, "decompose", "--in", str(path))
     assert (code, out, err) == (1, "", "skewlin: check failed\n")
 

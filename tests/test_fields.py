@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic."""
 
+import itertools
 import random
 import time
 
@@ -10,6 +11,7 @@ from sympy import GF, Poly, symbols
 
 import skewlin.fields as fields
 from skewlin import _fppoly
+from skewlin.decompose import decompose_complete
 from skewlin.errors import (
     ContextMismatchError,
     DegreeMismatchError,
@@ -19,6 +21,7 @@ from skewlin.errors import (
     ReducibleModulusError,
 )
 from skewlin.fields import MAX_FIELD_SIZE, TABLE_MAX_Q, FiniteField
+from skewlin.skew import SkewPoly
 
 ALL_FIELDS = ["gf2", "gf4", "gf8", "gf9", "gf16", "gf27", "gf64", "gf256"]
 
@@ -397,8 +400,61 @@ def test_tables_are_built_on_first_arithmetic():
         assert field._exp is None
         _ = field.from_int(5) * field.from_int(7)
     assert len(small._exp) == 4 * (small.q - 1) + 1 and len(small._log) == small.q
-    # above the bound and for odd p the digit kernels run, with no table
+    # above the bound the bit kernels run and for odd p the digit kernels,
+    # neither with a table
     assert big._exp is None and odd._exp is None
+
+
+# the bit kernels of characteristic 2 above TABLE_MAX_Q, on each default
+# modulus and on one dense modulus (its bits as an integer)
+BIT_FIELDS = [(13, None), (13, 0x2807), (16, None), (16, 0x15A7D), (20, None), (20, 0x12E43B)]
+
+
+@pytest.mark.parametrize("e, bits", BIT_FIELDS)
+def test_bit_kernels_match_digit_oracle(e, bits):
+    modulus = None if bits is None else [(bits >> i) & 1 for i in range(e + 1)]
+    field = FiniteField(2, e, modulus)
+    assert field.q > TABLE_MAX_Q
+    rng = random.Random(e)
+    xs = [field.zero(), field.one()] + [field.from_int(rng.randrange(1, field.q)) for _ in range(4)]
+    for x in xs:
+        check_unary(field, x)
+        for y in xs:
+            check_binary(field, x, y)
+            if y:
+                assert (x / y).digits == field._mul_digits(x.digits, y.inv().digits)
+                assert (x / y) * y == x
+    assert field._exp is None
+
+
+def test_bit_kernel_inverse_of_every_element_of_gf8192():
+    field = FiniteField(2, 13)
+    one = field.one()
+    for x in itertools.islice(field.elements(), 1, None):
+        assert x * x.inv() == one, x
+
+
+def test_gf65536_decomposition_runs_no_digit_kernel(monkeypatch):
+    calls = []
+    for name in ("_mul_digits", "_inv_digits", "_frob_digits"):
+        original = getattr(FiniteField, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(FiniteField, name, spy)
+    field = FiniteField(2, 16)
+    rng = random.Random(5)
+    f = SkewPoly.one(field)
+    for _ in range(3):
+        f = f * SkewPoly(field, [field.random_element(rng), field.one()])
+    dec = decompose_complete(f, rng=random.Random(1))
+    acc = SkewPoly.one(field)
+    for g in dec.factors:
+        acc = acc * g
+    assert acc.left_scalar(dec.unit) == f and len(dec.factors) == 3
+    assert calls == []
 
 
 def smallest_primitive_index(field):
