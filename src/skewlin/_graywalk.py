@@ -15,8 +15,9 @@ tuple of base-p digits of n, and n is the vector's index.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Sequence
+
+from .fields import _digit_tuples
 
 Vector = tuple[int, ...]
 
@@ -61,11 +62,6 @@ def differences(
                 (a - b - c + d) % p for a, b, c, d in zip(f2, f1[s], f1[t], f0)
             )
     return f0, f1, second
-
-
-def _vectors(p: int, e: int) -> list[Vector]:
-    """The vectors of Z_p^e in index order."""
-    return [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
 
 
 def preimage_table(
@@ -123,8 +119,8 @@ def preimage_table(
     # packed image halves to their share of the image's index
     low = e // 2
     cut = w * low
-    lows = {pack(ds): n for n, ds in enumerate(_vectors(p, low))}
-    highs = {pack(ds): n * p**low for n, ds in enumerate(_vectors(p, e - low))}
+    lows = {pack(ds): n for n, ds in enumerate(_digit_tuples(p, low))}
+    highs = {pack(ds): n * p**low for n, ds in enumerate(_digit_tuples(p, e - low))}
     return {
         lows[y & ((1 << cut) - 1)] + highs[y >> cut]: sorted(hits) for y, hits in table.items()
     }

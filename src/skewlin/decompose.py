@@ -225,9 +225,7 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     cols = []
     for i in range(n):
         for d in range(e):
-            digits = [0] * e
-            digits[d] = 1
-            fb = [zero] * i + list(f.right_scalar(field.element(tuple(digits))).coeffs)
+            fb = [zero] * i + list(f.right_scalar(field.from_int(p**d)).coeffs)
             # the terms below Y^n are residues already
             col = SkewPoly(field, fb[:n], f.twist) + _combine(fb[n:], high, monic)
             cols.append(_flatten(col, n, e))

@@ -15,25 +15,25 @@ tables of half-length digit tuples (low and high digits), built on the
 first read, so reading them costs two lookups and a concatenation.
 
 Arithmetic runs on indices through kernels that each field picks once,
-at construction.  A field of characteristic 2 with at most TABLE_MAX_Q
-elements builds exp and log tables on its first arithmetic, over the
-smallest index of multiplicative order q - 1 (the modulus root t need
-not be primitive).  A product is then exp[log a + log b], an inverse
-exp[q - 1 - log a], a Frobenius power exp[2^k log a mod (q - 1)], a sum
-or difference the XOR of the indices, and negation the identity; every
-result is one of the field's q elements, made once with the tables.  The
-build costs q products, which a larger field's desk-scale use would not
-repay.  Above TABLE_MAX_Q a field of characteristic 2 reads its index as
-a polynomial over Z_2 instead, one bit per digit, and builds no table: a
-product is a carry-less shift and XOR, reduced by the modulus bits as it
-goes; an inverse runs the binary extended Euclid algorithm against the
-modulus bits; a Frobenius power XORs, over the set bits of the index,
-the indices of (t^i)^(2^k), one row per k cached on first use.  In odd
+at construction, and each characteristic has one arithmetic.  A field of
+characteristic 2 reads its index as a polynomial over Z_2, one bit per
+digit: a product is a carry-less shift and XOR, reduced by the modulus
+bits as it goes; an inverse runs the binary extended Euclid algorithm
+against the modulus bits; a Frobenius power XORs, over the set bits of
+the index, the indices of (t^i)^(2^k), one row per k cached on first
+use; a sum or difference is the XOR of the indices, and negation the
+identity.  With at most TABLE_MAX_Q elements the field fills exp and log
+tables with that product at construction, over the smallest index of
+multiplicative order q - 1 (the modulus root t need not be primitive),
+and runs on them: a product is exp[log a + log b], an inverse
+exp[q - 1 - log a], a Frobenius power exp[2^k log a mod (q - 1)], and
+every result is one of the field's q elements, made once with the
+tables.  The build costs a walk of at most q - 1 products per candidate,
+which a larger field's desk-scale use would not repay.  In odd
 characteristic products, inverses and Frobenius powers run the digit
 kernels (convolution with reduction, Euclid modulo the modulus, the
 matrix of x -> x^(p^k)) on the index's digits; those kernels are also
-the tests' oracle for the other two.  A field used only for parsing or
-I/O builds no table.
+the tests' oracle for characteristic 2.
 
 Odd characteristic has no tables yet.  With Zech logarithms
 z(d) = log(1 + g^d) a sum would be exp[log a + z(log b - log a)], but the
@@ -61,8 +61,8 @@ feasible.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -100,18 +100,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _integers(values: Sequence[int], what: str) -> list[int]:
+    """values as ints: each goes through operator.index, so a float or a
+    string fails at the call with DegreeMismatchError instead of turning
+    into an index, or into a digit by truncation."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise DegreeMismatchError(f"{what} must be integers, got {values!r}") from None
 
 
 def _digit_tuples(p: int, width: int) -> tuple[tuple[int, ...], ...]:
@@ -269,7 +265,7 @@ class FiniteField:
         if modulus is None:
             mod = tuple(fp.first_irreducible(p, e))
         else:
-            mod = tuple(int(c) for c in modulus)
+            mod = tuple(_integers(modulus, "modulus digits"))
             if len(mod) != e + 1 or mod[-1] != 1:
                 raise DegreeMismatchError(
                     f"modulus must be monic of degree {e}, got {list(mod)}"
@@ -291,12 +287,7 @@ class FiniteField:
         object.__setattr__(self, "_basis_frob", None)
         for name in ("_low", "_high", "_exp", "_log"):
             object.__setattr__(self, name, None)
-        if p != 2:
-            kernels = self._digit_kernels()
-        elif self.q <= TABLE_MAX_Q:
-            kernels = {name: functools.partial(self._first_arithmetic, name) for name in _KERNELS}
-        else:
-            kernels = self._bit_kernels()
+        kernels = self._bit_kernels() if p == 2 else self._digit_kernels()
         for name, kernel in kernels.items():
             object.__setattr__(self, name, kernel)
 
@@ -305,7 +296,7 @@ class FiniteField:
         if basis is None:
             basis_digits = identity
         else:
-            basis_digits = tuple(tuple(int(d) for d in b) for b in basis)
+            basis_digits = tuple(tuple(_integers(b, "basis digits")) for b in basis)
             if len(basis_digits) != e or any(len(b) != e for b in basis_digits):
                 raise DegreeMismatchError("basis must be an e-tuple of e-digit vectors")
             if any(not (0 <= d < p) for b in basis_digits for d in b):
@@ -339,7 +330,7 @@ class FiniteField:
     # element construction
 
     def element(self, digits: Sequence[int]) -> FqElem:
-        digs = tuple(int(d) for d in digits)
+        digs = _integers(digits, "digits")
         if len(digs) != self.e:
             raise DegreeMismatchError(
                 f"expected {self.e} digits, got {len(digs)}"
@@ -350,6 +341,7 @@ class FiniteField:
 
     def from_int(self, n: int) -> FqElem:
         """Element with index n in [0, q): base-p digits of n, low first."""
+        (n,) = _integers((n,), "index")
         if not (0 <= n < self.q):
             raise DegreeMismatchError(f"index {n} out of range [0, {self.q})")
         return FqElem(self, n)
@@ -362,6 +354,7 @@ class FiniteField:
 
     def scalar(self, c: int) -> FqElem:
         """The prime-subfield element c mod p."""
+        (c,) = _integers((c,), "scalar")
         return FqElem(self, c % self.p)
 
     def generator(self) -> FqElem:
@@ -392,6 +385,7 @@ class FiniteField:
 
     def combine(self, coords: Sequence[int]) -> FqElem:
         """Inverse of coordinates: sum coords[i] * basis[i]."""
+        coords = _integers(coords, "coordinates")
         if len(coords) != self.e:
             raise DegreeMismatchError(f"expected {self.e} coordinates")
         p = self.p
@@ -511,12 +505,12 @@ class FiniteField:
         return dict(_add=add, _sub=sub, _neg=neg, _mul=mul, _inv=inv, _frob=frob)
 
     def _bit_kernels(self) -> dict[str, Callable[..., FqElem]]:
-        """Characteristic 2 above TABLE_MAX_Q: the index's bits are its
-        digits, so the kernels work on the index as a polynomial over Z_2."""
+        """Characteristic 2: the index's bits are its digits, so the kernels
+        work on the index as a polynomial over Z_2.  At most TABLE_MAX_Q
+        elements, the product fills the tables of _table_kernels instead."""
         e = self.e
         top = 1 << e
         modulus = self._index(self.modulus)
-        frob_rows: dict[int, tuple[int, ...]] = {}
 
         def product(a, b):
             # shift and XOR over the bits of the smaller operand b; at bit i,
@@ -532,6 +526,10 @@ class FiniteField:
                 if a & top:
                     a ^= modulus
             return r
+
+        if self.q <= TABLE_MAX_Q:
+            return self._table_kernels(product)
+        frob_rows: dict[int, tuple[int, ...]] = {}
 
         def mul(a, b):
             return FqElem(self, product(a, b))
@@ -579,56 +577,43 @@ class FiniteField:
 
         return dict(_add=xor, _sub=xor, _neg=same, _mul=mul, _inv=inv, _frob=frob)
 
-    def _first_arithmetic(self, name: str, *args) -> FqElem:
-        """The table kernels' stand-in: build the tables, then run kernel name."""
-        self._build_tables()
-        return getattr(self, name)(*args)
-
-    def _primitive_index(self) -> int:
-        """The smallest index of an element of multiplicative order q - 1."""
-        q, p = self.q, self.p
-        modulus = list(self.modulus)
-        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
-        for n in range(1, q):
-            a = fp.trim(list(self._digits(n)))
-            if all(fp.pow_mod(a, c, modulus, p) != [1] for c in cofactors):
-                return n
-        raise InvariantError(f"{self} has no element of order {q - 1}")
-
-    def _build_tables(self) -> None:
-        """exp and log tables over the primitive element, the q elements,
-        and the table kernels (characteristic 2) that read them.
+    def _table_kernels(
+        self, product: Callable[[int, int], int]
+    ) -> dict[str, Callable[..., FqElem]]:
+        """exp and log tables over the smallest primitive index g, filled
+        with the index product of characteristic 2, and the table kernels
+        that read them.
 
         exp holds g^i for i < 2(q - 1), so a sum of two logs needs no
         reduction, then zeros up to 4(q - 1); log[0] is 2(q - 1), so a
-        product with a zero operand lands in that zero tail.  Raises
-        InvariantError unless the powers of g visit every nonzero index
-        exactly once.
+        product with a zero operand lands in that zero tail.  Candidates
+        g = 1, 2, .. are walked in turn, and a walk ends at the first
+        power that is zero or repeats; the first g whose q - 1 powers are
+        distinct and nonzero visits every nonzero index once, which proves
+        it primitive.  Raises InvariantError when no candidate does (a
+        reducible modulus, say).
         """
         e, q = self.e, self.q
         qm1 = q - 1
         zero_log = 2 * qm1
-        g = self._primitive_index()
-        # x -> g x is Z_2-linear: column k is the index of g t^k
-        digits, index = self._digits, self._index
-        cols = [index(self._mul_digits(digits(g), digits(1 << k))) for k in range(e)]
-        exp = [0] * (2 * zero_log + 1)
-        log = [zero_log] * q
-        n = 1
-        for i in range(qm1):
-            if not n or log[n] != zero_log:
-                raise InvariantError(
-                    f"powers of {list(digits(g))} in {self} repeat before q - 1 = {qm1}: "
-                    "not primitive"
-                )
-            exp[i] = exp[i + qm1] = n
-            log[n] = i
-            m, k, n = n, 0, 0
-            while m:
-                if m & 1:
-                    n ^= cols[k]
-                m >>= 1
-                k += 1
+        for g in range(1, q):
+            exp = [0] * (2 * zero_log + 1)
+            log = [zero_log] * q
+            n = 1
+            for i in range(qm1):
+                if not n or log[n] != zero_log:
+                    break
+                exp[i] = exp[i + qm1] = n
+                log[n] = i
+                n = product(n, g)
+            else:
+                break
+        else:
+            raise InvariantError(
+                f"{self} on modulus {list(self.modulus)} has no element of order {qm1}"
+            )
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
         elems = tuple(FqElem(self, n) for n in range(q))
 
         def mul(a, b):
@@ -644,11 +629,7 @@ class FiniteField:
         def xor(a, b):
             return elems[a ^ b]
 
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
-        kernels = dict(_add=xor, _sub=xor, _neg=elems.__getitem__, _mul=mul, _inv=inv, _frob=frob)
-        for name, kernel in kernels.items():
-            object.__setattr__(self, name, kernel)
+        return dict(_add=xor, _sub=xor, _neg=elems.__getitem__, _mul=mul, _inv=inv, _frob=frob)
 
     # ------------------------------------------------------------------
     # digit kernels

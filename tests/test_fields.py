@@ -88,6 +88,28 @@ def test_element_validation(gf9):
         gf9.from_int(-1)
 
 
+NON_INTEGERS = {
+    "from_int": lambda field: field.from_int(3.0),
+    "scalar": lambda field: field.scalar(1.0),
+    "element": lambda field: field.element([1.7] + [0] * (field.e - 1)),
+    "combine": lambda field: field.combine([1.5] + [0] * (field.e - 1)),
+    "modulus": lambda field: FiniteField(field.p, field.e, [float(c) for c in field.modulus]),
+    "basis": lambda field: FiniteField(
+        field.p, field.e, field.modulus, [[1.0] + list(b.digits[1:]) for b in field.basis]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", NON_INTEGERS)
+@pytest.mark.parametrize("p, e", [(2, 4), (3, 2), (2, 16)])
+def test_non_integers_are_rejected_at_the_call(p, e, entry):
+    # each would pass the range checks and become an index that a kernel
+    # or repr rejects later, or a digit truncated by int()
+    field = FiniteField(p, e)
+    with pytest.raises(DegreeMismatchError, match="must be integers"):
+        NON_INTEGERS[entry](field)
+
+
 def test_from_int_roundtrip(gf8, gf27):
     for field in (gf8, gf27):
         seen = set()
@@ -391,18 +413,16 @@ def test_index_kernels_match_digit_oracle_on_random_moduli(field, data):
     assert (field._exp is not None) == (field.p == 2 and field.q <= TABLE_MAX_Q)
 
 
-def test_tables_are_built_on_first_arithmetic():
-    small, big, odd = FiniteField(2, 12), FiniteField(2, 13), FiniteField(3, 6)
-    assert TABLE_MAX_Q == small.q
-    for field in (small, big, odd):
-        assert field._exp is None
-        field.from_int(5).digits, field.random_element(random.Random(1))
-        assert field._exp is None
-        _ = field.from_int(5) * field.from_int(7)
-    assert len(small._exp) == 4 * (small.q - 1) + 1 and len(small._log) == small.q
-    # above the bound the bit kernels run and for odd p the digit kernels,
-    # neither with a table
-    assert big._exp is None and odd._exp is None
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 4), (2, 12), (2, 13), (2, 20), (3, 1), (3, 6)])
+def test_tables_are_built_at_construction(p, e):
+    assert TABLE_MAX_Q == 1 << 12
+    field = FiniteField(p, e)
+    if p == 2 and field.q <= TABLE_MAX_Q:
+        assert len(field._exp) == 4 * (field.q - 1) + 1 and len(field._log) == field.q
+    else:
+        # above the bound the bit kernels run and for odd p the digit
+        # kernels, neither with a table
+        assert field._exp is None and field._log is None
 
 
 # the bit kernels of characteristic 2 above TABLE_MAX_Q, on each default
@@ -434,7 +454,8 @@ def test_bit_kernel_inverse_of_every_element_of_gf8192():
         assert x * x.inv() == one, x
 
 
-def test_gf65536_decomposition_runs_no_digit_kernel(monkeypatch):
+@pytest.mark.parametrize("e", [8, 12, 16])
+def test_char2_decomposition_runs_no_digit_kernel(monkeypatch, e):
     calls = []
     for name in ("_mul_digits", "_inv_digits", "_frob_digits"):
         original = getattr(FiniteField, name)
@@ -444,7 +465,8 @@ def test_gf65536_decomposition_runs_no_digit_kernel(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(FiniteField, name, spy)
-    field = FiniteField(2, 16)
+    # built under the spy, so that the table build is covered too
+    field = FiniteField(2, e)
     rng = random.Random(5)
     f = SkewPoly.one(field)
     for _ in range(3):
@@ -475,16 +497,25 @@ def smallest_primitive_index(field):
 )
 def test_generator_is_smallest_primitive_index(p, e, modulus):
     field = FiniteField(p, e, modulus)
-    g = field._primitive_index()
+    g = field._exp[1]
     assert g == smallest_primitive_index(field)
     if modulus == [1, 1, 1, 1, 1]:
         # the modulus root t (index 2) has order 5 here, so it is not the generator
         assert g == 3 and field.generator() ** 5 == field.one()
 
 
-def test_table_build_rejects_a_non_primitive_generator(monkeypatch):
-    field = FiniteField(2, 4, [1, 1, 1, 1, 1])
-    monkeypatch.setattr(FiniteField, "_primitive_index", lambda self: self.generator().as_int())
-    with pytest.raises(InvariantError, match="not primitive"):
-        field.one() * field.one()
-    assert field._exp is None
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        [0, 0, 1],  # t^2: the walk of t reaches zero at its last power
+        [0, 0, 0, 0, 1],  # t^4: t is nilpotent
+        [1, 0, 1, 0, 1],  # (t^2 + t + 1)^2
+        [1, 0, 1, 1, 1],  # (t + 1)(t^3 + t + 1): units of order at most 7
+    ],
+    ids=["t2", "t4", "square", "coprime"],
+)
+def test_table_build_rejects_a_field_without_generator(monkeypatch, modulus):
+    # a reducible modulus admitted past the irreducibility test
+    monkeypatch.setattr(_fppoly, "is_irreducible", lambda m, p: True)
+    with pytest.raises(InvariantError, match="no element of order"):
+        FiniteField(2, len(modulus) - 1, modulus)

@@ -14,7 +14,7 @@ OPTIMIZED_RUN = r"""
 import random
 import sys
 
-from skewlin import FiniteField, _linalg, decompose, hfe
+from skewlin import FiniteField, _fppoly, _linalg, decompose, hfe
 from skewlin.errors import InvariantError
 from skewlin.hfe import DOPoly, do_compose_lin, gcldf_attack, try_left_factor
 from skewlin.linpoly import LinPoly
@@ -87,18 +87,20 @@ except InvariantError:
 else:
     raise SystemExit("split check was stripped")
 
-# the table build proves its generator: t is not primitive under [1,1,1,1,1]
-real_primitive = FiniteField._primitive_index
-FiniteField._primitive_index = lambda self: self.generator().as_int()
-gf16_t5 = FiniteField(2, 4, [1, 1, 1, 1, 1])
+# the table build proves its generator: a reducible modulus, once
+# admitted, leaves no element of order q - 1
+real_irreducible = _fppoly.is_irreducible
+_fppoly.is_irreducible = lambda m, p: True
 try:
-    gf16_t5.one() * gf16_t5.generator()
+    FiniteField(2, 4, [1, 0, 1, 0, 1])
 except InvariantError:
     pass
 else:
     raise SystemExit("primitive-generator check was stripped")
-FiniteField._primitive_index = real_primitive
-if gf16_t5.generator() ** 5 != gf16_t5.one() or gf16_t5._primitive_index() != 3:
+_fppoly.is_irreducible = real_irreducible
+# t is not primitive under [1,1,1,1,1]: the tables run over index 3
+gf16_t5 = FiniteField(2, 4, [1, 1, 1, 1, 1])
+if gf16_t5.generator() ** 5 != gf16_t5.one() or gf16_t5._exp[1] != 3:
     raise SystemExit("table build over the smallest primitive index is wrong")
 
 real_compose = hfe.do_compose_lin
