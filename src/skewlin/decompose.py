@@ -69,13 +69,13 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import _fppoly as fp
 from . import _linalg
+from ._record import Record
 from .errors import InvariantError, TooLargeError
-from .fields import FiniteField, FqElem
+from .fields import FiniteField
 from .skew import SkewPoly, check_rebuild, gcd_right
 
 ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
@@ -105,7 +105,7 @@ class EigenRing:
         for b in self.basis:
             c = rng.randrange(p)
             if c:
-                out = out + b.left_scalar(self.field.scalar(c))
+                out = out + b._left(c)  # c < p is the index of the scalar c
         return out
 
     def __repr__(self) -> str:
@@ -114,29 +114,34 @@ class EigenRing:
 
 def _flatten(u: SkewPoly, n: int, e: int) -> list[int]:
     """Digits of the residue u, padded to n coefficients of e digits each."""
+    digits = u.field._digits
     out = [0] * (n * e)
-    for i, c in enumerate(u.coeffs):
-        out[i * e : i * e + e] = c.digits
+    for i, c in enumerate(u._c):
+        out[i * e : i * e + e] = digits(c)
     return out
 
 
 def _unflatten(field: FiniteField, vec: list[int], n: int, twist: int) -> SkewPoly:
-    e = field.e
-    coeffs = [field.element(tuple(vec[i * e + d] for d in range(e))) for i in range(n)]
-    return SkewPoly(field, coeffs, twist)
+    e, index = field.e, field._index
+    return SkewPoly._of(field, [index(vec[i * e : i * e + e]) for i in range(n)], twist)
 
 
-def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[FqElem, SkewPoly]:
+def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[int, SkewPoly]:
     """(t, Y a - t f) for a residue a modulo the monic f: one left
-    multiplication by Y on R/Rf.  Y a = sum_i sigma(a_i) Y^(i+1), and t is
-    its coefficient of Y^(deg f)."""
-    field, n = f.field, len(f.coeffs) - 1
-    shifted = [field.zero()] + [c.frobenius(f.twist) for c in a.coeffs]
-    shifted += [field.zero()] * (n + 1 - len(shifted))
+    multiplication by Y on R/Rf.  Y a = sum_i sigma(a_i) Y^(i+1), and t,
+    an element index, is its coefficient of Y^(deg f)."""
+    field, fc = f.field, f._c
+    n = len(fc) - 1
+    frob, s = field._frob, f.twist % field.e
+    shifted = [0] + [frob(c, s) for c in a._c] if s else [0, *a._c]
+    shifted += [0] * (n + 1 - len(shifted))
     top = shifted[n]
     if top:
-        shifted = [c - top * fc for c, fc in zip(shifted, f.coeffs)]
-    return top, SkewPoly(field, shifted[:n], f.twist)
+        mul, sub = field._mul, field._sub
+        for i in range(n):
+            if fc[i]:
+                shifted[i] = sub(shifted[i], mul(top, fc[i]))
+    return top, SkewPoly._of(field, shifted[:n], f.twist)
 
 
 def _y_rows(a: SkewPoly, f: SkewPoly, count: int) -> list[SkewPoly]:
@@ -147,12 +152,12 @@ def _y_rows(a: SkewPoly, f: SkewPoly, count: int) -> list[SkewPoly]:
     skew.CHECK_DIVISION it is multiplied back through the ring product
     (t f + row = Y prev) and counted like a division.
     """
-    Y = SkewPoly.monomial(f.field, 1, f.field.one(), f.twist)
+    Y = SkewPoly._of(f.field, (0, 1), f.twist)
     rows = [a]
     for _ in range(1, count):
         prev = rows[-1]
         top, row = _times_y(prev, f)
-        check_rebuild(lambda: (Y * prev, f.left_scalar(top) + row))
+        check_rebuild(lambda: (Y * prev, f._left(top) + row))
         rows.append(row)
     return rows
 
@@ -163,26 +168,28 @@ def _residue_table(f: SkewPoly, size: int) -> list[SkewPoly]:
     The rows j < n are the monomials themselves; the rows past them are
     the _y_rows of Y^(n-1), each one checked step.
     """
-    field, n = f.field, len(f.coeffs) - 1
+    field, n = f.field, len(f._c) - 1
     k = min(n, size)
-    monomials = [SkewPoly.monomial(field, j, field.one(), f.twist) for j in range(k)]
+    monomials = [SkewPoly._of(field, [0] * j + [1], f.twist) for j in range(k)]
     return monomials[:-1] + _y_rows(monomials[-1], f, size - k + 1)
 
 
-def _combine(coeffs: list[FqElem], rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
-    """sum_k c_k rows[k], a residue modulo f; len(coeffs) <= len(rows).
+def _combine(coeffs: Sequence[int], rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
+    """sum_k c_k rows[k], a residue modulo f, for coefficient indices c_k;
+    len(coeffs) <= len(rows).
 
     Reduction modulo the left ideal Rf is left F_q-linear, so with
     rows[k] = Y^k a mod f this is (sum_k c_k Y^k) a mod f.
     """
-    out = [f.field.zero()] * (len(f.coeffs) - 1)
+    mul, add = f.field._mul, f.field._add
+    out = [0] * (len(f._c) - 1)
     for c, row in zip(coeffs, rows):
         if c:
-            for i, t in enumerate(row.coeffs):
+            for i, t in enumerate(row._c):
                 if t:
-                    v = c * t
-                    out[i] = out[i] + v if out[i] else v
-    return SkewPoly(f.field, out, f.twist)
+                    v, prev = mul(c, t), out[i]
+                    out[i] = add(prev, v) if prev else v
+    return SkewPoly._of(f.field, out, f.twist)
 
 
 def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
@@ -193,19 +200,21 @@ def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
     the multiple of f that _times_y subtracted.  So q_i is
     sum_(m<i) sigma^(m+1)(c_(i-m-1)) Y^m, and Q = sum_i a_i q_i.
     """
-    field, n = f.field, len(f.coeffs) - 1
-    zero = field.zero()
-    tops = [row.coeffs[n - 1] if len(row.coeffs) == n else zero for row in rows]
-    cs = a.coeffs
+    field, n = f.field, len(f._c) - 1
+    mul, add, frob, e = field._mul, field._add, field._frob, field.e
+    tops = [row._c[n - 1] if len(row._c) == n else 0 for row in rows]
+    cs = a._c
     out = []
     for m in range(len(cs) - 1):
-        acc = zero
+        s = f.twist * (m + 1) % e
+        acc = 0
         for i in range(m + 1, len(cs)):
-            if cs[i] and tops[i - m - 1]:
-                v = cs[i] * tops[i - m - 1].frobenius(f.twist * (m + 1))
-                acc = acc + v if acc else v
+            top = tops[i - m - 1]
+            if cs[i] and top:
+                v = mul(cs[i], frob(top, s) if s else top)
+                acc = add(acc, v) if acc else v
         out.append(acc)
-    return SkewPoly(field, out, f.twist)
+    return SkewPoly._of(field, out, f.twist)
 
 
 def eigen_ring(f: SkewPoly) -> EigenRing:
@@ -218,16 +227,16 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     if f.is_zero or f.degree < 1:
         raise ValueError("eigenring needs a modulus of degree at least 1")
     field = f.field
-    n, e, p = len(f.coeffs) - 1, field.e, field.p
+    n, e, p = len(f._c) - 1, field.e, field.p
     monic = f.monic_left()  # R f = R monic, with the same residues
     high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f for n <= j < 2n
-    zero = field.zero()
+    fbs = [f.right_scalar(field.from_int(p**d))._c for d in range(e)]  # f b for b = t^d
     cols = []
     for i in range(n):
-        for d in range(e):
-            fb = [zero] * i + list(f.right_scalar(field.from_int(p**d)).coeffs)
+        for fb in fbs:
+            fb = [0] * i + list(fb)
             # the terms below Y^n are residues already
-            col = SkewPoly(field, fb[:n], f.twist) + _combine(fb[n:], high, monic)
+            col = SkewPoly._of(field, fb[:n], f.twist) + _combine(fb[n:], high, monic)
             cols.append(_flatten(col, n, e))
     rows = [[cols[j][r] for j in range(n * e)] for r in range(n * e)]
     basis = tuple(
@@ -252,7 +261,7 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[
     for; the first power that reduces to zero gives the monic relation.
     """
     field = modulus.field
-    n, e, p = len(modulus.coeffs) - 1, field.e, field.p
+    n, e, p = len(modulus._c) - 1, field.e, field.p
     f = modulus.monic_left()  # R modulus = R f, with the same residues
     ys = _y_rows(u, f, n)
     rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
@@ -274,7 +283,7 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[
         powers.append(flat)
         inv = pow(vec[pivot], p - 2, p)
         rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
-        prev, power = power, _combine(power.coeffs, ys, f)
+        prev, power = power, _combine(power._c, ys, f)
 
 
 def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> SkewPoly:
@@ -284,7 +293,7 @@ def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> Ske
     for c, vec in zip(poly, powers):
         if c:
             acc = [a + c * b for a, b in zip(acc, vec)]
-    return _unflatten(field, [a % p for a in acc], len(modulus.coeffs) - 1, modulus.twist)
+    return _unflatten(field, [a % p for a in acc], len(modulus._c) - 1, modulus.twist)
 
 
 # ----------------------------------------------------------------------
@@ -313,13 +322,11 @@ def _zero_divisor_pair(
     return z, w
 
 
-@dataclass(frozen=True)
-class ZeroDivisor:
-    """Nonzero residues with element * witness = 0 modulo the modulus."""
+class ZeroDivisor(Record):
+    """Nonzero residues with element * witness = 0 modulo the modulus;
+    fields element, witness (SkewPoly) and tries (int)."""
 
-    element: SkewPoly
-    witness: SkewPoly
-    tries: int
+    __slots__ = ("element", "witness", "tries")
 
 
 def _is_p_scalar(u: SkewPoly) -> bool:
@@ -327,7 +334,7 @@ def _is_p_scalar(u: SkewPoly) -> bool:
         return True
     if u.degree > 0:
         return False
-    return u.coeffs[0].as_int() < u.field.p
+    return u._c[0] < u.field.p
 
 
 def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optional[ZeroDivisor]:
@@ -364,28 +371,27 @@ def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optio
 # splitting
 
 
-@dataclass(frozen=True)
-class Split:
-    """Proper factorisation left * right of the input, both monic."""
+class Split(Record):
+    """Proper factorisation left * right of the input, both monic; fields
+    left, right (SkewPoly) and tries (int)."""
 
-    left: SkewPoly
-    right: SkewPoly
-    tries: int
+    __slots__ = ("left", "right", "tries")
 
 
-@dataclass(frozen=True)
-class Indecomposable:
+class Indecomposable(Record):
     """Verdict that the input has no proper factorisation.
 
     Every verdict is proved: degree at most 1, or the fixed-field
     certificate of split_once.
     """
 
+    __slots__ = ()
+
 
 def _smallest_right_factor(f: SkewPoly) -> Optional[SkewPoly]:
-    for d in range(1, len(f.coeffs) - 1):
+    for d in range(1, len(f._c) - 1):
         for cand in fp.iter_monic(f.field.q, d):
-            g = SkewPoly(f.field, [f.field.from_int(c) for c in cand], f.twist)
+            g = SkewPoly._of(f.field, cand, f.twist)
             if f.mod_right(g).is_zero:
                 return g
     return None
@@ -407,13 +413,13 @@ def _fixed_field_span(powers: list[list[int]], f: SkewPoly, g: int) -> int:
     the powers u^i of minimal_polynomial.
     """
     field = f.field
-    n, e, p = len(f.coeffs) - 1, field.e, field.p
+    n, e, p = len(f._c) - 1, field.e, field.p
     images = [(x.frobenius(g) - x).digits for x in (field.from_int(p**j) for j in range(e))]
-    fixed = [field.element(v) for v in _linalg.nullspace(list(zip(*images)), p)]
+    fixed = [field._index(v) for v in _linalg.nullspace(list(zip(*images)), p)]
     rows = []
     for vec in powers:
         power = _unflatten(field, vec, n, f.twist)
-        rows.extend(_flatten(power.left_scalar(b), n, e) for b in fixed)
+        rows.extend(_flatten(power._left(b), n, e) for b in fixed)
     return _linalg.rank(rows, p)
 
 
@@ -440,12 +446,12 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
-    field, n = f.field, len(f.coeffs) - 1
+    field, n = f.field, len(f._c) - 1
     if n <= 1:
         return Indecomposable()
-    if not f.coeffs[0]:
-        Y = SkewPoly.monomial(field, 1, field.one(), f.twist)
-        return Split(left=SkewPoly(field, f.coeffs[1:], f.twist), right=Y, tries=0)
+    if not f._c[0]:
+        Y = SkewPoly._of(field, (0, 1), f.twist)
+        return Split(left=SkewPoly._of(field, f._c[1:], f.twist), right=Y, tries=0)
     g = math.gcd(f.twist, field.e)
     r = field.e // g
     mu, powers = minimal_polynomial(_residue_table(f, r + 1)[r], f)
@@ -469,14 +475,11 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
 # complete decomposition
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """unit * factors[0] * ... * factors[-1], factors monic indecomposable."""
+class Decomposition(Record):
+    """unit * factors[0] * ... * factors[-1], factors monic indecomposable;
+    fields field, twist, unit (FqElem) and factors (tuple of SkewPoly)."""
 
-    field: FiniteField
-    twist: int
-    unit: FqElem
-    factors: tuple[SkewPoly, ...]
+    __slots__ = ("field", "twist", "unit", "factors")
 
     def product(self) -> SkewPoly:
         acc = SkewPoly.one(self.field, self.twist)
@@ -497,17 +500,15 @@ def decompose_complete(f: SkewPoly, rng: random.Random) -> Decomposition:
     unit = f.lead
     g = f.monic_left()
     factors: list[SkewPoly] = []
-
-    def rec(h: SkewPoly) -> None:
+    # depth first, left before right: a split pushes its right part first
+    stack = [g] if g.degree >= 1 else []
+    while stack:
+        h = stack.pop()
         res = split_once(h, rng)
         if isinstance(res, Indecomposable):
             factors.append(h)
         else:
-            rec(res.left)
-            rec(res.right)
-
-    if g.degree >= 1:
-        rec(g)
+            stack += (res.right, res.left)
     return Decomposition(field=f.field, twist=f.twist, unit=unit, factors=tuple(factors))
 
 
@@ -523,7 +524,7 @@ def oracle_decompose(f: SkewPoly) -> Decomposition:
     """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    deg = len(f.coeffs) - 1
+    deg = len(f._c) - 1
     if deg * f.field.e > ORACLE_LIMIT:
         raise TooLargeError(
             f"oracle bound exceeded: degree {deg} * e {f.field.e} > {ORACLE_LIMIT}"
@@ -550,13 +551,11 @@ def oracle_decompose(f: SkewPoly) -> Decomposition:
 # success-rate estimation
 
 
-@dataclass(frozen=True)
-class SplitStats:
-    trials: int
-    first_try_successes: int
-    mean_tries: float
-    ci95: tuple[float, float]
-    seed: int
+class SplitStats(Record):
+    """Fields trials, first_try_successes (int), mean_tries (float), ci95
+    (a pair of floats) and seed (int)."""
+
+    __slots__ = ("trials", "first_try_successes", "mean_tries", "ci95", "seed")
 
 
 def _wilson(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

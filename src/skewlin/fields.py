@@ -14,8 +14,13 @@ and repr boundary, and inside the digit kernels.  They come from two
 tables of half-length digit tuples (low and high digits), built on the
 first read, so reading them costs two lookups and a concatenation.
 
-Arithmetic runs on indices through kernels that each field picks once,
-at construction, and each characteristic has one arithmetic.  A field of
+Arithmetic runs on indices through six kernels (_add, _sub, _neg, _mul,
+_inv, _frob) that each field picks once, at construction: they take
+element indices and return the result's index, so the skew ring and the
+decomposition loops call them directly and build no FqElem per
+coefficient operation.  The FqElem operators wrap the returned index with
+the field's _elem: one of the q interned elements on a table field, a
+new FqElem otherwise.  Each characteristic has one arithmetic.  A field of
 characteristic 2 reads its index as a polynomial over Z_2, one bit per
 digit: a product is a carry-less shift and XOR, reduced by the modulus
 bits as it goes; an inverse runs the binary extended Euclid algorithm
@@ -27,13 +32,12 @@ tables with that product at construction, over the smallest index of
 multiplicative order q - 1 (the modulus root t need not be primitive),
 and runs on them: a product is exp[log a + log b], an inverse
 exp[q - 1 - log a], a Frobenius power exp[2^k log a mod (q - 1)], and
-every result is one of the field's q elements, made once with the
-tables.  The build costs a walk of at most q - 1 products per candidate,
-which a larger field's desk-scale use would not repay.  In odd
-characteristic products, inverses and Frobenius powers run the digit
-kernels (convolution with reduction, Euclid modulo the modulus, the
-matrix of x -> x^(p^k)) on the index's digits; those kernels are also
-the tests' oracle for characteristic 2.
+its q elements are made once with the tables.  The build costs a walk of
+at most q - 1 products per candidate, which a larger field's desk-scale
+use would not repay.  In odd characteristic products, inverses and
+Frobenius powers run the digit kernels (convolution with reduction,
+Euclid modulo the modulus, the matrix of x -> x^(p^k)) on the index's
+digits; those kernels are also the tests' oracle for characteristic 2.
 
 Odd characteristic has no tables yet.  With Zech logarithms
 z(d) = log(1 + g^d) a sum would be exp[log a + z(log b - log a)], but the
@@ -61,6 +65,7 @@ feasible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -81,7 +86,8 @@ MAX_FIELD_SIZE = 1 << 20
 # the largest characteristic-2 field whose arithmetic runs on exp/log tables
 TABLE_MAX_Q = 1 << 12
 
-# the per-field arithmetic kernels: element indices in, the result's FqElem out
+# the per-field arithmetic kernels: element indices in, the result's index
+# out; the FqElem operators wrap it with the field's _elem
 _KERNELS = ("_add", "_sub", "_neg", "_mul", "_inv", "_frob")
 
 
@@ -166,46 +172,52 @@ class FqElem:
         field = self.field
         if other.__class__ is not FqElem or other.field is not field:
             self._peer(other)
-        return field._add(self._n, other._n)
+        return field._elem(field._add(self._n, other._n))
 
     def __sub__(self, other: "FqElem") -> "FqElem":
         field = self.field
         if other.__class__ is not FqElem or other.field is not field:
             self._peer(other)
-        return field._sub(self._n, other._n)
+        return field._elem(field._sub(self._n, other._n))
 
     def __neg__(self) -> "FqElem":
-        return self.field._neg(self._n)
+        field = self.field
+        return field._elem(field._neg(self._n))
 
     def __mul__(self, other: "FqElem") -> "FqElem":
         field = self.field
         if other.__class__ is not FqElem or other.field is not field:
             self._peer(other)
-        return field._mul(self._n, other._n)
+        return field._elem(field._mul(self._n, other._n))
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inv()
 
     def __pow__(self, n: int) -> "FqElem":
+        (n,) = _integers((n,), "exponents")
         if n < 0:
             return self.inv() ** (-n)
-        result = self.field.one()
-        base = self
+        field = self.field
+        mul = field._mul
+        result, base = 1, self._n
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
+            base = mul(base, base)
             n >>= 1
-        return result
+        return field._elem(result)
 
     def inv(self) -> "FqElem":
         if not self._n:
             raise ZeroDivisionError("inverse of the zero field element")
-        return self.field._inv(self._n)
+        field = self.field
+        return field._elem(field._inv(self._n))
 
     def frobenius(self, k: int) -> "FqElem":
         """x -> x^(p^k); any integer k is reduced mod e."""
-        return self.field._frob(self._n, k)
+        (k,) = _integers((k,), "Frobenius powers")
+        field = self.field
+        return field._elem(field._frob(self._n, k))
 
     def as_int(self) -> int:
         return self._n
@@ -239,6 +251,7 @@ class FiniteField:
         "_high",
         "_exp",
         "_log",
+        "_elem",
     ) + _KERNELS
 
     def __init__(
@@ -287,6 +300,8 @@ class FiniteField:
         object.__setattr__(self, "_basis_frob", None)
         for name in ("_low", "_high", "_exp", "_log"):
             object.__setattr__(self, name, None)
+        # index -> FqElem; a table field replaces it with its interned elements
+        object.__setattr__(self, "_elem", functools.partial(FqElem, self))
         kernels = self._bit_kernels() if p == 2 else self._digit_kernels()
         for name, kernel in kernels.items():
             object.__setattr__(self, name, kernel)
@@ -379,9 +394,13 @@ class FiniteField:
     def coordinates(self, x: FqElem) -> tuple[int, ...]:
         if x.field != self:
             raise ContextMismatchError("element belongs to a different field")
+        return self._coordinates(x._n)
+
+    def _coordinates(self, n: int) -> tuple[int, ...]:
+        """The coordinates of the element of index n."""
         if self._default_basis:
-            return x.digits
-        return tuple(_linalg.matvec(self._coord_inv, list(x.digits), self.p))
+            return self._digits(n)
+        return tuple(_linalg.matvec(self._coord_inv, list(self._digits(n)), self.p))
 
     def combine(self, coords: Sequence[int]) -> FqElem:
         """Inverse of coordinates: sum coords[i] * basis[i]."""
@@ -469,42 +488,42 @@ class FiniteField:
             n = n * p + d
         return n
 
-    def _digit_kernels(self) -> dict[str, Callable[..., FqElem]]:
+    def _digit_kernels(self) -> dict[str, Callable[..., int]]:
         """Odd characteristic: the digit kernels on the indices' digits."""
         p, e = self.p, self.e
         digits, index = self._digits, self._index
 
         def mul(a, b):
-            return FqElem(self, index(self._mul_digits(digits(a), digits(b))))
+            return index(self._mul_digits(digits(a), digits(b)))
 
         def inv(a):
-            return FqElem(self, index(self._inv_digits(digits(a))))
+            return index(self._inv_digits(digits(a)))
 
         def frob(a, k):
-            return FqElem(self, index(self._frob_digits(digits(a), k % e)))
+            return index(self._frob_digits(digits(a), k % e))
 
         # digit-wise mod p, packed back into an index as the digits are read
         def add(a, b):
             n = 0
             for x, y in zip(reversed(digits(a)), reversed(digits(b))):
                 n = n * p + (x + y) % p
-            return FqElem(self, n)
+            return n
 
         def sub(a, b):
             n = 0
             for x, y in zip(reversed(digits(a)), reversed(digits(b))):
                 n = n * p + (x - y) % p
-            return FqElem(self, n)
+            return n
 
         def neg(a):
             n = 0
             for x in reversed(digits(a)):
                 n = n * p + -x % p
-            return FqElem(self, n)
+            return n
 
         return dict(_add=add, _sub=sub, _neg=neg, _mul=mul, _inv=inv, _frob=frob)
 
-    def _bit_kernels(self) -> dict[str, Callable[..., FqElem]]:
+    def _bit_kernels(self) -> dict[str, Callable[..., int]]:
         """Characteristic 2: the index's bits are its digits, so the kernels
         work on the index as a polynomial over Z_2.  At most TABLE_MAX_Q
         elements, the product fills the tables of _table_kernels instead."""
@@ -531,9 +550,6 @@ class FiniteField:
             return self._table_kernels(product)
         frob_rows: dict[int, tuple[int, ...]] = {}
 
-        def mul(a, b):
-            return FqElem(self, product(a, b))
-
         def inv(a):
             # binary extended Euclid on (a, modulus): g a = u and h a = v
             # modulo the modulus throughout, until u = 1
@@ -544,13 +560,13 @@ class FiniteField:
                     u, v, g, h, j = v, u, h, g, -j
                 u ^= v << j
                 g ^= h << j
-            return FqElem(self, g)
+            return g
 
         def frob(a, k):
             # x -> x^(2^k) is Z_2-linear: row i is the index of (t^i)^(2^k)
             k %= e
             if not k:
-                return FqElem(self, a)
+                return a
             row = frob_rows.get(k)
             if row is None:
                 s = 2
@@ -567,19 +583,12 @@ class FiniteField:
                     r ^= row[i]
                 a >>= 1
                 i += 1
-            return FqElem(self, r)
+            return r
 
-        def xor(a, b):
-            return FqElem(self, a ^ b)
+        xor, same = operator.xor, operator.pos
+        return dict(_add=xor, _sub=xor, _neg=same, _mul=product, _inv=inv, _frob=frob)
 
-        def same(a):
-            return FqElem(self, a)
-
-        return dict(_add=xor, _sub=xor, _neg=same, _mul=mul, _inv=inv, _frob=frob)
-
-    def _table_kernels(
-        self, product: Callable[[int, int], int]
-    ) -> dict[str, Callable[..., FqElem]]:
+    def _table_kernels(self, product: Callable[[int, int], int]) -> dict[str, Callable[..., int]]:
         """exp and log tables over the smallest primitive index g, filled
         with the index product of characteristic 2, and the table kernels
         that read them.
@@ -615,21 +624,20 @@ class FiniteField:
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
         elems = tuple(FqElem(self, n) for n in range(q))
+        object.__setattr__(self, "_elem", elems.__getitem__)
 
         def mul(a, b):
-            return elems[exp[log[a] + log[b]]]
+            return exp[log[a] + log[b]]
 
         def inv(a):
-            return elems[exp[qm1 - log[a]]]
+            return exp[qm1 - log[a]]
 
         def frob(a, k):
             # a^(2^k) = g^(2^k log a)
-            return elems[exp[(log[a] << (k % e)) % qm1]] if a else elems[0]
+            return exp[(log[a] << (k % e)) % qm1] if a else 0
 
-        def xor(a, b):
-            return elems[a ^ b]
-
-        return dict(_add=xor, _sub=xor, _neg=elems.__getitem__, _mul=mul, _inv=inv, _frob=frob)
+        xor, same = operator.xor, operator.pos
+        return dict(_add=xor, _sub=xor, _neg=same, _mul=mul, _inv=inv, _frob=frob)
 
     # ------------------------------------------------------------------
     # digit kernels

@@ -55,11 +55,11 @@ loading one checks this.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _graywalk, _linalg
+from ._record import Record
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -223,13 +223,15 @@ class DOPoly:
         if x.field != self.field:
             raise ContextMismatchError("evaluation point from a different field")
         field, e = self.field, self.field.e
-        orbit = [x.frobenius(k) for k in range(e)]
-        acc = None
+        mul, add = field._mul, field._add
+        orbit = [field._frob(x._n, k) for k in range(e)]
+        acc = 0
         for y, c in self.terms.items():
+            c = c._n
             for i in _indices(y, field.p):
-                c = c * orbit[i % e]
-            acc = acc + c if acc else c
-        return field.zero() if acc is None else acc
+                c = mul(c, orbit[i % e])
+            acc = add(acc, c) if acc else c
+        return field._elem(acc)
 
     def reduce(self) -> "DOPoly":
         """Fold every exponent through X^q = X; the result has degree below q.
@@ -247,9 +249,10 @@ class DOPoly:
 
 
 def lin_to_dense(L: SkewPoly) -> FqPoly:
-    p = L.field.p
+    field = L.field
+    p, elem = field.p, field._elem
     return FqPoly.from_monomials(
-        L.field, {p ** (L.twist * i): c for i, c in enumerate(L.coeffs) if c}
+        field, {p ** (L.twist * i): elem(c) for i, c in enumerate(L._c) if c}
     )
 
 
@@ -273,15 +276,15 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
             "difference of a polynomial with a nonzero constant term is not additive"
         )
     field = t.field
-    e = field.e
-    orbit = [a.frobenius(k) for k in range(e)]
-    acc: dict[int, FqElem] = {}
+    e, mul, add = field.e, field._mul, field._add
+    orbit = [field._frob(a._n, k) for k in range(e)]
+    acc: dict[int, int] = {}
     for (i, j), c in t.quad.items():
-        for k, v in ((i, c * orbit[j % e]), (j, c * orbit[i % e])):
+        c = c._n
+        for k, v in ((i, mul(c, orbit[j % e])), (j, mul(c, orbit[i % e]))):
             prev = acc.get(k)
-            acc[k] = prev + v if prev else v
-    zero = field.zero()
-    return SkewPoly(field, [acc.get(k, zero) for k in range(max(acc, default=-1) + 1)], 1)
+            acc[k] = add(prev, v) if prev else v
+    return SkewPoly._of(field, [acc.get(k, 0) for k in range(max(acc, default=-1) + 1)], 1)
 
 
 def dense_difference(f: FqPoly, a: FqElem) -> FqPoly:
@@ -293,21 +296,20 @@ def dense_difference(f: FqPoly, a: FqElem) -> FqPoly:
 # shape recognition
 
 
-@dataclass(frozen=True)
-class FailedLinearity:
-    """Concrete additivity failure: g(x + y) != g(x) + g(y) for the shift a."""
+class FailedLinearity(Record):
+    """Concrete additivity failure: g(x + y) != g(x) + g(y) for the shift a;
+    fields a, x and y (FqElem)."""
 
-    a: FqElem
-    x: FqElem
-    y: FqElem
+    __slots__ = ("a", "x", "y")
 
 
-@dataclass(frozen=True, eq=False)
-class DOShapeResult:
-    ok: bool
-    value: Optional[DOPoly]
-    offender: Optional[int]
-    witness: Optional[FailedLinearity]
+class DOShapeResult(Record):
+    """Fields ok (bool), value (Optional[DOPoly]), offender (Optional[int])
+    and witness (Optional[FailedLinearity]); compared by identity."""
+
+    __slots__ = ("ok", "value", "offender", "witness")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _do_slots(p: int, e: int) -> dict[int, tuple[str, tuple[int, ...]]]:
@@ -383,24 +385,27 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
         raise TwistMismatchError("composition requires a twist-1 additive polynomial")
     field = D.field
     p, q = field.p, field.q
-    terms = [(k, b) for k, b in enumerate(L.coeffs) if b]
+    mul, frob, elem = field._mul, field._frob, field._elem
+    # coefficient indices throughout; the pairs' coefficients become
+    # elements only for the sums of DOPoly._of
+    terms = [(k, b) for k, b in enumerate(L._c) if b]
     if side == "left":
-        pairs = [(x * p**k, b * c.frobenius(k)) for x, c in D.terms.items() for k, b in terms]
+        pairs = [(x * p**k, mul(b, frob(c._n, k))) for x, c in D.terms.items() for k, b in terms]
     elif side == "right":
-        rows: dict[int, list[tuple[int, FqElem]]] = {}
+        rows: dict[int, list[tuple[int, int]]] = {}
         pairs = []
         for x, c in D.terms.items():
-            parts = [(0, c)]
+            parts = [(0, c._n)]
             for i in _indices(x, p):
                 if i not in rows:
-                    rows[i] = [(p ** (k + i), b.frobenius(i)) for k, b in terms]
-                parts = [(y + z, v * w) for y, v in parts for z, w in rows[i]]
+                    rows[i] = [(p ** (k + i), frob(b, i)) for k, b in terms]
+                parts = [(y + z, mul(v, w)) for y, v in parts for z, w in rows[i]]
             pairs += parts
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if reduce:
         pairs = [(_fold(x, q), c) for x, c in pairs]
-    return DOPoly._of(field, pairs)
+    return DOPoly._of(field, [(x, elem(c)) for x, c in pairs])
 
 
 # ----------------------------------------------------------------------
@@ -738,11 +743,15 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
     return f
 
 
-@dataclass(eq=False)
-class AttackResult:
-    left: SkewPoly
-    core: DOPoly
-    rounds: int
+class AttackResult(Record):
+    """Fields left (SkewPoly), core (DOPoly) and rounds (int); mutable,
+    compared by identity."""
+
+    __slots__ = ("left", "core", "rounds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def gcldf_attack(

@@ -113,7 +113,7 @@ def element_from_obj(field: FiniteField, obj: Any) -> FqElem:
 
 
 def skewpoly_to_obj(f: SkewPoly) -> dict:
-    return {"s": f.twist, "coeffs": [list(c.digits) for c in f.coeffs]}
+    return {"s": f.twist, "coeffs": [list(f.field._digits(c)) for c in f._c]}
 
 
 linpoly_to_obj = skewpoly_to_obj

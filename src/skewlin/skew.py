@@ -7,6 +7,15 @@ by Y a = sigma(a) Y where sigma(a) = a^(p^twist).  The ring is a left and
 right Euclidean domain, so both one-sided divisions, both one-sided gcds,
 and greatest common left divisors of additive polynomials are all exact.
 
+A SkewPoly stores its coefficients once, as the trimmed tuple _c of their
+field-element indices, and its arithmetic (sums, products, both
+divisions, scalars, evaluation, reduction, the matrix views) runs on
+those indices through the field's index kernels.  FqElem objects are
+made only at the boundary: coeffs and lead build them from the indices,
+and the public constructor and the scalar methods take them.  Internal
+results come from the unchecked SkewPoly._of, which takes indices; the
+public constructor keeps its checks.  Decompose and hfe read _c too.
+
 Ore's correspondence reads the same tuple as the additive polynomial
 sum_i f_i X^(p^(twist i)): the ring product f * g is the composition
 f(g(X)), so SkewPoly carries the function view too (evaluation,
@@ -53,29 +62,43 @@ NEG_INF = float("-inf")
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _trim(coeffs: list[FqElem]) -> tuple[FqElem, ...]:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+def _trim(cs: Sequence[int]) -> tuple[int, ...]:
+    n = len(cs)
+    while n and not cs[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(cs[:n])
 
 
 class SkewPoly:
     """sum_i f_i Y^i in F_q[Y; sigma], equally the additive polynomial
-    sum_i f_i X^(p^(twist i))."""
+    sum_i f_i X^(p^(twist i)).
 
-    __slots__ = ("field", "twist", "coeffs")
+    The coefficients are stored as one trimmed tuple of field-element
+    indices; coeffs is a view that builds the FqElem tuple on each read.
+    """
+
+    __slots__ = ("field", "twist", "_c")
 
     def __init__(self, field: FiniteField, coeffs: Iterable[FqElem], twist: int = 1):
         if not isinstance(twist, int) or twist < 1:
             raise TwistMismatchError(f"twist step must be a positive int, got {twist!r}")
-        cs = list(coeffs)
-        for c in cs:
+        cs = []
+        for c in coeffs:
             if not isinstance(c, FqElem) or (c.field is not field and c.field != field):
                 raise ContextMismatchError("coefficient from a different field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "coeffs", _trim(cs))
+            cs.append(c._n)
+        _set_field(self, field)
+        _set_twist(self, twist)
+        _set_c(self, _trim(cs))
+
+    @classmethod
+    def _of(cls, field: FiniteField, cs: Sequence[int], twist: int) -> "SkewPoly":
+        """sum_i cs[i] Y^i from coefficient indices, trimmed and unchecked."""
+        out = object.__new__(cls)
+        _set_field(out, field)
+        _set_twist(out, twist)
+        _set_c(out, tuple(cs) if not cs or cs[-1] else _trim(cs))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPoly is immutable")
@@ -98,37 +121,42 @@ class SkewPoly:
         return cls(field, [zero] * index + [coeff], twist)
 
     @property
+    def coeffs(self) -> tuple[FqElem, ...]:
+        """The coefficients f_0, .., f_n as field elements, built from the indices."""
+        return tuple(map(self.field._elem, self._c))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     @property
     def degree(self):
         """Skew degree n (the index of X^(p^(twist*n))), or -inf for zero."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._c) - 1 if self._c else NEG_INF
 
     @property
     def lead(self) -> FqElem:
-        if not self.coeffs:
+        if not self._c:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field._elem(self._c[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self._c) and self._c[-1] == 1
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkewPoly)
-            and self.field == other.field
+            and self._c == other._c
             and self.twist == other.twist
-            and self.coeffs == other.coeffs
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.twist, self.coeffs))
+        return hash((self.field, self.twist, self._c))
 
     def __repr__(self) -> str:
-        digs = [list(c.digits) for c in self.coeffs]
+        digs = [list(self.field._digits(c)) for c in self._c]
         return f"SkewPoly(twist={self.twist}, coeffs={digs})"
 
     # ------------------------------------------------------------------
@@ -136,29 +164,37 @@ class SkewPoly:
     def _peer(self, other: "SkewPoly") -> None:
         if not isinstance(other, SkewPoly):
             raise TypeError(f"expected SkewPoly, got {type(other).__name__}")
-        if self.field != other.field:
+        if other.field is not self.field and self.field != other.field:
             raise ContextMismatchError("polynomials over different fields")
         if self.twist != other.twist:
             raise TwistMismatchError(
                 f"twist steps differ: {self.twist} vs {other.twist}"
             )
 
-    def _sigma(self, a: FqElem, n: int) -> FqElem:
-        """sigma^n(a), n may be negative."""
-        return a.frobenius((self.twist * n) % self.field.e)
+    def _scalar(self, c: FqElem) -> int:
+        """The index of a scalar c of this polynomial's field."""
+        if c.__class__ is not FqElem or c.field is not self.field:
+            if not isinstance(c, FqElem):
+                raise TypeError(f"expected FqElem, got {type(c).__name__}")
+            if c.field != self.field:
+                raise ContextMismatchError("scalar from a different field")
+        return c._n
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
         self._peer(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
+        add = self.field._add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c if out[i] else c
-        return SkewPoly(self.field, out, self.twist)
+            if c:
+                out[i] = add(out[i], c) if out[i] else c
+        return SkewPoly._of(self.field, out, self.twist)
 
     def __neg__(self) -> "SkewPoly":
-        return SkewPoly(self.field, [-c for c in self.coeffs], self.twist)
+        neg = self.field._neg
+        return SkewPoly._of(self.field, [neg(c) for c in self._c], self.twist)
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
         return self + (-other)
@@ -166,36 +202,49 @@ class SkewPoly:
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         """Ring product; as additive polynomials, self after other."""
         self._peer(other)
-        field = self.field
-        if self.is_zero or other.is_zero:
-            return SkewPoly.zero(field, self.twist)
-        a, b = self.coeffs, other.coeffs
-        out = [field.zero()] * (len(a) + len(b) - 1)
-        one = field.one()
+        field, twist = self.field, self.twist
+        a, b = self._c, other._c
+        if not a or not b:
+            return SkewPoly._of(field, (), twist)
+        mul, add, frob, e = field._mul, field._add, field._frob, field.e
+        out = [0] * (len(a) + len(b) - 1)
+        rows = {0: b}  # k -> sigma^k(b), coefficient-wise
         for i, ai in enumerate(a):
             if not ai:
                 continue
-            k = (self.twist * i) % field.e
-            for j, bj in enumerate(b):
-                if bj:
-                    t = bj.frobenius(k) if k else bj
-                    t = t if ai == one else ai * t
-                    out[i + j] = out[i + j] + t if out[i + j] else t
-        return SkewPoly(field, out, self.twist)
+            k = twist * i % e
+            row = rows.get(k)
+            if row is None:
+                row = rows[k] = [frob(c, k) for c in b]
+            for j, t in enumerate(row, i):
+                if t:
+                    if ai != 1:
+                        t = mul(ai, t)
+                    s = out[j]
+                    out[j] = add(s, t) if s else t
+        return SkewPoly._of(field, out, twist)
 
     compose = __mul__
 
     def left_scalar(self, c: FqElem) -> "SkewPoly":
         """(c) * self as ring elements: coefficients multiplied by c on the left."""
-        return SkewPoly(self.field, [c * a for a in self.coeffs], self.twist)
+        return self._left(self._scalar(c))
 
     def right_scalar(self, c: FqElem) -> "SkewPoly":
         """self * (c): coefficient i picks up sigma^i(c)."""
-        return SkewPoly(
-            self.field,
-            [a * self._sigma(c, i) for i, a in enumerate(self.coeffs)],
-            self.twist,
-        )
+        return self._right(self._scalar(c))
+
+    def _left(self, c: int) -> "SkewPoly":
+        """left_scalar for the scalar of index c."""
+        mul = self.field._mul
+        return SkewPoly._of(self.field, [mul(c, a) for a in self._c], self.twist)
+
+    def _right(self, c: int) -> "SkewPoly":
+        """right_scalar for the scalar of index c."""
+        field, twist = self.field, self.twist
+        mul, frob, e = field._mul, field._frob, field.e
+        out = [mul(a, frob(c, twist * i % e)) for i, a in enumerate(self._c)]
+        return SkewPoly._of(field, out, twist)
 
     # ------------------------------------------------------------------
     # Euclidean structure
@@ -203,50 +252,60 @@ class SkewPoly:
     def divmod_right(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
         """q, r with self = q * g + r and deg r < deg g."""
         self._peer(g)
-        if g.is_zero:
+        gc = g._c
+        if not gc:
             raise ZeroDivisionError("division by the zero polynomial")
-        field = self.field
-        n = len(g.coeffs) - 1
-        r = list(self.coeffs)
-        q = [field.zero()] * max(len(r) - n, 0)
-        g_inv = g.lead if g.is_monic else g.lead.inv()
+        field, twist = self.field, self.twist
+        mul, sub, frob, e = field._mul, field._sub, field._frob, field.e
+        n = len(gc) - 1
+        r = list(self._c)
+        q = [0] * max(len(r) - n, 0)
+        g_inv = 1 if gc[-1] == 1 else field._inv(gc[-1])
+        rows = {0: gc}  # s -> sigma^s(g), coefficient-wise
         while len(r) > n:
             k = len(r) - 1 - n
-            c = r[-1] * self._sigma(g_inv, k)
-            q[k] = c
-            for i, gi in enumerate(g.coeffs):
+            s = twist * k % e
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = [frob(c, s) for c in gc]
+            c = q[k] = r[-1] if g_inv == 1 else mul(r[-1], frob(g_inv, s))
+            for i, gi in enumerate(row, k):
                 if gi:
-                    r[i + k] = r[i + k] - c * self._sigma(gi, k)
+                    r[i] = sub(r[i], mul(c, gi))
             del r[-1]
             while r and not r[-1]:
                 del r[-1]
-        qq = SkewPoly(field, q, self.twist)
-        rr = SkewPoly(field, r, self.twist)
+        qq = SkewPoly._of(field, q, twist)
+        rr = SkewPoly._of(field, r, twist)
         check_rebuild(lambda: (self, qq * g + rr))
         return qq, rr
 
     def divmod_left(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
         """q, r with self = g * q + r and deg r < deg g."""
         self._peer(g)
-        if g.is_zero:
+        gc = g._c
+        if not gc:
             raise ZeroDivisionError("division by the zero polynomial")
-        field = self.field
-        n = len(g.coeffs) - 1
-        g_inv = g.lead if g.is_monic else g.lead.inv()
-        r = list(self.coeffs)
-        q = [field.zero()] * max(len(r) - n, 0)
+        field, twist = self.field, self.twist
+        mul, sub, frob, e = field._mul, field._sub, field._frob, field.e
+        n = len(gc) - 1
+        g_inv = 1 if gc[-1] == 1 else field._inv(gc[-1])
+        shift = -twist * n % e
+        r = list(self._c)
+        q = [0] * max(len(r) - n, 0)
         while len(r) > n:
             k = len(r) - 1 - n
-            c = self._sigma(g_inv * r[-1], -n)
-            q[k] = c
-            for i, gi in enumerate(g.coeffs):
+            c = r[-1] if g_inv == 1 else mul(g_inv, r[-1])
+            c = q[k] = frob(c, shift) if shift else c
+            for i, gi in enumerate(gc):
                 if gi:
-                    r[i + k] = r[i + k] - gi * self._sigma(c, i)
+                    s = twist * i % e
+                    r[i + k] = sub(r[i + k], mul(gi, frob(c, s) if s else c))
             del r[-1]
             while r and not r[-1]:
                 del r[-1]
-        qq = SkewPoly(field, q, self.twist)
-        rr = SkewPoly(field, r, self.twist)
+        qq = SkewPoly._of(field, q, twist)
+        rr = SkewPoly._of(field, r, twist)
         check_rebuild(lambda: (self, g * qq + rr))
         return qq, rr
 
@@ -258,42 +317,45 @@ class SkewPoly:
 
     def monic_left(self) -> "SkewPoly":
         """Monic left-scalar normalisation c * self."""
-        if self.is_zero or self.is_monic:
+        if not self._c or self._c[-1] == 1:
             return self
-        return self.left_scalar(self.lead.inv())
+        return self._left(self.field._inv(self._c[-1]))
 
     def monic_right(self) -> "SkewPoly":
         """Monic right-scalar normalisation self * c."""
-        if self.is_zero:
+        if not self._c:
             return self
-        c = self._sigma(self.lead.inv(), -(len(self.coeffs) - 1))
-        return self.right_scalar(c)
+        field = self.field
+        shift = -self.twist * (len(self._c) - 1) % field.e
+        return self._right(field._frob(field._inv(self._c[-1]), shift))
 
     # ------------------------------------------------------------------
     # function view
 
     def __call__(self, x: FqElem) -> FqElem:
-        if x.field != self.field:
+        field = self.field
+        if x.field is not field and x.field != field:
             raise ContextMismatchError("evaluation point from a different field")
-        e = self.field.e
-        acc = None
-        for i, c in enumerate(self.coeffs):
+        mul, add, frob, e = field._mul, field._add, field._frob, field.e
+        n, twist = x._n, self.twist
+        acc = 0
+        for i, c in enumerate(self._c):
             if c:
-                t = c * x.frobenius((self.twist * i) % e)
-                acc = acc + t if acc else t
-        return self.field.zero() if acc is None else acc
+                t = mul(c, frob(n, twist * i % e))
+                acc = add(acc, t) if acc else t
+        return field._elem(acc)
 
     def reduce(self) -> "SkewPoly":
         """Fold through x^(p^e) = x; result has twist 1 and indices < e."""
-        field, e = self.field, self.field.e
-        acc: dict[int, FqElem] = {}
-        for i, c in enumerate(self.coeffs):
+        field, e, twist = self.field, self.field.e, self.twist
+        add = field._add
+        acc = [0] * e
+        for i, c in enumerate(self._c):
             if c:
-                k = (self.twist * i) % e
-                prev = acc.get(k)
-                acc[k] = prev + c if prev else c
-        zero = field.zero()
-        return SkewPoly(field, [acc.get(k, zero) for k in range(e)], 1)
+                k = twist * i % e
+                prev = acc[k]
+                acc[k] = add(prev, c) if prev else c
+        return SkewPoly._of(field, acc, 1)
 
     def to_matrix(self) -> Matrix:
         """e x e matrix over Z_p of the induced linear map, in the field basis.
@@ -303,15 +365,16 @@ class SkewPoly:
         so no basis element is evaluated.
         """
         field = self.field
-        coeffs = self.reduce().coeffs
+        mul, add = field._mul, field._add
+        coeffs = self.reduce()._c
         cols = []
-        zero = field.zero()
         for b_pows in field.basis_frobenius():
-            acc = None
+            acc = 0
             for c, b in zip(coeffs, b_pows):
                 if c:
-                    acc = acc + c * b if acc else c * b
-            cols.append(field.coordinates(zero if acc is None else acc))
+                    v = mul(c, b._n)
+                    acc = add(acc, v) if acc else v
+            cols.append(field._coordinates(acc))
         return tuple(
             tuple(cols[j][r] for j in range(field.e)) for r in range(field.e)
         )
@@ -328,16 +391,16 @@ class SkewPoly:
         if len(rows) != e or any(len(r) != e for r in rows):
             raise SingularSystemError(f"matrix must be {e} x {e}")
         targets = [
-            field.combine([rows[r][j] % p for r in range(e)]) for j in range(e)
+            field.combine([rows[r][j] % p for r in range(e)])._n for j in range(e)
         ]
-        dual = field.dual_frobenius()
-        coeffs = [field.zero()] * e
-        for t, d_pows in zip(targets, dual):
+        mul, add = field._mul, field._add
+        coeffs = [0] * e
+        for t, d_pows in zip(targets, field.dual_frobenius()):
             if t:
                 for k in range(e):
-                    v = t * d_pows[k]
-                    coeffs[k] = coeffs[k] + v if coeffs[k] else v
-        return cls(field, coeffs, 1)
+                    v, prev = mul(t, d_pows[k]._n), coeffs[k]
+                    coeffs[k] = add(prev, v) if prev else v
+        return cls._of(field, coeffs, 1)
 
     def is_permutation(self) -> bool:
         return _linalg.rank(self.to_matrix(), self.field.p) == self.field.e
@@ -352,6 +415,12 @@ class SkewPoly:
     def inverse(self) -> "SkewPoly":
         """Compositional inverse of a permutation polynomial, reduced."""
         return SkewPoly.from_matrix(self.field, self.inverse_matrix())
+
+
+# slot setters that bypass SkewPoly.__setattr__, for the constructors alone
+_set_field = SkewPoly.field.__set__
+_set_twist = SkewPoly.twist.__set__
+_set_c = SkewPoly._c.__set__
 
 
 def check_rebuild(sides: Callable[[], tuple[SkewPoly, SkewPoly]]) -> None:

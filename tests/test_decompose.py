@@ -1,5 +1,6 @@
 """Eigenrings, zero divisors, splitting, complete decomposition."""
 
+import gc
 import itertools
 import math
 import random
@@ -592,6 +593,26 @@ def test_decompose_factors_are_irreducible(gf4):
             # no monic right factor of any smaller positive degree
             for d in range(1, len(g.coeffs) - 1):
                 assert not any(g.mod_right(h).is_zero for h in all_monic(gf4, d))
+
+
+def test_decompose_leaves_no_reference_cycle(gf16):
+    # the splitting walks an explicit stack, so a decomposition leaves
+    # nothing that only the cyclic collector frees (a recursive closure
+    # kept the rng, the factor list and the split tree alive in a cycle)
+    rng = random.Random(31)
+    f = SkewPoly.one(gf16)
+    for degree in (2, 1, 2, 2):
+        f = f * random_monic(gf16, rng, degree)
+    gc.collect()
+    gc.disable()
+    try:
+        dec = decompose_complete(f, random.Random(1))
+        assert len(dec.factors) >= 4
+        del dec
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_decompose_unit_and_nonmonic(gf9):

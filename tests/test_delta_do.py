@@ -1,5 +1,6 @@
 """Structured quadratic polynomials and the three-term difference operator."""
 
+import contextlib
 import os
 import random
 import sys
@@ -24,6 +25,18 @@ from skewlin.hfe import (
     to_multivariate,
 )
 from skewlin.linpoly import LinPoly
+
+
+@contextlib.contextmanager
+def spied_kernel(field, name, wrap):
+    """Run the block with the field's index kernel name replaced by
+    wrap(kernel); the field is immutable, so the slot is set directly."""
+    kernel = getattr(field, name)
+    object.__setattr__(field, name, wrap(kernel))
+    try:
+        yield
+    finally:
+        object.__setattr__(field, name, kernel)
 
 
 def random_do(field, rng, max_index=None, with_lin=True, with_const=False):
@@ -324,7 +337,10 @@ def test_compose_reduce_folds_as_it_accumulates(field):
 
 def test_sums_start_from_first_term(gf16, gf9, monkeypatch):
     # DOPoly.__add__, SkewPoly.reduce, difference_poly and SkewPoly.__call__
-    # never add onto a zero left operand, and their outputs match the oracles
+    # never add onto a zero left operand, and their outputs match the oracles.
+    # DOPoly sums FqElem terms, so its spy sits on FqElem.__add__; the other
+    # three sum coefficient indices, so theirs sits on the field's index add
+    # kernel
     watched = {
         ("hfe.py", "_sum_terms"),
         ("skew.py", "reduce"),
@@ -334,12 +350,18 @@ def test_sums_start_from_first_term(gf16, gf9, monkeypatch):
     adds = []
     add = FqElem.__add__
 
-    def spy(self, other):
-        code = sys._getframe(1).f_code
+    def record(zero_left):
+        code = sys._getframe(2).f_code
         caller = (os.path.basename(code.co_filename), code.co_name)
         if caller in watched:
-            adds.append((caller, not self))
+            adds.append((caller, zero_left))
+
+    def spy(self, other):
+        record(not self)
         return add(self, other)
+
+    def kernel_spy(kernel):
+        return lambda a, b: record(not a) or kernel(a, b)
 
     for field in (gf16, gf9):
         rng = random.Random(95)
@@ -350,7 +372,7 @@ def test_sums_start_from_first_term(gf16, gf9, monkeypatch):
             D = random_do(field, rng, max_index=2 * field.e)
             L = random_linpoly(field, rng, 2 * field.e)
             shifts = [field.zero()] + [field.random_element(rng) for _ in range(3)]
-            with monkeypatch.context() as m:
+            with monkeypatch.context() as m, spied_kernel(field, "_add", kernel_spy):
                 m.setattr(FqElem, "__add__", spy)
                 S = A + B
                 R = L.reduce()
@@ -533,17 +555,20 @@ def test_parts_rebuild_and_equal_inputs_compare_equal(gf16, gf27, gf4):
     assert DOPoly(gf27, {(1, 1): one}) != DOPoly(gf27, {}, LinPoly.monomial(gf27, 2, one))
 
 
-def test_evaluation_reads_the_frobenius_orbit_once(gf16, gf27, monkeypatch):
+def test_evaluation_reads_the_frobenius_orbit_once(gf16, gf27):
+    # DOPoly.__call__ runs on element indices, so the spy sits on the
+    # field's index Frobenius kernel
     calls = []
-    frobenius = FqElem.frobenius
-    monkeypatch.setattr(
-        FqElem, "frobenius", lambda self, k: calls.append(k) or frobenius(self, k)
-    )
+
+    def frob_spy(frob):
+        return lambda a, k: calls.append(k) or frob(a, k)
+
     for field in (gf16, gf27):
-        rng = random.Random(98)
-        for _ in range(4):
-            D = random_do(field, rng, max_index=2 * field.e, with_const=True)
-            for x in field.elements():
-                calls.clear()
-                D(x)
-                assert len(calls) == field.e
+        with spied_kernel(field, "_frob", frob_spy):
+            rng = random.Random(98)
+            for _ in range(4):
+                D = random_do(field, rng, max_index=2 * field.e, with_const=True)
+                for x in field.elements():
+                    calls.clear()
+                    D(x)
+                    assert len(calls) == field.e

@@ -1,8 +1,9 @@
 """Each CLI verb loads only the package modules it runs.
 
 Every verb runs once through ``cli.main(argv)`` in a fresh interpreter,
-which reports the ``skewlin.*`` entries of ``sys.modules`` afterwards; its
-stdout must equal the bytes of the same call made in this process.
+which reports the ``skewlin.*`` entries of ``sys.modules`` afterwards and
+whether it loaded ``dataclasses`` or ``inspect``; its stdout must equal the
+bytes of the same call made in this process.
 """
 
 import json
@@ -29,7 +30,8 @@ from skewlin.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
 loaded = sorted(m for m in sys.modules if m.startswith("skewlin."))
-sys.stderr.write("\\n" + json.dumps({"code": code, "modules": loaded}))
+heavy = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+sys.stderr.write("\\n" + json.dumps({"code": code, "modules": loaded, "heavy": heavy}))
 """
 
 DECOMPOSE_LAYERS = {"skewlin.decompose", "skewlin.hfe", "skewlin._graywalk", "skewlin.fqpoly"}
@@ -101,6 +103,8 @@ def test_verb_loads_only_its_modules(verb, verb_argvs, capsys, monkeypatch):
     assert report["code"] == 0
     assert "skewlin.cli" in report["modules"]
     assert NOT_LOADED[verb].isdisjoint(report["modules"]), report["modules"]
+    # dataclasses pulls in inspect, ast, dis and tokenize at import
+    assert report["heavy"] == []
     monkeypatch.delenv("TOOL_POLICY_MAX_Q", raising=False)
     assert main(argv) == 0
     assert out == capsys.readouterr().out.encode()
