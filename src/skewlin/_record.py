@@ -4,13 +4,18 @@ A Record subclass names its fields in __slots__, in order.  The
 constructor takes them by position or keyword, the repr lists them as
 keywords, instances compare and hash by the tuple of their values, and
 assignment raises AttributeError.  A subclass that compares by identity
-sets __eq__ and __hash__ back to object's.
+sets __eq__ and __hash__ back to object's.  copy, deepcopy and pickle
+rebuild a record through its constructor, and __match_args__ lists the
+fields for positional class patterns.
 
 Each subclass also carries the __dataclass_fields__ table that
 dataclasses.replace reads, so replace(record, field=value) builds a
 changed copy as it did when these were dataclasses, without this module
-importing dataclasses (which loads inspect, ast, dis and tokenize).
-Other dataclasses helpers (fields, asdict) see no fields.
+importing dataclasses (which loads inspect, ast, dis and tokenize).  The
+table exists only because perfbench/selftest.py corrupts Decomposition
+and AttackResult with dataclasses.replace; it goes once that file builds
+them with their constructors.  Until then dataclasses.is_dataclass is
+true of a record while dataclasses.fields and asdict see no fields.
 """
 
 
@@ -32,6 +37,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
         cls.__dataclass_fields__ = {name: _Field(name) for name in cls.__slots__}
 
     def __init__(self, *args, **kwargs):
@@ -58,6 +64,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)

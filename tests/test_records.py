@@ -3,11 +3,14 @@
 They are slotted classes with the behaviour their dataclass forms had:
 keyword and positional constructors, a keyword repr, no assignment where
 frozen, equality and hashing by value, or by identity where the class
-compares by identity, and copies with a field changed through
-dataclasses.replace.
+compares by identity, copies with a field changed through
+dataclasses.replace, copy, deepcopy and pickle round trips, and
+positional class patterns.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -67,3 +70,22 @@ def test_record_contract(cls, names, by_value, frozen):
             cls(*values[:-1])
         with pytest.raises(TypeError):
             cls(*values, **{names[0]: values[0]})
+
+
+@pytest.mark.parametrize(
+    "cls, names, by_value, frozen", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_copies_and_matches(cls, names, by_value, frozen):
+    values = [(i, "v") for i in range(len(names))]
+    a = cls(*values)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is cls and twin is not a
+        assert [getattr(twin, n) for n in names] == values
+        assert (twin == a) is by_value
+    assert cls.__match_args__ == names
+    if names:
+        match a:
+            case cls(first):
+                assert first == values[0]
+            case _:
+                pytest.fail("no positional class pattern")
