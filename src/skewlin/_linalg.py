@@ -68,7 +68,7 @@ def nullspace(a, p: int) -> list[list[int]]:
 
 def inv(a, p: int) -> Optional[list[list[int]]]:
     n = len(a)
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
+    aug = [[*row] + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
     m, pivots = rref(aug, p)
     if pivots != list(range(n)):
         return None

@@ -2,13 +2,15 @@
 
 A DO polynomial is sum c_ij X^(p^i + p^j) plus an additive part plus a
 constant: every exponent has base-p digit sum at most 2.  It is stored as
-one dict from exponent to coefficient, so the algebra is exponent
-arithmetic.  In characteristic 2 a diagonal pair is the carry
-2^i + 2^i = 2^(i+1), an additive exponent.  Composing with X^(p^k)
-multiplies exponents by p^k, and reduce() folds each exponent x >= 1
-through x^q = x to (x - 1) mod (q - 1) + 1; a reduced polynomial has
-ordinary degree below q, so two reduced polynomials are equal exactly
-when they agree as functions.
+one dict from exponent to coefficient index, so the algebra is exponent
+arithmetic on the field's index kernels; the quadratic and additive parts
+are decoded once, when the polynomial is built.  In characteristic 2 a
+diagonal pair is the carry 2^i + 2^i = 2^(i+1), an additive exponent.
+Composing with X^(p^k) multiplies exponents by p^k, and reduce() folds
+each exponent x >= 1 through x^q = x to (x - 1) mod (q - 1) + 1.  A
+reduced polynomial has ordinary degree below q, so reduce() returns it as
+it is, and two reduced polynomials are equal exactly when they agree as
+functions.
 
 The difference operator t -> t(X + a) - t(X) - t(a) sends a constant-free
 DO polynomial to an additive polynomial in X, computed symbolically here
@@ -23,27 +25,18 @@ x -> f(x+a) - f(x) - f(a) + f(0) for some shift a.
 The HFE scheme publishes E = S . D . T for secret additive permutations
 S, T and a secret constant-free DO core D of ordinary degree at most a
 bound d.  Key generation composes S and T with D on exponents folded
-as the sums accumulate, reading Frobenius powers from tables.
-Decryption runs on basis coordinates over Z_p from start to finish: S
-and T are inverted as Z_p matrices, and the preimages of D come from a
-table built once by walking the whole field, so field size is capped by
-a policy bound.  It maps the index of a coordinate vector to the indices
-of the coordinate vectors of its preimages.  The walk follows a modular
-Gray code (_graywalk) and reads D's coordinate quadratic forms over Z_p
-(to_multivariate) at a few points only, never D itself.  Only the final
-combine builds field elements.  The attack takes greatest common left
+as the sums accumulate.  Decryption runs on basis coordinates over Z_p
+from start to finish (hfe_decrypt): S and T are inverted as Z_p
+matrices, and the preimages of D come from a table built once by a
+modular Gray-code walk of the whole field through D's coordinate forms
+(HFESecretKey.core_table), so field size is capped by a policy bound.
+The attack takes greatest common left
 divisor factors of difference polynomials of E (they share the left
 factor S), and tries to peel a candidate left factor off E leaving a
-low-degree core; on success the recovered pair decrypts without the
-secret key: decrypt_with_factors decrypts through hfe_decrypt with the
-secret key (left, core, 1).  Reduction modulo
-x^q - x does not always respect exact left divisibility, so honest
-instances may resist; failures are reported, never hidden.  On honest
-keys the running gcld usually collapses to the unit 1 after two or
-three differences, and 1 stays the gcld whatever is drawn next.  Since a -> difference_poly(E, a)
-is Z_p-linear and nonzero, at most q/p - 1 nonzero shifts have a zero
-difference; when the field leaves enough of the others for every round,
-the attack stops as soon as the unit's peel has failed.
+low-degree core; a recovered pair decrypts as the secret key
+(left, core, 1).  Reduction modulo x^q - x does not always respect exact
+left divisibility, so honest instances may resist; failures are
+reported, never hidden.
 
 The public key is E alone; its coordinate quadratic forms over Z_p are
 derived from E on first use.  A key pair is consistent when S . D . T
@@ -90,34 +83,31 @@ def _indices(x: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fold(x: int, q: int) -> int:
-    """The exponent of X^x modulo X^q - X: x >= 1 goes to (x - 1) mod (q - 1) + 1."""
-    return (x - 1) % (q - 1) + 1 if x else 0
-
-
-def _sum_terms(pairs: Iterable[tuple[int, FqElem]]) -> Mapping[int, FqElem]:
-    """Exponent -> sum of the coefficients paired with it, read-only; each
-    sum starts from its first term, and zero sums drop."""
-    acc: dict[int, FqElem] = {}
+def _sum_terms(field: FiniteField, pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Exponent -> sum of the coefficient indices paired with it; each sum
+    starts from its first term, and zero sums drop."""
+    add = field._add
+    acc: dict[int, int] = {}
     for x, c in pairs:
         prev = acc.get(x)
-        acc[x] = prev + c if prev else c
-    return MappingProxyType({x: c for x, c in acc.items() if c})
+        acc[x] = add(prev, c) if prev else c
+    return {x: c for x, c in acc.items() if c}
 
 
 class DOPoly:
     """sum_x c_x X^x over exponents with base-p digit sum at most 2: the
     constant 0, additive p^k and quadratic p^i + p^j.
 
-    terms maps each exponent to its nonzero coefficient; like the rest of
-    the polynomial it is read-only.  The constructor takes the parts
-    (index pairs, a twist-1 additive SkewPoly, a constant) and adds each
-    term at its exponent, so in characteristic 2 a diagonal pair is the
-    carry 2^i + 2^i = 2^(i+1), additive index i + 1.  quad, lin and const
-    read the parts back off the base-p digits.
+    _t maps each exponent to its nonzero coefficient's element index.  The
+    constructor takes the parts (index pairs, a twist-1 additive SkewPoly,
+    a constant) and adds each term at its exponent, so in characteristic 2
+    a diagonal pair is the carry 2^i + 2^i = 2^(i+1), additive index i + 1.
+    The parts are decoded once, at construction: _q holds the quadratic
+    (i, j, index) triples and _l the additive indices by k.  terms, quad,
+    lin and const wrap them as field elements; all of it is read-only.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "_t", "_q", "_l")
 
     def __init__(
         self,
@@ -137,23 +127,35 @@ class DOPoly:
         if not isinstance(const, FqElem) or const.field != field:
             raise ContextMismatchError("constant term belongs to a different field")
         p = field.p
-        pairs = [(0, const)] + [(p**k, c) for k, c in enumerate(lin.coeffs)]
+        pairs = [(0, const._n)] + [(p**k, c) for k, c in enumerate(lin._c)]
         for (i, j), c in quad.items():
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                 raise ValueError(f"quad indices must be ints >= 0, got {(i, j)!r}")
             if not isinstance(c, FqElem) or c.field != field:
                 raise ContextMismatchError("quad coefficient belongs to a different field")
-            pairs.append((p**i + p**j, c))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", _sum_terms(pairs))
+            pairs.append((p**i + p**j, c._n))
+        self._set(field, pairs)
 
     @classmethod
-    def _of(cls, field: FiniteField, pairs: Iterable[tuple[int, FqElem]]) -> "DOPoly":
-        """sum c X^x over the (x, c) pairs, whose exponents have digit sum <= 2."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "terms", _sum_terms(pairs))
-        return out
+    def _of(cls, field: FiniteField, pairs, fold: bool = False) -> "DOPoly":
+        return object.__new__(cls)._set(field, pairs, fold)
+
+    def _set(self, field, pairs, fold=False) -> "DOPoly":
+        """Sum the (x, c) index pairs, whose exponents have digit sum <= 2,
+        with fold each first folded through X^q = X (x >= 1 to
+        (x - 1) mod (q - 1) + 1), and decode the parts: a folded exponent's
+        indices come from the table _do_slots, any other's from its digits."""
+        if fold:
+            m, slots = field.q - 1, _do_slots(field.p, field.e)
+            pairs = [((x - 1) % m + 1 if x else 0, c) for x, c in pairs]
+        terms = _sum_terms(field, pairs)
+        parts = [(slots[x] if fold else _indices(x, field.p), c) for x, c in terms.items() if x]
+        quad = tuple((*idx, c) for idx, c in parts if len(idx) == 2)
+        lin = {idx[0]: c for idx, c in parts if len(idx) == 1}
+        lin = tuple(lin.get(k, 0) for k in range(max(lin, default=-1) + 1))
+        for name, v in zip(DOPoly.__slots__, (field, terms, quad, lin)):
+            object.__setattr__(self, name, v)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DOPoly is immutable")
@@ -164,46 +166,44 @@ class DOPoly:
     def zero(cls, field: FiniteField) -> "DOPoly":
         return cls(field, {})
 
-    def _part(self, n: int) -> dict[tuple[int, ...], FqElem]:
-        """The terms whose exponent has digit sum n, by their indices."""
-        p = self.field.p
-        return {idx: c for x, c in self.terms.items() if len(idx := _indices(x, p)) == n}
+    @property
+    def terms(self) -> Mapping[int, FqElem]:
+        """Exponent -> nonzero coefficient, read-only."""
+        elem = self.field._elem
+        return MappingProxyType({x: elem(c) for x, c in self._t.items()})
 
     @property
     def quad(self) -> dict[tuple[int, int], FqElem]:
         """The quadratic terms c X^(p^i + p^j), keyed by (i, j) with i <= j."""
-        return self._part(2)
+        elem = self.field._elem
+        return {(i, j): elem(c) for i, j, c in self._q}
 
     @property
     def lin(self) -> SkewPoly:
         """The additive part, a twist-1 SkewPoly."""
-        part, zero = self._part(1), self.field.zero()
-        n = max((k for k, in part), default=-1) + 1
-        return SkewPoly(self.field, [part.get((k,), zero) for k in range(n)])
+        return SkewPoly._of(self.field, self._l, 1)
 
     @property
     def const(self) -> FqElem:
-        return self.terms.get(0) or self.field.zero()
+        return self.field._elem(self._t.get(0, 0))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     @property
     def has_quadratic(self) -> bool:
-        return bool(self.quad)
+        return bool(self._q)
 
     @property
     def degree(self):
-        return max(self.terms, default=NEG_INF)
+        return max(self._t, default=NEG_INF)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DOPoly) and self.field == other.field and self.terms == other.terms
-        )
+        return isinstance(other, DOPoly) and self.field == other.field and self._t == other._t
 
     def __repr__(self) -> str:
-        terms = {x: list(c.digits) for x, c in sorted(self.terms.items())}
+        terms = {x: list(self.field._digits(c)) for x, c in sorted(self._t.items())}
         return f"DOPoly(terms={terms})"
 
     def __add__(self, other: "DOPoly") -> "DOPoly":
@@ -211,10 +211,11 @@ class DOPoly:
             raise TypeError(f"expected DOPoly, got {type(other).__name__}")
         if self.field != other.field:
             raise ContextMismatchError("polynomials over different fields")
-        return DOPoly._of(self.field, [*self.terms.items(), *other.terms.items()])
+        return DOPoly._of(self.field, [*self._t.items(), *other._t.items()])
 
     def __neg__(self) -> "DOPoly":
-        return DOPoly._of(self.field, [(x, -c) for x, c in self.terms.items()])
+        neg = self.field._neg
+        return DOPoly._of(self.field, [(x, neg(c)) for x, c in self._t.items()])
 
     def __sub__(self, other: "DOPoly") -> "DOPoly":
         return self + (-other)
@@ -225,23 +226,23 @@ class DOPoly:
         field, e = self.field, self.field.e
         mul, add = field._mul, field._add
         orbit = [field._frob(x._n, k) for k in range(e)]
-        acc = 0
-        for y, c in self.terms.items():
-            c = c._n
-            for i in _indices(y, field.p):
-                c = mul(c, orbit[i % e])
-            acc = add(acc, c) if acc else c
+        acc = self._t.get(0, 0)
+        lin = [mul(c, orbit[k % e]) for k, c in enumerate(self._l) if c]
+        for v in lin + [mul(mul(c, orbit[i % e]), orbit[j % e]) for i, j, c in self._q]:
+            acc = add(acc, v) if acc else v
         return field._elem(acc)
 
     def reduce(self) -> "DOPoly":
         """Fold every exponent through X^q = X; the result has degree below q.
 
+        Below degree q folding is the identity, so self is returned.
         Folding keeps the digit sum at most 2: p^i + p^j goes to
         p^(i mod e) + p^(j mod e), except that in characteristic 2 the
         carry 2^(e-1) + 2^(e-1) = q wraps to the additive X.
         """
-        q = self.field.q
-        return DOPoly._of(self.field, [(_fold(x, q), c) for x, c in self.terms.items()])
+        if self.degree < self.field.q:
+            return self
+        return DOPoly._of(self.field, self._t.items(), fold=True)
 
     def to_fqpoly(self) -> FqPoly:
         """Dense form, one coefficient per exponent."""
@@ -271,7 +272,7 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
     """
     if a.field != t.field:
         raise ContextMismatchError("shift from a different field")
-    if t.const:
+    if 0 in t._t:
         raise ShapeViolationError(
             "difference of a polynomial with a nonzero constant term is not additive"
         )
@@ -279,8 +280,7 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
     e, mul, add = field.e, field._mul, field._add
     orbit = [field._frob(a._n, k) for k in range(e)]
     acc: dict[int, int] = {}
-    for (i, j), c in t.quad.items():
-        c = c._n
+    for i, j, c in t._q:
         for k, v in ((i, mul(c, orbit[j % e])), (j, mul(c, orbit[i % e]))):
             prev = acc.get(k)
             acc[k] = add(prev, v) if prev else v
@@ -312,13 +312,13 @@ class DOShapeResult(Record):
     __hash__ = object.__hash__
 
 
-def _do_slots(p: int, e: int) -> dict[int, tuple[str, tuple[int, ...]]]:
-    """Each exponent below p^e a DO + additive polynomial carries, to its slot:
-    ('quad', (i, j)) with i <= j in (i, j) order, then ('lin', (k,)) by k.
-    For p = 2 the diagonal 2^i + 2^i = 2^(i+1) is additive and has no quad
-    slot; without it, base-p digits give every exponent one slot."""
-    slots = {p**i + p**j: ("quad", (i, j)) for i in range(e) for j in range(i, e) if p > 2 or i < j}
-    slots.update({p**k: ("lin", (k,)) for k in range(e)})
+def _do_slots(p: int, e: int) -> dict[int, tuple[int, ...]]:
+    """Each exponent below p^e a DO + additive polynomial carries, to its
+    indices: (i, j) with i <= j in (i, j) order, then (k,) by k.  For p = 2
+    the diagonal 2^i + 2^i = 2^(i+1) is additive and has no (i, i) slot;
+    without it, base-p digits give every exponent one slot."""
+    slots = {p**i + p**j: (i, j) for i in range(e) for j in range(i, e) if p > 2 or i < j}
+    slots.update({p**k: (k,) for k in range(e)})
     return slots
 
 
@@ -342,7 +342,7 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     terms = f.monomials()
     offender = next((x for x in sorted(terms) if x and x not in slots), None)
     if offender is None:
-        value = DOPoly._of(field, terms.items())
+        value = DOPoly._of(field, [(x, c._n) for x, c in terms.items()], fold=True)
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
     xs = list(field.elements())
     F = [sum((c * x**k for k, c in terms.items()), xs[0]) for x in xs]
@@ -384,28 +384,24 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
     if L.twist != 1:
         raise TwistMismatchError("composition requires a twist-1 additive polynomial")
     field = D.field
-    p, q = field.p, field.q
-    mul, frob, elem = field._mul, field._frob, field._elem
-    # coefficient indices throughout; the pairs' coefficients become
-    # elements only for the sums of DOPoly._of
+    p, mul, frob = field.p, field._mul, field._frob
     terms = [(k, b) for k, b in enumerate(L._c) if b]
     if side == "left":
-        pairs = [(x * p**k, mul(b, frob(c._n, k))) for x, c in D.terms.items() for k, b in terms]
+        pairs = [(x * p**k, mul(b, frob(c, k))) for x, c in D._t.items() for k, b in terms]
     elif side == "right":
         rows: dict[int, list[tuple[int, int]]] = {}
-        pairs = []
-        for x, c in D.terms.items():
-            parts = [(0, c._n)]
-            for i in _indices(x, p):
+        pairs = [(0, D._t[0])] if 0 in D._t else []
+        lin = [((k,), c) for k, c in enumerate(D._l) if c]
+        for idx, c in lin + [((i, j), c) for i, j, c in D._q]:
+            parts = [(0, c)]
+            for i in idx:
                 if i not in rows:
                     rows[i] = [(p ** (k + i), frob(b, i)) for k, b in terms]
                 parts = [(y + z, mul(v, w)) for y, v in parts for z, w in rows[i]]
             pairs += parts
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if reduce:
-        pairs = [(_fold(x, q), c) for x, c in pairs]
-    return DOPoly._of(field, [(x, elem(c)) for x, c in pairs])
+    return DOPoly._of(field, pairs, reduce)
 
 
 # ----------------------------------------------------------------------
@@ -481,27 +477,27 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     E = E.reduce()
     field = E.field
     e, p = field.e, field.p
-    zero = field.zero()
-    frob = field.basis_frobenius()
-    G: dict[int, list[FqElem]] = {}
-    for (i, j), c in E.quad.items():
-        row = G.setdefault(i, [zero] * e)
+    mul, add = field._mul, field._add
+    frob = [[b._n for b in row] for row in field.basis_frobenius()]
+    G: dict[int, list[int]] = {}
+    for i, j, c in E._q:
+        row = G.setdefault(i, [0] * e)
         for t in range(e):
-            v = c * frob[t][j]
-            row[t] = row[t] + v if row[t] else v
-    qcoef: dict[tuple[int, int], FqElem] = {}
+            v = mul(c, frob[t][j])
+            row[t] = add(row[t], v) if row[t] else v
+    qcoef: dict[tuple[int, int], int] = {}
     for i, row in G.items():
         for s in range(e):
             bs = frob[s][i]
             for t in range(e):
                 key = (s, t) if s <= t else (t, s)
-                v, prev = bs * row[t], qcoef.get(key)
-                qcoef[key] = prev + v if prev else v
+                v, prev = mul(bs, row[t]), qcoef.get(key)
+                qcoef[key] = add(prev, v) if prev else v
     quad_out: list[dict[tuple[int, int], int]] = [dict() for _ in range(e)]
     # row k, column s of the matrix is coordinate k of E.lin(basis_s)
     lin_out = [{s: c for s, c in enumerate(row) if c} for row in E.lin.to_matrix()]
     for (s, t), v in qcoef.items():
-        coords = field.coordinates(v)
+        coords = field._coordinates(v)
         for k in range(e):
             d = coords[k]
             if not d:
@@ -510,7 +506,7 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
                 lin_out[k][s] = (lin_out[k].get(s, 0) + d) % p
             else:
                 quad_out[k][(s, t)] = d
-    const_out = field.coordinates(E.const)
+    const_out = field._coordinates(E._t.get(0, 0))
     lin_out = [{s: c for s, c in d.items() if c} for d in lin_out]
     return MultivariateKey(
         p=p,
@@ -659,9 +655,9 @@ def hfe_keygen(
     """
     e = field.e
     d = _degree_bound(field, degree_bound)
-    support = [slot for exp, slot in _do_slots(field.p, e).items() if exp <= d]
-    pairs = [idx for kind, idx in support if kind == "quad"]
-    lin_idx = [idx[0] for kind, idx in support if kind == "lin"]
+    support = [idx for exp, idx in _do_slots(field.p, e).items() if exp <= d]
+    pairs = [idx for idx in support if len(idx) == 2]
+    lin_idx = [idx[0] for idx in support if len(idx) == 1]
     if not pairs:
         raise DegreeBoundTooSmallError(
             f"degree bound {d} admits no quadratic exponent for this field"
@@ -682,7 +678,7 @@ def hfe_keygen(
     E = do_compose_lin(
         outer, do_compose_lin(inner, core, "right", reduce=True), "left", reduce=True
     )
-    if not E.has_quadratic or E.const:
+    if not E.has_quadratic or 0 in E._t:
         raise InvariantError("public key lost its quadratic part or gained a constant")
     public = HFEPublicKey(E)
     secret = HFESecretKey(field, outer, core, inner, d)
@@ -785,7 +781,7 @@ def gcldf_attack(
     field = E.field
     p, q = field.p, field.q
     bound = _degree_bound(field, bound)
-    if E.const:
+    if 0 in E._t:
         raise ShapeViolationError("attack input must be constant-free")
     if not E.has_quadratic:
         raise ShapeViolationError("attack input has no quadratic part")

@@ -151,3 +151,102 @@ def step_quotient(a, rows, f):
             acc = acc + cs[i] * _sigma(f, tops[i - m - 1], m + 1)
         out.append(acc)
     return SkewPoly(field, out, f.twist)
+
+
+# ----------------------------------------------------------------------
+# the DOPoly loops on FqElem coefficients, as they ran before DOPoly moved
+# to element indices; each reads the public terms of its DOPoly operands
+# and returns exponent -> nonzero FqElem coefficient (or a SkewPoly, or an
+# element), so nothing here reads the index storage
+
+
+def digit_indices(x, p):
+    """The indices of exponent x by its base-p digits, with multiplicity."""
+    out, k = [], 0
+    while x:
+        x, d = divmod(x, p)
+        out += [k] * d
+        k += 1
+    return tuple(out)
+
+
+def fold(x, q):
+    """The exponent of X^x modulo X^q - X."""
+    return (x - 1) % (q - 1) + 1 if x else 0
+
+
+def sum_terms(pairs):
+    """Exponent -> sum of the FqElem coefficients paired with it, zero sums dropped."""
+    acc = {}
+    for x, c in pairs:
+        acc[x] = acc[x] + c if x in acc else c
+    return {x: c for x, c in acc.items() if c}
+
+
+def do_parts(D):
+    """(quad, lin, const) of D read off the digits of its exponents."""
+    field, p = D.field, D.field.p
+    quad, lin, const = {}, {}, field.zero()
+    for x, c in D.terms.items():
+        idx = digit_indices(x, p)
+        if len(idx) == 2:
+            quad[idx] = c
+        elif idx:
+            lin[idx[0]] = c
+        else:
+            const = c
+    n = max(lin, default=-1) + 1
+    return quad, SkewPoly(field, [lin.get(k, field.zero()) for k in range(n)]), const
+
+
+def do_add(A, B):
+    return sum_terms([*A.terms.items(), *B.terms.items()])
+
+
+def do_neg(A):
+    return sum_terms([(x, -c) for x, c in A.terms.items()])
+
+
+def do_reduce(A):
+    q = A.field.q
+    return sum_terms([(fold(x, q), c) for x, c in A.terms.items()])
+
+
+def do_eval(A, x):
+    """A(x), one power of x per term."""
+    acc = A.field.zero()
+    for y, c in A.terms.items():
+        acc = acc + c * x**y
+    return acc
+
+
+def do_compose_lin(L, D, side, reduce=False):
+    """L(D(X)) on the left, D(L(X)) on the right, term by term."""
+    field = D.field
+    p, q = field.p, field.q
+    terms = [(k, b) for k, b in enumerate(L.coeffs) if b]
+    pairs = []
+    for x, c in D.terms.items():
+        if side == "left":
+            pairs += [(x * p**k, b * c.frobenius(k)) for k, b in terms]
+            continue
+        parts = [(0, c)]
+        for i in digit_indices(x, p):
+            row = [(p ** (k + i), b.frobenius(i)) for k, b in terms]
+            parts = [(y + z, v * w) for y, v in parts for z, w in row]
+        pairs += parts
+    if reduce:
+        pairs = [(fold(x, q), c) for x, c in pairs]
+    return sum_terms(pairs)
+
+
+def difference_poly(D, a):
+    """D(X + a) - D(X) - D(a) for a constant-free D, from its quadratic terms."""
+    field, e = D.field, D.field.e
+    orbit = [a.frobenius(k) for k in range(e)]
+    acc = {}
+    for (i, j), c in do_parts(D)[0].items():
+        for k, v in ((i, c * orbit[j % e]), (j, c * orbit[i % e])):
+            acc[k] = acc[k] + v if k in acc else v
+    n = max(acc, default=-1) + 1
+    return SkewPoly(field, [acc.get(k, field.zero()) for k in range(n)])

@@ -338,9 +338,9 @@ def test_compose_reduce_folds_as_it_accumulates(field):
 def test_sums_start_from_first_term(gf16, gf9, monkeypatch):
     # DOPoly.__add__, SkewPoly.reduce, difference_poly and SkewPoly.__call__
     # never add onto a zero left operand, and their outputs match the oracles.
-    # DOPoly sums FqElem terms, so its spy sits on FqElem.__add__; the other
-    # three sum coefficient indices, so theirs sits on the field's index add
-    # kernel
+    # All four sum coefficient indices, so their adds reach the spy on the
+    # field's index add kernel; the spy on FqElem.__add__ stays, and sees
+    # none of them
     watched = {
         ("hfe.py", "_sum_terms"),
         ("skew.py", "reduce"),

@@ -1,5 +1,6 @@
 """Keygen, encryption, decryption, and left-factor key recovery."""
 
+import hashlib
 import random
 
 import pytest
@@ -638,6 +639,56 @@ def test_attack_peels_each_running_factor_once(monkeypatch):
             gcldf_attack(kp.public.poly, kp.secret.bound, rng, max_rounds=16)
         assert exc.value.rounds_used == 16
     assert counts == {"peel": 21, "gcldf": 21, "difference": 41}
+
+
+# key seed, outcome and the sha256 prefix of repr(rng.getstate()) after the
+# attack (shift seed: key seed + 100), as the attack gave them while DOPoly
+# still held FqElem coefficients
+PINNED_ATTACKS = {
+    (2, 8, 0): (("failed", 16, "attack failed after 16 round(s)"), "45c5235b4a180d5b"),
+    (2, 4, 0): (
+        (
+            "ok",
+            2,
+            (1,),
+            [(1, 8), (2, 8), (3, 4), (4, 13), (5, 7), (6, 14), (8, 15), (9, 6), (10, 4), (12, 1)],
+        ),
+        "96c9de257142c5ae",
+    ),
+    (3, 2, 2): (
+        ("ok", 1, (8, 1), [(1, 6), (2, 3), (3, 2), (4, 5), (6, 7)]),
+        "fde3613b2db0af3a",
+    ),
+    (5, 2, 0): (
+        ("ok", 1, (9, 1), [(1, 20), (2, 16), (5, 17), (6, 22), (10, 11)]),
+        "58bb2c3d4849289d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ATTACKS))
+def test_attack_on_a_reduced_key_decodes_no_exponent(case, monkeypatch):
+    # E's parts were decoded when it was built, reduce() of a reduced E is
+    # E itself, and the attack's compositions read the slot table: no
+    # exponent goes through the digit decode, and the outcome and the rng
+    # state afterwards are the pinned ones
+    p, e, seed = case
+    field = FiniteField(p, e)
+    E = hfe_keygen(field, random.Random(seed)).public.poly
+    assert E.reduce() is E
+    decoded = []
+    real = hfe._indices
+    monkeypatch.setattr(hfe, "_indices", lambda x, p: decoded.append(x) or real(x, p))
+    rng = random.Random(seed + 100)
+    try:
+        res = gcldf_attack(E, None, rng)
+        core = sorted((x, c.as_int()) for x, c in res.core.terms.items())
+        got = ("ok", res.rounds, res.left._c, core)
+    except AttackFailedError as exc:
+        got = ("failed", exc.rounds_used, str(exc))
+    state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+    assert decoded == []
+    assert (got, state) == PINNED_ATTACKS[case]
 
 
 def test_zero_difference_shifts_form_a_small_subgroup():

@@ -1,18 +1,21 @@
-"""The skew ring's index loops against their FqElem-coefficient oracles.
+"""The index loops of the skew ring and of DOPoly against their
+FqElem-coefficient oracles.
 
-SkewPoly and the residue steps of decompose run on coefficient indices
-through the field's kernels; tests/oracles.py keeps the same loops on
-FqElem coefficients.  Each field kind is covered: exp/log tables
+SkewPoly, the residue steps of decompose and DOPoly run on element
+indices through the field's kernels; tests/oracles.py keeps the same
+loops on FqElem coefficients.  Each field kind is covered: exp/log tables
 (GF(2^4)), bit kernels (GF(2^16)) and digit kernels (GF(3^3), GF(7)),
-each with twist 1 and a twist coprime to e.
+the ring with twist 1 and a twist coprime to e.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from skewlin import hfe
 from skewlin.decompose import _combine, _step_quotient, _times_y, _y_rows
 from skewlin.fields import FiniteField
+from skewlin.hfe import DOPoly, difference_poly, do_compose_lin
 from skewlin.skew import SkewPoly
 
 # field, twists: 1 and one coprime to e
@@ -98,3 +101,42 @@ def test_kernels_and_polynomials_hold_indices():
         g = f * f
         assert g._c and all(type(c) is int for c in g._c)
         assert g.coeffs == tuple(field.from_int(c) for c in g._c)
+
+
+def do_poly(draw, field, top, const=True):
+    """A DOPoly with quadratic and additive indices up to top."""
+    index = st.integers(0, field.q - 1)
+    pairs = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top), index), max_size=5))
+    quad = {(i, j): field.from_int(c) for i, j, c in pairs}
+    lin = SkewPoly(field, [field.from_int(c) for c in draw(st.lists(index, max_size=top + 1))])
+    return DOPoly(field, quad, lin, field.from_int(draw(index)) if const else None)
+
+
+@SETTINGS
+@given(field=st.sampled_from([f for f, _ in FIELDS]), data=st.data())
+def test_do_loops_match_oracles(field, data):
+    top = 2 * field.e
+    A = do_poly(data.draw, field, top)
+    B = do_poly(data.draw, field, top)
+    L = poly(data.draw, field, 1, top)
+    x, a = (field.from_int(data.draw(st.integers(0, field.q - 1))) for _ in range(2))
+    # sums with repeated exponents, and a cancelled term
+    exps = st.sampled_from([0, 1, field.p, field.p + 1, 2 * field.p])
+    pairs = data.draw(st.lists(st.tuples(exps, st.integers(0, field.q - 1)), max_size=8))
+    pairs += [(y, field._neg(c)) for y, c in pairs if y == pairs[0][0]]
+    want = oracles.sum_terms([(y, field.from_int(c)) for y, c in pairs])
+    assert hfe._sum_terms(field, pairs) == {y: c.as_int() for y, c in want.items()}
+    for D in (A, A.reduce(), A + B):
+        assert (D.quad, D.lin, D.const) == oracles.do_parts(D)
+    assert dict((A + B).terms) == oracles.do_add(A, B)
+    assert dict((-A).terms) == oracles.do_neg(A)
+    assert dict(A.reduce().terms) == oracles.do_reduce(A)
+    assert A(x) == oracles.do_eval(A, x)
+    for side in ("left", "right"):
+        for reduce in (False, True):
+            got = do_compose_lin(L, A, side, reduce)
+            assert dict(got.terms) == oracles.do_compose_lin(L, A, side, reduce)
+            assert (got.quad, got.lin, got.const) == oracles.do_parts(got)
+    C = do_poly(data.draw, field, top, const=False)
+    assert difference_poly(C, a) == oracles.difference_poly(C, a)
+    assert difference_poly(C.reduce(), a) == oracles.difference_poly(C.reduce(), a)

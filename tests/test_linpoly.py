@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewlin._linalg as la
 from skewlin import FiniteField
@@ -254,6 +256,24 @@ def test_from_matrix_inverse_oracle_exhaustive(name):
     for k in range(e):
         order *= p**e - p**k
     assert invertible == order
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 7]), data=st.data())
+def test_matrix_inverse_matches_rank(p, data):
+    n = data.draw(st.integers(1, 8))
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    a = data.draw(st.lists(entries, min_size=n, max_size=n))
+    if data.draw(st.booleans()):  # row i a multiple of row j, singular unless i == j
+        i, j, c = (data.draw(st.integers(0, m)) for m in (n - 1, n - 1, p - 1))
+        a[i] = [c * x % p for x in a[j]]
+    rows = [list(r) for r in a]
+    b = la.inv(a, p)
+    assert a == rows
+    assert (b is None) == (la.rank(a, p) < n)
+    if b is not None:
+        assert matmul(b, a, p) == la.identity(n)
+        assert matmul(a, b, p) == la.identity(n)
 
 
 @pytest.mark.parametrize("p, e, samples", [(2, 8, 4), (3, 6, 4), (2, 20, 2)])
