@@ -75,7 +75,7 @@ from . import _fppoly as fp
 from . import _linalg
 from ._record import Record
 from .errors import InvariantError, TooLargeError
-from .fields import FiniteField
+from .fields import FiniteField, _pack
 from .skew import SkewPoly, check_rebuild, gcd_right
 
 ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
@@ -122,8 +122,8 @@ def _flatten(u: SkewPoly, n: int, e: int) -> list[int]:
 
 
 def _unflatten(field: FiniteField, vec: list[int], n: int, twist: int) -> SkewPoly:
-    e, index = field.e, field._index
-    return SkewPoly._of(field, [index(vec[i * e : i * e + e]) for i in range(n)], twist)
+    e, p = field.e, field.p
+    return SkewPoly._of(field, [_pack(p, vec[i * e : i * e + e]) for i in range(n)], twist)
 
 
 def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[int, SkewPoly]:
@@ -230,7 +230,7 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     n, e, p = len(f._c) - 1, field.e, field.p
     monic = f.monic_left()  # R f = R monic, with the same residues
     high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f for n <= j < 2n
-    fbs = [f.right_scalar(field.from_int(p**d))._c for d in range(e)]  # f b for b = t^d
+    fbs = [f._right(p**d)._c for d in range(e)]  # f b for b = t^d
     cols = []
     for i in range(n):
         for fb in fbs:
@@ -414,8 +414,9 @@ def _fixed_field_span(powers: list[list[int]], f: SkewPoly, g: int) -> int:
     """
     field = f.field
     n, e, p = len(f._c) - 1, field.e, field.p
-    images = [(x.frobenius(g) - x).digits for x in (field.from_int(p**j) for j in range(e))]
-    fixed = [field._index(v) for v in _linalg.nullspace(list(zip(*images)), p)]
+    frob, sub, digits = field._frob, field._sub, field._digits
+    images = [digits(sub(frob(p**j, g), p**j)) for j in range(e)]
+    fixed = [_pack(p, v) for v in _linalg.nullspace(list(zip(*images)), p)]
     rows = []
     for vec in powers:
         power = _unflatten(field, vec, n, f.twist)

@@ -107,8 +107,7 @@ class FqPoly:
         return FqPoly(self.field, out)
 
     def __call__(self, x: FqElem) -> FqElem:
-        if x.field != self.field:
-            raise ContextMismatchError("evaluation point from a different field")
+        self.field._index_of(x, "evaluation point")
         acc = self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -116,8 +115,7 @@ class FqPoly:
 
     def shift(self, a: FqElem) -> "FqPoly":
         """The polynomial f(X + a), by Horner in X + a."""
-        if a.field != self.field:
-            raise ContextMismatchError("shift amount from a different field")
+        self.field._index_of(a, "shift amount")
         field = self.field
         lin = FqPoly(field, (a, field.one()))
         acc = FqPoly.zero(field)

@@ -64,7 +64,7 @@ from .errors import (
     ShapeViolationError,
     TwistMismatchError,
 )
-from .fields import FiniteField, FqElem
+from .fields import FiniteField, FqElem, _pack
 from .fqpoly import FqPoly
 from .skew import NEG_INF, Matrix, SkewPoly, gcldf
 
@@ -169,14 +169,14 @@ class DOPoly:
     @property
     def terms(self) -> Mapping[int, FqElem]:
         """Exponent -> nonzero coefficient, read-only."""
-        elem = self.field._elem
-        return MappingProxyType({x: elem(c) for x, c in self._t.items()})
+        field = self.field
+        return MappingProxyType({x: FqElem(field, c) for x, c in self._t.items()})
 
     @property
     def quad(self) -> dict[tuple[int, int], FqElem]:
         """The quadratic terms c X^(p^i + p^j), keyed by (i, j) with i <= j."""
-        elem = self.field._elem
-        return {(i, j): elem(c) for i, j, c in self._q}
+        field = self.field
+        return {(i, j): FqElem(field, c) for i, j, c in self._q}
 
     @property
     def lin(self) -> SkewPoly:
@@ -185,7 +185,7 @@ class DOPoly:
 
     @property
     def const(self) -> FqElem:
-        return self.field._elem(self._t.get(0, 0))
+        return FqElem(self.field, self._t.get(0, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -221,16 +221,15 @@ class DOPoly:
         return self + (-other)
 
     def __call__(self, x: FqElem) -> FqElem:
-        if x.field != self.field:
-            raise ContextMismatchError("evaluation point from a different field")
         field, e = self.field, self.field.e
+        n = field._index_of(x, "evaluation point")
         mul, add = field._mul, field._add
-        orbit = [field._frob(x._n, k) for k in range(e)]
+        orbit = [field._frob(n, k) for k in range(e)]
         acc = self._t.get(0, 0)
         lin = [mul(c, orbit[k % e]) for k, c in enumerate(self._l) if c]
         for v in lin + [mul(mul(c, orbit[i % e]), orbit[j % e]) for i, j, c in self._q]:
             acc = add(acc, v) if acc else v
-        return field._elem(acc)
+        return FqElem(field, acc)
 
     def reduce(self) -> "DOPoly":
         """Fold every exponent through X^q = X; the result has degree below q.
@@ -251,9 +250,9 @@ class DOPoly:
 
 def lin_to_dense(L: SkewPoly) -> FqPoly:
     field = L.field
-    p, elem = field.p, field._elem
+    p = field.p
     return FqPoly.from_monomials(
-        field, {p ** (L.twist * i): elem(c) for i, c in enumerate(L._c) if c}
+        field, {p ** (L.twist * i): FqElem(field, c) for i, c in enumerate(L._c) if c}
     )
 
 
@@ -270,15 +269,14 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
     read off the orbit of a under Frobenius.  A nonzero constant would
     leave the non-additive remainder -const, so it is rejected.
     """
-    if a.field != t.field:
-        raise ContextMismatchError("shift from a different field")
+    n = t.field._index_of(a, "shift")
     if 0 in t._t:
         raise ShapeViolationError(
             "difference of a polynomial with a nonzero constant term is not additive"
         )
     field = t.field
     e, mul, add = field.e, field._mul, field._add
-    orbit = [field._frob(a._n, k) for k in range(e)]
+    orbit = [field._frob(n, k) for k in range(e)]
     acc: dict[int, int] = {}
     for i, j, c in t._q:
         for k, v in ((i, mul(c, orbit[j % e])), (j, mul(c, orbit[i % e]))):
@@ -478,7 +476,7 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     field = E.field
     e, p = field.e, field.p
     mul, add = field._mul, field._add
-    frob = [[b._n for b in row] for row in field.basis_frobenius()]
+    frob = field.basis_frobenius()
     G: dict[int, list[int]] = {}
     for i, j, c in E._q:
         row = G.setdefault(i, [0] * e)
@@ -686,8 +684,7 @@ def hfe_keygen(
 
 
 def hfe_encrypt(public: HFEPublicKey, m: FqElem) -> FqElem:
-    if m.field != public.field:
-        raise ContextMismatchError("plaintext from a different field")
+    public.field._index_of(m, "plaintext")
     return public.poly(m)
 
 
@@ -701,11 +698,10 @@ def hfe_decrypt(
     table gives the indices of the core's preimages, each is unpacked
     for T^-1, and only the final combine builds field elements.
     """
-    if y.field != secret.field:
-        raise ContextMismatchError("ciphertext from a different field")
+    secret.field._index_of(y, "ciphertext")
     field, p = secret.field, secret.field.p
     table = secret.core_table(max_q)
-    z = field._index(_linalg.matvec(secret.outer_inverse(), field.coordinates(y), p))
+    z = _pack(p, _linalg.matvec(secret.outer_inverse(), field.coordinates(y), p))
     inner_inv = secret.inner_inverse()
     ms = [
         field.combine(_linalg.matvec(inner_inv, field._digits(u), p)) for u in table.get(z, [])

@@ -47,12 +47,13 @@ from . import _linalg
 from .errors import (
     BothZeroError,
     ContextMismatchError,
+    DegreeMismatchError,
     InvariantError,
     NotAPermutationError,
     SingularSystemError,
     TwistMismatchError,
 )
-from .fields import FiniteField, FqElem
+from .fields import FiniteField, FqElem, _integers
 
 CHECK_DIVISION = False
 DIVISION_CHECKS = 0
@@ -116,14 +117,18 @@ class SkewPoly:
 
     @classmethod
     def monomial(cls, field: FiniteField, index: int, coeff: FqElem, twist: int = 1) -> "SkewPoly":
-        """coeff * Y^index, that is coeff * X^(p^(twist*index))."""
-        zero = field.zero()
-        return cls(field, [zero] * index + [coeff], twist)
+        """coeff * Y^index, that is coeff * X^(p^(twist*index)), for an
+        integer index >= 0."""
+        (index,) = _integers((index,), "monomial indices")
+        if index < 0:
+            raise DegreeMismatchError(f"monomial index must be nonnegative, got {index}")
+        return cls(field, [field.zero()] * index + [coeff], twist)
 
     @property
     def coeffs(self) -> tuple[FqElem, ...]:
         """The coefficients f_0, .., f_n as field elements, built from the indices."""
-        return tuple(map(self.field._elem, self._c))
+        field = self.field
+        return tuple(FqElem(field, c) for c in self._c)
 
     @property
     def is_zero(self) -> bool:
@@ -138,7 +143,7 @@ class SkewPoly:
     def lead(self) -> FqElem:
         if not self._c:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.field._elem(self._c[-1])
+        return FqElem(self.field, self._c[-1])
 
     @property
     def is_monic(self) -> bool:
@@ -170,15 +175,6 @@ class SkewPoly:
             raise TwistMismatchError(
                 f"twist steps differ: {self.twist} vs {other.twist}"
             )
-
-    def _scalar(self, c: FqElem) -> int:
-        """The index of a scalar c of this polynomial's field."""
-        if c.__class__ is not FqElem or c.field is not self.field:
-            if not isinstance(c, FqElem):
-                raise TypeError(f"expected FqElem, got {type(c).__name__}")
-            if c.field != self.field:
-                raise ContextMismatchError("scalar from a different field")
-        return c._n
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
         self._peer(other)
@@ -228,11 +224,11 @@ class SkewPoly:
 
     def left_scalar(self, c: FqElem) -> "SkewPoly":
         """(c) * self as ring elements: coefficients multiplied by c on the left."""
-        return self._left(self._scalar(c))
+        return self._left(self.field._index_of(c, "scalar"))
 
     def right_scalar(self, c: FqElem) -> "SkewPoly":
         """self * (c): coefficient i picks up sigma^i(c)."""
-        return self._right(self._scalar(c))
+        return self._right(self.field._index_of(c, "scalar"))
 
     def _left(self, c: int) -> "SkewPoly":
         """left_scalar for the scalar of index c."""
@@ -334,16 +330,14 @@ class SkewPoly:
 
     def __call__(self, x: FqElem) -> FqElem:
         field = self.field
-        if x.field is not field and x.field != field:
-            raise ContextMismatchError("evaluation point from a different field")
+        n, twist = field._index_of(x, "evaluation point"), self.twist
         mul, add, frob, e = field._mul, field._add, field._frob, field.e
-        n, twist = x._n, self.twist
         acc = 0
         for i, c in enumerate(self._c):
             if c:
                 t = mul(c, frob(n, twist * i % e))
                 acc = add(acc, t) if acc else t
-        return field._elem(acc)
+        return FqElem(field, acc)
 
     def reduce(self) -> "SkewPoly":
         """Fold through x^(p^e) = x; result has twist 1 and indices < e."""
@@ -372,7 +366,7 @@ class SkewPoly:
             acc = 0
             for c, b in zip(coeffs, b_pows):
                 if c:
-                    v = mul(c, b._n)
+                    v = mul(c, b)
                     acc = add(acc, v) if acc else v
             cols.append(field._coordinates(acc))
         return tuple(
@@ -391,14 +385,14 @@ class SkewPoly:
         if len(rows) != e or any(len(r) != e for r in rows):
             raise SingularSystemError(f"matrix must be {e} x {e}")
         targets = [
-            field.combine([rows[r][j] % p for r in range(e)])._n for j in range(e)
+            field._combine([rows[r][j] % p for r in range(e)]) for j in range(e)
         ]
         mul, add = field._mul, field._add
         coeffs = [0] * e
         for t, d_pows in zip(targets, field.dual_frobenius()):
             if t:
                 for k in range(e):
-                    v, prev = mul(t, d_pows[k]._n), coeffs[k]
+                    v, prev = mul(t, d_pows[k]), coeffs[k]
                     coeffs[k] = add(prev, v) if prev else v
         return cls._of(field, coeffs, 1)
 

@@ -21,6 +21,7 @@ from skewlin.errors import (
     ReducibleModulusError,
 )
 from skewlin.fields import MAX_FIELD_SIZE, TABLE_MAX_Q, FiniteField
+from skewlin.hfe import DOPoly, HFEPublicKey, difference_poly, hfe_encrypt
 from skewlin.skew import SkewPoly
 
 ALL_FIELDS = ["gf2", "gf4", "gf8", "gf9", "gf16", "gf27", "gf64", "gf256"]
@@ -233,6 +234,31 @@ def test_context_mismatch(gf4, gf9):
         gf4.one() + other_gf4.one()
     with pytest.raises(TypeError):
         gf4.one() + 1
+
+
+# a plain int where an element belongs: each raises TypeError at the call
+NON_ELEMENT_OPERANDS = {
+    "x*2": lambda F, L, D: F.one() * 2,
+    "x+2": lambda F, L, D: F.one() + 2,
+    "x/2": lambda F, L, D: F.one() / 2,
+    "L*3": lambda F, L, D: L * 3,
+    "L.left_scalar(3)": lambda F, L, D: L.left_scalar(3),
+    "L(3)": lambda F, L, D: L(3),
+    "D(3)": lambda F, L, D: D(3),
+    "difference_poly(D,3)": lambda F, L, D: difference_poly(D, 3),
+    "F.coordinates(3)": lambda F, L, D: F.coordinates(3),
+    "dense(3)": lambda F, L, D: D.to_fqpoly()(3),
+    "dense.shift(3)": lambda F, L, D: D.to_fqpoly().shift(3),
+    "encrypt(3)": lambda F, L, D: hfe_encrypt(HFEPublicKey(D), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_ELEMENT_OPERANDS))
+def test_non_element_operand_raises_type_error(gf16, name):
+    L = SkewPoly(gf16, [gf16.generator(), gf16.one()])
+    D = DOPoly(gf16, {(0, 1): gf16.one()}, L)
+    with pytest.raises(TypeError, match=r"expected (FqElem|SkewPoly), got int"):
+        NON_ELEMENT_OPERANDS[name](gf16, L, D)
 
 
 def test_equality_and_hash(gf4):
@@ -456,15 +482,17 @@ def test_bit_kernel_inverse_of_every_element_of_gf8192():
 
 @pytest.mark.parametrize("e", [8, 12, 16])
 def test_char2_decomposition_runs_no_digit_kernel(monkeypatch, e):
+    # the digit kernels are module functions, which the odd-p kernels look
+    # up at call time: spying on the module catches any call to them
     calls = []
     for name in ("_mul_digits", "_inv_digits", "_frob_digits"):
-        original = getattr(FiniteField, name)
+        original = getattr(fields, name)
 
-        def spy(self, *args, _name=name, _original=original):
+        def spy(*args, _name=name, _original=original):
             calls.append(_name)
-            return _original(self, *args)
+            return _original(*args)
 
-        monkeypatch.setattr(FiniteField, name, spy)
+        monkeypatch.setattr(fields, name, spy)
     # built under the spy, so that the table build is covered too
     field = FiniteField(2, e)
     rng = random.Random(5)
@@ -477,6 +505,10 @@ def test_char2_decomposition_runs_no_digit_kernel(monkeypatch, e):
         acc = acc * g
     assert acc.left_scalar(dec.unit) == f and len(dec.factors) == 3
     assert calls == []
+    # the spy does see the digit kernels where they run
+    t = FiniteField(3, 2).generator()
+    assert t * t.frobenius(1) == t**4
+    assert calls[:2] == ["_frob_digits", "_mul_digits"]
 
 
 def smallest_primitive_index(field):

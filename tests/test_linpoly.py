@@ -171,9 +171,10 @@ def test_matrix_hand_value(gf4):
     ids=["gf16-basis", "gf27-basis"],
 )
 def test_matrix_columns_are_basis_images(field):
-    # to_matrix reads the cached basis Frobenius table, never evaluating L
+    # to_matrix reads the cached basis Frobenius table (element indices),
+    # never evaluating L
     assert field.basis_frobenius() == tuple(
-        tuple(b.frobenius(k) for k in range(field.e)) for b in field.basis
+        tuple(b.frobenius(k).as_int() for k in range(field.e)) for b in field.basis
     )
     rng = random.Random(31)
     for twist in (1, 2):
@@ -243,7 +244,7 @@ def test_from_matrix_inverse_oracle_exhaustive(name):
     p, e, basis = ORACLE_FIELDS[name]
     field = FiniteField(p, e, basis=basis)
     assert field._default_basis == (basis is None)
-    dual = [row[0] for row in field.dual_frobenius()]
+    dual = [field.from_int(row[0]) for row in field.dual_frobenius()]
     for i, b in enumerate(field.basis):
         for j, d in enumerate(dual):
             assert _trace(b * d) == field.scalar(int(i == j))
@@ -280,7 +281,7 @@ def test_matrix_inverse_matches_rank(p, data):
 def test_from_matrix_inverse_oracle_sampled(p, e, samples):
     field = FiniteField(p, e)
     rng = random.Random(p * 100 + e)
-    dual = [row[0] for row in field.dual_frobenius()]
+    dual = [field.from_int(row[0]) for row in field.dual_frobenius()]
     for i in rng.sample(range(e), 3):
         for j in rng.sample(range(e), 3):
             assert _trace(field.basis[i] * dual[j]) == field.scalar(int(i == j))

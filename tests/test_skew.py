@@ -10,6 +10,7 @@ import skewlin.skew as skew
 from skewlin.errors import (
     BothZeroError,
     ContextMismatchError,
+    DegreeMismatchError,
     InvariantError,
     TwistMismatchError,
 )
@@ -304,6 +305,15 @@ def test_peer_errors(gf4, gf9):
         f4 + 1
     with pytest.raises(TwistMismatchError):
         SkewPoly.one(gf4, twist=1) * SkewPoly.one(gf4, twist=2)
+
+
+def test_monomial_index_is_a_nonnegative_integer(gf16):
+    t = gf16.generator()
+    assert SkewPoly.monomial(gf16, 2, t).coeffs == (gf16.zero(), gf16.zero(), t)
+    assert SkewPoly.monomial(gf16, 0, t) == SkewPoly(gf16, [t])
+    for index in (-2, -1, 1.5, 2.0, "1"):
+        with pytest.raises(DegreeMismatchError):
+            SkewPoly.monomial(gf16, index, t)
 
 
 def test_eq_hash_immutable(gf4):
