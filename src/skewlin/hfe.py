@@ -4,13 +4,15 @@ A DO polynomial is sum c_ij X^(p^i + p^j) plus an additive part plus a
 constant: every exponent has base-p digit sum at most 2.  It is stored as
 one dict from exponent to coefficient index, so the algebra is exponent
 arithmetic on the field's index kernels; the quadratic and additive parts
-are decoded once, when the polynomial is built.  In characteristic 2 a
-diagonal pair is the carry 2^i + 2^i = 2^(i+1), an additive exponent.
-Composing with X^(p^k) multiplies exponents by p^k, and reduce() folds
-each exponent x >= 1 through x^q = x to (x - 1) mod (q - 1) + 1.  A
-reduced polynomial has ordinary degree below q, so reduce() returns it as
-it is, and two reduced polynomials are equal exactly when they agree as
-functions.
+are decoded once, when the polynomial is built.  Evaluation groups the
+terms by Frobenius rows, sum_i x^(p^i) (l_i + sum_j c_ij x^(p^j)): one
+field product per quadratic term and one per nonzero row, at most
+|quad| + e in all.  In characteristic 2 a diagonal pair is the carry
+2^i + 2^i = 2^(i+1), an additive exponent.  Composing with X^(p^k)
+multiplies exponents by p^k, and reduce() folds each exponent x >= 1
+through x^q = x to (x - 1) mod (q - 1) + 1.  A reduced polynomial has
+ordinary degree below q, so reduce() returns it as it is, and two
+reduced polynomials are equal exactly when they agree as functions.
 
 The difference operator t -> t(X + a) - t(X) - t(a) sends a constant-free
 DO polynomial to an additive polynomial in X, computed symbolically here
@@ -84,8 +86,8 @@ def _indices(x: int, p: int) -> tuple[int, ...]:
 
 
 def _sum_terms(field: FiniteField, pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Exponent -> sum of the coefficient indices paired with it; each sum
-    starts from its first term, and zero sums drop."""
+    """Exponent (or Frobenius row) -> sum of the coefficient indices paired
+    with it; each sum starts from its first term, and zero sums drop."""
     add = field._add
     acc: dict[int, int] = {}
     for x, c in pairs:
@@ -221,13 +223,18 @@ class DOPoly:
         return self + (-other)
 
     def __call__(self, x: FqElem) -> FqElem:
+        """const + sum_i x^(p^i) row_i with row_i = l_i + sum_j c_ij x^(p^j),
+        indices taken mod e on the orbit x^(p^k), k < e, read once: one
+        product per quadratic term and one per nonzero row, at most
+        |quad| + e in all."""
         field, e = self.field, self.field.e
         n = field._index_of(x, "evaluation point")
         mul, add = field._mul, field._add
         orbit = [field._frob(n, k) for k in range(e)]
+        lin = [(k % e, c) for k, c in enumerate(self._l) if c]
+        rows = _sum_terms(field, lin + [(i % e, mul(c, orbit[j % e])) for i, j, c in self._q])
         acc = self._t.get(0, 0)
-        lin = [mul(c, orbit[k % e]) for k, c in enumerate(self._l) if c]
-        for v in lin + [mul(mul(c, orbit[i % e]), orbit[j % e]) for i, j, c in self._q]:
+        for v in [mul(orbit[i], r) for i, r in rows.items()]:
             acc = add(acc, v) if acc else v
         return FqElem(field, acc)
 

@@ -21,10 +21,13 @@ from skewlin.hfe import (
     dense_difference,
     difference_poly,
     do_compose_lin,
+    hfe_keygen,
     lin_to_dense,
     to_multivariate,
 )
 from skewlin.linpoly import LinPoly
+
+import oracles
 
 
 @contextlib.contextmanager
@@ -572,3 +575,64 @@ def test_evaluation_reads_the_frobenius_orbit_once(gf16, gf27):
                     calls.clear()
                     D(x)
                     assert len(calls) == field.e
+
+
+def _frobenius_rows(D, x):
+    """row_i = l_i + sum_j c_ij x^(p^j), indices mod e, so that
+    D(x) = const + sum_i x^(p^i) row_i."""
+    field = D.field
+    p, e = field.p, field.e
+    rows = [field.zero()] * e
+    for k, c in enumerate(D.lin.coeffs):
+        rows[k % e] = rows[k % e] + c
+    for (i, j), c in D.quad.items():
+        rows[i % e] = rows[i % e] + c * x ** (p**j)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 4), (3, 3), (7, 1), (3, 6)], ids=["gf16", "gf27", "gf7", "gf729"]
+)
+def test_evaluation_takes_one_product_per_term_and_row(p, e):
+    # DOPoly.__call__ sums x^(p^i) row_i: the spy on the field's index
+    # product sees one call per quadratic triple and one per nonzero row
+    field = FiniteField(p, e)
+    rng = random.Random(99)
+    c, d = (field.random_element(rng, nonzero=True) for _ in range(2))
+    zero = field.zero()
+    polys = [hfe_keygen(field, random.Random(s)).public.poly for s in range(2)]
+    polys += [random_do(field, rng, max_index=2 * e, with_const=True) for _ in range(4)]
+    # additive terms at k and k + e share row k; the first pair cancels
+    for a, b in ((c, -c), (d, c)):
+        lin = [zero] * (2 * e)
+        lin[e - 1], lin[2 * e - 1] = a, b
+        polys.append(DOPoly(field, {(0, e): d}, LinPoly(field, lin)))
+    # in characteristic 2 the top diagonal carries to the additive X^q
+    polys.append(DOPoly(field, {(e - 1, e - 1): c, (0, 1): d}))
+    xs = list(field.elements())
+    if field.q > 100:
+        xs = xs[:2] + rng.sample(xs[2:], 40)
+    calls = []
+
+    def mul_spy(mul):
+        return lambda a, b: calls.append(None) or mul(a, b)
+
+    for D in polys:
+        with spied_kernel(field, "_mul", mul_spy):
+            values = []
+            for x in xs:
+                calls.clear()
+                values.append((D(x), len(calls)))
+        for x, (v, count) in zip(xs, values):
+            rows = _frobenius_rows(D, x)
+            assert count == len(D._q) + sum(1 for r in rows if r)
+            assert count <= len(D._q) + e
+            assert v == oracles.do_eval(D, x)
+            assert v == sum((x ** (p**i) * r for i, r in enumerate(rows)), D.const)
+    if (p, e) == (3, 6):
+        # the seeded public key: 21 quadratic terms and 6 rows, not 2 * 21 + 6
+        D = polys[0]
+        with spied_kernel(field, "_mul", mul_spy):
+            calls.clear()
+            D(field.generator())
+        assert (len(D._q), len(calls)) == (21, 27)

@@ -140,6 +140,48 @@ def test_encrypt_decrypt_roundtrip(gf256, gf9):
             assert ms == sorted(ms, key=lambda v: v.as_int())
 
 
+# sha256 of repr([hfe_encrypt(public, m).as_int() for m in field.elements()])
+# under hfe_keygen(field, random.Random(seed)), as term-by-term evaluation
+# of the public polynomial gave them
+PINNED_ENCRYPTIONS = {
+    (2, 4): (
+        "67426baa37a7d417bb207823f817409b2c6dbfeda6ea25f90b4cfdd002efb596",
+        "e608c2959b41591cd64926b0248b0002b158b84562616989c927ee39682fdb15",
+    ),
+    (2, 8): (
+        "44de328386f0079a745eab8945c1756687c1fbdc4bef834840d44410df4520f6",
+        "76423c0ab77d2e5c96094337e77c59a3036ff7f38d224c57d79dba501d76ad2c",
+    ),
+    (3, 3): (
+        "5ceec2ed45c67bc5eca312bb5831b9f6701463a3bcfa650d6ab7df916796676f",
+        "e36c1a18b3fc617356a367a3e5e2ee5092b06bd61ec810dd74efb183b8e247b4",
+    ),
+    (3, 6): (
+        "eee6b441fbebaa1aed98a4563d02ecabeb3738db5b392e932f0788e5f80f40f6",
+        "ba0ff3e115f232eefeb0a9ccc18d414f1e6f68d439e8d46694c15f7a671ecc48",
+    ),
+    (5, 2): (
+        "b3039ccab6722df95eb050e107c9a9edef3055c2033045d2afca10143f794240",
+        "a330c8a7d0ca74fd5930a06899eff31bf1b2ddc1e0d29776dd4ac7f07c215664",
+    ),
+    (7, 1): (
+        "b2029208ab329b2ff6d0f74adad809024532cfc4dd538d950e8ff7d7ce7999f9",
+        "6ac28b0f3d05bf11839c27f8b9fadf0e8d28a7b0c2ff86831895a1c7e6bce834",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "p,e", sorted(PINNED_ENCRYPTIONS), ids=[f"gf{p**e}" for p, e in sorted(PINNED_ENCRYPTIONS)]
+)
+def test_encrypt_bytes_are_pinned(p, e):
+    field = FiniteField(p, e)
+    for seed, want in enumerate(PINNED_ENCRYPTIONS[(p, e)]):
+        kp = hfe_keygen(field, random.Random(seed))
+        values = [hfe_encrypt(kp.public, m).as_int() for m in field.elements()]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == want, seed
+
+
 def test_decrypt_lists_all_preimages(gf9):
     # GF(3^3) and GF(2^4) with bases whose coordinates differ from the digits
     gf27_basis = FiniteField(3, 3, basis=((1, 2, 0), (0, 1, 1), (2, 0, 1)))
