@@ -119,13 +119,17 @@ def inv_mod(a: list[int], m: list[int], p: int) -> list[int]:
 
 
 def pow_mod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
-    result = [1]
+    """a^n modulo m by left-to-right binary powering: one square per bit
+    below the top one and one product by a per set bit below it, so x^p
+    for p = 2 is a single square."""
+    if not n:
+        return [1]
     base = mod(a, m, p)
-    while n:
-        if n & 1:
+    result = base
+    for bit in bin(n)[3:]:
+        result = mod(mul(result, result, p), m, p)
+        if bit == "1":
             result = mod(mul(result, base, p), m, p)
-        base = mod(mul(base, base, p), m, p)
-        n >>= 1
     return result
 
 

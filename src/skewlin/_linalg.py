@@ -31,11 +31,11 @@ def rref(a, p: int) -> tuple[list[list[int]], list[int]]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(m[i][j] - f * m[r][j]) % p for j in range(cols)]
+        top = m[r] = [(x * inv) % p for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -56,8 +56,32 @@ u^0, ..., u^(d-1) its Krylov loop builds, so a polynomial of degree
 below d in u is an F_p-combination of them.  For the first irreducible
 factor nu of a reducible mu, found by distinct-degree search,
 z = nu(u) and w = (mu/nu)(u) are nonzero (mu is minimal) while
-z w = mu(u) = 0, so z is a zero divisor and gcd_right(z, f) is a
+z w = mu(u) = 0, so z is a zero divisor and gcd_right(f, z) is a
 proper right factor of f.
+
+A split also proves the minimal polynomial of a part, when g = 1.
+Lemma: let f = left * right be a split of f made by split_once.
+  * Central split, with nu the first irreducible factor of mu,
+    z = nu(u) and right = gcd_right(f, z): Y^e mod right has minimal
+    polynomial nu.  Proof: nu(Y^e) = z + a f for some a, and right
+    right-divides both z and f, so nu(Y^e) lies in R right and the
+    minimal polynomial of Y^e modulo right divides nu.  It is not 1,
+    as right has degree at least 1, and nu is irreducible.
+  * Eigenring split (mu irreducible, f reducible): both parts have minimal
+    polynomial mu.  Proof: c = mu(Y^e) is central and lies in Rf,
+    which lies in R right, so mu annuls Y^e modulo right.  And
+    c right = right c lies in Rf = R left right, so c lies in R left
+    (R is a domain).  The minimal polynomials divide mu, which is
+    irreducible.
+The left part of a central split gets no such polynomial: it may hold
+every other factor of mu.  A part of the same degree as its proved
+polynomial is certified indecomposable by the g = 1 rule
+deg mu = deg f, with no computation; a larger part is reducible, and
+its mu would be that same irreducible polynomial, so it goes straight
+to the eigenring.
+decompose_complete carries these polynomials down its stack.  For
+g > 1 the certificate needs the part's own span D, so nothing is
+carried.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
 peels the lexicographically first smallest-degree monic right factor.
@@ -301,16 +325,21 @@ def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> Ske
 
 
 def _zero_divisor_pair(
-    mu: list[int], powers: list[list[int]], modulus: SkewPoly
+    mu: list[int],
+    powers: list[list[int]],
+    modulus: SkewPoly,
+    nu: Optional[list[int]] = None,
 ) -> Optional[tuple[SkewPoly, SkewPoly]]:
     """(nu(u), (mu/nu)(u)) for the first irreducible factor nu of mu.
 
     None when mu, the minimal polynomial of u with the powers of
     minimal_polynomial, is irreducible.  Otherwise both residues are
-    nonzero and their product is zero modulo the modulus.
+    nonzero and their product is zero modulo the modulus.  A caller that
+    has already run fp.first_factor(mu) passes its nu.
     """
     p = modulus.field.p
-    nu = fp.first_factor(mu, p)
+    if nu is None:
+        nu = fp.first_factor(mu, p)
     if nu == mu:
         return None
     rest, rem = fp.divmod_(mu, nu, p)
@@ -435,7 +464,7 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     split needs a ring division, nor does any check of
     skew.CHECK_DIVISION on the way:
 
-      * mu reducible: the Split through gcd_right(nu(u), f) for the
+      * mu reducible: the Split through gcd_right(f, nu(u)) for the
         first irreducible factor nu of mu, without randomness (tries 0);
       * mu irreducible and D = g deg f = lcm(g, d): a certified
         Indecomposable, with no eigenring (tries 0);
@@ -445,31 +474,52 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
 
     Every verdict is certified, whatever the size of f.
     """
+    return _split(f, rng, None)[0]
+
+
+def _split(
+    f: SkewPoly, rng: random.Random, hint: Optional[list[int]]
+) -> tuple[Union[Split, Indecomposable], Optional[list[int]], Optional[list[int]]]:
+    """split_once(f, rng), with the minimal polynomials it proved for the parts.
+
+    Returns (result, left, right): left and right are the irreducible
+    F_p-polynomials proved to be the minimal polynomials of Y^e modulo
+    the parts of a Split (see the module docstring), or None.  Only
+    g = 1 proves them.  hint, when given, is such a polynomial for f
+    itself, and stands in for the central residue's mu: f is
+    indecomposable when deg hint = deg f and otherwise goes straight to
+    the eigenring, as split_once would after recomputing mu.
+    """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
     field, n = f.field, len(f._c) - 1
     if n <= 1:
-        return Indecomposable()
+        return Indecomposable(), None, None
     if not f._c[0]:
         Y = SkewPoly._of(field, (0, 1), f.twist)
-        return Split(left=SkewPoly._of(field, f._c[1:], f.twist), right=Y, tries=0)
+        return Split(left=SkewPoly._of(field, f._c[1:], f.twist), right=Y, tries=0), None, None
     g = math.gcd(f.twist, field.e)
-    r = field.e // g
-    mu, powers = minimal_polynomial(_residue_table(f, r + 1)[r], f)
-    pair = _zero_divisor_pair(mu, powers, f)
-    if pair is not None:
-        return _split_off(f, gcd_right(pair[0], f), 0)
+    mu = hint
+    if mu is None:
+        r = field.e // g
+        mu, powers = minimal_polynomial(_residue_table(f, r + 1)[r], f)
+        nu = fp.first_factor(mu, field.p)
+        if nu != mu:
+            z, _ = _zero_divisor_pair(mu, powers, f, nu)
+            split = _split_off(f, gcd_right(f, z), 0)
+            return split, None, nu if g == 1 else None
     d = len(mu) - 1
     span = d if g == 1 else _fixed_field_span(powers, f, g)
     if span == g * n == math.lcm(g, d):
-        return Indecomposable()
+        return Indecomposable(), None, None
     # f is reducible and R/Rf is semisimple, so E(f) is not a field and
     # the search cannot run dry
     E = eigen_ring(f)
     if E.dim <= 1:
         raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
     zd = find_zero_divisor(E, rng, sys.maxsize)
-    return _split_off(f, gcd_right(zd.element, f), zd.tries)
+    proven = mu if g == 1 else None
+    return _split_off(f, gcd_right(f, zd.element), zd.tries), proven, proven
 
 
 # ----------------------------------------------------------------------
@@ -495,21 +545,34 @@ class Decomposition(Record):
 def decompose_complete(f: SkewPoly, rng: random.Random) -> Decomposition:
     """Complete factorisation of f into monic irreducible skew polynomials.
 
-    rng is the caller's and is required; a seeded one makes the result reproducible."""
+    rng is the caller's and is required; a seeded one makes the result
+    reproducible.
+
+    Each part carries the minimal polynomial of Y^e modulo it that its
+    split proved, if any (twist coprime to e; the lemma of the module
+    docstring).  The right part of a central split through nu gets nu:
+    nu(Y^e) is z plus a multiple of f, and right divides both.  Both
+    parts of an eigenring split get the irreducible mu: the central
+    mu(Y^e) lies in Rf, so in R right, and mu(Y^e) right in Rf gives
+    mu(Y^e) in R left.  A part whose degree equals its polynomial's is
+    a certified leaf with no further work, and a larger one goes
+    straight to the eigenring.  The factors and the state of rng
+    afterwards are those of calling split_once on every part.
+    """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
     unit = f.lead
     g = f.monic_left()
     factors: list[SkewPoly] = []
     # depth first, left before right: a split pushes its right part first
-    stack = [g] if g.degree >= 1 else []
+    stack = [(g, None)] if g.degree >= 1 else []
     while stack:
-        h = stack.pop()
-        res = split_once(h, rng)
+        h, hint = stack.pop()
+        res, left, right = _split(h, rng, hint)
         if isinstance(res, Indecomposable):
             factors.append(h)
         else:
-            stack += (res.right, res.left)
+            stack += ((res.right, right), (res.left, left))
     return Decomposition(field=f.field, twist=f.twist, unit=unit, factors=tuple(factors))
 
 

@@ -1,6 +1,7 @@
 """Slow, independent routines the tests compare the library against."""
 
 import skewlin._fppoly as fp
+from skewlin import decompose
 from skewlin.skew import SkewPoly
 
 
@@ -47,6 +48,50 @@ def matmul(a, b, p: int) -> list[list[int]]:
                 for j in range(cols):
                     out[i][j] = (out[i][j] + v * b[k][j]) % p
     return out
+
+
+def decompose_by_split_once(f, rng):
+    """decompose_complete as it ran before its parts carried the minimal
+    polynomials their splits proved: split_once on every part, depth
+    first, left before right."""
+    unit = f.lead
+    g = f.monic_left()
+    factors = []
+    stack = [g] if g.degree >= 1 else []
+    while stack:
+        h = stack.pop()
+        res = decompose.split_once(h, rng)
+        if isinstance(res, decompose.Indecomposable):
+            factors.append(h)
+        else:
+            stack += (res.right, res.left)
+    return decompose.Decomposition(field=f.field, twist=f.twist, unit=unit, factors=tuple(factors))
+
+
+def rref(a, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form and pivot columns, indexing every entry,
+    as _linalg.rref ran before it zipped each row with the pivot row."""
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] % p), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(m[i][j] - f * m[r][j]) % p for j in range(cols)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import skewlin
 import skewlin.serialize as ser
 from skewlin.cli import main
 from skewlin.decompose import estimate_split_success
@@ -533,3 +538,59 @@ def test_policy_cap_env(capsys, tmp_path, monkeypatch):
         "--ciphertext", ",".join(["0"] * 17),
     )
     assert code == 1 and f"exceeds decrypt cap {POLICY_MAX_Q}" in err
+
+
+# sha256 of `python -m skewlin decompose --in F --seed S` stdout, F a seeded
+# product of random monic parts of the given degrees; the fresh process
+# runs with division checks off.  GF(2^16) and GF(2^20) use the bit
+# kernels, twist 2 over GF(2^20) has a fixed field larger than F_2
+@pytest.mark.parametrize(
+    "case,digest",
+    [
+        (
+            (2, 4, 1, (1, 2, 2, 2), 1),
+            "cb223b49fa3cf643bb0375e821a73f18099cba86f8403dcfcf3ad001b59d8abe",
+        ),
+        (
+            (2, 4, 3, (2, 1, 2), 2),
+            "6b1ff53d4d9f348854c59db546e2117e2feb35ee610e5f2430cd01af5fb11c76",
+        ),
+        (
+            (2, 16, 1, (1, 2, 1), 3),
+            "888a0acf240d0da541f18963cb62a8b67de7b5a3512056d2a6aecfc4a886f082",
+        ),
+        (
+            (2, 20, 3, (2, 1), 4),
+            "71e0e41b2313cea90c0cdeb3e349ae9631eca225005def1e614a5334cc336c11",
+        ),
+        (
+            (2, 20, 2, (1, 1, 1), 5),
+            "070b9f1af57d814166f1e186f6d7727c59661785575912470d4872284bfc3bb9",
+        ),
+    ],
+    ids=["gf16", "gf16-twist3", "gf2^16", "gf2^20-twist3", "gf2^20-twist2"],
+)
+def test_decompose_bytes_pinned(tmp_path, case, digest):
+    p, e, twist, degrees, seed = case
+    field = FiniteField(p, e)
+    rng = random.Random(seed)
+    f = SkewPoly.one(field, twist)
+    for d in degrees:
+        coeffs = [field.random_element(rng) for _ in range(d)] + [field.one()]
+        f = f * SkewPoly(field, coeffs, twist)
+    path = tmp_path / "f.json"
+    path.write_text(ser.dumps({"field": ser.field_to_obj(field), "poly": ser.skewpoly_to_obj(f)}))
+    env = dict(os.environ)
+    src = str(pathlib.Path(skewlin.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewlin", "decompose", "--in", str(path), "--seed", str(seed)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

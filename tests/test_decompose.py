@@ -6,7 +6,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import skewlin._fppoly as fp
 from skewlin import _linalg, decompose, skew
 from skewlin.decompose import (
@@ -580,6 +583,164 @@ def test_decompose_matches_oracle_exhaustively(gf4):
             assert all(g.is_monic for g in mine.factors)
             assert f.mod_right(mine.factors[-1]).is_zero
     assert count == 4 + 16 + 64
+
+
+def _check_against_split_once(f, seed):
+    """decompose_complete(f) against oracles.decompose_by_split_once, the
+    loop that calls split_once on every part: the same unit, factors and
+    rng state afterwards.  Every minimal polynomial a split hands a part
+    is that of Y^e modulo the part, and a part it makes a leaf is one
+    split_once certifies.  Returns the (part, hint, result) of each step."""
+    steps = []
+    real = decompose._split
+
+    def spy(h, rng, hint):
+        out = real(h, rng, hint)
+        steps.append((h, hint, out[0]))
+        return out
+
+    mine_rng, ref_rng = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_split", spy)
+        mine = decompose_complete(f, mine_rng)
+    ref = oracles.decompose_by_split_once(f, ref_rng)
+    assert mine == ref
+    assert mine_rng.getstate() == ref_rng.getstate()
+    field = f.field
+    for h, hint, res in steps:
+        if hint is None:
+            continue
+        assert math.gcd(f.twist, field.e) == 1
+        u = SkewPoly.monomial(field, field.e, field.one(), f.twist).mod_right(h)
+        assert minimal_polynomial(u, h)[0] == hint
+        if isinstance(res, Indecomposable):
+            assert len(hint) - 1 == h.degree
+            assert isinstance(split_once(h, random.Random(0)), Indecomposable)
+    return steps
+
+
+@pytest.mark.parametrize("twist", [1, 2])
+def test_decompose_matches_split_once_loop_exhaustively(gf4, twist):
+    hinted = {"leaf": 0, "split": 0}
+    for deg in (1, 2, 3, 4):
+        for f in all_monic(gf4, deg, twist):
+            for h, hint, res in _check_against_split_once(f, deg):
+                if hint is not None:
+                    hinted["leaf" if isinstance(res, Indecomposable) else "split"] += 1
+    # twist 2 over GF(4) is commutative (g = 2) and proves no hint
+    assert (min(hinted.values()) > 0) == (twist == 1)
+
+
+HINT_FIELDS = [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pe=st.sampled_from(HINT_FIELDS), data=st.data())
+def test_decompose_matches_split_once_loop(pe, data):
+    p, e = pe
+    field = FiniteField(p, e)
+    twist = data.draw(st.integers(1, e + 1))
+    degrees = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    index = st.integers(0, field.q - 1)
+    f = SkewPoly.one(field, twist)
+    for d in degrees:
+        if data.draw(st.booleans()) and f.degree <= 2:
+            f = f * f  # repeated parts: R/Rf need not be semisimple
+        cs = data.draw(st.lists(index, min_size=d, max_size=d))
+        f = f * SkewPoly(field, [field.from_int(n) for n in cs] + [field.one()], twist)
+    _check_against_split_once(f, data.draw(st.integers(0, 99)))
+
+
+def _irreducible(field, rng, degree):
+    return next(
+        h for h in (random_monic(field, rng, degree) for _ in range(100))
+        if isinstance(split_once(h, rng), Indecomposable)
+    )
+
+
+@pytest.mark.parametrize("order", ["quadratic-first", "cubic-first"])
+def test_distinct_bounds_need_two_minimal_polynomials(gf16, order, monkeypatch):
+    # over GF(16), twist 1, an irreducible of degree d has an irreducible
+    # mu of degree d over F_2, so a quadratic and a cubic have distinct
+    # bounds.  The central split hands the right part its nu, and only f
+    # and the left part run a Krylov search, not all three
+    rng = random.Random(88)
+    quad, cubic = _irreducible(gf16, rng, 2), _irreducible(gf16, rng, 3)
+    f = quad * cubic if order == "quadratic-first" else cubic * quad
+    calls = []
+    real = decompose.minimal_polynomial
+    monkeypatch.setattr(
+        decompose, "minimal_polynomial", lambda u, m: calls.append(m) or real(u, m)
+    )
+    dec = decompose_complete(f, random.Random(1))
+    # nu = Z^2 + Z + 1 comes first, so the right part is the quadratic one
+    assert dec.degrees() == (3, 2) and dec.product() == f
+    assert len(calls) == 2 and calls[0] == f and calls[1] == dec.factors[0]
+
+
+def test_eigenring_split_parts_need_no_krylov(gf16, monkeypatch):
+    # quadratic irreducibles over GF(16), twist 1, share mu = Z^2 + Z + 1.
+    # Where their product f is semisimple (its mu is still Z^2 + Z + 1,
+    # not its square), the eigenring split hands both parts mu, which
+    # certifies them, so every Krylov search runs modulo f (the central
+    # residue, then the draws)
+    rng = random.Random(91)
+    y4 = SkewPoly.monomial(gf16, 4, gf16.one())
+    while True:
+        f = _irreducible(gf16, rng, 2) * _irreducible(gf16, rng, 2)
+        if minimal_polynomial(y4.mod_right(f), f)[0] == [1, 1, 1]:
+            break
+    calls = []
+    real = decompose.minimal_polynomial
+    monkeypatch.setattr(
+        decompose, "minimal_polynomial", lambda u, m: calls.append(m) or real(u, m)
+    )
+    dec = decompose_complete(f, random.Random(2))
+    assert dec.degrees() == (2, 2) and dec.product() == f
+    assert len(calls) >= 2 and all(m == f for m in calls)
+
+
+def test_decompose_same_with_division_checks_off(monkeypatch):
+    rng = random.Random(89)
+    cases = []
+    for p, e in HINT_FIELDS:
+        field = FiniteField(p, e)
+        for twist in (1, 2):
+            f = SkewPoly.one(field, twist)
+            for d in (1, 2, 2):
+                f = f * random_monic(field, rng, d, twist)
+            cases.append(f)
+    results = {}
+    for checks in (True, False):
+        monkeypatch.setattr(skew, "CHECK_DIVISION", checks)
+        before = skew.DIVISION_CHECKS
+        out = []
+        for i, f in enumerate(cases):
+            r = random.Random(i)
+            out.append((decompose_complete(f, r), r.getstate()))
+        results[checks] = out
+        assert (skew.DIVISION_CHECKS > before) == checks
+    assert results[True] == results[False]
+
+
+def test_central_split_divides_from_f(gf16, monkeypatch):
+    # gcd_right(f, z): z = nu(u) is a residue, so starting from (z, f)
+    # would spend a division just to swap them.  (Y^2 + a Y + b)(Y + c)
+    # over GF(16), twist 1, splits centrally
+    quad = _irreducible(gf16, random.Random(90), 2)
+    lin = SkewPoly(gf16, [gf16.from_int(7), gf16.one()])
+    f = quad * lin
+    calls = []
+    real = SkewPoly.divmod_right
+    monkeypatch.setattr(
+        SkewPoly, "divmod_right", lambda a, g: calls.append((a.degree, g.degree)) or real(a, g)
+    )
+    res = split_once(f, random.Random(0))
+    assert isinstance(res, Split) and res.tries == 0
+    assert res.right == lin and res.left == quad
+    # z w mod f (the zero-divisor check), the gcd's f mod z and z mod
+    # (Y + c), then f / (Y + c); no (z, f) step
+    assert calls == [(4, 3), (3, 2), (2, 1), (3, 1)]
 
 
 def test_decompose_factors_are_irreducible(gf4):

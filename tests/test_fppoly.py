@@ -211,15 +211,20 @@ def test_first_factor_divides_far_less_than_full_factorisation(monkeypatch):
     assert 4 * searched < len(calls)
 
 
-def test_pow_mod():
+def test_pow_mod(monkeypatch):
     rng = random.Random(6)
-    m = [1, 0, 1]  # x^2 + 1 over GF(3), irreducible
-    assert fp.is_irreducible(m, 3)
-    for _ in range(20):
-        a = fp.mod(random_poly(rng, 3, 4), m, 3)
-        n = rng.randrange(1, 60)
-        naive = [1]
-        for _ in range(n):
-            naive = fp.mod(fp.mul(naive, a, 3), m, 3)
-        assert fp.pow_mod(a, n, m, 3) == naive
-
+    for p in (2, 3, 5):
+        m = fp.first_irreducible(p, 3)
+        for a in ([], [1], [0, 1], *(random_poly(rng, p, 5) for _ in range(4))):
+            naive = [1]
+            for n in range(41):
+                assert fp.pow_mod(a, n, m, p) == naive, (p, a, n)
+                naive = fp.mod(fp.mul(naive, a, p), m, p)
+    # the Frobenius step of _first_split over F_2 is one square
+    a, m = [0, 1, 1], [1, 1, 0, 1]
+    square = fp.mod(fp.mul(a, a, 2), m, 2)
+    calls = []
+    real = fp.mul
+    monkeypatch.setattr(fp, "mul", lambda a, b, q: calls.append((a, b)) or real(a, b, q))
+    assert fp.pow_mod(a, 2, m, 2) == square == [0, 1]
+    assert calls == [(a, a)]

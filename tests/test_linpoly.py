@@ -19,6 +19,7 @@ from skewlin.hfe import lin_to_dense
 from skewlin.linpoly import LinPoly
 from skewlin.skew import NEG_INF
 
+import oracles
 from oracles import matmul
 
 
@@ -275,6 +276,28 @@ def test_matrix_inverse_matches_rank(p, data):
     if b is not None:
         assert matmul(b, a, p) == la.identity(n)
         assert matmul(a, b, p) == la.identity(n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_linalg_matches_rref_oracle(p, data):
+    # rref and everything built on it, against the entry-indexing loop of
+    # oracles.rref: non-square shapes, and rank-deficient ones by copying
+    # a multiple of one row over another
+    rows_n, cols_n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    entries = st.lists(st.integers(0, p - 1), min_size=cols_n, max_size=cols_n)
+    a = data.draw(st.lists(entries, min_size=rows_n, max_size=rows_n))
+    if data.draw(st.booleans()):
+        i, j, c = (data.draw(st.integers(0, m)) for m in (rows_n - 1, rows_n - 1, p - 1))
+        a[i] = [c * x % p for x in a[j]]
+    rows = [list(r) for r in a]
+    square = a if rows_n == cols_n else [r[:rows_n] + [0] * (rows_n - cols_n) for r in a]
+    got = (la.rref(a, p), la.nullspace(a, p), la.rank(a, p), la.inv(square, p))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "rref", oracles.rref)
+        want = (la.rref(a, p), la.nullspace(a, p), la.rank(a, p), la.inv(square, p))
+    assert got == want
+    assert a == rows
 
 
 @pytest.mark.parametrize("p, e, samples", [(2, 8, 4), (3, 6, 4), (2, 20, 2)])
