@@ -1,12 +1,17 @@
-"""Immutable value records, the result types of decompose and hfe.
+"""Immutable value records: the result types of decompose and hfe, and
+the value classes EigenRing, MultivariateKey, HFEKeyPair and FqPoly.
 
 A Record subclass names its fields in __slots__, in order.  The
 constructor takes them by position or keyword, the repr lists them as
 keywords, instances compare and hash by the tuple of their values, and
 assignment raises AttributeError.  A subclass that compares by identity
-sets __eq__ and __hash__ back to object's.  copy, deepcopy and pickle
-rebuild a record through its constructor, and __match_args__ lists the
-fields for positional class patterns.
+sets __eq__ and __hash__ back to object's, and one whose values do not
+hash (MultivariateKey holds dicts) sets __hash__ to None.  A subclass
+that checks its fields does so in a short __init__ that ends in
+super().__init__.  copy, deepcopy and pickle rebuild a record through its
+constructor, so they check the fields too, though a record over a finite
+field only copies shallowly: a FiniteField neither deep-copies nor
+pickles.  __match_args__ lists the fields for positional class patterns.
 
 Each subclass also carries the __dataclass_fields__ table that
 dataclasses.replace reads, so replace(record, field=value) builds a
@@ -14,8 +19,10 @@ changed copy as it did when these were dataclasses, without this module
 importing dataclasses (which loads inspect, ast, dis and tokenize).  The
 table exists only because perfbench/selftest.py corrupts Decomposition
 and AttackResult with dataclasses.replace; it goes once that file builds
-them with their constructors.  Until then dataclasses.is_dataclass is
-true of a record while dataclasses.fields and asdict see no fields.
+them with their constructors (ROADMAP direction 8).  Until then the
+table also rides on the four value classes, and dataclasses.is_dataclass
+is true of every record while dataclasses.fields and asdict see no
+fields.
 """
 
 

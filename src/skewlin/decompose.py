@@ -109,15 +109,14 @@ ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
 # eigenring
 
 
-class EigenRing:
-    """F_p-basis of E(f), the residues modulo f; products are (u * v).mod_right(f)."""
+class EigenRing(Record):
+    """F_p-basis of E(f), the residues modulo f; products are (u * v).mod_right(f).
+
+    Fields field (FiniteField), modulus (the SkewPoly f) and basis (a
+    tuple of SkewPoly residues); compared by value.
+    """
 
     __slots__ = ("field", "modulus", "basis")
-
-    def __init__(self, field: FiniteField, modulus: SkewPoly, basis: tuple[SkewPoly, ...]):
-        self.field = field
-        self.modulus = modulus
-        self.basis = basis
 
     @property
     def dim(self) -> int:

@@ -50,7 +50,8 @@ When no modulus is given the constructor deterministically picks the
 lexicographically smallest monic irreducible of degree e, scanning the
 non-leading coefficient vector as a base-p counter from the constant term
 upward.  Two runs, or two machines, therefore always agree on the field.
-Degree 1 degenerates to the modulus t and plain mod-p arithmetic.
+Degree 1 degenerates to plain mod-p arithmetic; its default modulus is
+X, so t = 0 there, and under a modulus X + m_0 the root t is -m_0.
 
 Each field also carries an ordered Z_p-basis used by the matrix and
 multivariate views elsewhere in the package; it defaults to the powers
@@ -357,9 +358,10 @@ class FiniteField:
         return FqElem(self, c % self.p)
 
     def generator(self) -> FqElem:
-        """The modulus root t (equals 0 when e == 1)."""
+        """The modulus root t: digits (0, 1) when e > 1, and -m_0 mod p, the
+        root of X + m_0, when e == 1 (0 under the default modulus X)."""
         if self.e == 1:
-            return self.zero()
+            return FqElem(self, -self.modulus[0] % self.p)
         return FqElem(self, self.p)
 
     def elements(self) -> Iterator[FqElem]:

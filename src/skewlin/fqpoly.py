@@ -10,12 +10,16 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .errors import ContextMismatchError
 from .fields import FiniteField, FqElem
 from .skew import NEG_INF, _trim
 
 
-class FqPoly:
+class FqPoly(Record):
+    """Fields field (FiniteField) and coeffs (a trimmed tuple of FqElem);
+    compared by value."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs: Iterable[FqElem]):
@@ -23,11 +27,7 @@ class FqPoly:
         for c in cs:
             if not isinstance(c, FqElem) or c.field != field:
                 raise ContextMismatchError("coefficient from a different field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", _trim(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FqPoly is immutable")
+        super().__init__(field, _trim(cs))
 
     @classmethod
     def zero(cls, field: FiniteField) -> "FqPoly":
@@ -56,16 +56,6 @@ class FqPoly:
 
     def monomials(self) -> dict[int, FqElem]:
         return {i: c for i, c in enumerate(self.coeffs) if c}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FqPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
 
     def __repr__(self) -> str:
         return f"FqPoly({[list(c.digits) for c in self.coeffs]})"

@@ -41,10 +41,11 @@ left divisibility, so honest instances may resist; failures are
 reported, never hidden.
 
 The public key is E alone; its coordinate quadratic forms over Z_p are
-derived from E on first use.  A key pair is consistent when S . D . T
-and E have the same differences (_graywalk.differences), the few values
-that fix a coordinate map of degree at most 2 (HFEKeyPair.is_consistent);
-loading one checks this.
+derived from E on first use.  A key pair is consistent when S . D . T,
+composed as key generation composes it (S and T reduced first, exponents
+folded), equals E reduced (HFEKeyPair.is_consistent): both sides are
+reduced, so they are equal exactly when they agree as maps.  Loading a
+key pair checks this.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
         value = DOPoly._of(field, [(x, c._n) for x, c in terms.items()], fold=True)
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
     xs = list(field.elements())
-    F = [sum((c * x**k for k, c in terms.items()), xs[0]) for x in xs]
+    F = [f(x) for x in xs]
     for a in xs[1:]:
         shift = F[a.as_int()] - F[0]
         g = [F[(x + a).as_int()] - F[n] - shift for n, x in enumerate(xs)]
@@ -413,29 +414,18 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
 # multivariate view
 
 
-class MultivariateKey:
+class MultivariateKey(Record):
     """Per-coordinate quadratic forms over Z_p in the basis coordinates.
 
     Writing X = sum x_s basis_s, coordinate k of E(X) is
     const[k] + sum lin[k][s] x_s + sum quad[k][(s,t)] x_s x_t mod p.
     For p = 2 squares are reduced via x^2 = x, so diagonal pairs vanish.
+    Fields p, n_vars, quad (dicts, one per coordinate), lin and const;
+    compared by value, unhashable.
     """
 
     __slots__ = ("p", "n_vars", "quad", "lin", "const")
-
-    def __init__(
-        self,
-        p: int,
-        n_vars: int,
-        quad: tuple[dict[tuple[int, int], int], ...],
-        lin: tuple[dict[int, int], ...],
-        const: tuple[int, ...],
-    ):
-        self.p = p
-        self.n_vars = n_vars
-        self.quad = quad
-        self.lin = lin
-        self.const = const
+    __hash__ = None
 
     @property
     def max_terms(self) -> int:
@@ -458,16 +448,6 @@ class MultivariateKey:
                 v += c * xs[s] * xs[t]
             out.append(v % p)
         return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultivariateKey)
-            and self.p == other.p
-            and self.n_vars == other.n_vars
-            and self.quad == other.quad
-            and self.lin == other.lin
-            and self.const == other.const
-        )
 
     def __repr__(self) -> str:
         return f"MultivariateKey(p={self.p}, n_vars={self.n_vars}, max_terms={self.max_terms})"
@@ -602,35 +582,32 @@ class HFESecretKey:
         return f"HFESecretKey(field={self.field!r}, bound={self.bound})"
 
 
-class HFEKeyPair:
+class HFEKeyPair(Record):
+    """Fields public (HFEPublicKey) and secret (HFESecretKey), over one field."""
+
     __slots__ = ("public", "secret")
 
     def __init__(self, public: HFEPublicKey, secret: HFESecretKey):
         if public.field != secret.field:
             raise ContextMismatchError("public and secret keys over different fields")
-        self.public = public
-        self.secret = secret
+        super().__init__(public, secret)
 
     def is_consistent(self) -> bool:
         """Whether the secret half composes to the public map: S . D . T = E.
 
-        Both sides are read as maps F_p^e -> F_p^e on basis coordinates:
-        x -> E's coordinate forms at x, and x -> S·D(T·x) with S and T
-        their Z_p matrices and D the core's coordinate forms.  Both have
-        degree at most 2, so they are equal exactly when their
-        _graywalk.differences are, and equal coordinate maps are equal
-        maps of the field.
+        The secret side is composed as hfe_keygen composes it, and E is
+        reduced; two reduced DO polynomials are equal exactly when they
+        agree as maps of the field, so this compares the maps.
         """
-        p, e = self.public.field.p, self.public.field.e
-        outer = self.secret.outer.to_matrix()
-        inner = self.secret.inner.to_matrix()
-        core = to_multivariate(self.secret.core).evaluate
+        return _public_map(self.secret) == self.public.poly.reduce()
 
-        def secret(x: list[int]) -> list[int]:
-            return _linalg.matvec(outer, core(_linalg.matvec(inner, x, p)), p)
 
-        public = self.public.multivariate.evaluate
-        return _graywalk.differences(p, e, public) == _graywalk.differences(p, e, secret)
+def _public_map(secret: HFESecretKey) -> DOPoly:
+    """S . D . T, reduced: S and T are reduced first (a key file may hold
+    them unreduced or with twist 2), and exponents fold as the sums
+    accumulate."""
+    inner = do_compose_lin(secret.inner.reduce(), secret.core, "right", reduce=True)
+    return do_compose_lin(secret.outer.reduce(), inner, "left", reduce=True)
 
 
 def _random_permutation_poly(field: FiniteField, rng: random.Random) -> SkewPoly:
@@ -680,14 +657,11 @@ def hfe_keygen(
         raise InvariantError("failed to sample a quadratic core")
     outer = _random_permutation_poly(field, rng)
     inner = _random_permutation_poly(field, rng)
-    E = do_compose_lin(
-        outer, do_compose_lin(inner, core, "right", reduce=True), "left", reduce=True
-    )
+    secret = HFESecretKey(field, outer, core, inner, d)
+    E = _public_map(secret)
     if not E.has_quadratic or 0 in E._t:
         raise InvariantError("public key lost its quadratic part or gained a constant")
-    public = HFEPublicKey(E)
-    secret = HFESecretKey(field, outer, core, inner, d)
-    return HFEKeyPair(public, secret)
+    return HFEKeyPair(HFEPublicKey(E), secret)
 
 
 def hfe_encrypt(public: HFEPublicKey, m: FqElem) -> FqElem:

@@ -1,7 +1,8 @@
 """Slow, independent routines the tests compare the library against."""
 
 import skewlin._fppoly as fp
-from skewlin import decompose
+from skewlin import _graywalk, _linalg, decompose
+from skewlin.hfe import to_multivariate
 from skewlin.skew import SkewPoly
 
 
@@ -295,3 +296,25 @@ def difference_poly(D, a):
             acc[k] = acc[k] + v if k in acc else v
     n = max(acc, default=-1) + 1
     return SkewPoly(field, [acc.get(k, field.zero()) for k in range(n)])
+
+
+# ----------------------------------------------------------------------
+# the key-pair check as it ran before it composed the secret half
+
+
+def keypair_consistent_by_differences(kp):
+    """Whether S . D . T = E, read as maps F_p^e -> F_p^e on basis
+    coordinates: x -> E's coordinate forms at x against x -> S·D(T·x),
+    with S and T their Z_p matrices and D the core's coordinate forms.
+    Both have degree at most 2, so they are equal exactly when their
+    _graywalk.differences are."""
+    p, e = kp.public.field.p, kp.public.field.e
+    outer = kp.secret.outer.to_matrix()
+    inner = kp.secret.inner.to_matrix()
+    core = to_multivariate(kp.secret.core).evaluate
+
+    def secret(x):
+        return _linalg.matvec(outer, core(_linalg.matvec(inner, x, p)), p)
+
+    public = kp.public.multivariate.evaluate
+    return _graywalk.differences(p, e, public) == _graywalk.differences(p, e, secret)

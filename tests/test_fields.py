@@ -21,6 +21,7 @@ from skewlin.errors import (
     ReducibleModulusError,
 )
 from skewlin.fields import MAX_FIELD_SIZE, TABLE_MAX_Q, FiniteField
+from skewlin.fqpoly import FqPoly
 from skewlin.hfe import DOPoly, HFEPublicKey, difference_poly, hfe_encrypt
 from skewlin.skew import SkewPoly
 
@@ -534,6 +535,25 @@ def test_generator_is_smallest_primitive_index(p, e, modulus):
     if modulus == [1, 1, 1, 1, 1]:
         # the modulus root t (index 2) has order 5 here, so it is not the generator
         assert g == 3 and field.generator() ** 5 == field.one()
+
+
+GENERATOR_FIELDS = [
+    *[(p, 1, [m, 1]) for p in (2, 3, 5, 7) for m in range(p)],
+    *[(p, e, None) for p, e in ((2, 1), (7, 1), (2, 4), (2, 8), (2, 16), (3, 6), (5, 2), (7, 3))],
+    (2, 4, [1, 1, 1, 1, 1]),
+    (3, 2, [2, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("p, e, modulus", GENERATOR_FIELDS)
+def test_modulus_vanishes_at_generator(p, e, modulus):
+    field = FiniteField(p, e, modulus)
+    t = field.generator()
+    assert FqPoly(field, [field.scalar(c) for c in field.modulus])(t) == field.zero()
+    # t has digits (0, 1) above degree 1; the default modulus of degree 1 is X
+    assert t.as_int() == (p if e > 1 else -field.modulus[0] % p)
+    if e == 1 and modulus is None:
+        assert t == field.zero()
 
 
 @pytest.mark.parametrize(

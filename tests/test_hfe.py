@@ -1,17 +1,20 @@
 """Keygen, encryption, decryption, and left-factor key recovery."""
 
 import hashlib
+import json
 import random
 
 import pytest
 
 import skewlin.hfe as hfe
 from skewlin import _linalg
+from skewlin import serialize as ser
 from skewlin.errors import (
     AttackFailedError,
     ContextMismatchError,
     DegreeBoundTooSmallError,
     NotAPermutationError,
+    ParseError,
     PolicyBoundError,
     ShapeViolationError,
 )
@@ -20,8 +23,8 @@ from skewlin.hfe import (
     AttackResult,
     DOPoly,
     HFEKeyPair,
+    HFEPublicKey,
     HFESecretKey,
-    MultivariateKey,
     decrypt_with_factors,
     difference_poly,
     do_compose_lin,
@@ -35,7 +38,7 @@ from skewlin.hfe import (
 from skewlin.linpoly import LinPoly
 from skewlin.skew import SkewPoly, gcldf
 
-from oracles import matmul
+from oracles import keypair_consistent_by_differences, matmul
 
 
 def foldfree_instance(field):
@@ -104,25 +107,107 @@ def test_public_key_derives_forms_once(gf256, monkeypatch):
     assert mv == to_multivariate(kp.public.poly)
 
 
+def monomial(field, x, c=1):
+    """c X^x as a DOPoly, for an exponent x of base-p digit sum at most 2
+    and a coefficient index c."""
+    return DOPoly._of(field, [(x, c)])
+
+
+def with_core(secret, core):
+    return HFESecretKey(secret.field, secret.outer, core, secret.inner, secret.bound)
+
+
 def test_keypair_check_sees_every_degree_two_difference(gf16, gf27):
-    # differences that vanish at 0 and at every unit vector: x_s x_t, seen
-    # only at u_s + u_t; and, for odd p, x_s^2 - x_s, seen only at 2 u_s
+    # a DO monomial, the constant included, added to E or to the core
+    # changes one side of S . D . T = E as a map, since S and T permute
     for field, seed in ((gf16, 5), (gf27, 6)):
-        p, e = field.p, field.e
         kp = hfe_keygen(field, random.Random(seed))
         assert kp.is_consistent()
-        mv = kp.public.multivariate
-        diffs = [({(s, t): 1}, {}) for s in range(e) for t in range(s + 1, e)]
-        if p > 2:
-            diffs += [({(s, s): 1}, {s: p - 1}) for s in range(e)]
-        for quad, lin in diffs:
-            for k in range(e):
-                q = [dict(d) for d in mv.quad]
-                q[k].update({st: (q[k].get(st, 0) + c) % p for st, c in quad.items()})
-                ln = [dict(d) for d in mv.lin]
-                ln[k].update({s: (ln[k].get(s, 0) + c) % p for s, c in lin.items()})
-                kp.public._multivariate = MultivariateKey(p, e, tuple(q), tuple(ln), mv.const)
-                assert not kp.is_consistent(), (quad, lin, k)
+        for x in [0, *hfe._do_slots(field.p, field.e)]:
+            m = monomial(field, x)
+            for pair in (
+                HFEKeyPair(HFEPublicKey(kp.public.poly + m), kp.secret),
+                HFEKeyPair(kp.public, with_core(kp.secret, kp.secret.core + m)),
+            ):
+                assert not pair.is_consistent(), x
+                assert not keypair_consistent_by_differences(pair), x
+
+
+def test_keypair_check_composes_instead_of_walking(gf256, monkeypatch):
+    kp = hfe_keygen(gf256, random.Random(3))
+    bad = HFEKeyPair(kp.public, with_core(kp.secret, kp.secret.core + monomial(gf256, 3)))
+
+    def refuse(*args):
+        raise AssertionError("coordinate route")
+
+    monkeypatch.setattr(hfe._graywalk, "differences", refuse)
+    monkeypatch.setattr(hfe, "to_multivariate", refuse)
+    monkeypatch.setattr(SkewPoly, "to_matrix", refuse)
+    assert kp.is_consistent()
+    assert not bad.is_consistent()
+
+
+CHECK_FIELDS = [(2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 6), (5, 2), (7, 2)]
+
+
+def same_map(L, rng):
+    """L as another additive polynomial with the same map: of twist 2 when
+    e is odd (2 is then invertible mod e), else of twist 1, with each
+    coefficient at an index that folds to its own, some of them beyond e."""
+    field, e = L.field, L.field.e
+    twist = 2 if e % 2 else 1
+    inv = pow(twist, -1, e)
+    at = {k * inv % e + e * rng.randrange(2): c for k, c in enumerate(L.reduce().coeffs)}
+    out = SkewPoly(field, [at.get(i, field.zero()) for i in range(max(at) + 1)], twist)
+    assert out.reduce() == L.reduce()
+    return out
+
+
+def tampered_pairs():
+    """40 key pairs over each of CHECK_FIELDS, cycling through five kinds:
+    intact; one E term and one core term shifted by a random coefficient
+    (zero included); one inner coefficient redrawn; and outer and inner
+    written as the same maps, unreduced or of twist 2, beside E unreduced."""
+    for p, e in CHECK_FIELDS:
+        field = FiniteField(p, e)
+        exps = [0, *hfe._do_slots(p, e)]
+        for i in range(40):
+            rng = random.Random(1000 * p + 10 * e + i)
+            kp = hfe_keygen(field, rng)
+            pub, sec = kp.public, kp.secret
+            kind = i % 5
+            shift = monomial(field, rng.choice(exps), rng.randrange(field.q))
+            if kind == 1:
+                pub = HFEPublicKey(pub.poly + shift)
+            elif kind == 2:
+                sec = with_core(sec, sec.core + shift)
+            elif kind == 3:
+                cs = list(sec.inner.reduce().coeffs) + [field.zero()] * e
+                cs[rng.randrange(e)] = field.random_element(rng)
+                sec = HFESecretKey(field, sec.outer, sec.core, SkewPoly(field, cs), sec.bound)
+            elif kind == 4:
+                outer, inner = same_map(sec.outer, rng), same_map(sec.inner, rng)
+                sec = HFESecretKey(field, outer, sec.core, inner, sec.bound)
+                # X^(x q) = X^x on the field: E unreduced, the same map
+                terms = [(x * field.q, c) for x, c in pub.poly._t.items()]
+                pub = HFEPublicKey(DOPoly._of(field, terms))
+            yield HFEKeyPair(pub, sec)
+
+
+def test_keypair_check_matches_difference_oracle():
+    verdicts = []
+    for pair in tampered_pairs():
+        want = keypair_consistent_by_differences(pair)
+        assert pair.is_consistent() == want, pair
+        text = ser.dumps(ser.keypair_to_obj(pair))
+        if want:
+            assert ser.keypair_from_obj(json.loads(text)).is_consistent()
+        else:
+            with pytest.raises(ParseError, match="does not compose"):
+                ser.keypair_from_obj(json.loads(text))
+        verdicts.append(want)
+    assert len(verdicts) == 320
+    assert 150 < verdicts.count(False) < 250
 
 
 def test_encrypt_decrypt_roundtrip(gf256, gf9):

@@ -6,16 +6,44 @@ frozen, equality and hashing by value, or by identity where the class
 compares by identity, copies with a field changed through
 dataclasses.replace, copy, deepcopy and pickle round trips, and
 positional class patterns.
+
+Four value classes with fields over a finite field are records too:
+EigenRing, MultivariateKey, HFEKeyPair and FqPoly.  The last two check
+their fields in a short constructor, which copies and the pickle payload
+go through.
 """
 
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
-from skewlin.decompose import Decomposition, Indecomposable, Split, SplitStats, ZeroDivisor
-from skewlin.hfe import AttackResult, DOShapeResult, FailedLinearity
+from skewlin._record import Record
+from skewlin.decompose import (
+    Decomposition,
+    EigenRing,
+    Indecomposable,
+    Split,
+    SplitStats,
+    ZeroDivisor,
+    eigen_ring,
+)
+from skewlin.errors import ContextMismatchError
+from skewlin.fields import FiniteField
+from skewlin.fqpoly import FqPoly
+from skewlin.hfe import (
+    AttackResult,
+    DOPoly,
+    DOShapeResult,
+    FailedLinearity,
+    HFEKeyPair,
+    MultivariateKey,
+    hfe_keygen,
+    to_multivariate,
+)
+from skewlin.skew import SkewPoly
 
 # class, field names, compared by value (else by identity), frozen
 RECORDS = [
@@ -89,3 +117,123 @@ def test_record_copies_and_matches(cls, names, by_value, frozen):
                 assert first == values[0]
             case _:
                 pytest.fail("no positional class pattern")
+
+
+# ----------------------------------------------------------------------
+# the value classes over a field
+
+
+def value_records():
+    """Name -> (instance, an equal instance built apart, an unequal one,
+    repr) for each of the four classes; the equal MultivariateKey and
+    FqPoly are built over a second GF(9)."""
+    gf4, gf9, gf16, gf9_apart = (FiniteField(*pe) for pe in ((2, 2), (3, 2), (2, 4), (3, 2)))
+    cs = [gf9.from_int(2), gf9.zero(), gf9.from_int(5)]
+    f = SkewPoly(gf4, [gf4.one(), gf4.zero(), gf4.one()])
+    D = DOPoly(gf9, {(0, 1): gf9.one()})
+    kp, other = hfe_keygen(gf16, random.Random(0)), hfe_keygen(gf16, random.Random(1))
+    return {
+        "EigenRing": (
+            eigen_ring(f),
+            EigenRing(gf4, f, eigen_ring(f).basis),
+            EigenRing(gf4, f, eigen_ring(f).basis[1:]),
+            "EigenRing(dim=4, modulus_degree=2)",
+        ),
+        "MultivariateKey": (
+            to_multivariate(D),
+            to_multivariate(DOPoly(gf9_apart, {(0, 1): gf9_apart.one()})),
+            to_multivariate(D + D),
+            "MultivariateKey(p=3, n_vars=2, max_terms=2)",
+        ),
+        "HFEKeyPair": (
+            kp,
+            HFEKeyPair(kp.public, kp.secret),
+            HFEKeyPair(kp.public, other.secret),
+            "HFEKeyPair(public=HFEPublicKey(field=GF(2^4), degree=12), "
+            "secret=HFESecretKey(field=GF(2^4), bound=16))",
+        ),
+        "FqPoly": (
+            FqPoly(gf9, cs),
+            FqPoly(gf9_apart, [gf9_apart.from_int(c.as_int()) for c in cs + [gf9.zero()]]),
+            FqPoly(gf9, cs[:2]),
+            "FqPoly([[2, 0], [0, 0], [2, 1]])",
+        ),
+    }
+
+
+VALUE_RECORDS = {
+    "EigenRing": ("field", "modulus", "basis"),
+    "MultivariateKey": ("p", "n_vars", "quad", "lin", "const"),
+    "HFEKeyPair": ("public", "secret"),
+    "FqPoly": ("field", "coeffs"),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_RECORDS)
+def test_value_record_contract(name):
+    a, twin, other, text = value_records()[name]
+    names = VALUE_RECORDS[name]
+    cls = type(a)
+    assert issubclass(cls, Record) and cls.__name__ == name
+    assert cls.__match_args__ == cls.__slots__ == names
+    assert not hasattr(a, "__dict__")
+    assert repr(a) == text
+    values = [getattr(a, n) for n in names]
+    for attr in (*names, "anything"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert [getattr(a, n) for n in names] == values
+    assert a == twin and a is not twin and a != other
+    if cls is MultivariateKey:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError, match="unhashable type: 'MultivariateKey'"):
+            hash(a)
+    else:
+        assert hash(a) == hash(twin) and len({a, twin, other}) == 2
+    match a:
+        case cls(first):
+            assert first is values[0]
+        case _:
+            pytest.fail("no positional class pattern")
+
+
+@pytest.mark.parametrize("name", VALUE_RECORDS)
+def test_value_record_copies_go_through_the_constructor(name, monkeypatch):
+    a = value_records()[name][0]
+    cls = type(a)
+    values = tuple(getattr(a, n) for n in VALUE_RECORDS[name])
+    assert a.__reduce__() == (cls, values)
+    built = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    twin = copy.copy(a)
+    assert twin == a and twin is not a and built == [values]
+    if cls is MultivariateKey:
+        # plain data: ints, tuples and dicts
+        for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert twin == a and twin.quad is not a.quad
+        assert len(built) == 3
+
+
+def test_value_record_constructors_check_the_field():
+    gf4, gf9 = FiniteField(2, 2), FiniteField(3, 2)
+    for coeffs in ([gf4.one()], [1], [gf9.one(), gf4.zero()]):
+        with pytest.raises(ContextMismatchError, match="coefficient from a different field"):
+            FqPoly(gf9, coeffs)
+    poly = FqPoly(field=gf9, coeffs=[gf9.one(), gf9.zero()])
+    assert poly.coeffs == (gf9.one(),)  # trimmed
+    kp4 = hfe_keygen(gf4, random.Random(0))
+    kp9 = hfe_keygen(gf9, random.Random(0))
+    with pytest.raises(ContextMismatchError, match="public and secret keys over different fields"):
+        HFEKeyPair(kp4.public, kp9.secret)
+    with pytest.raises(ContextMismatchError):
+        HFEKeyPair(public=kp9.public, secret=kp4.secret)
+    with pytest.raises(TypeError):
+        HFEKeyPair(kp4.public)
