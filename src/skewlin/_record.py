@@ -9,9 +9,9 @@ sets __eq__ and __hash__ back to object's, and one whose values do not
 hash (MultivariateKey holds dicts) sets __hash__ to None.  A subclass
 that checks its fields does so in a short __init__ that ends in
 super().__init__.  copy, deepcopy and pickle rebuild a record through its
-constructor, so they check the fields too, though a record over a finite
-field only copies shallowly: a FiniteField neither deep-copies nor
-pickles.  __match_args__ lists the fields for positional class patterns.
+constructor, so they check the fields too; a deep copy of a record over a
+finite field rebuilds the field from its description.  __match_args__
+lists the fields for positional class patterns.
 
 Each subclass also carries the __dataclass_fields__ table that
 dataclasses.replace reads, so replace(record, field=value) builds a

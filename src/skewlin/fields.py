@@ -149,6 +149,9 @@ class FqElem:
     def __setattr__(self, name, value):
         raise AttributeError("FqElem is immutable")
 
+    def __reduce__(self):
+        return FqElem, (self.field, self._n)
+
     @property
     def digits(self) -> tuple[int, ...]:
         """The base-p digits of the index, low first."""
@@ -314,6 +317,11 @@ class FiniteField:
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteField is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the field from its description; the
+        # kernels and cached tables are built again, not copied
+        return FiniteField, self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteField) and self._key == other._key

@@ -163,6 +163,9 @@ class DOPoly:
     def __setattr__(self, name, value):
         raise AttributeError("DOPoly is immutable")
 
+    def __reduce__(self):
+        return DOPoly._of, (self.field, tuple(self._t.items()))
+
     # ------------------------------------------------------------------
 
     @classmethod
@@ -699,11 +702,18 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
 
     Returns the reduced f, or None when L does not permute the field
     (the zero polynomial included) or deg f exceeds the bound.
+
+    A unit is decided by deg E alone: a reduced L of degree 0 is c X with
+    c != 0, whose inverse c^-1 X scales each coefficient of the reduced E
+    and keeps every exponent, so deg f = deg E and the peel fails exactly
+    when deg E exceeds the bound; no matrix or composition is built then.
     """
     if L.field != E.field:
         raise ContextMismatchError("operands over different fields")
     E = E.reduce()
     Lr = L.reduce()
+    if Lr.degree == 0 and E.degree > bound:
+        return None
     try:
         Lr_inv = Lr.inverse()
     except NotAPermutationError:
@@ -749,8 +759,10 @@ def gcldf_attack(
     kernel is a proper additive subgroup and at most q/p - 1 nonzero
     shifts are skipped.  When q - q/p >= max_rounds + 1 the pool cannot
     run out, and a unit L whose peel failed decides the failure at once.
-    The recovered pair is verified to recompose to E before being
-    returned.
+    That peel is itself decided by deg E alone (see try_left_factor): the
+    unit c X leaves c^-1 E, of degree deg E, as the core, so an honest
+    key whose gcld collapses to 1 costs no matrix inversion.  The
+    recovered pair is verified to recompose to E before being returned.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")

@@ -104,6 +104,9 @@ class SkewPoly:
     def __setattr__(self, name, value):
         raise AttributeError("SkewPoly is immutable")
 
+    def __reduce__(self):
+        return SkewPoly._of, (self.field, self._c, self.twist)
+
     # ------------------------------------------------------------------
 
     @classmethod

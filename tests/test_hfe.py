@@ -574,6 +574,68 @@ def test_try_left_factor_zero_left(gf16):
     assert try_left_factor(LinPoly(gf16, [one, one]), E, 2 * gf16.q) is None
 
 
+def full_peel(L, E, bound):
+    """The peel by inversion and composition, for any permutation L."""
+    f = do_compose_lin(L.reduce().inverse(), E.reduce(), "left", reduce=True)
+    return f if f.degree <= bound else None
+
+
+def unit_candidates(field, rng):
+    """Left factors that reduce to a unit c X: c X itself, and the
+    non-units c0 X + c1 X^(p^e) at twists 1 and e, whose reduce() folds
+    to (c0 + c1) X."""
+    e = field.e
+    for _ in range(4):
+        c = field.random_element(rng, nonzero=True)
+        c0 = field.random_element(rng)
+        c1 = c - c0
+        if not c1:
+            continue
+        yield SkewPoly(field, [c])
+        yield SkewPoly(field, [c0] + [field.zero()] * (e - 1) + [c1])
+        yield SkewPoly(field, [c0, c1], twist=e)
+
+
+@pytest.mark.parametrize("p, e", [(2, 4), (3, 3), (5, 2)])
+def test_try_left_factor_unit_decided_by_degree(p, e, monkeypatch):
+    # a unit c X peels to c^-1 E, of degree deg E: above the bound it is
+    # refused with no matrix and no composition, at or below it the full
+    # path runs, recompose check included
+    field = FiniteField(p, e)
+    rng = random.Random(10 * p + e)
+    calls = []
+    real_matrix, real_inverse, real_compose = SkewPoly.to_matrix, SkewPoly.inverse, do_compose_lin
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for seed in range(2):
+        E = hfe_keygen(field, random.Random(seed)).public.poly
+        deg = E.reduce().degree
+        for L in unit_candidates(field, rng):
+            assert L.reduce().degree == 0
+            for bound in (deg - 1, deg):
+                expected = full_peel(L, E, bound)
+                assert (expected is None) == (bound < deg)
+                with monkeypatch.context() as m:
+                    m.setattr(SkewPoly, "to_matrix", spy("to_matrix", real_matrix))
+                    m.setattr(SkewPoly, "inverse", spy("inverse", real_inverse))
+                    m.setattr(hfe, "do_compose_lin", spy("do_compose_lin", real_compose))
+                    calls.clear()
+                    got = try_left_factor(L, E, bound)
+                assert got == expected
+                if bound < deg:
+                    assert calls == []
+                else:
+                    # inverse, its matrix, the peel and the recompose check
+                    assert calls == ["inverse", "to_matrix", "do_compose_lin", "do_compose_lin"]
+                    assert got.degree == deg
+
+
 def test_attack_recovers_foldfree_composition(gf256):
     outer, core, E = foldfree_instance(gf256)
     res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
@@ -585,7 +647,8 @@ def test_attack_recovers_foldfree_composition(gf256):
 
 def test_attack_builds_one_matrix_per_round(gf256, monkeypatch):
     # inverse() is the one permutation test: each round that reaches
-    # try_left_factor builds the matrix of its candidate exactly once
+    # try_left_factor builds the matrix of its candidate at most once;
+    # none for a unit decided by degree
     import skewlin.hfe as hfe
 
     counts = {"matrix": 0, "peel": 0}

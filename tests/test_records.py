@@ -215,11 +215,22 @@ def test_value_record_copies_go_through_the_constructor(name, monkeypatch):
     monkeypatch.setattr(cls, "__init__", counting)
     twin = copy.copy(a)
     assert twin == a and twin is not a and built == [values]
-    if cls is MultivariateKey:
-        # plain data: ints, tuples and dicts
-        for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        if cls is MultivariateKey:
+            # plain data: ints, tuples and dicts
             assert twin == a and twin.quad is not a.quad
-        assert len(built) == 3
+        elif cls is HFEKeyPair:
+            # the two halves compare by identity, so compare what they hold
+            pub, sec = twin.public, twin.secret
+            assert pub is not a.public and pub.poly == a.public.poly
+            assert pub.field == a.public.field and pub.field is not a.public.field
+            layers = ("field", "outer", "core", "inner", "bound")
+            assert [getattr(sec, n) for n in layers] == [getattr(a.secret, n) for n in layers]
+            assert twin.is_consistent()
+        else:
+            # the field is rebuilt from its description, not shared
+            assert twin == a and twin.field == a.field and twin.field is not a.field
+    assert len(built) == 3
 
 
 def test_value_record_constructors_check_the_field():
@@ -237,3 +248,21 @@ def test_value_record_constructors_check_the_field():
         HFEKeyPair(public=kp9.public, secret=kp4.secret)
     with pytest.raises(TypeError):
         HFEKeyPair(kp4.public)
+
+
+def test_field_values_copy_and_pickle():
+    # a field is rebuilt from its description (modulus and basis
+    # included), and each value over it keeps its element indices
+    gf9_basis = FiniteField(3, 2, basis=[[1, 1], [0, 1]])
+    for field in (FiniteField(2, 4), FiniteField(5, 2), gf9_basis):
+        rng = random.Random(field.q)
+        x = field.random_element(rng, nonzero=True)
+        f = SkewPoly(field, [field.random_element(rng) for _ in range(3)] + [x], twist=2)
+        D = DOPoly(field, {(0, 1): x, (1, 1): x * x}, f.reduce(), x).reduce()
+        for value in (field, x, f, D):
+            for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value) and twin == value and twin is not value
+        twin_x, twin_f, twin_D = copy.deepcopy((x, f, D))
+        assert twin_x.field is twin_f.field is twin_D.field  # one memo, one field
+        assert twin_x.field.coordinates(twin_x * twin_x) == field.coordinates(x * x)
+        assert twin_D(twin_x) == D(x) and twin_f.reduce()(twin_x) == f.reduce()(x)
