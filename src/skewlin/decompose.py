@@ -51,36 +51,53 @@ minimal polynomial (through its quotient); find_zero_divisor checks
 each eigenring draw u against f u mod f = 0.
 
 One zero-divisor rule serves the central residue and every eigenring
-draw.  minimal_polynomial returns mu together with the powers
-u^0, ..., u^(d-1) its Krylov loop builds, so a polynomial of degree
-below d in u is an F_p-combination of them.  For the first irreducible
-factor nu of a reducible mu, found by distinct-degree search,
-z = nu(u) and w = (mu/nu)(u) are nonzero (mu is minimal) while
-z w = mu(u) = 0, so z is a zero divisor and gcd_right(f, z) is a
-proper right factor of f.
+draw.  For the first irreducible factor nu of a reducible mu, found by
+distinct-degree search, z = nu(u) and w = (mu/nu)(u) are nonzero (mu
+is minimal) while z w = mu(u) = 0, so z is a zero divisor and
+gcd_right(f, z) is a proper right factor of f.  For an eigenring draw
+and for the central residue of the root, minimal_polynomial returns mu
+together with the powers u^0, ..., u^(d-1) its Krylov loop builds, and
+z and w are F_p-combinations of them.  A part that inherited its mu
+(below) needs no powers: u^i = Y^(r i) mod f, so z = nu(Y^r) mod f and
+w = (mu/nu)(Y^r) mod f are two ring divisions, and
+gcd_right(f, nu(u)) = gcd_right(f, nu(Y^r) mod f) is the same factor.
+The witness check z != 0, w != 0, z w = 0 mod f runs either way, so
+an inherited polynomial that does not annihilate u raises
+InvariantError instead of splitting.
 
-A split also proves the minimal polynomial of a part, when g = 1.
-Lemma: let f = left * right be a split of f made by split_once.
+A split also proves the minimal polynomial of each part, when g = 1.
+Let M = R/Rf.  A central c annuls M exactly when c lies in Rf, so the
+annihilator of M in F_p[Y^e] is (mu).  Lemma: let f = left * right be
+a split of f made by split_once.
   * Central split, with nu the first irreducible factor of mu,
     z = nu(u) and right = gcd_right(f, z): Y^e mod right has minimal
-    polynomial nu.  Proof: nu(Y^e) = z + a f for some a, and right
-    right-divides both z and f, so nu(Y^e) lies in R right and the
-    minimal polynomial of Y^e modulo right divides nu.  It is not 1,
-    as right has degree at least 1, and nu is irreducible.
+    polynomial nu, and Y^e mod left has minimal polynomial mu/nu.
+    Proof: nu(Y^e) = z + a f for some a, and right right-divides both
+    z and f, so nu(Y^e) lies in R right and the minimal polynomial of
+    Y^e modulo right divides nu.  It is not 1, as right has degree at
+    least 1, and nu is irreducible.  For left: R right = Rf + Rz, so
+    R right / Rf = nu(Y^e) M, and x right -> x makes it isomorphic to
+    R/R left (R is a domain).  Its annihilator is
+    {P : mu divides P nu} = (mu/nu).
   * Eigenring split (mu irreducible, f reducible): both parts have minimal
     polynomial mu.  Proof: c = mu(Y^e) is central and lies in Rf,
     which lies in R right, so mu annuls Y^e modulo right.  And
     c right = right c lies in Rf = R left right, so c lies in R left
     (R is a domain).  The minimal polynomials divide mu, which is
     irreducible.
-The left part of a central split gets no such polynomial: it may hold
-every other factor of mu.  A part of the same degree as its proved
-polynomial is certified indecomposable by the g = 1 rule
-deg mu = deg f, with no computation; a larger part is reducible, and
-its mu would be that same irreducible polynomial, so it goes straight
-to the eigenring.
-decompose_complete carries these polynomials down its stack.  For
-g > 1 the certificate needs the part's own span D, so nothing is
+So every part below the root inherits its minimal polynomial, and only
+the root runs a central Krylov search.  Each part carries the pair
+(mu, nu), nu the first irreducible factor of its mu when that is known:
+the right part of a central split gets (nu, nu) and both parts of an
+eigenring split (mu, mu), known irreducible and never factored again;
+the left part gets (mu/nu, nu) when nu divides mu/nu (nu is the least
+irreducible factor of mu, so of mu/nu too) and (mu/nu, None)
+otherwise.  A part with a reducible polynomial splits centrally as
+above; one with an irreducible polynomial of its own degree is
+certified indecomposable by the g = 1 rule deg mu = deg f, with no
+computation; a larger one is reducible, and goes straight to the
+eigenring.  decompose_complete carries these pairs down its stack.
+For g > 1 the certificate needs the part's own span D, so nothing is
 carried.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
@@ -93,7 +110,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import _fppoly as fp
 from . import _linalg
@@ -323,30 +340,39 @@ def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> Ske
 # zero divisors
 
 
+def _witness(
+    mu: list[int], nu: list[int], at: Callable[[list[int]], SkewPoly], modulus: SkewPoly
+) -> tuple[SkewPoly, SkewPoly, list[int]]:
+    """(z, w, mu/nu) with z = nu(u) and w = (mu/nu)(u), checked.
+
+    mu is the minimal polynomial of a residue u in the eigenring of the
+    modulus (a central residue or an eigenring draw), nu a proper factor
+    of mu, and at(poly) is poly(u) modulo the modulus.  z and w are
+    nonzero and z w is zero modulo the modulus, or InvariantError: a mu
+    that does not annihilate u fails here.
+    """
+    rest, rem = fp.divmod_(mu, nu, modulus.field.p)
+    if rem:
+        raise InvariantError("a factor of the minimal polynomial does not divide it")
+    z, w = at(nu), at(rest)
+    if z.is_zero or w.is_zero or not (z * w).mod_right(modulus).is_zero:
+        raise InvariantError("zero-divisor witness does not annihilate")
+    return z, w, rest
+
+
 def _zero_divisor_pair(
-    mu: list[int],
-    powers: list[list[int]],
-    modulus: SkewPoly,
-    nu: Optional[list[int]] = None,
+    mu: list[int], powers: list[list[int]], modulus: SkewPoly
 ) -> Optional[tuple[SkewPoly, SkewPoly]]:
     """(nu(u), (mu/nu)(u)) for the first irreducible factor nu of mu.
 
-    None when mu, the minimal polynomial of u with the powers of
-    minimal_polynomial, is irreducible.  Otherwise both residues are
-    nonzero and their product is zero modulo the modulus.  A caller that
-    has already run fp.first_factor(mu) passes its nu.
+    None when mu, the minimal polynomial of the eigenring draw u with the
+    powers of minimal_polynomial, is irreducible.  Otherwise both residues
+    are nonzero and their product is zero modulo the modulus.
     """
-    p = modulus.field.p
-    if nu is None:
-        nu = fp.first_factor(mu, p)
+    nu = fp.first_factor(mu, modulus.field.p)
     if nu == mu:
         return None
-    rest, rem = fp.divmod_(mu, nu, p)
-    if rem:
-        raise InvariantError("a factor of the minimal polynomial does not divide it")
-    z, w = _poly_at(nu, powers, modulus), _poly_at(rest, powers, modulus)
-    if z.is_zero or w.is_zero or not (z * w).mod_right(modulus).is_zero:
-        raise InvariantError("zero-divisor witness does not annihilate")
+    z, w, _ = _witness(mu, nu, lambda poly: _poly_at(poly, powers, modulus), modulus)
     return z, w
 
 
@@ -476,38 +502,75 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     return _split(f, rng, None)[0]
 
 
+# The minimal polynomial of Y^e modulo a part, paired with its first
+# irreducible factor when that is known (None otherwise)
+Hint = tuple[list[int], Optional[list[int]]]
+
+
+def _at_centre(poly: list[int], r: int, f: SkewPoly) -> SkewPoly:
+    """poly(Y^r) mod f for an F_p-polynomial poly, by one ring division."""
+    cs = [0] * (r * (len(poly) - 1) + 1)
+    cs[::r] = poly  # c < p is the index of the scalar c
+    return SkewPoly._of(f.field, cs, f.twist).mod_right(f)
+
+
+def _central_split(
+    f: SkewPoly, mu: list[int], nu: list[int], at: Callable[[list[int]], SkewPoly]
+) -> tuple[Split, list[int]]:
+    """The Split of f through gcd_right(f, nu(u)), and mu/nu.
+
+    mu is the minimal polynomial of the central residue u = Y^r mod f, nu
+    its first irreducible factor (not mu itself), and at(poly) is poly(u)
+    mod f: read off the Krylov powers at the root, or _at_centre for a
+    part that inherited mu.  The witness z = nu(u), w = (mu/nu)(u) is
+    checked either way.
+    """
+    z, _, rest = _witness(mu, nu, at, f)
+    return _split_off(f, gcd_right(f, z), 0), rest
+
+
 def _split(
-    f: SkewPoly, rng: random.Random, hint: Optional[list[int]]
-) -> tuple[Union[Split, Indecomposable], Optional[list[int]], Optional[list[int]]]:
+    f: SkewPoly, rng: random.Random, hint: Optional[Hint]
+) -> tuple[Union[Split, Indecomposable], Optional[Hint], Optional[Hint]]:
     """split_once(f, rng), with the minimal polynomials it proved for the parts.
 
-    Returns (result, left, right): left and right are the irreducible
-    F_p-polynomials proved to be the minimal polynomials of Y^e modulo
-    the parts of a Split (see the module docstring), or None.  Only
-    g = 1 proves them.  hint, when given, is such a polynomial for f
-    itself, and stands in for the central residue's mu: f is
-    indecomposable when deg hint = deg f and otherwise goes straight to
-    the eigenring, as split_once would after recomputing mu.
+    Returns (result, left, right): left and right are the Hints proved
+    for the parts of a Split, the minimal polynomials of Y^e modulo them
+    (see the module docstring) with their first irreducible factors when
+    known, or None.  Only g = 1 proves them.  hint, when given, is such a
+    pair for f itself, and stands in for the central residue's mu and
+    its first factor, with no Krylov search: a reducible mu splits f
+    through nu(Y^e) mod f, an irreducible one of degree deg f certifies
+    f, and any other goes straight to the eigenring, as split_once would
+    after recomputing mu.
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
-    field, n = f.field, len(f._c) - 1
+    field, n, p = f.field, len(f._c) - 1, f.field.p
     if n <= 1:
         return Indecomposable(), None, None
     if not f._c[0]:
         Y = SkewPoly._of(field, (0, 1), f.twist)
         return Split(left=SkewPoly._of(field, f._c[1:], f.twist), right=Y, tries=0), None, None
     g = math.gcd(f.twist, field.e)
-    mu = hint
-    if mu is None:
-        r = field.e // g
+    r = field.e // g
+    if hint is None:
         mu, powers = minimal_polynomial(_residue_table(f, r + 1)[r], f)
-        nu = fp.first_factor(mu, field.p)
-        if nu != mu:
-            z, _ = _zero_divisor_pair(mu, powers, f, nu)
-            split = _split_off(f, gcd_right(f, z), 0)
-            return split, None, nu if g == 1 else None
+        nu = fp.first_factor(mu, p)
+        at = lambda poly: _poly_at(poly, powers, f)
+    else:
+        mu, nu = hint
+        if nu is None:
+            nu = fp.first_factor(mu, p)
+        at = lambda poly: _at_centre(poly, r, f)
+    if nu != mu:
+        split, rest = _central_split(f, mu, nu, at)
+        if g > 1:
+            return split, None, None
+        # nu is the least irreducible factor of mu, so of mu/nu when it divides it
+        return split, (rest, None if fp.mod(rest, nu, p) else nu), (nu, nu)
     d = len(mu) - 1
+    # a hint is only given for g = 1, so for g > 1 the powers are the root's
     span = d if g == 1 else _fixed_field_span(powers, f, g)
     if span == g * n == math.lcm(g, d):
         return Indecomposable(), None, None
@@ -517,7 +580,7 @@ def _split(
     if E.dim <= 1:
         raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
     zd = find_zero_divisor(E, rng, sys.maxsize)
-    proven = mu if g == 1 else None
+    proven = (mu, mu) if g == 1 else None
     return _split_off(f, gcd_right(f, zd.element), zd.tries), proven, proven
 
 
@@ -548,15 +611,21 @@ def decompose_complete(f: SkewPoly, rng: random.Random) -> Decomposition:
     reproducible.
 
     Each part carries the minimal polynomial of Y^e modulo it that its
-    split proved, if any (twist coprime to e; the lemma of the module
-    docstring).  The right part of a central split through nu gets nu:
-    nu(Y^e) is z plus a multiple of f, and right divides both.  Both
-    parts of an eigenring split get the irreducible mu: the central
-    mu(Y^e) lies in Rf, so in R right, and mu(Y^e) right in Rf gives
-    mu(Y^e) in R left.  A part whose degree equals its polynomial's is
-    a certified leaf with no further work, and a larger one goes
-    straight to the eigenring.  The factors and the state of rng
-    afterwards are those of calling split_once on every part.
+    split proved (twist coprime to e; the lemma of the module
+    docstring), with its first irreducible factor when known.  The
+    right part of a central split through nu gets nu: nu(Y^e) is z plus
+    a multiple of f, and right divides both.  The left part gets mu/nu:
+    R right / Rf = nu(Y^e) R/Rf is isomorphic to R/R left, and its
+    annihilator is (mu/nu).  Both parts of an eigenring split get the
+    irreducible mu: the central mu(Y^e) lies in Rf, so in R right, and
+    mu(Y^e) right in Rf gives mu(Y^e) in R left.  So only the root runs
+    a central Krylov search.  A part with a reducible polynomial splits
+    through gcd_right(h, nu(Y^e) mod h), which equals
+    gcd_right(h, nu(u)) for u = Y^e mod h; one whose irreducible
+    polynomial has its degree is a certified leaf with no further work,
+    and a larger one goes straight to the eigenring.  The factors and
+    the state of rng afterwards are those of calling split_once on
+    every part.
     """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")

@@ -208,6 +208,9 @@ class DOPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, DOPoly) and self.field == other.field and self._t == other._t
 
+    def __hash__(self) -> int:
+        return hash((self.field, frozenset(self._t.items())))
+
     def __repr__(self) -> str:
         terms = {x: list(self.field._digits(c)) for x, c in sorted(self._t.items())}
         return f"DOPoly(terms={terms})"
@@ -510,7 +513,10 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
 
 
 class HFEPublicKey:
-    """The public map E; its coordinate forms are derived from it on first use."""
+    """The public map E; its coordinate forms are derived from it on first use.
+
+    Two public keys are equal, and hash alike, when their E are equal.
+    """
 
     __slots__ = ("poly", "_multivariate")
 
@@ -528,6 +534,14 @@ class HFEPublicKey:
             self._multivariate = to_multivariate(self.poly)
         return self._multivariate
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self) -> int:
+        return hash(self.poly)
+
     def __repr__(self) -> str:
         return f"HFEPublicKey(field={self.field!r}, degree={self.poly.degree})"
 
@@ -535,7 +549,11 @@ class HFEPublicKey:
 class HFESecretKey:
     """outer . core . inner with additive permutations around a DO core,
     all three over field; decryption reads Z_p matrices of their inverses
-    and a core table of coordinate-vector indices only."""
+    and a core table of coordinate-vector indices only.
+
+    Two secret keys are equal, and hash alike, when their field, layers
+    and bound are; the inverses and the table built on use do not count.
+    """
 
     def __init__(
         self, field: FiniteField, outer: SkewPoly, core: DOPoly, inner: SkewPoly, bound: int
@@ -581,12 +599,24 @@ class HFESecretKey:
             self._table = _graywalk.preimage_table(self.field.p, self.field.e, evaluate)
         return self._table
 
+    def _material(self) -> tuple:
+        return (self.field, self.outer, self.core, self.inner, self.bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._material() == other._material()
+
+    def __hash__(self) -> int:
+        return hash(self._material())
+
     def __repr__(self) -> str:
         return f"HFESecretKey(field={self.field!r}, bound={self.bound})"
 
 
 class HFEKeyPair(Record):
-    """Fields public (HFEPublicKey) and secret (HFESecretKey), over one field."""
+    """Fields public (HFEPublicKey) and secret (HFESecretKey), over one
+    field; compared by the key material of both halves."""
 
     __slots__ = ("public", "secret")
 

@@ -1,5 +1,8 @@
 """Slow, independent routines the tests compare the library against."""
 
+from sympy import GF, Poly, symbols
+from sympy.polys.matrices import DomainMatrix
+
 import skewlin._fppoly as fp
 from skewlin import _graywalk, _linalg, decompose
 from skewlin.hfe import to_multivariate
@@ -67,6 +70,36 @@ def decompose_by_split_once(f, rng):
         else:
             stack += (res.right, res.left)
     return decompose.Decomposition(field=f.field, twist=f.twist, unit=unit, factors=tuple(factors))
+
+
+def central_charpoly(f) -> Poly:
+    """chi_f, the characteristic polynomial over Z_p of the central Y^e
+    acting on R/Rf (Ore's module view), a sympy Poly modulo p.
+
+    Y^e t^d Y^i = t^d Y^(e+i), so the column of the Z_p-basis element
+    t^d Y^i (d < e, i < deg f) is the digits of t^d Y^(e+i) mod f, taken
+    by this module's ring division; sympy takes the characteristic
+    polynomial over GF(p).  Nothing of decompose runs.  Multiplicative
+    along a factorisation (R right / R f = R / R left for f = left right),
+    and for an irreducible f with twist coprime to e it is nu^e, nu
+    irreducible of degree deg f.
+    """
+    field, n = f.field, f.degree
+    p, e = field.p, field.e
+    g = f.monic_left()
+    cols = []
+    for i in range(n):
+        for d in range(e):
+            digits = [0] * e
+            digits[d] = 1
+            y = SkewPoly.monomial(field, e + i, field.element(tuple(digits)), f.twist)
+            rem = divmod_right(y, g)[1]
+            col = [x for c in rem.coeffs for x in c.digits]
+            cols.append(col + [0] * (n * e - len(col)))
+    K = GF(p)
+    size = n * e
+    matrix = DomainMatrix([[K(col[r]) for col in cols] for r in range(size)], (size, size), K)
+    return Poly([int(c) for c in matrix.charpoly()], symbols("x"), modulus=p)
 
 
 def rref(a, p: int) -> tuple[list[list[int]], list[int]]:

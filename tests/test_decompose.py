@@ -589,7 +589,8 @@ def _check_against_split_once(f, seed):
     """decompose_complete(f) against oracles.decompose_by_split_once, the
     loop that calls split_once on every part: the same unit, factors and
     rng state afterwards.  Every minimal polynomial a split hands a part
-    is that of Y^e modulo the part, and a part it makes a leaf is one
+    is that of Y^e modulo the part, the first factor handed with it is
+    its first irreducible factor, and a part it makes a leaf is one
     split_once certifies.  Returns the (part, hint, result) of each step."""
     steps = []
     real = decompose._split
@@ -611,10 +612,12 @@ def _check_against_split_once(f, seed):
         if hint is None:
             continue
         assert math.gcd(f.twist, field.e) == 1
+        mu, nu = hint
         u = SkewPoly.monomial(field, field.e, field.one(), f.twist).mod_right(h)
-        assert minimal_polynomial(u, h)[0] == hint
+        assert minimal_polynomial(u, h)[0] == mu
+        assert nu is None or nu == fp.first_factor(mu, field.p)
         if isinstance(res, Indecomposable):
-            assert len(hint) - 1 == h.degree
+            assert len(mu) - 1 == h.degree
             assert isinstance(split_once(h, random.Random(0)), Indecomposable)
     return steps
 
@@ -662,8 +665,8 @@ def _irreducible(field, rng, degree):
 def test_distinct_bounds_need_two_minimal_polynomials(gf16, order, monkeypatch):
     # over GF(16), twist 1, an irreducible of degree d has an irreducible
     # mu of degree d over F_2, so a quadratic and a cubic have distinct
-    # bounds.  The central split hands the right part its nu, and only f
-    # and the left part run a Krylov search, not all three
+    # bounds.  The central split hands the right part its nu and the left
+    # part mu/nu, so only f runs a Krylov search, not all three
     rng = random.Random(88)
     quad, cubic = _irreducible(gf16, rng, 2), _irreducible(gf16, rng, 3)
     f = quad * cubic if order == "quadratic-first" else cubic * quad
@@ -675,7 +678,7 @@ def test_distinct_bounds_need_two_minimal_polynomials(gf16, order, monkeypatch):
     dec = decompose_complete(f, random.Random(1))
     # nu = Z^2 + Z + 1 comes first, so the right part is the quadratic one
     assert dec.degrees() == (3, 2) and dec.product() == f
-    assert len(calls) == 2 and calls[0] == f and calls[1] == dec.factors[0]
+    assert calls == [f]
 
 
 def test_eigenring_split_parts_need_no_krylov(gf16, monkeypatch):
@@ -698,6 +701,99 @@ def test_eigenring_split_parts_need_no_krylov(gf16, monkeypatch):
     dec = decompose_complete(f, random.Random(2))
     assert dec.degrees() == (2, 2) and dec.product() == f
     assert len(calls) >= 2 and all(m == f for m in calls)
+
+
+Z2Z1 = [1, 1, 1]  # Z^2 + Z + 1, the mu of every quadratic irreducible over GF(16), twist 1
+
+
+def _power_chain(field, rng, k):
+    """A product of k quadratic irreducibles over GF(16), twist 1, whose mu
+    is (Z^2 + Z + 1)^k: not semisimple, so every split is central."""
+    power = [1]
+    for _ in range(k):
+        power = fp.mul(power, Z2Z1, 2)
+    y4 = SkewPoly.monomial(field, 4, field.one())
+    while True:
+        f = SkewPoly.one(field)
+        for _ in range(k):
+            f = f * _irreducible(field, rng, 2)
+        if minimal_polynomial(y4.mod_right(f), f)[0] == power:
+            return f, power
+
+
+def test_power_chain_needs_one_minimal_polynomial(gf16, monkeypatch):
+    # mu = (Z^2 + Z + 1)^3: the root splits off a quadratic through nu and
+    # hands the left part (Z^2 + Z + 1)^2 with nu as its first factor, which
+    # splits again by nu(Y^4) mod the part, with no Krylov search or eigenring
+    f, _ = _power_chain(gf16, random.Random(92), 3)
+    calls = []
+    for name in ("minimal_polynomial", "eigen_ring"):
+        real = getattr(decompose, name)
+        monkeypatch.setattr(
+            decompose, name, lambda *a, n=name, r=real: calls.append((n, a[-1])) or r(*a)
+        )
+    dec = decompose_complete(f, random.Random(3))
+    assert dec.degrees() == (2, 2, 2) and dec.product() == f
+    assert calls == [("minimal_polynomial", f)]
+
+
+def test_wrong_reducible_hint_raises(gf16):
+    # a part with a reducible hint splits with no Krylov search, and the
+    # witness check z != 0, w != 0, z w = 0 mod f catches a hint that does
+    # not annihilate Y^4 mod f: (Z + 1) mu, whose first factor Z + 1 leaves
+    # w = mu(Y^4) = 0, and two other reducible polynomials of mu's degree
+    f, mu = _power_chain(gf16, random.Random(93), 2)
+    rng = random.Random(4)
+    res, left, right = decompose._split(f, rng, (mu, Z2Z1))
+    assert isinstance(res, Split) and res.left * res.right == f
+    assert left == right == (Z2Z1, Z2Z1)
+    state = rng.getstate()
+    extra = fp.mul([1, 1], mu, 2)
+    other = [fp.mul([1, 1], [1, 1, 0, 1], 2), fp.mul(Z2Z1, [1, 0, 1], 2)]
+    assert not fp.mod(extra, mu, 2) and all(fp.mod(h, mu, 2) for h in other)
+    for hint in [(extra, None), (extra, [1, 1]), *((h, None) for h in other)]:
+        assert len(hint[0]) > 2 and not fp.is_irreducible(hint[0], 2)
+        with pytest.raises(InvariantError, match="witness does not annihilate"):
+            decompose._split(f, rng, hint)
+    assert rng.getstate() == state
+
+
+# (p, e, degree) with degree * e above ORACLE_LIMIT, where oracle_decompose refuses
+ORE_CASES = [(2, 4, 4), (2, 5, 3), (3, 3, 5), (3, 2, 7), (5, 2, 7), (5, 3, 5)]
+
+
+@pytest.mark.parametrize("p, e, degree", ORE_CASES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_leaves_match_ore_module_oracle(p, e, degree, data):
+    # Ore's module view, with no size bound: chi, the characteristic
+    # polynomial of the central Y^e on R/Rf, is multiplicative along the
+    # factorisation, and for twist coprime to e a leaf h is irreducible
+    # exactly when chi_h = nu^e with nu irreducible of degree deg h (its
+    # module is simple and Y^e acts on it through a field); for other
+    # twists a leaf's chi is still a power of one irreducible
+    assert degree * e > ORACLE_LIMIT
+    field = FiniteField(p, e)
+    twist = data.draw(st.integers(1, e))
+    index = st.integers(0, field.q - 1)
+    f = SkewPoly.one(field, twist)
+    while f.degree < degree:
+        d = data.draw(st.integers(1, min(3, degree - f.degree)))
+        cs = data.draw(st.lists(index, min_size=d, max_size=d))
+        f = f * SkewPoly(field, [field.from_int(n) for n in cs] + [field.one()], twist)
+    dec = decompose_complete(f, random.Random(data.draw(st.integers(0, 99))))
+    assert dec.product() == f
+    chis = [oracles.central_charpoly(h) for h in dec.factors]
+    product = chis[0]
+    for chi in chis[1:]:
+        product = product * chi
+    assert product == oracles.central_charpoly(f)
+    for h, chi in zip(dec.factors, chis):
+        lead, factors = chi.factor_list()
+        assert lead == 1 and len(factors) == 1
+        (nu, k), = factors
+        if math.gcd(twist, e) == 1:
+            assert (nu.degree(), k) == (h.degree, e)
 
 
 def test_decompose_same_with_division_checks_off(monkeypatch):

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from skewlin import serialize as ser
 from skewlin._record import Record
 from skewlin.decompose import (
     Decomposition,
@@ -39,6 +40,8 @@ from skewlin.hfe import (
     DOShapeResult,
     FailedLinearity,
     HFEKeyPair,
+    HFEPublicKey,
+    HFESecretKey,
     MultivariateKey,
     hfe_keygen,
     to_multivariate,
@@ -220,8 +223,10 @@ def test_value_record_copies_go_through_the_constructor(name, monkeypatch):
             # plain data: ints, tuples and dicts
             assert twin == a and twin.quad is not a.quad
         elif cls is HFEKeyPair:
-            # the two halves compare by identity, so compare what they hold
+            # the two halves compare by their key material, not by identity
             pub, sec = twin.public, twin.secret
+            assert twin == a and hash(twin) == hash(a)
+            assert pub == a.public and sec == a.secret
             assert pub is not a.public and pub.poly == a.public.poly
             assert pub.field == a.public.field and pub.field is not a.public.field
             layers = ("field", "outer", "core", "inner", "bound")
@@ -231,6 +236,28 @@ def test_value_record_copies_go_through_the_constructor(name, monkeypatch):
             # the field is rebuilt from its description, not shared
             assert twin == a and twin.field == a.field and twin.field is not a.field
     assert len(built) == 3
+
+
+def test_keypair_round_trips_equal_the_original():
+    # the halves compare and hash by their key material (E; field, S, D, T,
+    # bound), never by the caches built on use, so a key pair read back from
+    # JSON, pickled or deep-copied equals the one it came from
+    gf16 = FiniteField(2, 4)
+    kp = hfe_keygen(gf16, random.Random(0))
+    kp.secret.core_table()
+    kp.secret.outer_inverse()
+    parsed = ser.keypair_from_obj(ser.parse_text(ser.dumps(ser.keypair_to_obj(kp))))
+    assert parsed.secret._table is None and parsed.secret._outer_inv is None
+    for twin in (parsed, pickle.loads(pickle.dumps(kp)), copy.deepcopy(kp)):
+        assert twin == kp and hash(twin) == hash(kp) and twin is not kp
+        assert twin.public == kp.public and hash(twin.public) == hash(kp.public)
+        assert twin.secret == kp.secret and hash(twin.secret) == hash(kp.secret)
+        assert len({twin, kp}) == 1
+    other = hfe_keygen(gf16, random.Random(1))
+    assert kp.public != other.public and kp.secret != other.secret and kp != other
+    bound = HFESecretKey(gf16, kp.secret.outer, kp.secret.core, kp.secret.inner, 17)
+    assert bound != kp.secret and HFEPublicKey(kp.public.poly) == kp.public
+    assert kp.public != kp.public.poly and kp.secret != kp.secret.core
 
 
 def test_value_record_constructors_check_the_field():
