@@ -1,17 +1,23 @@
 """Immutable value records: the result types of decompose and hfe, and
-the value classes EigenRing, MultivariateKey, HFEKeyPair and FqPoly.
+the value classes EigenRing, MultivariateKey, HFEPublicKey, HFESecretKey,
+HFEKeyPair and FqPoly.
 
 A Record subclass names its fields in __slots__, in order.  The
 constructor takes them by position or keyword, the repr lists them as
 keywords, instances compare and hash by the tuple of their values, and
-assignment raises AttributeError.  A subclass that compares by identity
-sets __eq__ and __hash__ back to object's, and one whose values do not
-hash (MultivariateKey holds dicts) sets __hash__ to None.  A subclass
-that checks its fields does so in a short __init__ that ends in
+assignment raises AttributeError.  A subclass whose values do not hash
+(MultivariateKey holds dicts) sets __hash__ to None.  A subclass that
+checks its fields does so in a short __init__ that ends in
 super().__init__.  copy, deepcopy and pickle rebuild a record through its
 constructor, so they check the fields too; a deep copy of a record over a
 finite field rebuilds the field from its description.  __match_args__
 lists the fields for positional class patterns.
+
+A slot whose name starts with an underscore is a cache, not a field: the
+constructor does not take it and sets it to None, and the repr, equality,
+hashing, __match_args__, copies and pickles leave it out.  The one method
+that builds a cache fills it through object.__setattr__, so a copy of a
+record starts with empty caches.
 
 Each subclass also carries the __dataclass_fields__ table that
 dataclasses.replace reads, so replace(record, field=value) builds a
@@ -20,7 +26,7 @@ importing dataclasses (which loads inspect, ast, dis and tokenize).  The
 table exists only because perfbench/selftest.py corrupts Decomposition
 and AttackResult with dataclasses.replace; it goes once that file builds
 them with their constructors (ROADMAP direction 8).  Until then the
-table also rides on the four value classes, and dataclasses.is_dataclass
+table also rides on the six value classes, and dataclasses.is_dataclass
 is true of every record while dataclasses.fields and asdict see no
 fields.
 """
@@ -44,11 +50,12 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls.__slots__
-        cls.__dataclass_fields__ = {name: _Field(name) for name in cls.__slots__}
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls.__match_args__ = cls._fields
+        cls.__dataclass_fields__ = {name: _Field(name) for name in cls._fields}
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         name = type(self).__name__
         if len(args) > len(names):
             raise TypeError(f"{name}() takes {len(names)} arguments, got {len(args)}")
@@ -60,8 +67,8 @@ class Record:
         missing = [n for n in names if n not in values]
         if missing:
             raise TypeError(f"{name}() is missing {', '.join(missing)}")
-        for key in names:
-            object.__setattr__(self, key, values[key])
+        for key in self.__slots__:  # the caches start empty
+            object.__setattr__(self, key, values.get(key))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -70,13 +77,13 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, n) for n in self.__slots__)
+        return tuple(getattr(self, n) for n in self._fields)
 
     def __reduce__(self):
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):

@@ -40,8 +40,12 @@ low-degree core; a recovered pair decrypts as the secret key
 left divisibility, so honest instances may resist; failures are
 reported, never hidden.
 
-The public key is E alone; its coordinate quadratic forms over Z_p are
-derived from E on first use.  A key pair is consistent when S . D . T,
+Both keys are immutable records that compare and hash by their key
+material.  The public key is E alone; its coordinate quadratic forms over
+Z_p are derived from E on first use.  The secret key is S, D, T and the
+bound; the inverse matrices of S and T and the core table are built on
+first use.  These caches stay with the key that built them: a copy or a
+pickle starts without them.  A key pair is consistent when S . D . T,
 composed as key generation composes it (S and T reduced first, exponents
 folded), equals E reduced (HFEKeyPair.is_consistent): both sides are
 reduced, so they are equal exactly when they agree as maps.  Loading a
@@ -317,11 +321,9 @@ class FailedLinearity(Record):
 
 class DOShapeResult(Record):
     """Fields ok (bool), value (Optional[DOPoly]), offender (Optional[int])
-    and witness (Optional[FailedLinearity]); compared by identity."""
+    and witness (Optional[FailedLinearity])."""
 
     __slots__ = ("ok", "value", "offender", "witness")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 def _do_slots(p: int, e: int) -> dict[int, tuple[int, ...]]:
@@ -512,17 +514,13 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
 # HFE keys
 
 
-class HFEPublicKey:
-    """The public map E; its coordinate forms are derived from it on first use.
-
-    Two public keys are equal, and hash alike, when their E are equal.
-    """
+class HFEPublicKey(Record):
+    """Field poly, the public map E (DOPoly); its coordinate forms are
+    derived from it on first use and cached in _multivariate, which copies
+    leave behind.  Two public keys are equal, and hash alike, when their E
+    are equal."""
 
     __slots__ = ("poly", "_multivariate")
-
-    def __init__(self, poly: DOPoly):
-        self.poly = poly
-        self._multivariate: Optional[MultivariateKey] = None
 
     @property
     def field(self) -> FiniteField:
@@ -531,52 +529,40 @@ class HFEPublicKey:
     @property
     def multivariate(self) -> MultivariateKey:
         if self._multivariate is None:
-            self._multivariate = to_multivariate(self.poly)
+            object.__setattr__(self, "_multivariate", to_multivariate(self.poly))
         return self._multivariate
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self) -> int:
-        return hash(self.poly)
 
     def __repr__(self) -> str:
         return f"HFEPublicKey(field={self.field!r}, degree={self.poly.degree})"
 
 
-class HFESecretKey:
-    """outer . core . inner with additive permutations around a DO core,
-    all three over field; decryption reads Z_p matrices of their inverses
-    and a core table of coordinate-vector indices only.
-
-    Two secret keys are equal, and hash alike, when their field, layers
-    and bound are; the inverses and the table built on use do not count.
+class HFESecretKey(Record):
+    """Fields field, outer, core, inner and bound: outer . core . inner
+    with additive permutations (SkewPoly) around a DO core (DOPoly), all
+    three over field, and the core's degree bound (int).  Decryption reads
+    Z_p matrices of the inverses of outer and inner and a core table of
+    coordinate-vector indices only; the three are cached on first use in
+    _outer_inv, _inner_inv and _table, which equality, hashing, copies and
+    pickles leave out.
     """
+
+    __slots__ = ("field", "outer", "core", "inner", "bound", "_outer_inv", "_inner_inv", "_table")
 
     def __init__(
         self, field: FiniteField, outer: SkewPoly, core: DOPoly, inner: SkewPoly, bound: int
     ):
         if any(layer.field != field for layer in (outer, core, inner)):
             raise ContextMismatchError("secret key layers over different fields")
-        self.field = field
-        self.outer = outer
-        self.core = core
-        self.inner = inner
-        self.bound = bound
-        self._outer_inv: Optional[Matrix] = None
-        self._inner_inv: Optional[Matrix] = None
-        self._table: Optional[dict[int, list[int]]] = None
+        super().__init__(field, outer, core, inner, bound)
 
     def outer_inverse(self) -> Matrix:
         if self._outer_inv is None:
-            self._outer_inv = self.outer.inverse_matrix()
+            object.__setattr__(self, "_outer_inv", self.outer.inverse_matrix())
         return self._outer_inv
 
     def inner_inverse(self) -> Matrix:
         if self._inner_inv is None:
-            self._inner_inv = self.inner.inverse_matrix()
+            object.__setattr__(self, "_inner_inv", self.inner.inverse_matrix())
         return self._inner_inv
 
     def core_table(self, max_q: Optional[int] = None) -> dict[int, list[int]]:
@@ -588,27 +574,18 @@ class HFESecretKey:
         vectors (_graywalk.preimage_table) through the core's coordinate
         forms over Z_p: one step per element, each a few int operations.
         A field larger than max_q (default POLICY_MAX_Q) is refused, built
-        table or not.  The table lives on this key only; decrypt_with_factors
-        builds a fresh key, and so a fresh table, per call.
+        table or not.  The table lives on this key only: a copy or pickle
+        of the key starts without it, and decrypt_with_factors builds a
+        fresh key, and so a fresh table, per call.
         """
         cap = POLICY_MAX_Q if max_q is None else max_q
         if self.field.q > cap:
             raise PolicyBoundError(f"field size {self.field.q} exceeds decrypt cap {cap}")
         if self._table is None:
             evaluate = to_multivariate(self.core).evaluate
-            self._table = _graywalk.preimage_table(self.field.p, self.field.e, evaluate)
+            table = _graywalk.preimage_table(self.field.p, self.field.e, evaluate)
+            object.__setattr__(self, "_table", table)
         return self._table
-
-    def _material(self) -> tuple:
-        return (self.field, self.outer, self.core, self.inner, self.bound)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._material() == other._material()
-
-    def __hash__(self) -> int:
-        return hash(self._material())
 
     def __repr__(self) -> str:
         return f"HFESecretKey(field={self.field!r}, bound={self.bound})"
@@ -757,14 +734,9 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
 
 
 class AttackResult(Record):
-    """Fields left (SkewPoly), core (DOPoly) and rounds (int); mutable,
-    compared by identity."""
+    """Fields left (SkewPoly), core (DOPoly) and rounds (int)."""
 
     __slots__ = ("left", "core", "rounds")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 def gcldf_attack(

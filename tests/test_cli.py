@@ -443,6 +443,18 @@ def test_attack_batch_validation(capsys):
     assert code == 1 and out == "" and "below p^2" in err
 
 
+def test_attack_batch_checks_recovered_factors_decrypt(capsys, monkeypatch):
+    # instance 0 at seed 0 is recovered in one round, so its test message
+    # reaches the decryption check, which fires when nothing decrypts
+    argv = ("attack", "--instances", "1", "--p", "2", "--e", "4", "--seed", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"] == [{"instance": 0, "ok": True, "rounds": 1}]
+    monkeypatch.setattr("skewlin.hfe.decrypt_with_factors", lambda *args, **kwargs: [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "skewlin: recovered factors failed to decrypt a test message\n"
+
+
 def test_attack_rejects_nonpositive_max_rounds(capsys, tmp_path):
     _, out, _ = run(capsys, "keygen", "--p", "2", "--e", "4", "--seed", "4")
     path = tmp_path / "kp.json"

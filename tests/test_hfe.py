@@ -13,6 +13,7 @@ from skewlin.errors import (
     AttackFailedError,
     ContextMismatchError,
     DegreeBoundTooSmallError,
+    InvariantError,
     NotAPermutationError,
     ParseError,
     PolicyBoundError,
@@ -72,6 +73,21 @@ def test_keygen_structure(gf256, gf9):
             sec.outer, do_compose_lin(sec.inner, sec.core, "right"), "left"
         ).reduce()
         assert rebuilt == E
+
+
+def test_keygen_checks_the_public_map(gf16, monkeypatch):
+    # a public map with a constant term, or with no quadratic term, is refused
+    real = hfe._public_map
+    broken = (
+        lambda secret: real(secret) + DOPoly(gf16, {}, None, gf16.one()),
+        lambda secret: DOPoly(gf16, {}, secret.outer.reduce()),
+    )
+    for public_map in broken:
+        monkeypatch.setattr(hfe, "_public_map", public_map)
+        with pytest.raises(InvariantError, match="lost its quadratic part or gained a constant"):
+            hfe_keygen(gf16, random.Random(0))
+    monkeypatch.setattr(hfe, "_public_map", real)
+    assert hfe_keygen(gf16, random.Random(0)).is_consistent()
 
 
 def test_keygen_bound_validation(gf4):

@@ -200,3 +200,45 @@ def test_no_module_level_mutable_state():
                 if any(alias.name in ("cache", "lru_cache") for alias in node.names):
                     offenders.append(f"{path.name}:{node.lineno} cache import")
     assert offenders == []
+
+
+IDENTITY_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+PRIMITIVES = {"Record", "FqElem", "FiniteField", "SkewPoly", "DOPoly"}
+
+
+def _defined_names(cls: ast.ClassDef):
+    """(name, node) for each method the class body defines or assigns."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _is_unhashable_marker(node) -> bool:
+    return (
+        isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__hash__"]
+        and isinstance(node.value, ast.Constant)
+        and node.value.value is None
+    )
+
+
+def test_one_equality_contract():
+    # a class compares by value as a Record, or is one of the four
+    # primitives with hand-written immutability; a Record subclass may
+    # only declare itself unhashable (__hash__ = None), never compare by
+    # identity or allow assignment
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or cls.name in PRIMITIVES:
+                continue
+            is_record = any(getattr(base, "id", None) == "Record" for base in cls.bases)
+            for name, node in _defined_names(cls):
+                if name in IDENTITY_METHODS and not (is_record and _is_unhashable_marker(node)):
+                    offenders.append(f"{path.name}:{node.lineno} {cls.name}.{name}")
+    assert offenders == []

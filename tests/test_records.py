@@ -1,16 +1,16 @@
 """The result records of decompose and hfe.
 
-They are slotted classes with the behaviour their dataclass forms had:
-keyword and positional constructors, a keyword repr, no assignment where
-frozen, equality and hashing by value, or by identity where the class
-compares by identity, copies with a field changed through
-dataclasses.replace, copy, deepcopy and pickle round trips, and
+They are slotted classes with the behaviour their frozen dataclass
+forms had: keyword and positional constructors, a keyword repr, no
+assignment, equality and hashing by value, copies with a field changed
+through dataclasses.replace, copy, deepcopy and pickle round trips, and
 positional class patterns.
 
-Four value classes with fields over a finite field are records too:
-EigenRing, MultivariateKey, HFEKeyPair and FqPoly.  The last two check
-their fields in a short constructor, which copies and the pickle payload
-go through.
+Six value classes with fields over a finite field are records too:
+EigenRing, MultivariateKey, HFEPublicKey, HFESecretKey, HFEKeyPair and
+FqPoly.  The last three check their fields in a short constructor, which
+copies and the pickle payload go through.  The two keys also hold caches
+built on first use, which no comparison, copy or pickle carries.
 """
 
 import copy
@@ -48,23 +48,21 @@ from skewlin.hfe import (
 )
 from skewlin.skew import SkewPoly
 
-# class, field names, compared by value (else by identity), frozen
+# class, field names
 RECORDS = [
-    (ZeroDivisor, ("element", "witness", "tries"), True, True),
-    (Split, ("left", "right", "tries"), True, True),
-    (Indecomposable, (), True, True),
-    (Decomposition, ("field", "twist", "unit", "factors"), True, True),
-    (SplitStats, ("trials", "first_try_successes", "mean_tries", "ci95", "seed"), True, True),
-    (FailedLinearity, ("a", "x", "y"), True, True),
-    (DOShapeResult, ("ok", "value", "offender", "witness"), False, True),
-    (AttackResult, ("left", "core", "rounds"), False, False),
+    (ZeroDivisor, ("element", "witness", "tries")),
+    (Split, ("left", "right", "tries")),
+    (Indecomposable, ()),
+    (Decomposition, ("field", "twist", "unit", "factors")),
+    (SplitStats, ("trials", "first_try_successes", "mean_tries", "ci95", "seed")),
+    (FailedLinearity, ("a", "x", "y")),
+    (DOShapeResult, ("ok", "value", "offender", "witness")),
+    (AttackResult, ("left", "core", "rounds")),
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, names, by_value, frozen", RECORDS, ids=[r[0].__name__ for r in RECORDS]
-)
-def test_record_contract(cls, names, by_value, frozen):
+@pytest.mark.parametrize("cls, names", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, names):
     values = [(i, "v") for i in range(len(names))]
     a = cls(**dict(zip(names, values)))
     b = cls(*values)
@@ -72,26 +70,20 @@ def test_record_contract(cls, names, by_value, frozen):
     assert not hasattr(a, "__dict__")
     fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
     assert repr(a) == f"{cls.__name__}({fields})"
-    if by_value:
-        assert a == b and hash(a) == hash(b)
-        if names:
-            assert a != cls(*values[:-1], "other")
-    else:
-        assert a == a and a != b
-        assert len({a, b}) == 2
+    assert a == b and hash(a) == hash(b)
+    if names:
+        assert a != cls(*values[:-1], "other")
     if names:
         changed = dataclasses.replace(a, **{names[0]: "new"})
         assert type(changed) is cls and getattr(changed, names[0]) == "new"
         assert [getattr(changed, n) for n in names[1:]] == values[1:]
         assert [getattr(a, n) for n in names] == values
-    if frozen:
-        for name in names or ("anything",):
-            with pytest.raises(AttributeError):
-                setattr(a, name, 1)
-        assert [getattr(a, n) for n in names] == values
-    else:
-        setattr(a, names[-1], 1)
-        assert getattr(a, names[-1]) == 1
+    for name in names or ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert [getattr(a, n) for n in names] == values
     with pytest.raises(TypeError):
         cls(*values, "extra")
     with pytest.raises(TypeError):
@@ -103,16 +95,14 @@ def test_record_contract(cls, names, by_value, frozen):
             cls(*values, **{names[0]: values[0]})
 
 
-@pytest.mark.parametrize(
-    "cls, names, by_value, frozen", RECORDS, ids=[r[0].__name__ for r in RECORDS]
-)
-def test_record_copies_and_matches(cls, names, by_value, frozen):
+@pytest.mark.parametrize("cls, names", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_copies_and_matches(cls, names):
     values = [(i, "v") for i in range(len(names))]
     a = cls(*values)
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is cls and twin is not a
         assert [getattr(twin, n) for n in names] == values
-        assert (twin == a) is by_value
+        assert twin == a and hash(twin) == hash(a)
     assert cls.__match_args__ == names
     if names:
         match a:
@@ -128,13 +118,14 @@ def test_record_copies_and_matches(cls, names, by_value, frozen):
 
 def value_records():
     """Name -> (instance, an equal instance built apart, an unequal one,
-    repr) for each of the four classes; the equal MultivariateKey and
+    repr) for each of the six classes; the equal MultivariateKey and
     FqPoly are built over a second GF(9)."""
     gf4, gf9, gf16, gf9_apart = (FiniteField(*pe) for pe in ((2, 2), (3, 2), (2, 4), (3, 2)))
     cs = [gf9.from_int(2), gf9.zero(), gf9.from_int(5)]
     f = SkewPoly(gf4, [gf4.one(), gf4.zero(), gf4.one()])
     D = DOPoly(gf9, {(0, 1): gf9.one()})
     kp, other = hfe_keygen(gf16, random.Random(0)), hfe_keygen(gf16, random.Random(1))
+    layers = [getattr(kp.secret, n) for n in ("field", "outer", "core", "inner")]
     return {
         "EigenRing": (
             eigen_ring(f),
@@ -147,6 +138,18 @@ def value_records():
             to_multivariate(DOPoly(gf9_apart, {(0, 1): gf9_apart.one()})),
             to_multivariate(D + D),
             "MultivariateKey(p=3, n_vars=2, max_terms=2)",
+        ),
+        "HFEPublicKey": (
+            kp.public,
+            HFEPublicKey(kp.public.poly + DOPoly.zero(gf16)),
+            other.public,
+            "HFEPublicKey(field=GF(2^4), degree=12)",
+        ),
+        "HFESecretKey": (
+            kp.secret,
+            HFESecretKey(*layers, kp.secret.bound),
+            HFESecretKey(*layers, 17),
+            "HFESecretKey(field=GF(2^4), bound=16)",
         ),
         "HFEKeyPair": (
             kp,
@@ -167,6 +170,8 @@ def value_records():
 VALUE_RECORDS = {
     "EigenRing": ("field", "modulus", "basis"),
     "MultivariateKey": ("p", "n_vars", "quad", "lin", "const"),
+    "HFEPublicKey": ("poly",),
+    "HFESecretKey": ("field", "outer", "core", "inner", "bound"),
     "HFEKeyPair": ("public", "secret"),
     "FqPoly": ("field", "coeffs"),
 }
@@ -178,11 +183,13 @@ def test_value_record_contract(name):
     names = VALUE_RECORDS[name]
     cls = type(a)
     assert issubclass(cls, Record) and cls.__name__ == name
-    assert cls.__match_args__ == cls.__slots__ == names
+    assert cls.__match_args__ == tuple(cls.__dataclass_fields__) == names
+    caches = tuple(n for n in cls.__slots__ if n not in names)
+    assert all(n.startswith("_") for n in caches)
     assert not hasattr(a, "__dict__")
     assert repr(a) == text
     values = [getattr(a, n) for n in names]
-    for attr in (*names, "anything"):
+    for attr in (*names, *caches, "anything"):
         with pytest.raises(AttributeError):
             setattr(a, attr, 1)
         with pytest.raises(AttributeError):
@@ -238,26 +245,52 @@ def test_value_record_copies_go_through_the_constructor(name, monkeypatch):
     assert len(built) == 3
 
 
+def _caches(kp):
+    return (kp.secret._table, kp.secret._outer_inv, kp.secret._inner_inv, kp.public._multivariate)
+
+
 def test_keypair_round_trips_equal_the_original():
     # the halves compare and hash by their key material (E; field, S, D, T,
     # bound), never by the caches built on use, so a key pair read back from
-    # JSON, pickled or deep-copied equals the one it came from
+    # JSON, pickled or deep-copied equals the one it came from, and none of
+    # them carries the original's caches; a shallow copy of a half is a new
+    # key that starts empty too.  Reading the JSON checks the stored forms
+    # against E, so that twin's public half holds forms of its own
     gf16 = FiniteField(2, 4)
     kp = hfe_keygen(gf16, random.Random(0))
-    kp.secret.core_table()
-    kp.secret.outer_inverse()
+    assert _caches(kp) == (None,) * 4
+    built = (
+        kp.secret.core_table(),
+        kp.secret.outer_inverse(),
+        kp.secret.inner_inverse(),
+        kp.public.multivariate,
+    )
+    assert all(cache is not None for cache in built)
     parsed = ser.keypair_from_obj(ser.parse_text(ser.dumps(ser.keypair_to_obj(kp))))
-    assert parsed.secret._table is None and parsed.secret._outer_inv is None
-    for twin in (parsed, pickle.loads(pickle.dumps(kp)), copy.deepcopy(kp)):
+    assert _caches(parsed)[:3] == (None,) * 3
+    assert parsed.public._multivariate == built[3] and parsed.public._multivariate is not built[3]
+    shallow = HFEKeyPair(copy.copy(kp.public), copy.copy(kp.secret))
+    twins = (pickle.loads(pickle.dumps(kp)), copy.deepcopy(kp), shallow)
+    for twin in (parsed, *twins):
         assert twin == kp and hash(twin) == hash(kp) and twin is not kp
         assert twin.public == kp.public and hash(twin.public) == hash(kp.public)
         assert twin.secret == kp.secret and hash(twin.secret) == hash(kp.secret)
         assert len({twin, kp}) == 1
+    for twin in twins:
+        assert _caches(twin) == (None,) * 4
+    assert all(a is b for a, b in zip(_caches(kp), built))
     other = hfe_keygen(gf16, random.Random(1))
     assert kp.public != other.public and kp.secret != other.secret and kp != other
     bound = HFESecretKey(gf16, kp.secret.outer, kp.secret.core, kp.secret.inner, 17)
-    assert bound != kp.secret and HFEPublicKey(kp.public.poly) == kp.public
+    replaced = dataclasses.replace(kp.secret, bound=17)
+    assert replaced == bound != kp.secret and replaced.outer is kp.secret.outer
+    assert (replaced._table, replaced._outer_inv, replaced._inner_inv) == (None,) * 3
+    assert HFEPublicKey(kp.public.poly) == kp.public
     assert kp.public != kp.public.poly and kp.secret != kp.secret.core
+    # a layer cannot be swapped under its cached inverse or the key's hash
+    with pytest.raises(AttributeError):
+        kp.secret.outer = other.secret.outer
+    assert hash(kp.secret) == hash(parsed.secret) and kp.is_consistent()
 
 
 def test_value_record_constructors_check_the_field():
