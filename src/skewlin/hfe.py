@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import random
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _graywalk, _linalg
 from ._record import Record
@@ -733,6 +733,22 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
     return f
 
 
+def _shuffled_pops(n: int, rng: random.Random) -> Iterator[int]:
+    """Yield 1 .. n in the order list.pop() takes them from
+    random.shuffle(list(range(1, n + 1))), drawing only what each pop needs.
+
+    A lazy Fisher-Yates (Durstenfeld's Algorithm 235): the m-th pop is step
+    i = n - 1 - m of shuffle's loop, one rng.randrange(i + 1) (shuffle's
+    _randbelow(i + 1)) while i > 0, with the swapped slots kept in a dict;
+    slot k holds moved.get(k, k + 1).
+    """
+    moved: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        j = rng.randrange(i + 1) if i else 0
+        yield moved.get(j, j + 1)
+        moved[j] = moved.pop(i, i + 1)
+
+
 class AttackResult(Record):
     """Fields left (SkewPoly), core (DOPoly) and rounds (int)."""
 
@@ -755,12 +771,18 @@ def gcldf_attack(
     bound below p^2, as hfe_keygen does, and AttackFailedError after
     max_rounds checks (or when fresh shift points run out).
 
-    Shift points are drawn without replacement, and shifts with a zero
-    difference are skipped.  The map a -> difference_poly(E, a) is
-    Z_p-linear and nonzero on a reduced E with a quadratic term, so its
-    kernel is a proper additive subgroup and at most q/p - 1 nonzero
-    shifts are skipped.  When q - q/p >= max_rounds + 1 the pool cannot
-    run out, and a unit L whose peel failed decides the failure at once.
+    Shift points are drawn without replacement, in the order list.pop()
+    takes the element indices 1 .. q-1 from after rng.shuffle, but lazily
+    (_shuffled_pops): the k-th popped shift costs one rng.randrange(q - k),
+    and the last of all q - 1 costs none.  So the attack draws only the
+    shifts it uses: rng moves on by one draw per popped shift, not by the
+    shuffle's q - 2.
+    Shifts with a zero difference are skipped.  The map
+    a -> difference_poly(E, a) is Z_p-linear and nonzero on a reduced E
+    with a quadratic term, so its kernel is a proper additive subgroup
+    and at most q/p - 1 nonzero shifts are skipped.  When
+    q - q/p >= max_rounds + 1 the pool cannot run out, and a unit L whose
+    peel failed decides the failure at once.
     That peel is itself decided by deg E alone (see try_left_factor): the
     unit c X leaves c^-1 E, of degree deg E, as the core, so an honest
     key whose gcld collapses to 1 costs no matrix inversion.  The
@@ -776,14 +798,12 @@ def gcldf_attack(
         raise ShapeViolationError("attack input must be constant-free")
     if not E.has_quadratic:
         raise ShapeViolationError("attack input has no quadratic part")
-    # element indices: shuffle's draws depend only on the pool's length
-    pool = list(range(1, q))
-    rng.shuffle(pool)
+    shifts = _shuffled_pops(q - 1, rng)  # element indices 1 .. q-1
     pool_lasts = q - q // p >= max_rounds + 1
 
     def next_delta(rounds_so_far: int) -> SkewPoly:
-        while pool:
-            d = difference_poly(E, field.from_int(pool.pop()))
+        for a in shifts:
+            d = difference_poly(E, field.from_int(a))
             if not d.is_zero:
                 return d
         raise AttackFailedError(rounds_so_far, "ran out of fresh shift points")

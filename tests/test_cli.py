@@ -477,6 +477,48 @@ def test_attack_bytes_pinned(capsys):
     assert (code, out, err) == (0, expected, "")
 
 
+# sha256 of stdout for attack runs that recover keys, pinned before the
+# attack drew its shifts lazily: batches over GF(2^4), GF(9) and GF(25)
+# (recoveries, failures after max_rounds and pools that run out), and the
+# fold-free GF(2^8) key recovered in one, two and three rounds
+ATTACK_PINS = {
+    "--instances 8 --p 2 --e 4 --seed 1": (
+        0, "4fcea90b53ed1782250eff2c636fc6684dbf947783fb0c82ddabc0337f5dabd1", ""
+    ),
+    "--instances 8 --p 2 --e 4 --seed 0 --degree-bound 8": (
+        0, "48bcfbfe4e68ef5a77fca7fa2bc6784093980de320df534b9205c93f20d11c13", ""
+    ),
+    "--instances 8 --p 3 --e 2 --seed 1 --degree-bound 9": (
+        0, "d30a028083d85d720104ceac5e11b792c133901244092f2acb6d131eacd9f652", ""
+    ),
+    "--instances 8 --p 5 --e 2 --seed 1 --degree-bound 25": (
+        0, "50c4f4e5b4c75829f06d87869659ed41740362f98c13f811fd9261d50f8f5b6c", ""
+    ),
+    "--key KEY --seed 0 --max-rounds 3": (
+        0, "248ab2571c9d74fd51ede9c6385ab1dabfa33229da5c7c98c7dc4c415485957c", ""
+    ),
+    "--key KEY --seed 10 --max-rounds 3": (
+        0, "e21b09334c966b62123de62dfc97b2a1fd4ff205676552947c969ea153ba9603", ""
+    ),
+    "--key KEY --seed 153 --max-rounds 3": (
+        0, "925a67dc6c26f1a77b69a37f0c7c678d74300e1704a28b5def50985a6cf68148", ""
+    ),
+    "--key KEY --seed 153 --max-rounds 2": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "skewlin: attack failed after 2 round(s)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(ATTACK_PINS))
+def test_attack_recovery_bytes_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "pub.json"
+    path.write_text(ser.dumps(foldfree_public_obj()[0]))
+    code, out, err = run(capsys, "attack", *argv.replace("KEY", str(path)).split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == ATTACK_PINS[argv]
+
+
 def test_probe_verb(capsys):
     args = ["probe", "--p", "2", "--e", "2", "--degree", "2", "--trials", "5", "--seed", "1"]
     code, out, err = run(capsys, *args)

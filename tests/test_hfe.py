@@ -754,10 +754,24 @@ def test_decrypt_with_factors_policy_cap(gf256):
 
 
 def reference_attack(E, bound, rng, max_rounds):
-    """The attack loop without its shortcuts: a peel and a gcldf every round."""
+    """The attack loop without its shortcuts: a peel and a gcldf every round.
+
+    The shift order is rng.shuffle's, popped from the end.  The attack
+    draws its shifts lazily, one rng.randrange(i + 1) per popped shift for
+    i = q - 2, q - 3, ... while i > 0, so afterwards rng is set to the
+    state those draws leave on a fresh copy of its starting state.  The
+    attack pops the shifts this loop pops, but for one shortcut: once the
+    running gcld is a unit whose peel failed and the pool cannot run out
+    (q - q/p >= max_rounds + 1), the failure is decided and it pops no more.
+    """
     E = E.reduce()
-    pool = [x for x in E.field.elements() if x]
+    field = E.field
+    start = rng.getstate()
+    pool = [x for x in field.elements() if x]
+    n = len(pool)
     rng.shuffle(pool)
+    pool_lasts = field.q - field.q // field.p >= max_rounds + 1
+    unpopped = None  # the pool's size once the failure is decided
 
     def next_delta(rounds_so_far):
         while pool:
@@ -766,15 +780,27 @@ def reference_attack(E, bound, rng, max_rounds):
                 return d
         raise AttackFailedError(rounds_so_far, "ran out of fresh shift points")
 
-    L = gcldf(next_delta(0), next_delta(0))[0]
-    for r in range(1, max_rounds + 1):
-        Lr = L.reduce()
-        f = try_left_factor(Lr, E, bound)
-        if f is not None:
-            return AttackResult(left=Lr, core=f, rounds=r)
-        if r < max_rounds:
-            L = gcldf(L, next_delta(r))[0]
-    raise AttackFailedError(max_rounds)
+    try:
+        L = gcldf(next_delta(0), next_delta(0))[0]
+        for r in range(1, max_rounds + 1):
+            Lr = L.reduce()
+            f = try_left_factor(Lr, E, bound)
+            if f is not None:
+                return AttackResult(left=Lr, core=f, rounds=r)
+            if Lr.degree == 0 and pool_lasts and unpopped is None:
+                unpopped = len(pool)
+            if r < max_rounds:
+                L = gcldf(L, next_delta(r))[0]
+        raise AttackFailedError(max_rounds)
+    finally:
+        if unpopped is None:
+            unpopped = len(pool)
+        replay = random.Random()
+        replay.setstate(start)
+        for i in range(n - 1, unpopped - 1, -1):
+            if i:
+                replay.randrange(i + 1)
+        rng.setstate(replay.getstate())
 
 
 def attack_outcome(attack, E, bound, seed, max_rounds):
@@ -848,10 +874,12 @@ def test_attack_peels_each_running_factor_once(monkeypatch):
 
 
 # key seed, outcome and the sha256 prefix of repr(rng.getstate()) after the
-# attack (shift seed: key seed + 100), as the attack gave them while DOPoly
-# still held FqElem coefficients
+# attack (shift seed: key seed + 100).  The outcomes are the ones the attack
+# gave while DOPoly still held FqElem coefficients; the state is the one left
+# by one rng.randrange per popped shift (the lazy shuffle), where a shuffle
+# of all q - 1 shift indices left another
 PINNED_ATTACKS = {
-    (2, 8, 0): (("failed", 16, "attack failed after 16 round(s)"), "45c5235b4a180d5b"),
+    (2, 8, 0): (("failed", 16, "attack failed after 16 round(s)"), "70fc4abbdf62a1c8"),
     (2, 4, 0): (
         (
             "ok",
@@ -859,15 +887,15 @@ PINNED_ATTACKS = {
             (1,),
             [(1, 8), (2, 8), (3, 4), (4, 13), (5, 7), (6, 14), (8, 15), (9, 6), (10, 4), (12, 1)],
         ),
-        "96c9de257142c5ae",
+        "17d2000b61e887c8",
     ),
     (3, 2, 2): (
         ("ok", 1, (8, 1), [(1, 6), (2, 3), (3, 2), (4, 5), (6, 7)]),
-        "fde3613b2db0af3a",
+        "0f116eb7497b02d5",
     ),
     (5, 2, 0): (
         ("ok", 1, (9, 1), [(1, 20), (2, 16), (5, 17), (6, 22), (10, 11)]),
-        "58bb2c3d4849289d",
+        "70fc4abbdf62a1c8",
     ),
 }
 
@@ -914,3 +942,104 @@ def test_zero_difference_shifts_form_a_small_subgroup():
                 nontrivial += len(kernel) > 1
     # GF(8) keys of seeds 5 and 20 and GF(9) keys of seeds 8 and 19
     assert nontrivial == 8
+
+
+def test_lazy_shift_draw_pops_the_shuffles_order():
+    # the attack's shifts are random.shuffle's, popped from the end, but
+    # each pop makes only its own step of the shuffle's loop: the k-th pop
+    # of n draws one randrange(n - k + 1), and the last pop draws nothing
+    for n in [*range(1, 301), 2**16]:
+        for seed in range(3) if n > 300 else range(10):
+            shuffled = list(range(1, n + 1))
+            shuffler = random.Random(seed)
+            shuffler.shuffle(shuffled)
+            rng = random.Random(seed)
+            pops = hfe._shuffled_pops(n, rng)
+            head = min(n, 5)
+            got = [next(pops) for _ in range(head)]
+            replay = random.Random(seed)
+            for i in range(n - 1, n - 1 - head, -1):
+                if i:
+                    replay.randrange(i + 1)
+            assert rng.getstate() == replay.getstate(), (n, seed)
+            got += pops
+            assert got == shuffled[::-1], (n, seed)
+            assert rng.getstate() == shuffler.getstate(), (n, seed)
+
+
+def _composed_public(field, rng):
+    """outer . core with a low-degree core and a random permutation outer of
+    degree p^2, unreduced, as perfbench's foldfree_public builds them."""
+    core = DOPoly(
+        field,
+        {(0, 1): field.generator()},
+        LinPoly(field, [field.random_element(rng), field.random_element(rng)]),
+        field.zero(),
+    )
+    while True:
+        outer = LinPoly(field, [field.random_element(rng) for _ in range(3)])
+        if not outer.is_zero and outer.is_permutation():
+            return do_compose_lin(outer, core, "left")
+
+
+def _running_gclds(E, shifts):
+    """The running gcld after each shift: gcldf over the nonzero differences."""
+    L = SkewPoly.zero(E.field)
+    for a in shifts:
+        d = difference_poly(E, a)
+        if not d.is_zero:
+            L = gcldf(L, d)[0]
+        yield L
+
+
+def test_basis_differences_decide_the_attacks_gcld():
+    # a -> difference_poly(E, a) is Z_p-linear and F_p scalars commute with
+    # Y, so the gcld of the differences at a basis of F_q over F_p is the
+    # gcld of all q - 1 nonzero differences: the limit of the attack's
+    # running gcld.  Every running gcld is a left multiple of it, and it is
+    # reached at the first shift whose prefix spans F_q, whatever the order
+    degrees = set()
+    for p, e in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+        field = FiniteField(p, e)
+        basis = [field.from_int(p**k) for k in range(e)]
+        nonzero = [a for a in field.elements() if a]
+        for seed in range(3):
+            keys = (
+                hfe_keygen(field, random.Random(seed)).public.poly,
+                _composed_public(field, random.Random(seed)),
+            )
+            for E in keys:
+                E = E.reduce()
+                G = list(_running_gclds(E, basis))[-1]
+                assert list(_running_gclds(E, nonzero))[-1] == G
+                degrees.add(G.degree)
+                for order_seed in range(3):
+                    shifts = nonzero[:]
+                    random.Random(order_seed).shuffle(shifts)
+                    span = {field.zero()}
+                    for a, L in zip(shifts, _running_gclds(E, shifts)):
+                        span = {s + field.from_int(k) * a for s in span for k in range(p)}
+                        assert L.mod_left(G).is_zero
+                        if len(span) == field.q:
+                            assert L == G
+    # units, and left factors of degree 1 and 2, all occur
+    assert degrees == {0, 1, 2}
+
+
+def test_try_left_factor_checks_the_recomposition(gf256, monkeypatch):
+    # the peel is verified by composing back; a recomposition that misses E
+    # by one term raises instead of returning a wrong core
+    outer, core, E = foldfree_instance(gf256)
+    assert try_left_factor(outer, E, 16) == core.reduce()
+    real = hfe.do_compose_lin
+    calls = []
+
+    def compose(L, D, side, reduce=False):
+        calls.append(side)
+        got = real(L, D, side, reduce)
+        return got + DOPoly(gf256, {}, SkewPoly.one(gf256)) if len(calls) == 2 else got
+
+    monkeypatch.setattr(hfe, "do_compose_lin", compose)
+    with pytest.raises(InvariantError, match="do not recompose to E"):
+        try_left_factor(outer, E, 16)
+    assert calls == ["left", "left"]

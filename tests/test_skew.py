@@ -296,6 +296,15 @@ def test_gcldf_zero_cases(gf4):
         gcldf(Z, Z)
 
 
+def test_gcldf_checks_its_gcd_divides(gf8, monkeypatch):
+    # a gcd that left-divides neither input is caught, not returned
+    rng = random.Random(52)
+    L1, L2 = random_skew(gf8, rng, 3), random_skew(gf8, rng, 3)
+    monkeypatch.setattr(skew, "gcd_left", lambda f, g: SkewPoly.monomial(gf8, 5, gf8.one()))
+    with pytest.raises(InvariantError, match="does not left-divide its inputs"):
+        gcldf(L1, L2)
+
+
 def test_peer_errors(gf4, gf9):
     f4 = SkewPoly.one(gf4)
     f9 = SkewPoly.one(gf9)
