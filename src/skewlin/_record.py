@@ -1,14 +1,24 @@
-"""Immutable value records: the result types of decompose and hfe, and
-the value classes EigenRing, MultivariateKey, HFEPublicKey, HFESecretKey,
-HFEKeyPair and FqPoly.
+"""Immutable values: the Frozen base, and the records built on it (the
+result types of decompose and hfe, and the value classes EigenRing,
+MultivariateKey, HFEPublicKey, HFESecretKey, HFEKeyPair and FqPoly).
+
+Frozen is the one immutability of the package.  Its subclasses are
+slotted, and both assignment and deletion of an attribute raise
+AttributeError, so a value cannot change, or lose a slot, under its
+hash.  The four primitives FqElem, FiniteField, SkewPoly and DOPoly
+derive from it directly and keep their own equality, hashing, pickling
+and constructors, which fill the slots through the slot descriptors or
+object.__setattr__.  Frozen._cached(name, build) is the one "build on
+first use" cache: it reads the underscore slot name, and while that
+holds None it calls build() and stores the result through
+object.__setattr__, so build() runs once per value.
 
 A Record subclass names its fields in __slots__, in order.  The
 constructor takes them by position or keyword, the repr lists them as
-keywords, instances compare and hash by the tuple of their values, and
-assignment raises AttributeError.  A subclass whose values do not hash
-(MultivariateKey holds dicts) sets __hash__ to None.  A subclass that
-checks its fields does so in a short __init__ that ends in
-super().__init__.  copy, deepcopy and pickle rebuild a record through its
+keywords, and instances compare and hash by the tuple of their values.
+A subclass whose values do not hash (MultivariateKey holds dicts) sets
+__hash__ to None.  A subclass that checks its fields does so in a short
+__init__ that ends in super().__init__.  copy, deepcopy and pickle rebuild a record through its
 constructor, so they check the fields too; a deep copy of a record over a
 finite field rebuilds the field from its description.  __match_args__
 lists the fields for positional class patterns.
@@ -16,8 +26,8 @@ lists the fields for positional class patterns.
 A slot whose name starts with an underscore is a cache, not a field: the
 constructor does not take it and sets it to None, and the repr, equality,
 hashing, __match_args__, copies and pickles leave it out.  The one method
-that builds a cache fills it through object.__setattr__, so a copy of a
-record starts with empty caches.
+that reads a cache fills it through _cached, so a copy of a record starts
+with empty caches.
 
 Each subclass also carries the __dataclass_fields__ table that
 dataclasses.replace reads, so replace(record, field=value) builds a
@@ -45,7 +55,25 @@ class _Field:
         self.name = name
 
 
-class Record:
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _cached(self, name: str, build):
+        """The value of the cache slot name, filled by build() while it is None."""
+        value = getattr(self, name)
+        if value is None:
+            value = build()
+            object.__setattr__(self, name, value)
+        return value
+
+
+class Record(Frozen):
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -69,12 +97,6 @@ class Record:
             raise TypeError(f"{name}() is missing {', '.join(missing)}")
         for key in self.__slots__:  # the caches start empty
             object.__setattr__(self, key, values.get(key))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self._fields)

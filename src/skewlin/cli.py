@@ -189,7 +189,9 @@ def _attack_batch(args: argparse.Namespace) -> dict:
             entry["ok"] = False
             entry["rounds"] = exc.rounds_used
         else:
-            m = field.random_element(rng)
+            # the test message has an rng of its own, so it does not
+            # depend on how many draws the attack made
+            m = field.random_element(random.Random(f"message {args.seed} {i}"))
             y = hfe_encrypt(kp.public, m)
             recovered = decrypt_with_factors(res.left, res.core, y, max_q=args._max_q)
             if m not in recovered:

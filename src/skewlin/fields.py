@@ -19,7 +19,10 @@ A field is plain data: ints, tuples of ints, and six index kernels
 skew ring and the decomposition loops call directly.  No kernel refers
 back to the field and every cache holds indices, so a dropped field is
 freed at once, without the cyclic collector.  An FqElem is made only
-where the public API takes or returns one.
+where the public API takes or returns one.  Fields and elements are
+immutable values (_record.Frozen): no slot can be set or deleted, and
+the two tables of basis and dual Frobenius rows are built on first use
+through Frozen._cached.
 
 Each characteristic has one arithmetic.  A field of characteristic 2
 reads its index as a polynomial over Z_2, one bit per digit: a product
@@ -76,6 +79,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import _fppoly as fp
 from . import _linalg
+from ._record import Frozen
 from .errors import (
     ContextMismatchError,
     DegreeMismatchError,
@@ -132,12 +136,13 @@ def _over_cap(p: int, e: int) -> PolicyBoundError:
     return PolicyBoundError(f"field of size {p}^{e} exceeds the policy cap of 2^20 elements")
 
 
-class FqElem:
+class FqElem(Frozen):
     """Element of a FiniteField, held as its index in [0, q).
 
-    Instances are immutable and hashable.  They are normally produced by
-    the owning field (``field.element``, ``field.from_int``, arithmetic);
-    the raw constructor performs no validation.
+    Instances are Frozen (no slot can be set or deleted) and hash by their
+    field and index.  They are normally produced by the owning field
+    (``field.element``, ``field.from_int``, arithmetic); the raw
+    constructor performs no validation.
     """
 
     __slots__ = ("field", "_n")
@@ -145,9 +150,6 @@ class FqElem:
     def __init__(self, field: "FiniteField", n: int):
         _set_field(self, field)
         _set_index(self, n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FqElem is immutable")
 
     def __reduce__(self):
         return FqElem, (self.field, self._n)
@@ -223,13 +225,14 @@ class FqElem:
         return f"FqElem({list(self.digits)}, {self.field})"
 
 
-# slot setters that bypass FqElem.__setattr__, for the constructor alone
+# slot setters that bypass Frozen.__setattr__, for the constructor alone
 _set_field = FqElem.field.__set__
 _set_index = FqElem._n.__set__
 
 
-class FiniteField:
-    """GF(p^e) with explicit modulus and an ordered Z_p-basis."""
+class FiniteField(Frozen):
+    """GF(p^e) with explicit modulus and an ordered Z_p-basis; Frozen, and
+    equal to another field exactly when p, e, modulus and basis agree."""
 
     __slots__ = (
         "p",
@@ -314,9 +317,6 @@ class FiniteField:
         object.__setattr__(self, "_default_basis", basis_digits == identity)
         object.__setattr__(self, "_key", (p, e, mod, basis_digits))
         object.__setattr__(self, "_basis", tuple(_pack(p, b) for b in basis_digits))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteField is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild the field from its description; the
@@ -433,12 +433,10 @@ class FiniteField:
         A reduced additive polynomial sum_k c_k x^(p^k) sends basis_s to
         sum_k c_k basis_s^(p^k), so its matrix needs no evaluation.
         """
-        rows = self._basis_frob
-        if rows is None:
-            frob, e = self._frob, self.e
-            rows = tuple(tuple(frob(b, k) for k in range(e)) for b in self._basis)
-            object.__setattr__(self, "_basis_frob", rows)
-        return rows
+        frob, e = self._frob, self.e
+        return self._cached(
+            "_basis_frob", lambda: tuple(tuple(frob(b, k) for k in range(e)) for b in self._basis)
+        )
 
     def dual_frobenius(self) -> tuple[tuple[int, ...], ...]:
         """Row j holds the indices of d_j^(p^k) for k = 0 .. e-1, where d is
@@ -448,25 +446,24 @@ class FiniteField:
         Every x equals sum_j Tr(d_j x) basis_j, so a Z_p-linear map L is
         sum_k (sum_j L(basis_j) d_j^(p^k)) x^(p^k).  Built on first use.
         """
-        rows = self._dual_frob
-        if rows is None:
-            p, e, basis = self.p, self.e, self._basis
-            add, mul, frob, digits = self._add, self._mul, self._frob, self._digits
-            # Tr is Z_p-linear with values in Z_p (index below p), so Tr(x)
-            # is the dot product of the digits of x with the traces of
-            # 1, t, .., t^(e-1)
-            tr_t = [functools.reduce(add, [frob(p**j, k) for k in range(e)]) for j in range(e)]
-            gram = [
-                [sum(d * c for d, c in zip(digits(mul(bi, bj)), tr_t)) % p for bj in basis]
-                for bi in basis
-            ]
-            gram_inv = _linalg.inv(gram, p)
-            if gram_inv is None:
-                raise InvariantError("trace form of the field basis is degenerate")
-            duals = map(self._combine, gram_inv)
-            rows = tuple(tuple(frob(d, k) for k in range(e)) for d in duals)
-            object.__setattr__(self, "_dual_frob", rows)
-        return rows
+        return self._cached("_dual_frob", self._build_dual_frobenius)
+
+    def _build_dual_frobenius(self) -> tuple[tuple[int, ...], ...]:
+        p, e, basis = self.p, self.e, self._basis
+        add, mul, frob, digits = self._add, self._mul, self._frob, self._digits
+        # Tr is Z_p-linear with values in Z_p (index below p), so Tr(x) is
+        # the dot product of the digits of x with the traces of
+        # 1, t, .., t^(e-1)
+        tr_t = [functools.reduce(add, [frob(p**j, k) for k in range(e)]) for j in range(e)]
+        gram = [
+            [sum(d * c for d, c in zip(digits(mul(bi, bj)), tr_t)) % p for bj in basis]
+            for bi in basis
+        ]
+        gram_inv = _linalg.inv(gram, p)
+        if gram_inv is None:
+            raise InvariantError("trace form of the field basis is degenerate")
+        duals = map(self._combine, gram_inv)
+        return tuple(tuple(frob(d, k) for k in range(e)) for d in duals)
 
     def _mul_digits(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """The digit product of digit tuples a and b, for the tests' oracle."""

@@ -40,16 +40,17 @@ low-degree core; a recovered pair decrypts as the secret key
 left divisibility, so honest instances may resist; failures are
 reported, never hidden.
 
-Both keys are immutable records that compare and hash by their key
-material.  The public key is E alone; its coordinate quadratic forms over
-Z_p are derived from E on first use.  The secret key is S, D, T and the
-bound; the inverse matrices of S and T and the core table are built on
-first use.  These caches stay with the key that built them: a copy or a
-pickle starts without them.  A key pair is consistent when S . D . T,
-composed as key generation composes it (S and T reduced first, exponents
-folded), equals E reduced (HFEKeyPair.is_consistent): both sides are
-reduced, so they are equal exactly when they agree as maps.  Loading a
-key pair checks this.
+Both keys are records that compare and hash by their key material, and
+like DOPoly and SkewPoly they are Frozen: no slot can be set or deleted.
+The public key is E alone; its coordinate quadratic forms over Z_p are
+derived from E on first use.  The secret key is S, D, T and the bound;
+the inverse matrices of S and T and the core table are built on first
+use.  Each of these caches is filled once, through Frozen._cached, and
+stays with the key that built it: a copy or a pickle starts without it.
+A key pair is consistent when S . D . T, composed as key generation
+composes it (S and T reduced first, exponents folded), equals E reduced
+(HFEKeyPair.is_consistent): both sides are reduced, so they are equal
+exactly when they agree as maps.  Loading a key pair checks this.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _graywalk, _linalg
-from ._record import Record
+from ._record import Frozen, Record
 from .errors import (
     AttackFailedError,
     ContextMismatchError,
@@ -101,7 +102,7 @@ def _sum_terms(field: FiniteField, pairs: Iterable[tuple[int, int]]) -> dict[int
     return {x: c for x, c in acc.items() if c}
 
 
-class DOPoly:
+class DOPoly(Frozen):
     """sum_x c_x X^x over exponents with base-p digit sum at most 2: the
     constant 0, additive p^k and quadratic p^i + p^j.
 
@@ -111,7 +112,8 @@ class DOPoly:
     a diagonal pair is the carry 2^i + 2^i = 2^(i+1), additive index i + 1.
     The parts are decoded once, at construction: _q holds the quadratic
     (i, j, index) triples and _l the additive indices by k.  terms, quad,
-    lin and const wrap them as field elements; all of it is read-only.
+    lin and const wrap them as field elements.  A DOPoly is Frozen: no
+    slot can be set or deleted, and it hashes by field and terms.
     """
 
     __slots__ = ("field", "_t", "_q", "_l")
@@ -163,9 +165,6 @@ class DOPoly:
         for name, v in zip(DOPoly.__slots__, (field, terms, quad, lin)):
             object.__setattr__(self, name, v)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DOPoly is immutable")
 
     def __reduce__(self):
         return DOPoly._of, (self.field, tuple(self._t.items()))
@@ -528,9 +527,7 @@ class HFEPublicKey(Record):
 
     @property
     def multivariate(self) -> MultivariateKey:
-        if self._multivariate is None:
-            object.__setattr__(self, "_multivariate", to_multivariate(self.poly))
-        return self._multivariate
+        return self._cached("_multivariate", lambda: to_multivariate(self.poly))
 
     def __repr__(self) -> str:
         return f"HFEPublicKey(field={self.field!r}, degree={self.poly.degree})"
@@ -556,14 +553,10 @@ class HFESecretKey(Record):
         super().__init__(field, outer, core, inner, bound)
 
     def outer_inverse(self) -> Matrix:
-        if self._outer_inv is None:
-            object.__setattr__(self, "_outer_inv", self.outer.inverse_matrix())
-        return self._outer_inv
+        return self._cached("_outer_inv", self.outer.inverse_matrix)
 
     def inner_inverse(self) -> Matrix:
-        if self._inner_inv is None:
-            object.__setattr__(self, "_inner_inv", self.inner.inverse_matrix())
-        return self._inner_inv
+        return self._cached("_inner_inv", self.inner.inverse_matrix)
 
     def core_table(self, max_q: Optional[int] = None) -> dict[int, list[int]]:
         """The core's preimages by coordinates: the index of an image's
@@ -581,11 +574,10 @@ class HFESecretKey(Record):
         cap = POLICY_MAX_Q if max_q is None else max_q
         if self.field.q > cap:
             raise PolicyBoundError(f"field size {self.field.q} exceeds decrypt cap {cap}")
-        if self._table is None:
-            evaluate = to_multivariate(self.core).evaluate
-            table = _graywalk.preimage_table(self.field.p, self.field.e, evaluate)
-            object.__setattr__(self, "_table", table)
-        return self._table
+        p, e = self.field.p, self.field.e
+        return self._cached(
+            "_table", lambda: _graywalk.preimage_table(p, e, to_multivariate(self.core).evaluate)
+        )
 
     def __repr__(self) -> str:
         return f"HFESecretKey(field={self.field!r}, bound={self.bound})"

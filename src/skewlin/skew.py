@@ -28,7 +28,9 @@ summed from the field's cached table of basis Frobenius powers.
 inverse_matrix() is the Z_p inverse of that matrix.  from_matrix() goes
 back through the trace-dual basis d of the ordered basis (cached per
 field), as x = sum_j Tr(d_j x) basis_j, so inverse() costs one Z_p
-matrix inversion and an e x e product over F_q.
+matrix inversion and an e x e product over F_q.  Being a map does not
+make a SkewPoly mutable: it is an immutable value (_record.Frozen), so it
+serves as a dict key.
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair is multiplied back and compared against the dividend before being
@@ -44,6 +46,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from . import _linalg
+from ._record import Frozen
 from .errors import (
     BothZeroError,
     ContextMismatchError,
@@ -70,12 +73,13 @@ def _trim(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple(cs[:n])
 
 
-class SkewPoly:
+class SkewPoly(Frozen):
     """sum_i f_i Y^i in F_q[Y; sigma], equally the additive polynomial
     sum_i f_i X^(p^(twist i)).
 
     The coefficients are stored as one trimmed tuple of field-element
     indices; coeffs is a view that builds the FqElem tuple on each read.
+    It hashes by field, twist and indices.
     """
 
     __slots__ = ("field", "twist", "_c")
@@ -100,9 +104,6 @@ class SkewPoly:
         _set_twist(out, twist)
         _set_c(out, tuple(cs) if not cs or cs[-1] else _trim(cs))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewPoly is immutable")
 
     def __reduce__(self):
         return SkewPoly._of, (self.field, self._c, self.twist)
@@ -414,7 +415,7 @@ class SkewPoly:
         return SkewPoly.from_matrix(self.field, self.inverse_matrix())
 
 
-# slot setters that bypass SkewPoly.__setattr__, for the constructors alone
+# slot setters that bypass Frozen.__setattr__, for the constructors alone
 _set_field = SkewPoly.field.__set__
 _set_twist = SkewPoly.twist.__set__
 _set_c = SkewPoly._c.__set__

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import skewlin
+import skewlin.hfe as hfe
 import skewlin.serialize as ser
 from skewlin.cli import main
 from skewlin.decompose import estimate_split_success
@@ -453,6 +454,29 @@ def test_attack_batch_checks_recovered_factors_decrypt(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "skewlin: recovered factors failed to decrypt a test message\n"
+
+
+def test_attack_batch_test_message_ignores_the_attacks_draws(capsys, monkeypatch):
+    # the message that checks a recovered key comes from an rng of its own,
+    # seeded by --seed and the instance: an attack that leaves its rng
+    # elsewhere changes neither the messages nor the bytes
+    argv = ("attack", "--instances", "8", "--p", "2", "--e", "4", "--seed", "1")
+    messages = []
+    encrypt = hfe.hfe_encrypt
+    monkeypatch.setattr(hfe, "hfe_encrypt", lambda pub, m: messages.append(m) or encrypt(pub, m))
+    plain = run(capsys, *argv)
+    drawn, messages[:] = messages[:], []
+    attack = hfe.gcldf_attack
+
+    def wasteful(E, bound, rng, *args, **kwargs):
+        result = attack(E, bound, rng, *args, **kwargs)
+        for _ in range(7):
+            rng.random()
+        return result
+
+    monkeypatch.setattr(hfe, "gcldf_attack", wasteful)
+    assert run(capsys, *argv) == plain and plain[0] == 0
+    assert messages == drawn and len(drawn) == json.loads(plain[1])["successes"] >= 2
 
 
 def test_attack_rejects_nonpositive_max_rounds(capsys, tmp_path):

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,37 @@ def test_wrong_eigen_ring_column_raises(gf16, monkeypatch):
             find_zero_divisor(E, random.Random(87), 1000)
         with pytest.raises(InvariantError):
             split_once(f, random.Random(87))
+
+
+def test_split_off_checks_the_right_factor(gf16, monkeypatch):
+    # a right gcd that hands back f itself is no proper right factor: the
+    # central split and the eigenring split both refuse it
+    callers = []
+
+    def whole(f, z):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return f
+
+    monkeypatch.setattr(decompose, "gcd_right", whole)
+    rng = random.Random(86)
+    while set(callers) != {"_central_split", "_split"}:
+        f = random_monic(gf16, rng, 1) * random_monic(gf16, rng, 1)
+        if f.coeffs[0]:
+            seen = len(callers)
+            with pytest.raises(InvariantError, match="no proper right factor"):
+                split_once(f, random.Random(87))
+            assert len(callers) == seen + 1
+
+
+def test_oracle_checks_its_sweep_factor(gf16, monkeypatch):
+    # a sweep factor that does not right-divide (Y, against a nonzero
+    # constant coefficient) is refused, not peeled
+    f = SkewPoly(gf16, [gf16.generator(), gf16.one(), gf16.one()])
+    assert oracle_decompose(f).product() == f
+    Y = SkewPoly(gf16, [gf16.zero(), gf16.one()])
+    monkeypatch.setattr(decompose, "_smallest_right_factor", lambda g: Y)
+    with pytest.raises(InvariantError, match="sweep factor does not right-divide"):
+        oracle_decompose(f)
 
 
 @pytest.mark.parametrize("twist", [1, 2, 3])

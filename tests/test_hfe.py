@@ -90,6 +90,25 @@ def test_keygen_checks_the_public_map(gf16, monkeypatch):
     assert hfe_keygen(gf16, random.Random(0)).is_consistent()
 
 
+def test_keygen_checks_its_core_sampling(gf16):
+    # an rng that draws nothing but zeros never yields a quadratic core:
+    # key generation gives up after its 1000 tries, each of which draws the
+    # e digits of four coefficients (X^3's, and the additive X's, X^2's and
+    # X^4's), and draws nothing more
+    tries = 1000 * 4 * gf16.e
+
+    class Zeros(random.Random):
+        def randrange(self, *args, **kwargs):
+            draws.append(args)
+            assert len(draws) <= tries, "drew past the core's tries"
+            return 0
+
+    draws = []
+    with pytest.raises(InvariantError, match="failed to sample a quadratic core"):
+        hfe_keygen(gf16, Zeros(0), degree_bound=4)
+    assert len(draws) == tries
+
+
 def test_keygen_bound_validation(gf4):
     with pytest.raises(DegreeBoundTooSmallError):
         hfe_keygen(gf4, random.Random(0), degree_bound=3)
@@ -873,13 +892,19 @@ def test_attack_peels_each_running_factor_once(monkeypatch):
     assert counts == {"peel": 21, "gcldf": 21, "difference": 41}
 
 
-# key seed, outcome and the sha256 prefix of repr(rng.getstate()) after the
-# attack (shift seed: key seed + 100).  The outcomes are the ones the attack
-# gave while DOPoly still held FqElem coefficients; the state is the one left
-# by one rng.randrange per popped shift (the lazy shuffle), where a shuffle
-# of all q - 1 shift indices left another
+# key seed: outcome, the popped shift indices in order, and the sha256
+# prefix of repr(rng.getstate()) after the attack (shift seed: key seed +
+# 100).  The outcomes are the ones the attack gave while DOPoly still held
+# FqElem coefficients; the state is the one left by one rng.randrange per
+# popped shift (the lazy shuffle), where a shuffle of all q - 1 shift
+# indices left another.  The state counts only the words drawn, so (2, 8, 0)
+# and (5, 2, 0), two pops each, hash alike; the shifts pin the values
 PINNED_ATTACKS = {
-    (2, 8, 0): (("failed", 16, "attack failed after 16 round(s)"), "70fc4abbdf62a1c8"),
+    (2, 8, 0): (
+        ("failed", 16, "attack failed after 16 round(s)"),
+        [38, 118],
+        "70fc4abbdf62a1c8",
+    ),
     (2, 4, 0): (
         (
             "ok",
@@ -887,14 +912,17 @@ PINNED_ATTACKS = {
             (1,),
             [(1, 8), (2, 8), (3, 4), (4, 13), (5, 7), (6, 14), (8, 15), (9, 6), (10, 4), (12, 1)],
         ),
+        [3, 8, 14],
         "17d2000b61e887c8",
     ),
     (3, 2, 2): (
         ("ok", 1, (8, 1), [(1, 6), (2, 3), (3, 2), (4, 5), (6, 7)]),
+        [3, 6],
         "0f116eb7497b02d5",
     ),
     (5, 2, 0): (
         ("ok", 1, (9, 1), [(1, 20), (2, 16), (5, 17), (6, 22), (10, 11)]),
+        [5, 15],
         "70fc4abbdf62a1c8",
     ),
 }
@@ -904,15 +932,18 @@ PINNED_ATTACKS = {
 def test_attack_on_a_reduced_key_decodes_no_exponent(case, monkeypatch):
     # E's parts were decoded when it was built, reduce() of a reduced E is
     # E itself, and the attack's compositions read the slot table: no
-    # exponent goes through the digit decode, and the outcome and the rng
-    # state afterwards are the pinned ones
+    # exponent goes through the digit decode, and the outcome, the shifts
+    # the attack popped and the rng state afterwards are the pinned ones
     p, e, seed = case
     field = FiniteField(p, e)
     E = hfe_keygen(field, random.Random(seed)).public.poly
     assert E.reduce() is E
-    decoded = []
-    real = hfe._indices
+    decoded, shifts = [], []
+    real, difference = hfe._indices, hfe.difference_poly
     monkeypatch.setattr(hfe, "_indices", lambda x, p: decoded.append(x) or real(x, p))
+    monkeypatch.setattr(
+        hfe, "difference_poly", lambda t, a: shifts.append(a.as_int()) or difference(t, a)
+    )
     rng = random.Random(seed + 100)
     try:
         res = gcldf_attack(E, None, rng)
@@ -922,7 +953,7 @@ def test_attack_on_a_reduced_key_decodes_no_exponent(case, monkeypatch):
         got = ("failed", exc.rounds_used, str(exc))
     state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
     assert decoded == []
-    assert (got, state) == PINNED_ATTACKS[case]
+    assert (got, shifts, state) == PINNED_ATTACKS[case]
 
 
 def test_zero_difference_shifts_form_a_small_subgroup():

@@ -202,7 +202,8 @@ def test_no_module_level_mutable_state():
     assert offenders == []
 
 
-IDENTITY_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+FROZEN_METHODS = {"__setattr__", "__delattr__"}
+VALUE_METHODS = {"__eq__", "__hash__"}
 PRIMITIVES = {"Record", "FqElem", "FiniteField", "SkewPoly", "DOPoly"}
 
 
@@ -228,17 +229,34 @@ def _is_unhashable_marker(node) -> bool:
 
 
 def test_one_equality_contract():
-    # a class compares by value as a Record, or is one of the four
-    # primitives with hand-written immutability; a Record subclass may
-    # only declare itself unhashable (__hash__ = None), never compare by
-    # identity or allow assignment
-    offenders = []
+    # one immutability: _record.Frozen alone defines __setattr__ or
+    # __delattr__, and a class that defines __hash__ derives from it, so
+    # nothing hashes that can change; a class compares by value as a Record
+    # or as one of the four primitives with hand-written equality, and a
+    # Record subclass may only declare itself unhashable (__hash__ = None)
+    classes = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(cls, ast.ClassDef) or cls.name in PRIMITIVES:
-                continue
-            is_record = any(getattr(base, "id", None) == "Record" for base in cls.bases)
-            for name, node in _defined_names(cls):
-                if name in IDENTITY_METHODS and not (is_record and _is_unhashable_marker(node)):
-                    offenders.append(f"{path.name}:{node.lineno} {cls.name}.{name}")
+            if isinstance(cls, ast.ClassDef):
+                assert cls.name not in classes, cls.name
+                classes[cls.name] = (path.name, cls)
+
+    def is_frozen(name) -> bool:
+        if name == "Frozen":
+            return True
+        bases = classes[name][1].bases if name in classes else []
+        return any(is_frozen(getattr(base, "id", None)) for base in bases)
+
+    offenders = []
+    for name, (module, cls) in classes.items():
+        is_record = any(getattr(base, "id", None) == "Record" for base in cls.bases)
+        for method, node in _defined_names(cls):
+            where = f"{module}:{node.lineno} {name}.{method}"
+            if method in FROZEN_METHODS and (module, name) != ("_record.py", "Frozen"):
+                offenders.append(where)
+            if method == "__hash__" and not is_frozen(name):
+                offenders.append(f"{where} outside Frozen")
+            if method in VALUE_METHODS and name not in PRIMITIVES:
+                if not (is_record and _is_unhashable_marker(node)):
+                    offenders.append(where)
     assert offenders == []

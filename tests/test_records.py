@@ -11,6 +11,12 @@ EigenRing, MultivariateKey, HFEPublicKey, HFESecretKey, HFEKeyPair and
 FqPoly.  The last three check their fields in a short constructor, which
 copies and the pickle payload go through.  The two keys also hold caches
 built on first use, which no comparison, copy or pickle carries.
+
+The four primitives FiniteField, FqElem, SkewPoly and DOPoly share the
+records' immutability through their common base _record.Frozen: no slot
+of theirs can be set or deleted.  All six build-on-first-use caches, the
+field's two Frobenius tables and the keys' four, fill through
+Frozen._cached.
 """
 
 import copy
@@ -20,6 +26,7 @@ import random
 
 import pytest
 
+from skewlin import _record
 from skewlin import serialize as ser
 from skewlin._record import Record
 from skewlin.decompose import (
@@ -31,7 +38,7 @@ from skewlin.decompose import (
     ZeroDivisor,
     eigen_ring,
 )
-from skewlin.errors import ContextMismatchError
+from skewlin.errors import ContextMismatchError, PolicyBoundError
 from skewlin.fields import FiniteField
 from skewlin.fqpoly import FqPoly
 from skewlin.hfe import (
@@ -326,3 +333,97 @@ def test_field_values_copy_and_pickle():
         assert twin_x.field is twin_f.field is twin_D.field  # one memo, one field
         assert twin_x.field.coordinates(twin_x * twin_x) == field.coordinates(x * x)
         assert twin_D(twin_x) == D(x) and twin_f.reduce()(twin_x) == f.reduce()(x)
+
+
+# ----------------------------------------------------------------------
+# the four primitives share Record's immutability and its caches
+
+
+def primitive_values():
+    """Name -> (value, an equal value built apart) for each primitive."""
+    gf9, apart = (FiniteField(3, 2, basis=[[1, 1], [0, 1]]) for _ in range(2))
+    x = gf9.from_int(5)
+    f = SkewPoly(gf9, [x, gf9.zero(), gf9.one()], twist=2)
+    D = DOPoly(gf9, {(0, 1): x, (1, 1): x * x}, f.reduce(), x)
+    twin_x = apart.from_int(5)
+    twin_f = SkewPoly(apart, [twin_x, apart.zero(), apart.one()], twist=2)
+    twin_D = DOPoly(apart, {(0, 1): twin_x, (1, 1): twin_x * twin_x}, twin_f.reduce(), twin_x)
+    return {
+        "FiniteField": (gf9, apart),
+        "FqElem": (x, twin_x),
+        "SkewPoly": (f, twin_f),
+        "DOPoly": (D, twin_D),
+    }
+
+
+@pytest.mark.parametrize("name", ["FiniteField", "FqElem", "SkewPoly", "DOPoly"])
+def test_primitive_refuses_assignment_and_deletion(name):
+    # every slot, field and cache alike, can be neither set nor deleted;
+    # the value keeps its slots, its hash and its equality
+    value, twin = primitive_values()[name]
+    cls = type(value)
+    assert cls.__name__ == name and issubclass(cls, _record.Frozen)
+    assert not issubclass(cls, Record) and not hasattr(value, "__dict__")
+    before = {slot: getattr(value, slot) for slot in cls.__slots__}
+    code = hash(value)
+    for slot in (*cls.__slots__, "anything"):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(value, slot, 1)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(value, slot)
+    assert all(getattr(value, slot) is v for slot, v in before.items())
+    assert hash(value) == code == hash(twin)
+    assert value == twin and twin == value and value is not twin
+    assert {value: 1}[twin] == 1
+
+
+def _cache_owners():
+    """Cache slot -> (a fresh owner, a read of the cache)."""
+    field = FiniteField(3, 2, basis=[[1, 1], [0, 1]])
+    kp = hfe_keygen(FiniteField(2, 4), random.Random(0))
+    return {
+        "_basis_frob": (field, lambda F: F.basis_frobenius()),
+        "_dual_frob": (field, lambda F: F.dual_frobenius()),
+        "_multivariate": (kp.public, lambda key: key.multivariate),
+        "_outer_inv": (kp.secret, lambda key: key.outer_inverse()),
+        "_inner_inv": (kp.secret, lambda key: key.inner_inverse()),
+        "_table": (kp.secret, lambda key: key.core_table()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cache_owners()))
+def test_cache_builds_once_through_cached(name, monkeypatch):
+    # each build-on-first-use cache fills through Frozen._cached: its
+    # build runs once, a second read returns the very same object, and a
+    # copy or a pickle starts without it and builds its own, equal one
+    owner, read = _cache_owners()[name]
+    built = []
+    cached = _record.Frozen._cached
+
+    def spy(self, slot, build):
+        return cached(self, slot, lambda: built.append((self, slot)) or build())
+
+    monkeypatch.setattr(_record.Frozen, "_cached", spy)
+    assert getattr(owner, name) is None
+    value = read(owner)
+    assert value is not None and built == [(owner, name)]
+    assert read(owner) is value and getattr(owner, name) is value
+    assert built == [(owner, name)]
+    for twin in (copy.copy(owner), copy.deepcopy(owner), pickle.loads(pickle.dumps(owner))):
+        assert twin == owner and twin is not owner and getattr(twin, name) is None
+        rebuilt = read(twin)
+        assert rebuilt == value and rebuilt is not value
+        assert [o for o, slot in built if slot == name][-1] is twin
+    # the twins' fields may fill their own tables on the way; this cache
+    # was built once per value
+    assert len([o for o, slot in built if slot == name]) == 4
+    assert getattr(owner, name) is value
+
+
+def test_core_table_cap_comes_before_the_cache():
+    # a built table does not lift the decrypt cap: the check runs first
+    kp = hfe_keygen(FiniteField(2, 4), random.Random(0))
+    table = kp.secret.core_table()
+    with pytest.raises(PolicyBoundError, match="exceeds decrypt cap 8"):
+        kp.secret.core_table(max_q=8)
+    assert kp.secret.core_table(max_q=16) is table
