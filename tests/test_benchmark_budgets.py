@@ -1,0 +1,79 @@
+"""Exact operation budgets of the benchmark workloads.
+
+A speed-up should do the same work faster, not less of it by accident,
+and a lost shortcut should show as more work, not only as a slower run.
+So 120 operations of two in-process workloads run here at seed 7, each
+result checked as the benchmark checks it, and the calls into each
+layer are counted through wrappers on the module and class attributes
+the library calls through.  The counts are exact: the inputs, the rng
+draws and the work they cause are all fixed by the seed.
+
+perfbench/workloads.py is loaded read-only, as in test_benchmark_api.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+import skewlin.skew as skew
+from skewlin import decompose, hfe
+from skewlin.skew import SkewPoly
+
+WORKLOADS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+OPS, SEED = 120, 7
+
+# (owner, attribute) -> calls over the OPS operations and their checks;
+# "checks" is the rise of skew.DIVISION_CHECKS
+BUDGETS = {
+    "decompose-gf16": {
+        (decompose, "minimal_polynomial"): 174,
+        (decompose, "eigen_ring"): 44,
+        (SkewPoly, "divmod_right"): 1205,
+        "checks": 2310,
+    },
+    "attack-gf256": {
+        (hfe, "difference_poly"): 243,
+        (SkewPoly, "divmod_left"): 1060,
+        (hfe, "try_left_factor"): 123,
+    },
+}
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _counting(real, counts, key):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_workload_runs_its_exact_budget(name, tmp_path, monkeypatch):
+    workloads = _load_workloads()
+    old = skew.CHECK_DIVISION
+    try:
+        w = workloads.WORKLOADS[name](seed=SEED, workdir=str(tmp_path))
+        w.setup()  # sets skew.CHECK_DIVISION for the rest of the process
+        counts = dict.fromkeys(BUDGETS[name], 0)
+        for key in counts:
+            if key != "checks":
+                owner, attr = key
+                monkeypatch.setattr(owner, attr, _counting(getattr(owner, attr), counts, key))
+        before = skew.DIVISION_CHECKS
+        for i in range(OPS):
+            assert w.check(i, w.run_op(i))
+        if "checks" in counts:
+            counts["checks"] = skew.DIVISION_CHECKS - before
+    finally:
+        skew.CHECK_DIVISION = old
+    readable = lambda d: {k if k == "checks" else k[1]: v for k, v in d.items()}
+    assert readable(counts) == readable(BUDGETS[name])
