@@ -50,17 +50,34 @@ without one, every computed row and the last Krylov step of each
 minimal polynomial (through its quotient); find_zero_divisor checks
 each eigenring draw u against f u mod f = 0.
 
+The F_p-linear algebra is one incremental elimination (_vectors), fed
+F_p-vectors of residues in order: each becomes an echelon row, pivoted
+at its lowest nonzero coordinate and recording the combination of
+inputs it stands for, or reduces to zero and yields its unique
+dependency on the inputs before it.  minimal_polynomial feeds the
+powers 1, u, u^2, ... and stops at the first dependency, which is mu;
+eigen_ring feeds its deg f * e columns and keeps every dependency, the
+nullspace basis of reduced row echelon form, one vector per free
+column; the fixed-field certificate reads the basis of F_Q and a rank
+off it.  Vectors have one arithmetic per characteristic.  Over GF(2^e)
+an element's index is its digit vector, so a residue's F_2 vector is
+one int, its coefficient indices side by side (sum_i c_i 2^(e i)): a
+row step is one XOR, and a vector is read back by e-bit shifts.  In
+odd characteristic a vector is the list of the coefficients' base-p
+digits.
+
 One zero-divisor rule serves the central residue and every eigenring
 draw.  For the first irreducible factor nu of a reducible mu, found by
 distinct-degree search, z = nu(u) and w = (mu/nu)(u) are nonzero (mu
 is minimal) while z w = mu(u) = 0, so z is a zero divisor and
 gcd_right(f, z) is a proper right factor of f.  For an eigenring draw
 and for the central residue of the root, minimal_polynomial returns mu
-together with the powers u^0, ..., u^(d-1) its Krylov loop builds, and
-z and w are F_p-combinations of them.  A part that inherited its mu
-(below) needs no powers: u^i = Y^(r i) mod f, so z = nu(Y^r) mod f and
-w = (mu/nu)(Y^r) mod f are two ring divisions, and
-gcd_right(f, nu(u)) = gcd_right(f, nu(Y^r) mod f) is the same factor.
+together with the vectors of the powers u^0, ..., u^(d-1) its Krylov
+loop builds, and z and w are F_p-combinations of them.  A part that
+inherited its mu (below) needs no powers: u^i = Y^(r i) mod f, so
+z = nu(Y^r) mod f and w = (mu/nu)(Y^r) mod f are two ring divisions,
+and gcd_right(f, nu(u)) = gcd_right(f, nu(Y^r) mod f) is the same
+factor.
 The witness check z != 0, w != 0, z w = 0 mod f runs either way, so
 an inherited polynomial that does not annihilate u raises
 InvariantError instead of splitting.
@@ -113,7 +130,6 @@ import sys
 from typing import Callable, Optional, Sequence, Union
 
 from . import _fppoly as fp
-from . import _linalg
 from ._record import Record
 from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, _pack
@@ -152,18 +168,131 @@ class EigenRing(Record):
         return f"EigenRing(dim={self.dim}, modulus_degree={self.modulus.degree})"
 
 
-def _flatten(u: SkewPoly, n: int, e: int) -> list[int]:
-    """Digits of the residue u, padded to n coefficients of e digits each."""
-    digits = u.field._digits
-    out = [0] * (n * e)
-    for i, c in enumerate(u._c):
-        out[i * e : i * e + e] = digits(c)
-    return out
+# ----------------------------------------------------------------------
+# F_p-vectors of residues, and the one elimination on them
 
 
-def _unflatten(field: FiniteField, vec: list[int], n: int, twist: int) -> SkewPoly:
-    e, p = field.e, field.p
-    return SkewPoly._of(field, [_pack(p, vec[i * e : i * e + e]) for i in range(n)], twist)
+class _BitVectors(Record):
+    """F_2-vectors of residues with n coefficients, over GF(2^e).
+
+    An element's index is its digit vector, one bit per digit, so the
+    F_2 coordinates of a residue are its coefficient indices side by
+    side: the int sum_i c_i 2^(e i), read back by e-bit shifts.  A sum is
+    an XOR, and the only nonzero scalar is 1.
+    """
+
+    __slots__ = ("field", "n")
+
+    def pack(self, cs: Sequence[int]) -> int:
+        e, vec = self.field.e, 0
+        for c in reversed(cs):
+            vec = vec << e | c
+        return vec
+
+    def unpack(self, vec: int) -> list[int]:
+        e = self.field.e
+        mask = (1 << e) - 1
+        return [vec >> (e * i) & mask for i in range(self.n)]
+
+    def scalars(self, vec: int, count: int) -> list[int]:
+        """The first count coordinates of vec, as F_p elements."""
+        return [vec >> i & 1 for i in range(count)]
+
+    def span(self, coeffs: Sequence[int], vecs: Sequence[int]) -> int:
+        """sum_k c_k vecs[k], for F_p coefficients c_k."""
+        acc = 0
+        for c, vec in zip(coeffs, vecs):
+            if c:
+                acc ^= vec
+        return acc
+
+    def eliminator(self) -> Callable[[int], Optional[int]]:
+        rows: list[tuple[int, int, int]] = []  # lowest set bit, vector, combination
+        fed = 0
+
+        def add(vec: int) -> Optional[int]:
+            nonlocal fed
+            combo, fed = 1 << fed, fed + 1
+            for low, row, row_combo in rows:
+                if vec & low:
+                    vec ^= row
+                    combo ^= row_combo
+            if not vec:
+                return combo
+            rows.append((vec & -vec, vec, combo))
+            return None
+
+        return add
+
+
+class _DigitVectors(Record):
+    """F_p-vectors of residues with n coefficients, over GF(p^e), p odd:
+    lists of n e base-p digits, e digits per coefficient, low first."""
+
+    __slots__ = ("field", "n")
+
+    def pack(self, cs: Sequence[int]) -> list[int]:
+        digits, e = self.field._digits, self.field.e
+        vec = [0] * (self.n * e)
+        for i, c in enumerate(cs):
+            vec[i * e : i * e + e] = digits(c)
+        return vec
+
+    def unpack(self, vec: list[int]) -> list[int]:
+        p, e = self.field.p, self.field.e
+        return [_pack(p, vec[i * e : i * e + e]) for i in range(self.n)]
+
+    def scalars(self, vec: list[int], count: int) -> list[int]:
+        return vec + [0] * (count - len(vec))
+
+    def span(self, coeffs: Sequence[int], vecs: Sequence[list[int]]) -> list[int]:
+        acc = [0] * (self.n * self.field.e)
+        for c, vec in zip(coeffs, vecs):
+            if c:
+                acc = [a + c * b for a, b in zip(acc, vec)]
+        return [a % self.field.p for a in acc]
+
+    def eliminator(self) -> Callable[[list[int]], Optional[list[int]]]:
+        p = self.field.p
+        rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
+        fed = 0
+
+        def add(vec: list[int]) -> Optional[list[int]]:
+            nonlocal fed
+            combo, fed = [0] * fed + [1], fed + 1
+            for pivot, row, row_combo in rows:
+                c = vec[pivot]
+                if c:
+                    vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                    for i, b in enumerate(row_combo):
+                        combo[i] = (combo[i] - c * b) % p
+            pivot = next((i for i, a in enumerate(vec) if a), None)
+            if pivot is None:
+                return combo
+            inv = pow(vec[pivot], p - 2, p)
+            rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
+            return None
+
+        return add
+
+
+def _vectors(field: FiniteField, n: int) -> Union[_BitVectors, _DigitVectors]:
+    """The F_p-vectors of residues with n coefficients over the field, in
+    the one arithmetic of its characteristic.
+
+    Both share the incremental elimination of eliminator(): add(v) takes
+    the vectors in order and reduces each against the echelon rows so
+    far.  A row's pivot is its lowest nonzero coordinate, where it is 1
+    and every later row is 0, and the row records which combination of
+    the inputs it stands for.  A vector that stays nonzero becomes a row
+    and add returns None; one that reduces to zero returns its
+    combination, the unique dependency sum_k c_k v_k = 0 on the inputs
+    before it, with coefficient 1 on itself and 0 on every earlier input
+    that was itself dependent.  For the columns of a matrix these are
+    the nullspace vectors of reduced row echelon form, one per free
+    column in order, and the number of rows is the rank.
+    """
+    return (_BitVectors if field.p == 2 else _DigitVectors)(field, n)
 
 
 def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[int, SkewPoly]:
@@ -258,11 +387,16 @@ def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
 
 
 def eigen_ring(f: SkewPoly) -> EigenRing:
-    """Compute an F_p-basis of E(f) as the nullspace of u -> f u mod f.
+    """Compute an F_p-basis of E(f), the kernel of u -> f u mod f.
 
     The column of b Y^i, for b in the digit basis of F_q and i < deg f, is
     f b Y^i = sum_j f_j sigma^j(b) Y^(i+j), combined from the residue
-    table of Y^j mod f: no ring product or division.
+    table of Y^j mod f: no ring product or division.  The columns go
+    through one incremental elimination in order, and each that depends
+    on those before it gives a basis vector, its dependency read as a
+    residue (coordinate i e + d is the digit of t^d in the coefficient of
+    Y^i): the nullspace basis of reduced row echelon form, one vector
+    per free column.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("eigenring needs a modulus of degree at least 1")
@@ -271,21 +405,21 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     monic = f.monic_left()  # R f = R monic, with the same residues
     high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f for n <= j < 2n
     fbs = [f._right(p**d)._c for d in range(e)]  # f b for b = t^d
-    cols = []
+    space = _vectors(field, n)
+    add = space.eliminator()
+    basis = []
     for i in range(n):
         for fb in fbs:
             fb = [0] * i + list(fb)
             # the terms below Y^n are residues already
             col = SkewPoly._of(field, fb[:n], f.twist) + _combine(fb[n:], high, monic)
-            cols.append(_flatten(col, n, e))
-    rows = [[cols[j][r] for j in range(n * e)] for r in range(n * e)]
-    basis = tuple(
-        _unflatten(field, vec, n, f.twist) for vec in _linalg.nullspace(rows, p)
-    )
-    return EigenRing(field, f, basis)
+            dependency = add(space.pack(col._c))
+            if dependency is not None:
+                basis.append(SkewPoly._of(field, space.unpack(dependency), f.twist))
+    return EigenRing(field, f, tuple(basis))
 
 
-def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[list[int]]]:
+def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]:
     """Monic minimal polynomial mu over F_p of the residue u, and the powers of u.
 
     With f the monic form of the modulus (same residues), the rows
@@ -295,45 +429,36 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[
     rows are the residue table rows T[r+i].  Under skew.CHECK_DIVISION the
     last step is multiplied back like a division, a u = Q f + (a u mod f)
     with the quotient Q of _step_quotient, and counted.  mu is
-    little-endian; powers[i] is the flattened u^i, for i < deg mu.  The
-    powers are reduced one at a time against a single growing echelon
-    form whose rows also record which combination of powers they stand
-    for; the first power that reduces to zero gives the monic relation.
+    little-endian; powers[i] is the F_p-vector of u^i in
+    _vectors(field, deg f), for i < deg mu: over GF(2^e) one int, the
+    coefficient indices side by side.  The powers go through one
+    incremental elimination in order, and the first that depends on
+    those before it gives the monic relation mu.
     """
     field = modulus.field
-    n, e, p = len(modulus._c) - 1, field.e, field.p
+    n = len(modulus._c) - 1
     f = modulus.monic_left()  # R modulus = R f, with the same residues
     ys = _y_rows(u, f, n)
-    rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
-    powers: list[list[int]] = []
+    space = _vectors(field, n)
+    add = space.eliminator()
+    powers: list = []
     prev, power = None, SkewPoly.one(field, modulus.twist)
     while True:
-        flat = _flatten(power, n, e)
-        vec, combo = flat, [0] * len(powers) + [1]
-        for pivot, row, row_combo in rows:
-            c = vec[pivot]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-                for i, b in enumerate(row_combo):
-                    combo[i] = (combo[i] - c * b) % p
-        pivot = next((i for i, a in enumerate(vec) if a), None)
-        if pivot is None:
+        vec = space.pack(power._c)
+        dependency = add(vec)
+        if dependency is not None:
             check_rebuild(lambda: (prev * u, _step_quotient(prev, ys, f) * f + power))
-            return combo, powers
-        powers.append(flat)
-        inv = pow(vec[pivot], p - 2, p)
-        rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
+            return space.scalars(dependency, len(powers) + 1), powers
+        powers.append(vec)
         prev, power = power, _combine(power._c, ys, f)
 
 
-def _poly_at(poly: list[int], powers: list[list[int]], modulus: SkewPoly) -> SkewPoly:
-    """poly(u) modulo the modulus from the flattened powers of u; deg poly < len(powers)."""
-    field, p = modulus.field, modulus.field.p
-    acc = [0] * len(powers[0])
-    for c, vec in zip(poly, powers):
-        if c:
-            acc = [a + c * b for a, b in zip(acc, vec)]
-    return _unflatten(field, [a % p for a in acc], len(modulus._c) - 1, modulus.twist)
+def _poly_at(poly: list[int], powers: list, modulus: SkewPoly) -> SkewPoly:
+    """poly(u) modulo the modulus from the powers of u of minimal_polynomial;
+    deg poly < len(powers)."""
+    field, n = modulus.field, len(modulus._c) - 1
+    space = _vectors(field, n)
+    return SkewPoly._of(field, space.unpack(space.span(poly, powers)), modulus.twist)
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +486,7 @@ def _witness(
 
 
 def _zero_divisor_pair(
-    mu: list[int], powers: list[list[int]], modulus: SkewPoly
+    mu: list[int], powers: list, modulus: SkewPoly
 ) -> Optional[tuple[SkewPoly, SkewPoly]]:
     """(nu(u), (mu/nu)(u)) for the first irreducible factor nu of mu.
 
@@ -459,23 +584,29 @@ def _split_off(f: SkewPoly, right: SkewPoly, tries: int) -> Split:
     return Split(left=left, right=right, tries=tries)
 
 
-def _fixed_field_span(powers: list[list[int]], f: SkewPoly, g: int) -> int:
+def _fixed_field_span(powers: list, f: SkewPoly, g: int) -> int:
     """dim over F_p of F_Q[u] modulo f, Q = p^g, from the powers of u.
 
     The F_p-basis of F_Q is the kernel of x -> x^(p^g) - x on the digit
-    basis; F_Q[u] is spanned by b u^i for b in it and i < deg mu, with
-    the powers u^i of minimal_polynomial.
+    basis: the dependencies of the images of t^0, ..., t^(e-1).  F_Q[u]
+    is spanned by b u^i for b in it and i < deg mu, with the powers u^i
+    of minimal_polynomial, and its dimension is the number of echelon
+    rows they leave.
     """
     field = f.field
-    n, e, p = len(f._c) - 1, field.e, field.p
-    frob, sub, digits = field._frob, field._sub, field._digits
-    images = [digits(sub(frob(p**j, g), p**j)) for j in range(e)]
-    fixed = [_pack(p, v) for v in _linalg.nullspace(list(zip(*images)), p)]
-    rows = []
+    n, p = len(f._c) - 1, field.p
+    frob, sub = field._frob, field._sub
+    elements = _vectors(field, 1)
+    add = elements.eliminator()
+    deps = (add(elements.pack([sub(frob(p**j, g), p**j)])) for j in range(field.e))
+    fixed = [elements.unpack(dep)[0] for dep in deps if dep is not None]
+    space = _vectors(field, n)
+    add = space.eliminator()
+    rank = 0
     for vec in powers:
-        power = _unflatten(field, vec, n, f.twist)
-        rows.extend(_flatten(power._left(b), n, e) for b in fixed)
-    return _linalg.rank(rows, p)
+        power = SkewPoly._of(field, space.unpack(vec), f.twist)
+        rank += sum(add(space.pack(power._left(b)._c)) is None for b in fixed)
+    return rank
 
 
 def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:

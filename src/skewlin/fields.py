@@ -30,8 +30,12 @@ is a carry-less shift and XOR, reduced by the modulus bits as it goes;
 an inverse runs the binary extended Euclid algorithm against the modulus
 bits; a Frobenius power XORs, over the set bits of the index, the
 indices of (t^i)^(2^k), one row per k cached on first use; a sum or
-difference is the XOR of the indices, and negation the identity.  With
-at most TABLE_MAX_Q elements the field fills exp and log tables with
+difference is the XOR of the indices, and negation the identity.  So
+an index's bits are its F_2 coordinates, and a vector of n elements
+has its F_2 coordinates in one int, the indices side by side
+(sum_i c_i 2^(e i)), where an F_2-linear combination is an XOR; the
+linear algebra of decompose runs on such ints.  With at most
+TABLE_MAX_Q elements the field fills exp and log tables with
 that product at construction, over the smallest index of multiplicative
 order q - 1 (the modulus root t need not be primitive), and runs on
 them: a product is exp[log a + log b], an inverse exp[q - 1 - log a], a

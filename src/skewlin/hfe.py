@@ -613,10 +613,13 @@ def _public_map(secret: HFESecretKey) -> DOPoly:
 
 
 def _random_permutation_poly(field: FiniteField, rng: random.Random) -> SkewPoly:
-    while True:
+    """A uniformly random additive permutation of degree below p^e, drawn
+    until one permutes, or InvariantError after 1000 tries."""
+    for _ in range(1000):
         L = SkewPoly(field, [field.random_element(rng) for _ in range(field.e)], 1)
         if not L.is_zero and L.is_permutation():
             return L
+    raise InvariantError("failed to sample an additive permutation")
 
 
 def _degree_bound(field: FiniteField, bound: Optional[int]) -> int:

@@ -86,6 +86,11 @@ def eigen_ring_by_products(f):
     return EigenRing(field, f, tuple(basis))
 
 
+def unpacked(vec, f):
+    """The residue modulo f whose F_p-vector minimal_polynomial returned as vec."""
+    return SkewPoly._of(f.field, decompose._vectors(f.field, f.degree).unpack(vec), f.twist)
+
+
 def flat_digits(u, n):
     """Digits of the residue u, n coefficients of e digits each, test-local."""
     e = u.field.e
@@ -179,7 +184,7 @@ def test_krylov_powers_match_products(name, twist, request):
             mu, powers = minimal_polynomial(u, f)
             step, a = times_right(u, f), SkewPoly.one(field, twist)
             for vec in powers:
-                assert vec == flat_digits(a, degree)
+                assert unpacked(vec, f) == a
                 a = step(a)
             assert _eval_fp_poly(mu, u, f).is_zero
 
@@ -196,6 +201,49 @@ def test_eigen_ring_matches_product_columns(name, twist, request):
         E = eigen_ring(f)
         assert E.modulus == f
         assert E.basis == eigen_ring_by_products(f).basis
+
+
+VECTOR_FIELDS = [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pe=st.sampled_from(VECTOR_FIELDS), data=st.data())
+def test_vectors_match_rref_oracle(pe, data):
+    # the packed kernel of each characteristic against the digit lists:
+    # a residue packs and unpacks to itself, a span is the digit-wise sum,
+    # and the incremental elimination finds the nullspace and rank that
+    # _linalg finds on the matrix of the vectors as columns, under the
+    # entry-indexing oracles.rref; rank-deficient shapes by copying a
+    # combination of two vectors over a third
+    p, e = pe
+    field = FiniteField(p, e)
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    digit = st.integers(0, p - 1)
+    vector = st.lists(digit, min_size=n * e, max_size=n * e)
+    cols = data.draw(st.lists(vector, min_size=k, max_size=k))
+    if k >= 3 and data.draw(st.booleans()):
+        i, j, m = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+        a, b = data.draw(digit), data.draw(digit)
+        cols[i] = [(a * x + b * y) % p for x, y in zip(cols[j], cols[m])]
+
+    def index(digits):
+        return [field.element(tuple(digits[c * e : c * e + e])).as_int() for c in range(n)]
+
+    space = decompose._vectors(field, n)
+    coeffs = [index(col) for col in cols]
+    vecs = [space.pack(cs) for cs in coeffs]
+    assert [space.unpack(v) for v in vecs] == coeffs
+    scalars = data.draw(st.lists(digit, min_size=k, max_size=k))
+    total = [sum(c * col[r] for c, col in zip(scalars, cols)) % p for r in range(n * e)]
+    assert space.unpack(space.span(scalars, vecs)) == index(total)
+    add = space.eliminator()
+    deps = [add(v) for v in vecs]
+    got = [space.scalars(d, k) for d in deps if d is not None], deps.count(None)
+    matrix = [[col[r] for col in cols] for r in range(n * e)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_linalg, "rref", oracles.rref)
+        want = _linalg.nullspace(matrix, p), _linalg.rank(matrix, p)
+    assert got == want
 
 
 def test_corrupted_table_row_raises(gf8, monkeypatch):
@@ -272,6 +320,46 @@ def test_split_off_checks_the_right_factor(gf16, monkeypatch):
             assert len(callers) == seen + 1
 
 
+def test_witness_checks_the_factor_divides(gf16, monkeypatch):
+    # a first factor that does not divide the minimal polynomial (mu with
+    # its constant term moved) is refused before any witness is built,
+    # through the central split and through an eigenring draw
+    callers = []
+
+    def moved(mu, p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return [(mu[0] + 1) % p] + mu[1:]
+
+    f = random_monic(gf16, random.Random(88), 1) * random_monic(gf16, random.Random(89), 2)
+    E = eigen_ring(f)
+    monkeypatch.setattr(fp, "first_factor", moved)
+    with pytest.raises(InvariantError, match="does not divide it"):
+        split_once(f, random.Random(90))
+    with pytest.raises(InvariantError, match="does not divide it"):
+        find_zero_divisor(E, random.Random(90), 5)
+    assert callers == ["_split", "_zero_divisor_pair"]
+
+
+def test_redraw_of_scalars_is_bounded(gf16):
+    # an eigenring whose basis spans only F_p * 1 draws nothing but
+    # scalars: the search redraws 1000 times past its first draw, one
+    # randrange per basis vector each, and gives up
+    f = random_monic(gf16, random.Random(90), 2)
+    one = SkewPoly.one(gf16)
+    draws = (1 + 1001) * 2
+
+    class Counting(random.Random):
+        def randrange(self, *args, **kwargs):
+            seen.append(args)
+            assert len(seen) <= draws, "redrew past the bound"
+            return super().randrange(*args, **kwargs)
+
+    seen = []
+    with pytest.raises(InvariantError, match="nonscalar redraw failed to terminate"):
+        find_zero_divisor(EigenRing(gf16, f, (one, one)), Counting(91), 5)
+    assert len(seen) == draws
+
+
 def test_oracle_checks_its_sweep_factor(gf16, monkeypatch):
     # a sweep factor that does not right-divide (Y, against a nonzero
     # constant coefficient) is refused, not peeled
@@ -313,11 +401,11 @@ def test_minimal_polynomial_annuls_and_is_minimal(gf4, gf9):
             u = E.random_element(rng)
             m, powers = minimal_polynomial(u, f)
             assert m[-1] == 1
-            # powers[i] is the flattened u^i, one for each i < deg m
+            # powers[i] is the F_p-vector of u^i, one for each i < deg m
             assert len(powers) == len(m) - 1
             power = SkewPoly.one(field)
             for vec in powers:
-                assert vec == flat_digits(power, 2)
+                assert unpacked(vec, f) == power
                 power = (power * u).mod_right(f)
             assert _eval_fp_poly(m, u, f).is_zero
             # dropping any irreducible factor breaks annihilation

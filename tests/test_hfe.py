@@ -109,6 +109,26 @@ def test_keygen_checks_its_core_sampling(gf16):
     assert len(draws) == tries
 
 
+def test_keygen_checks_its_permutation_sampling(gf16):
+    # an rng that draws ones for the core (a quadratic one, at the first
+    # try) and zeros after it never yields a permutation: key generation
+    # gives up after 1000 tries of the outer map, each of which draws the
+    # e digits of e coefficients, and draws nothing more
+    core = 4 * gf16.e
+    tries = core + 1000 * gf16.e * gf16.e
+
+    class OnesThenZeros(random.Random):
+        def randrange(self, *args, **kwargs):
+            draws.append(args)
+            assert len(draws) <= tries, "drew past the permutation's tries"
+            return int(len(draws) <= core)
+
+    draws = []
+    with pytest.raises(InvariantError, match="failed to sample an additive permutation"):
+        hfe_keygen(gf16, OnesThenZeros(0), degree_bound=4)
+    assert len(draws) == tries
+
+
 def test_keygen_bound_validation(gf4):
     with pytest.raises(DegreeBoundTooSmallError):
         hfe_keygen(gf4, random.Random(0), degree_bound=3)
