@@ -50,8 +50,9 @@ without one, every computed row and the last Krylov step of each
 minimal polynomial (through its quotient); find_zero_divisor checks
 each eigenring draw u against f u mod f = 0.
 
-The F_p-linear algebra is one incremental elimination (_vectors), fed
-F_p-vectors of residues in order: each becomes an echelon row, pivoted
+The F_p-linear algebra is one elimination, in _linalg: the package's
+only Gaussian elimination, _linalg.eliminator, is fed the F_p-vectors
+of residues (_vectors) in order.  Each becomes an echelon row, pivoted
 at its lowest nonzero coordinate and recording the combination of
 inputs it stands for, or reduces to zero and yields its unique
 dependency on the inputs before it.  minimal_polynomial feeds the
@@ -130,6 +131,7 @@ import sys
 from typing import Callable, Optional, Sequence, Union
 
 from . import _fppoly as fp
+from . import _linalg
 from ._record import Record
 from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, _pack
@@ -169,7 +171,7 @@ class EigenRing(Record):
 
 
 # ----------------------------------------------------------------------
-# F_p-vectors of residues, and the one elimination on them
+# F_p-vectors of residues, in the form of _linalg.eliminator
 
 
 class _BitVectors(Record):
@@ -206,24 +208,6 @@ class _BitVectors(Record):
                 acc ^= vec
         return acc
 
-    def eliminator(self) -> Callable[[int], Optional[int]]:
-        rows: list[tuple[int, int, int]] = []  # lowest set bit, vector, combination
-        fed = 0
-
-        def add(vec: int) -> Optional[int]:
-            nonlocal fed
-            combo, fed = 1 << fed, fed + 1
-            for low, row, row_combo in rows:
-                if vec & low:
-                    vec ^= row
-                    combo ^= row_combo
-            if not vec:
-                return combo
-            rows.append((vec & -vec, vec, combo))
-            return None
-
-        return add
-
 
 class _DigitVectors(Record):
     """F_p-vectors of residues with n coefficients, over GF(p^e), p odd:
@@ -252,45 +236,17 @@ class _DigitVectors(Record):
                 acc = [a + c * b for a, b in zip(acc, vec)]
         return [a % self.field.p for a in acc]
 
-    def eliminator(self) -> Callable[[list[int]], Optional[list[int]]]:
-        p = self.field.p
-        rows: list[tuple[int, list[int], list[int]]] = []  # pivot, vector, combination
-        fed = 0
-
-        def add(vec: list[int]) -> Optional[list[int]]:
-            nonlocal fed
-            combo, fed = [0] * fed + [1], fed + 1
-            for pivot, row, row_combo in rows:
-                c = vec[pivot]
-                if c:
-                    vec = [(a - c * b) % p for a, b in zip(vec, row)]
-                    for i, b in enumerate(row_combo):
-                        combo[i] = (combo[i] - c * b) % p
-            pivot = next((i for i, a in enumerate(vec) if a), None)
-            if pivot is None:
-                return combo
-            inv = pow(vec[pivot], p - 2, p)
-            rows.append((pivot, [a * inv % p for a in vec], [a * inv % p for a in combo]))
-            return None
-
-        return add
-
 
 def _vectors(field: FiniteField, n: int) -> Union[_BitVectors, _DigitVectors]:
     """The F_p-vectors of residues with n coefficients over the field, in
-    the one arithmetic of its characteristic.
+    the one arithmetic of its characteristic, which is the vector form of
+    _linalg.eliminator(p): an int over F_2, a list of digits for odd p.
 
-    Both share the incremental elimination of eliminator(): add(v) takes
-    the vectors in order and reduces each against the echelon rows so
-    far.  A row's pivot is its lowest nonzero coordinate, where it is 1
-    and every later row is 0, and the row records which combination of
-    the inputs it stands for.  A vector that stays nonzero becomes a row
-    and add returns None; one that reduces to zero returns its
-    combination, the unique dependency sum_k c_k v_k = 0 on the inputs
-    before it, with coefficient 1 on itself and 0 on every earlier input
-    that was itself dependent.  For the columns of a matrix these are
-    the nullspace vectors of reduced row echelon form, one per free
-    column in order, and the number of rows is the rank.
+    The records only convert between residues and vectors (pack, unpack,
+    scalars, span); the elimination itself is _linalg's.  Fed the columns
+    of a matrix, it returns the nullspace vectors of reduced row echelon
+    form, one per free column in order, and leaves as many rows as the
+    rank.
     """
     return (_BitVectors if field.p == 2 else _DigitVectors)(field, n)
 
@@ -392,11 +348,11 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     The column of b Y^i, for b in the digit basis of F_q and i < deg f, is
     f b Y^i = sum_j f_j sigma^j(b) Y^(i+j), combined from the residue
     table of Y^j mod f: no ring product or division.  The columns go
-    through one incremental elimination in order, and each that depends
-    on those before it gives a basis vector, its dependency read as a
-    residue (coordinate i e + d is the digit of t^d in the coefficient of
-    Y^i): the nullspace basis of reduced row echelon form, one vector
-    per free column.
+    through the one elimination, _linalg.eliminator, in order, and each
+    that depends on those before it gives a basis vector, its dependency
+    read as a residue (coordinate i e + d is the digit of t^d in the
+    coefficient of Y^i): the nullspace basis of reduced row echelon
+    form, one vector per free column.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("eigenring needs a modulus of degree at least 1")
@@ -406,7 +362,7 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f for n <= j < 2n
     fbs = [f._right(p**d)._c for d in range(e)]  # f b for b = t^d
     space = _vectors(field, n)
-    add = space.eliminator()
+    add = _linalg.eliminator(p)
     basis = []
     for i in range(n):
         for fb in fbs:
@@ -431,16 +387,16 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
     with the quotient Q of _step_quotient, and counted.  mu is
     little-endian; powers[i] is the F_p-vector of u^i in
     _vectors(field, deg f), for i < deg mu: over GF(2^e) one int, the
-    coefficient indices side by side.  The powers go through one
-    incremental elimination in order, and the first that depends on
-    those before it gives the monic relation mu.
+    coefficient indices side by side.  The powers go through the one
+    elimination, _linalg.eliminator, in order, and the first that depends
+    on those before it gives the monic relation mu.
     """
     field = modulus.field
     n = len(modulus._c) - 1
     f = modulus.monic_left()  # R modulus = R f, with the same residues
     ys = _y_rows(u, f, n)
     space = _vectors(field, n)
-    add = space.eliminator()
+    add = _linalg.eliminator(field.p)
     powers: list = []
     prev, power = None, SkewPoly.one(field, modulus.twist)
     while True:
@@ -597,11 +553,11 @@ def _fixed_field_span(powers: list, f: SkewPoly, g: int) -> int:
     n, p = len(f._c) - 1, field.p
     frob, sub = field._frob, field._sub
     elements = _vectors(field, 1)
-    add = elements.eliminator()
+    add = _linalg.eliminator(p)
     deps = (add(elements.pack([sub(frob(p**j, g), p**j)])) for j in range(field.e))
     fixed = [elements.unpack(dep)[0] for dep in deps if dep is not None]
     space = _vectors(field, n)
-    add = space.eliminator()
+    add = _linalg.eliminator(p)
     rank = 0
     for vec in powers:
         power = SkewPoly._of(field, space.unpack(vec), f.twist)

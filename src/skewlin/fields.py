@@ -34,7 +34,8 @@ difference is the XOR of the indices, and negation the identity.  So
 an index's bits are its F_2 coordinates, and a vector of n elements
 has its F_2 coordinates in one int, the indices side by side
 (sum_i c_i 2^(e i)), where an F_2-linear combination is an XOR; the
-linear algebra of decompose runs on such ints.  With at most
+package's one elimination, _linalg.eliminator, runs on such ints over
+F_2, for decompose and for rank and inverse alike.  With at most
 TABLE_MAX_Q elements the field fills exp and log tables with
 that product at construction, over the smallest index of multiplicative
 order q - 1 (the modulus root t need not be primitive), and runs on

@@ -103,8 +103,8 @@ def central_charpoly(f) -> Poly:
 
 
 def rref(a, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form and pivot columns, indexing every entry,
-    as _linalg.rref ran before it zipped each row with the pivot row."""
+    """Reduced row echelon form and pivot columns, indexing every entry:
+    the reference for the incremental elimination of _linalg."""
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -126,6 +126,32 @@ def rref(a, p: int) -> tuple[list[list[int]], list[int]]:
         if r == rows:
             break
     return m, pivots
+
+
+def nullspace(a, p: int) -> list[list[int]]:
+    """Basis of {v : a v = 0} from rref, one vector per free column in order."""
+    if not a:
+        return []
+    cols = len(a[0])
+    m, pivots = rref(a, p)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[free] = 1
+        for row, pc in enumerate(pivots):
+            v[pc] = (-m[row][free]) % p
+        basis.append(v)
+    return basis
+
+
+def inv(a, p: int):
+    """The inverse of the square matrix a from rref of [a | I], or None."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, pivots = rref(aug, p)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in m]
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
+import skewlin.hfe as hfe
 from skewlin.errors import (
     ContextMismatchError,
     DegreeTooLargeError,
+    InvariantError,
     ShapeViolationError,
     TwistMismatchError,
 )
@@ -285,6 +287,18 @@ def test_check_do_shape_degree_cap(gf4):
     with pytest.raises(DegreeTooLargeError):
         check_do_shape(f)
     assert check_do_shape(FqPoly.zero(gf4)).ok
+
+
+def test_check_do_shape_raises_on_offender_without_witness(gf4, monkeypatch):
+    # X^3 = X^(1 + 2) is DO over GF(4), so once the slot table forgets
+    # exponent 3 the structural check names an offender that no pointwise
+    # additivity test can witness, and the check must refuse to answer
+    real = hfe._do_slots
+    monkeypatch.setattr(
+        hfe, "_do_slots", lambda p, e: {x: s for x, s in real(p, e).items() if x != 3}
+    )
+    with pytest.raises(InvariantError, match="without a pointwise witness"):
+        check_do_shape(FqPoly.from_monomials(gf4, {3: gf4.one()}))
 
 
 def test_compose_left_pointwise(gf16, gf9):

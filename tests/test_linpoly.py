@@ -23,6 +23,10 @@ import oracles
 from oracles import matmul
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def random_linpoly(field, rng, max_index, twist=1):
     n = rng.randrange(max_index + 1)
     coeffs = [field.random_element(rng) for _ in range(n + 1)]
@@ -274,17 +278,20 @@ def test_matrix_inverse_matches_rank(p, data):
     assert a == rows
     assert (b is None) == (la.rank(a, p) < n)
     if b is not None:
-        assert matmul(b, a, p) == la.identity(n)
-        assert matmul(a, b, p) == la.identity(n)
+        assert matmul(b, a, p) == identity(n)
+        assert matmul(a, b, p) == identity(n)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
 def test_linalg_matches_rref_oracle(p, data):
-    # rref and everything built on it, against the entry-indexing loop of
-    # oracles.rref: non-square shapes, and rank-deficient ones by copying
-    # a multiple of one row over another
-    rows_n, cols_n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    # rank and inv, on the incremental elimination, against the
+    # entry-indexing loop of oracles.rref: non-square shapes, and
+    # rank-deficient ones by copying a multiple of one row over another;
+    # over F_2 up to 20 columns, the field cap's e, as the packed-int
+    # path of the elimination runs there
+    top = 20 if p == 2 else 7
+    rows_n, cols_n = data.draw(st.integers(1, top)), data.draw(st.integers(1, top))
     entries = st.lists(st.integers(0, p - 1), min_size=cols_n, max_size=cols_n)
     a = data.draw(st.lists(entries, min_size=rows_n, max_size=rows_n))
     if data.draw(st.booleans()):
@@ -292,11 +299,8 @@ def test_linalg_matches_rref_oracle(p, data):
         a[i] = [c * x % p for x in a[j]]
     rows = [list(r) for r in a]
     square = a if rows_n == cols_n else [r[:rows_n] + [0] * (rows_n - cols_n) for r in a]
-    got = (la.rref(a, p), la.nullspace(a, p), la.rank(a, p), la.inv(square, p))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(la, "rref", oracles.rref)
-        want = (la.rref(a, p), la.nullspace(a, p), la.rank(a, p), la.inv(square, p))
-    assert got == want
+    assert la.rank(a, p) == len(oracles.rref(a, p)[1])
+    assert la.inv(square, p) == oracles.inv(square, p)
     assert a == rows
 
 
