@@ -45,10 +45,14 @@ central u = Y^r these rows are the residue table rows T[r+i] of
 T[j] = Y^j mod f, whose rows j < deg f are the monomials; eigen_ring
 reads each column f b Y^i = sum_j f_j sigma^j(b) Y^(i+j) off the same
 table.  Right multiplication by Y is not defined on R/Rf and is never
-used.  skew.CHECK_DIVISION multiplies back, like a division and
-without one, every computed row and the last Krylov step of each
-minimal polynomial (through its quotient); find_zero_divisor checks
-each eigenring draw u against f u mod f = 0.
+used.  These residue steps work on whole coefficient rows through the
+field's row kernels: a left multiplication by Y is one _frob_row and
+one _addmul, a combination one _addmul per nonzero coefficient, and an
+eigenring column is an index list, built with no SkewPoly.
+skew.CHECK_DIVISION multiplies back, like a division and without one,
+every computed row and the last Krylov step of each minimal polynomial
+(through its quotient), each by one fused product (SkewPoly._mul_add);
+find_zero_divisor checks each eigenring draw u against f u mod f = 0.
 
 The F_p-linear algebra is one elimination, in _linalg: the package's
 only Gaussian elimination, _linalg.eliminator, is fed the F_p-vectors
@@ -257,15 +261,11 @@ def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[int, SkewPoly]:
     an element index, is its coefficient of Y^(deg f)."""
     field, fc = f.field, f._c
     n = len(fc) - 1
-    frob, s = field._frob, f.twist % field.e
-    shifted = [0] + [frob(c, s) for c in a._c] if s else [0, *a._c]
+    shifted = [0, *field._frob_row(a._c, f.twist)]
     shifted += [0] * (n + 1 - len(shifted))
     top = shifted[n]
     if top:
-        mul, sub = field._mul, field._sub
-        for i in range(n):
-            if fc[i]:
-                shifted[i] = sub(shifted[i], mul(top, fc[i]))
+        field._addmul(shifted, field._neg(top), fc, 0)  # zeroes shifted[n]
     return top, SkewPoly._of(field, shifted[:n], f.twist)
 
 
@@ -274,15 +274,15 @@ def _y_rows(a: SkewPoly, f: SkewPoly, count: int) -> list[SkewPoly]:
 
     Rf is a left ideal, so left multiplication by Y is well defined on
     R/Rf: each row is _times_y of the row before, and under
-    skew.CHECK_DIVISION it is multiplied back through the ring product
-    (t f + row = Y prev) and counted like a division.
+    skew.CHECK_DIVISION it is multiplied back through the fused ring
+    product (t f + row = Y prev) and counted like a division.
     """
     Y = SkewPoly._of(f.field, (0, 1), f.twist)
     rows = [a]
     for _ in range(1, count):
         prev = rows[-1]
         top, row = _times_y(prev, f)
-        check_rebuild(lambda: (Y * prev, f._left(top) + row))
+        check_rebuild(lambda: (Y * prev, SkewPoly._of(f.field, (top,), f.twist)._mul_add(f, row)))
         rows.append(row)
     return rows
 
@@ -306,14 +306,11 @@ def _combine(coeffs: Sequence[int], rows: list[SkewPoly], f: SkewPoly) -> SkewPo
     Reduction modulo the left ideal Rf is left F_q-linear, so with
     rows[k] = Y^k a mod f this is (sum_k c_k Y^k) a mod f.
     """
-    mul, add = f.field._mul, f.field._add
+    addmul = f.field._addmul
     out = [0] * (len(f._c) - 1)
     for c, row in zip(coeffs, rows):
         if c:
-            for i, t in enumerate(row._c):
-                if t:
-                    v, prev = mul(c, t), out[i]
-                    out[i] = add(prev, v) if prev else v
+            addmul(out, c, row._c, 0)
     return SkewPoly._of(f.field, out, f.twist)
 
 
@@ -359,8 +356,9 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     field = f.field
     n, e, p = len(f._c) - 1, field.e, field.p
     monic = f.monic_left()  # R f = R monic, with the same residues
-    high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f for n <= j < 2n
+    high = [row._c for row in _residue_table(monic, 2 * n)[n:]]  # Y^j mod f, n <= j < 2n
     fbs = [f._right(p**d)._c for d in range(e)]  # f b for b = t^d
+    addmul = field._addmul
     space = _vectors(field, n)
     add = _linalg.eliminator(p)
     basis = []
@@ -368,8 +366,11 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
         for fb in fbs:
             fb = [0] * i + list(fb)
             # the terms below Y^n are residues already
-            col = SkewPoly._of(field, fb[:n], f.twist) + _combine(fb[n:], high, monic)
-            dependency = add(space.pack(col._c))
+            col = fb[:n]
+            for c, row in zip(fb[n:], high):
+                if c:
+                    addmul(col, c, row, 0)
+            dependency = add(space.pack(col))
             if dependency is not None:
                 basis.append(SkewPoly._of(field, space.unpack(dependency), f.twist))
     return EigenRing(field, f, tuple(basis))
@@ -403,7 +404,7 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
         vec = space.pack(power._c)
         dependency = add(vec)
         if dependency is not None:
-            check_rebuild(lambda: (prev * u, _step_quotient(prev, ys, f) * f + power))
+            check_rebuild(lambda: (prev * u, _step_quotient(prev, ys, f)._mul_add(f, power)))
             return space.scalars(dependency, len(powers) + 1), powers
         powers.append(vec)
         prev, power = power, _combine(power._c, ys, f)

@@ -14,15 +14,19 @@ and repr boundary, and inside the digit kernels.  They come from two
 tables of half-length digit tuples (low and high digits), built on the
 first read, so reading them costs two lookups and a concatenation.
 
-A field is plain data: ints, tuples of ints, and six index kernels
-(_add, _sub, _neg, _mul, _inv, _frob), picked at construction, that the
-skew ring and the decomposition loops call directly.  No kernel refers
-back to the field and every cache holds indices, so a dropped field is
-freed at once, without the cyclic collector.  An FqElem is made only
-where the public API takes or returns one.  Fields and elements are
-immutable values (_record.Frozen): no slot can be set or deleted, and
-the two tables of basis and dual Frobenius rows are built on first use
-through Frozen._cached.
+A field is plain data: ints, tuples of ints, and eight index kernels,
+picked at construction, that the skew ring and the decomposition loops
+call directly.  Six are elementwise (_add, _sub, _neg, _mul, _inv,
+_frob); two work on a whole row of indices: _addmul(out, c, row, start)
+does out[start + j] += c row[j] in place, and _frob_row(row, k) returns
+[x^(p^k) for x in row].  A ring product or division is then one
+_addmul per coefficient, not one kernel call per coefficient pair.  No
+kernel refers back to the field and every cache holds indices, so a
+dropped field is freed at once, without the cyclic collector.  An
+FqElem is made only where the public API takes or returns one.  Fields
+and elements are immutable values (_record.Frozen): no slot can be set
+or deleted, and the two tables of basis and dual Frobenius rows are
+built on first use through Frozen._cached.
 
 Each characteristic has one arithmetic.  A field of characteristic 2
 reads its index as a polynomial over Z_2, one bit per digit: a product
@@ -40,13 +44,18 @@ TABLE_MAX_Q elements the field fills exp and log tables with
 that product at construction, over the smallest index of multiplicative
 order q - 1 (the modulus root t need not be primitive), and runs on
 them: a product is exp[log a + log b], an inverse exp[q - 1 - log a], a
-Frobenius power exp[2^k log a mod (q - 1)].  The build costs a walk of
-at most q - 1 products per candidate, which a larger field's desk-scale
-use would not repay.  In odd characteristic products, inverses and
-Frobenius powers run the digit kernels (convolution folded through the
-modulus, Euclid modulo the modulus, the matrix of x -> x^(p^k)) on the
-index's digits; those module functions are also the tests' oracle for
-characteristic 2.
+Frobenius power exp[2^k log a mod (q - 1)].  Their _addmul is
+out[j] ^= exp[log c + log row[j]], with no branch: log 0 lands in the
+zero tail of exp.  Their _frob_row reads, for each k, a row of the q
+indices x^(2^k), built on the first call with that k and kept by the
+kernel, so at most e q entries and no cost at construction.  The table
+build costs a walk of at most q - 1 products per candidate, which a
+larger field's desk-scale use would not repay.  In odd characteristic
+products, inverses and Frobenius powers run the digit kernels
+(convolution folded through the modulus, Euclid modulo the modulus, the
+matrix of x -> x^(p^k)) on the index's digits; those module functions
+are also the tests' oracle for characteristic 2.  Fields without tables
+build both row kernels from their elementwise ones.
 
 Odd characteristic has no tables yet.  With Zech logarithms
 z(d) = log(1 + g^d) a sum would be exp[log a + z(log b - log a)], but the
@@ -260,6 +269,9 @@ class FiniteField(Frozen):
         "_mul",
         "_inv",
         "_frob",
+        # the row kernels, on lists of element indices
+        "_addmul",
+        "_frob_row",
     )
 
     def __init__(
@@ -529,7 +541,29 @@ def _digit_kernels(p: int, e: int, modulus: tuple[int, ...], digits) -> dict[str
             n = n * p + -x % p
         return n
 
-    return dict(_add=add, _sub=sub, _neg=neg, _mul=mul, _inv=inv, _frob=frob)
+    kernels = dict(_add=add, _sub=sub, _neg=neg, _mul=mul, _inv=inv, _frob=frob)
+    return dict(kernels, **_row_kernels(e, mul, add, frob))
+
+
+def _row_kernels(e: int, mul, add, frob) -> dict[str, Callable]:
+    """The row kernels from the elementwise ones: _addmul(out, c, row,
+    start) does out[start + j] += c row[j] in place, and _frob_row(row, k)
+    returns [x^(p^k) for x in row]."""
+
+    def addmul(out, c, row, start):
+        if c:
+            for j, t in enumerate(row, start):
+                if t:
+                    if c != 1:
+                        t = mul(c, t)
+                    s = out[j]
+                    out[j] = add(s, t) if s else t
+
+    def frob_row(row, k):
+        k %= e
+        return [frob(x, k) for x in row] if k else list(row)
+
+    return dict(_addmul=addmul, _frob_row=frob_row)
 
 
 def _bit_kernels(e: int, mod: tuple[int, ...]) -> dict[str, object]:
@@ -591,11 +625,12 @@ def _bit_kernels(e: int, mod: tuple[int, ...]) -> dict[str, object]:
             i += 1
         return r
 
+    xor = operator.xor
     if top <= TABLE_MAX_Q:
         kernels = _table_kernels(e, mod, product)
     else:
-        kernels = dict(_mul=product, _inv=inv, _frob=frob)
-    xor = operator.xor
+        rows = _row_kernels(e, product, xor, frob)
+        kernels = dict(_mul=product, _inv=inv, _frob=frob, **rows)
     return dict(kernels, _add=xor, _sub=xor, _neg=operator.pos)
 
 
@@ -604,8 +639,8 @@ def _table_kernels(
 ) -> dict[str, object]:
     """exp and log tables over the smallest primitive index g, filled
     with the index product of characteristic 2, and the table product,
-    inverse and Frobenius that read them; the tables come back as the
-    _exp and _log slots.
+    inverse, Frobenius and row kernels that read them; the tables come
+    back as the _exp and _log slots.
 
     exp holds g^i for i < 2(q - 1), so a sum of two logs needs no
     reduction, then zeros up to 4(q - 1); log[0] is 2(q - 1), so a
@@ -646,7 +681,26 @@ def _table_kernels(
         # a^(2^k) = g^(2^k log a)
         return exp[(log[a] << (k % e)) % qm1] if a else 0
 
-    return dict(_mul=mul, _inv=inv, _frob=frob, _exp=exp, _log=log)
+    def addmul(out, c, row, start):
+        # log 0 lands in the zero tail, so a zero c or t adds nothing
+        lc = log[c]
+        for j, t in enumerate(row, start):
+            out[j] ^= exp[lc + log[t]]
+
+    frob_rows: dict[int, list[int]] = {}  # k -> [x^(2^k) for x < q]
+
+    def frob_row(row, k):
+        k %= e
+        if not k:
+            return list(row)
+        table = frob_rows.get(k)
+        if table is None:
+            table = frob_rows[k] = [frob(x, k) for x in range(q)]
+        return [table[x] for x in row]
+
+    return dict(
+        _mul=mul, _inv=inv, _frob=frob, _addmul=addmul, _frob_row=frob_row, _exp=exp, _log=log
+    )
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,11 @@ and greatest common left divisors of additive polynomials are all exact.
 A SkewPoly stores its coefficients once, as the trimmed tuple _c of their
 field-element indices, and its arithmetic (sums, products, both
 divisions, scalars, evaluation, reduction, the matrix views) runs on
-those indices through the field's index kernels.  FqElem objects are
+those indices through the field's index kernels.  The product and right
+division work on whole rows: each nonzero coefficient adds one scaled
+row sigma^k(g), read once per k by the field's _frob_row, through one
+_addmul call.  Left division keeps its own loop, as its term
+g_i sigma^(s_i)(c) is not a scaled row.  FqElem objects are
 made only at the boundary: coeffs and lead build them from the indices,
 and the public constructor and the scalar methods take them.  Internal
 results come from the unchecked SkewPoly._of, which takes indices; the
@@ -35,15 +39,19 @@ serves as a dict key.
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair is multiplied back and compared against the dividend before being
 returned, and DIVISION_CHECKS counts how many such checks ran.  The
-multiply-back is built only then: with the flag off a division makes no
-ring product.  check_rebuild is that check; code that computes a residue
-modulo f without a division (the residue rows of decompose) calls it
-too, so DIVISION_CHECKS counts those multiply-backs as well.
+multiply-back is one fused product, q g + r (g q + r for left
+division), which accumulates the product into a copy of the remainder
+(SkewPoly._mul_add, which the plain product also runs), so no separate
+product and sum are built.  It is built only when the flag is on: with
+the flag off a division makes no ring product.  check_rebuild is that
+check; code that computes a residue modulo f without a division (the
+residue rows of decompose) calls it too, so DIVISION_CHECKS counts those
+multiply-backs as well.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _linalg
 from ._record import Frozen
@@ -202,29 +210,30 @@ class SkewPoly(Frozen):
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         """Ring product; as additive polynomials, self after other."""
         self._peer(other)
-        field, twist = self.field, self.twist
-        a, b = self._c, other._c
-        if not a or not b:
-            return SkewPoly._of(field, (), twist)
-        mul, add, frob, e = field._mul, field._add, field._frob, field.e
-        out = [0] * (len(a) + len(b) - 1)
-        rows = {0: b}  # k -> sigma^k(b), coefficient-wise
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            k = twist * i % e
-            row = rows.get(k)
-            if row is None:
-                row = rows[k] = [frob(c, k) for c in b]
-            for j, t in enumerate(row, i):
-                if t:
-                    if ai != 1:
-                        t = mul(ai, t)
-                    s = out[j]
-                    out[j] = add(s, t) if s else t
-        return SkewPoly._of(field, out, twist)
+        return self._mul_add(other)
 
     compose = __mul__
+
+    def _mul_add(self, other: "SkewPoly", addend: Optional["SkewPoly"] = None) -> "SkewPoly":
+        """The fused product self * other + addend, in one pass: the rows
+        sigma^(twist i)(other), scaled by self_i, are accumulated into a
+        copy of the addend's coefficients.  Unchecked: other and addend
+        are of self's ring."""
+        field, twist = self.field, self.twist
+        a, b = self._c, other._c
+        out = [] if addend is None else list(addend._c)
+        if a and b:
+            out += [0] * (len(a) + len(b) - 1 - len(out))
+            addmul, frob_row, e = field._addmul, field._frob_row, field.e
+            rows = {0: b}  # k -> sigma^k(b), coefficient-wise
+            for i, ai in enumerate(a):
+                if ai:
+                    k = twist * i % e
+                    row = rows.get(k)
+                    if row is None:
+                        row = rows[k] = frob_row(b, k)
+                    addmul(out, ai, row, i)
+        return SkewPoly._of(field, out, twist)
 
     def left_scalar(self, c: FqElem) -> "SkewPoly":
         """(c) * self as ring elements: coefficients multiplied by c on the left."""
@@ -256,28 +265,27 @@ class SkewPoly(Frozen):
         if not gc:
             raise ZeroDivisionError("division by the zero polynomial")
         field, twist = self.field, self.twist
-        mul, sub, frob, e = field._mul, field._sub, field._frob, field.e
+        mul, neg, frob, e = field._mul, field._neg, field._frob, field.e
+        addmul, frob_row = field._addmul, field._frob_row
         n = len(gc) - 1
         r = list(self._c)
         q = [0] * max(len(r) - n, 0)
         g_inv = 1 if gc[-1] == 1 else field._inv(gc[-1])
         rows = {0: gc}  # s -> sigma^s(g), coefficient-wise
-        while len(r) > n:
-            k = len(r) - 1 - n
+        # from the top down, r[k + n] is the top of what is left
+        for k in range(len(q) - 1, -1, -1):
+            top = r[k + n]
+            if not top:
+                continue
             s = twist * k % e
             row = rows.get(s)
             if row is None:
-                row = rows[s] = [frob(c, s) for c in gc]
-            c = q[k] = r[-1] if g_inv == 1 else mul(r[-1], frob(g_inv, s))
-            for i, gi in enumerate(row, k):
-                if gi:
-                    r[i] = sub(r[i], mul(c, gi))
-            del r[-1]
-            while r and not r[-1]:
-                del r[-1]
+                row = rows[s] = frob_row(gc, s)
+            c = q[k] = top if g_inv == 1 else mul(top, frob(g_inv, s))
+            addmul(r, neg(c), row, k)  # r[k + n] becomes 0
         qq = SkewPoly._of(field, q, twist)
-        rr = SkewPoly._of(field, r, twist)
-        check_rebuild(lambda: (self, qq * g + rr))
+        rr = SkewPoly._of(field, r[:n], twist)
+        check_rebuild(lambda: (self, qq._mul_add(g, rr)))
         return qq, rr
 
     def divmod_left(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
@@ -306,7 +314,7 @@ class SkewPoly(Frozen):
                 del r[-1]
         qq = SkewPoly._of(field, q, twist)
         rr = SkewPoly._of(field, r, twist)
-        check_rebuild(lambda: (self, g * qq + rr))
+        check_rebuild(lambda: (self, g._mul_add(qq, rr)))
         return qq, rr
 
     def mod_right(self, g: "SkewPoly") -> "SkewPoly":

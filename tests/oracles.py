@@ -178,6 +178,14 @@ def skew_mul(a, b):
     return SkewPoly(field, out, a.twist)
 
 
+def skew_add(a, b):
+    """a + b, the FqElem coefficients summed slot by slot."""
+    field = a.field
+    n = max(len(a.coeffs), len(b.coeffs))
+    pad = lambda cs: list(cs) + [field.zero()] * (n - len(cs))
+    return SkewPoly(field, [x + y for x, y in zip(pad(a.coeffs), pad(b.coeffs))], a.twist)
+
+
 def left_scalar(a, c):
     return SkewPoly(a.field, [c * x for x in a.coeffs], a.twist)
 

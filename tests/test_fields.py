@@ -1,5 +1,6 @@
 """Finite field construction and arithmetic."""
 
+import inspect
 import itertools
 import random
 import time
@@ -479,6 +480,58 @@ def test_bit_kernel_inverse_of_every_element_of_gf8192():
     one = field.one()
     for x in itertools.islice(field.elements(), 1, None):
         assert x * x.inv() == one, x
+
+
+# tables (up to GF(2^12), the largest table field), bit kernels, digit
+# kernels and a prime field
+ROW_FIELDS = [(2, 4), (2, 8), (2, 12), (2, 13), (3, 6), (7, 1)]
+
+
+@pytest.mark.parametrize("p, e", ROW_FIELDS)
+def test_row_kernels_match_elementwise_kernels(p, e):
+    field = FiniteField(p, e)
+    q, mul, add, frob = field.q, field._mul, field._add, field._frob
+    rng = random.Random(q)
+    samples = [0, 1, q - 1] + [rng.randrange(2, q) for _ in range(6)]
+    # zero entries inside and at both ends of the row
+    row = [0, *samples, 0]
+    for c in samples:  # a zero scalar, one, and others
+        for start in (0, 1, 5):
+            out = [rng.randrange(q) for _ in range(start + len(row) + 2)]
+            want = list(out)
+            for j, t in enumerate(row, start):
+                want[j] = add(want[j], mul(c, t))
+            assert field._addmul(out, c, row, start) is None
+            assert out == want, (c, start)
+    for k in range(e):
+        got = field._frob_row(row, k)
+        assert got == [frob(x, k) for x in row] and got is not row, k
+        # k is read mod e, as by _frob
+        assert field._frob_row(row, k + e) == got == field._frob_row(row, k - e)
+
+
+@pytest.mark.parametrize("e", [4, 12])
+def test_table_frobenius_rows_are_built_on_first_use(e):
+    field = FiniteField(2, e)
+    rows = inspect.getclosurevars(field._frob_row).nonlocals["frob_rows"]
+    assert rows == {}
+    field._frob_row([1, 2], 0)
+    assert rows == {}
+    field._frob_row([1, 2], 1)
+    assert list(rows) == [1] and len(rows[1]) == field.q
+    assert rows[1] == [field._frob(x, 1) for x in range(field.q)]
+
+
+def test_degenerate_trace_form_raises(monkeypatch):
+    # no default-basis construction inverts a matrix, so a fresh field
+    # meets the patched inverse first in its trace form
+    field = FiniteField(2, 3)
+    monkeypatch.setattr(fields._linalg, "inv", lambda a, p: None)
+    with pytest.raises(InvariantError, match="trace form of the field basis is degenerate"):
+        field.dual_frobenius()
+    assert field._dual_frob is None
+    monkeypatch.undo()
+    assert len(field.dual_frobenius()) == field.e and field._dual_frob is not None
 
 
 @pytest.mark.parametrize("e", [8, 12, 16])

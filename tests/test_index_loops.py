@@ -59,6 +59,14 @@ def test_ring_ops_match_oracles(r, data):
     g = g.left_scalar(c)  # a divisor with a lead other than 1
     assert a * b == oracles.skew_mul(a, b)
     assert b * a == oracles.skew_mul(b, a)
+    # the fused product, with an addend shorter or longer than the
+    # product, and one that cancels it down to zero
+    addend = poly(data.draw, field, twist, 12)
+    assert a._mul_add(b, addend) == oracles.skew_add(oracles.skew_mul(a, b), addend)
+    assert b._mul_add(a, addend) == oracles.skew_add(oracles.skew_mul(b, a), addend)
+    assert a._mul_add(b) == a * b
+    minus = oracles.left_scalar(oracles.skew_mul(a, b), -field.one())
+    assert a._mul_add(b, minus).is_zero
     assert a.left_scalar(c) == oracles.left_scalar(a, c)
     assert a.right_scalar(c) == oracles.right_scalar(a, c)
     assert a.divmod_right(g) == oracles.divmod_right(a, g)
@@ -97,6 +105,13 @@ def test_kernels_and_polynomials_hold_indices():
         calls.update(_inv=(y,), _frob=(x, 1))
         for name, args in calls.items():
             assert type(getattr(field, name)(*args)) is int, (field, name)
+        # the row kernels: one in place, one returning a new list of indices
+        out, row = [0, x, y], [y, x]
+        assert field._addmul(out, x, row, 1) is None
+        assert out == [0, field._add(x, field._mul(x, y)), field._add(y, field._mul(x, x))]
+        for k in (0, 1):
+            assert all(type(c) is int for c in field._frob_row(row, k))
+            assert field._frob_row(row, k) is not row
         f = SkewPoly(field, [field.from_int(x), field.one()], twists[-1])
         g = f * f
         assert g._c and all(type(c) is int for c in g._c)

@@ -32,6 +32,10 @@ def exercise(args):
     z = (x + y) * (x - y) / y - x**3 + x.frobenius(1) * x.inv() - (-x)
     assert field.combine(field.coordinates(z)) == z and len(z.digits) == field.e
     assert len(field.basis) == field.e
+    # fill every Frobenius row the row kernel caches
+    row = [x.as_int(), y.as_int(), z.as_int(), 0]
+    for k in range(field.e):
+        assert field._frob_row(row, k) == [field._frob(n, k) for n in row]
     f = SkewPoly.one(field)
     for _ in range(3):
         f = f * SkewPoly(field, [field.random_element(rng, nonzero=True), field.one()])
