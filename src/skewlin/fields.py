@@ -14,13 +14,16 @@ and repr boundary, and inside the digit kernels.  They come from two
 tables of half-length digit tuples (low and high digits), built on the
 first read, so reading them costs two lookups and a concatenation.
 
-A field is plain data: ints, tuples of ints, and eight index kernels,
+A field is plain data: ints, tuples of ints, and nine index kernels,
 picked at construction, that the skew ring and the decomposition loops
 call directly.  Six are elementwise (_add, _sub, _neg, _mul, _inv,
-_frob); two work on a whole row of indices: _addmul(out, c, row, start)
-does out[start + j] += c row[j] in place, and _frob_row(row, k) returns
-[x^(p^k) for x in row].  A ring product or division is then one
-_addmul per coefficient, not one kernel call per coefficient pair.  No
+_frob); three work on a whole row of indices: _addmul(out, c, row, start)
+does out[start + j] += c row[j] in place, _addmul_right(out, row, c,
+start, step) does out[start + j] += row[j] c^(p^(step j)) in place, which
+adds (row * c) Y^start in the ring twisted by x -> x^(p^step), and
+_frob_row(row, k) returns [x^(p^k) for x in row].  A ring product or a
+division of either side is then one row kernel call per quotient or
+product coefficient, not one kernel call per coefficient pair.  No
 kernel refers back to the field and every cache holds indices, so a
 dropped field is freed at once, without the cyclic collector.  An
 FqElem is made only where the public API takes or returns one.  Fields
@@ -46,7 +49,10 @@ order q - 1 (the modulus root t need not be primitive), and runs on
 them: a product is exp[log a + log b], an inverse exp[q - 1 - log a], a
 Frobenius power exp[2^k log a mod (q - 1)].  Their _addmul is
 out[j] ^= exp[log c + log row[j]], with no branch: log 0 lands in the
-zero tail of exp.  Their _frob_row reads, for each k, a row of the q
+zero tail of exp.  Their _addmul_right is the same lookup with log c
+replaced, entry by entry, by the log 2^(step j) log c of the twisted
+scalar, one multiplication mod q - 1 further each entry; a zero c is
+guarded once.  Their _frob_row reads, for each k, a row of the q
 indices x^(2^k), built on the first call with that k and kept by the
 kernel, so at most e q entries and no cost at construction.  The table
 build costs a walk of at most q - 1 products per candidate, which a
@@ -55,7 +61,7 @@ products, inverses and Frobenius powers run the digit kernels
 (convolution folded through the modulus, Euclid modulo the modulus, the
 matrix of x -> x^(p^k)) on the index's digits; those module functions
 are also the tests' oracle for characteristic 2.  Fields without tables
-build both row kernels from their elementwise ones.
+build the three row kernels from their elementwise ones.
 
 Odd characteristic has no tables yet.  With Zech logarithms
 z(d) = log(1 + g^d) a sum would be exp[log a + z(log b - log a)], but the
@@ -271,6 +277,7 @@ class FiniteField(Frozen):
         "_frob",
         # the row kernels, on lists of element indices
         "_addmul",
+        "_addmul_right",
         "_frob_row",
     )
 
@@ -547,8 +554,9 @@ def _digit_kernels(p: int, e: int, modulus: tuple[int, ...], digits) -> dict[str
 
 def _row_kernels(e: int, mul, add, frob) -> dict[str, Callable]:
     """The row kernels from the elementwise ones: _addmul(out, c, row,
-    start) does out[start + j] += c row[j] in place, and _frob_row(row, k)
-    returns [x^(p^k) for x in row]."""
+    start) does out[start + j] += c row[j] in place, _addmul_right(out,
+    row, c, start, step) does out[start + j] += row[j] c^(p^(step j)) in
+    place, and _frob_row(row, k) returns [x^(p^k) for x in row]."""
 
     def addmul(out, c, row, start):
         if c:
@@ -559,11 +567,20 @@ def _row_kernels(e: int, mul, add, frob) -> dict[str, Callable]:
                     s = out[j]
                     out[j] = add(s, t) if s else t
 
+    def addmul_right(out, row, c, start, step):
+        if c:
+            for i, t in enumerate(row):
+                if t:
+                    k = step * i % e
+                    t = mul(t, frob(c, k) if k else c)
+                    s = out[start + i]
+                    out[start + i] = add(s, t) if s else t
+
     def frob_row(row, k):
         k %= e
         return [frob(x, k) for x in row] if k else list(row)
 
-    return dict(_addmul=addmul, _frob_row=frob_row)
+    return dict(_addmul=addmul, _addmul_right=addmul_right, _frob_row=frob_row)
 
 
 def _bit_kernels(e: int, mod: tuple[int, ...]) -> dict[str, object]:
@@ -687,6 +704,16 @@ def _table_kernels(
         for j, t in enumerate(row, start):
             out[j] ^= exp[lc + log[t]]
 
+    def addmul_right(out, row, c, start, step):
+        # row[i] c^(2^(step i)) = g^(log row[i] + 2^(step i) log c): lc
+        # walks the logs of the twists of c; a zero row entry lands in
+        # the zero tail, and a zero c adds nothing
+        if c:
+            lc, m = log[c], 1 << step % e
+            for j, t in enumerate(row, start):
+                out[j] ^= exp[lc + log[t]]
+                lc = lc * m % qm1
+
     frob_rows: dict[int, list[int]] = {}  # k -> [x^(2^k) for x < q]
 
     def frob_row(row, k):
@@ -699,7 +726,14 @@ def _table_kernels(
         return [table[x] for x in row]
 
     return dict(
-        _mul=mul, _inv=inv, _frob=frob, _addmul=addmul, _frob_row=frob_row, _exp=exp, _log=log
+        _mul=mul,
+        _inv=inv,
+        _frob=frob,
+        _addmul=addmul,
+        _addmul_right=addmul_right,
+        _frob_row=frob_row,
+        _exp=exp,
+        _log=log,
     )
 
 

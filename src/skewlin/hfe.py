@@ -292,14 +292,16 @@ def difference_poly(t: DOPoly, a: FqElem) -> SkewPoly:
             "difference of a polynomial with a nonzero constant term is not additive"
         )
     field = t.field
-    e, mul, add = field.e, field._mul, field._add
-    orbit = [field._frob(n, k) for k in range(e)]
-    acc: dict[int, int] = {}
+    mul, add, frob = field._mul, field._add, field._frob
+    top = max([j for _, j, _ in t._q], default=-1)  # i <= j in each triple
+    orbit = [frob(n, k) for k in range(top + 1)]  # a^(p^k), k read mod e
+    acc = [0] * (top + 1)
     for i, j, c in t._q:
-        for k, v in ((i, mul(c, orbit[j % e])), (j, mul(c, orbit[i % e]))):
-            prev = acc.get(k)
-            acc[k] = add(prev, v) if prev else v
-    return SkewPoly._of(field, [acc.get(k, 0) for k in range(max(acc, default=-1) + 1)], 1)
+        v, prev = mul(c, orbit[j]), acc[i]
+        acc[i] = add(prev, v) if prev else v
+        v, prev = mul(c, orbit[i]), acc[j]
+        acc[j] = add(prev, v) if prev else v
+    return SkewPoly._of(field, acc, 1)
 
 
 def dense_difference(f: FqPoly, a: FqElem) -> FqPoly:

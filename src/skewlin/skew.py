@@ -9,12 +9,17 @@ and greatest common left divisors of additive polynomials are all exact.
 
 A SkewPoly stores its coefficients once, as the trimmed tuple _c of their
 field-element indices, and its arithmetic (sums, products, both
-divisions, scalars, evaluation, reduction, the matrix views) runs on
-those indices through the field's index kernels.  The product and right
-division work on whole rows: each nonzero coefficient adds one scaled
-row sigma^k(g), read once per k by the field's _frob_row, through one
-_addmul call.  Left division keeps its own loop, as its term
-g_i sigma^(s_i)(c) is not a scaled row.  FqElem objects are
+divisions, both gcds, scalars, evaluation, reduction, the matrix views)
+runs on those indices through the field's index kernels.  The product
+and right division work on whole rows: each nonzero coefficient adds one
+scaled row c sigma^k(g), read once per k by the field's _frob_row,
+through one _addmul call.  Left division and right scalars add the
+twisted row g * c = sum_i g_i sigma^i(c) Y^i through one _addmul_right
+call.  Each side has one remainder core on index lists, _rem_right and
+_rem_left: it reduces a list in place from the top down and returns the
+quotient.  Every one-sided division and every step of the one Euclid
+loop behind gcd_left and gcd_right (_euclid) runs through that core,
+and a SkewPoly is built only for the results.  FqElem objects are
 made only at the boundary: coeffs and lead build them from the indices,
 and the public constructor and the scalar methods take them.  Internal
 results come from the unchecked SkewPoly._of, which takes indices; the
@@ -37,8 +42,9 @@ make a SkewPoly mutable: it is an immutable value (_record.Frozen), so it
 serves as a dict key.
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
-pair is multiplied back and compared against the dividend before being
-returned, and DIVISION_CHECKS counts how many such checks ran.  The
+pair, those of the Euclid steps included, is multiplied back and
+compared against the dividend before being used, and DIVISION_CHECKS
+counts how many such checks ran.  The
 multiply-back is one fused product, q g + r (g q + r for left
 division), which accumulates the product into a copy of the remainder
 (SkewPoly._mul_add, which the plain product also runs), so no separate
@@ -250,71 +256,32 @@ class SkewPoly(Frozen):
 
     def _right(self, c: int) -> "SkewPoly":
         """right_scalar for the scalar of index c."""
-        field, twist = self.field, self.twist
-        mul, frob, e = field._mul, field._frob, field.e
-        out = [mul(a, frob(c, twist * i % e)) for i, a in enumerate(self._c)]
-        return SkewPoly._of(field, out, twist)
+        out = [0] * len(self._c)
+        self.field._addmul_right(out, self._c, c, 0, self.twist)
+        return SkewPoly._of(self.field, out, self.twist)
 
     # ------------------------------------------------------------------
     # Euclidean structure
 
     def divmod_right(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
         """q, r with self = q * g + r and deg r < deg g."""
-        self._peer(g)
-        gc = g._c
-        if not gc:
-            raise ZeroDivisionError("division by the zero polynomial")
-        field, twist = self.field, self.twist
-        mul, neg, frob, e = field._mul, field._neg, field._frob, field.e
-        addmul, frob_row = field._addmul, field._frob_row
-        n = len(gc) - 1
-        r = list(self._c)
-        q = [0] * max(len(r) - n, 0)
-        g_inv = 1 if gc[-1] == 1 else field._inv(gc[-1])
-        rows = {0: gc}  # s -> sigma^s(g), coefficient-wise
-        # from the top down, r[k + n] is the top of what is left
-        for k in range(len(q) - 1, -1, -1):
-            top = r[k + n]
-            if not top:
-                continue
-            s = twist * k % e
-            row = rows.get(s)
-            if row is None:
-                row = rows[s] = frob_row(gc, s)
-            c = q[k] = top if g_inv == 1 else mul(top, frob(g_inv, s))
-            addmul(r, neg(c), row, k)  # r[k + n] becomes 0
-        qq = SkewPoly._of(field, q, twist)
-        rr = SkewPoly._of(field, r[:n], twist)
-        check_rebuild(lambda: (self, qq._mul_add(g, rr)))
-        return qq, rr
+        return self._divmod(g, False)
 
     def divmod_left(self, g: "SkewPoly") -> tuple["SkewPoly", "SkewPoly"]:
         """q, r with self = g * q + r and deg r < deg g."""
+        return self._divmod(g, True)
+
+    def _divmod(self, g: "SkewPoly", left: bool) -> tuple["SkewPoly", "SkewPoly"]:
+        """divmod_left when left, else divmod_right: one remainder core on
+        a copy of the coefficients, checked under CHECK_DIVISION."""
         self._peer(g)
-        gc = g._c
-        if not gc:
+        if not g._c:
             raise ZeroDivisionError("division by the zero polynomial")
         field, twist = self.field, self.twist
-        mul, sub, frob, e = field._mul, field._sub, field._frob, field.e
-        n = len(gc) - 1
-        g_inv = 1 if gc[-1] == 1 else field._inv(gc[-1])
-        shift = -twist * n % e
         r = list(self._c)
-        q = [0] * max(len(r) - n, 0)
-        while len(r) > n:
-            k = len(r) - 1 - n
-            c = r[-1] if g_inv == 1 else mul(g_inv, r[-1])
-            c = q[k] = frob(c, shift) if shift else c
-            for i, gi in enumerate(gc):
-                if gi:
-                    s = twist * i % e
-                    r[i + k] = sub(r[i + k], mul(gi, frob(c, s) if s else c))
-            del r[-1]
-            while r and not r[-1]:
-                del r[-1]
-        qq = SkewPoly._of(field, q, twist)
-        rr = SkewPoly._of(field, r, twist)
-        check_rebuild(lambda: (self, g._mul_add(qq, rr)))
+        q = (_rem_left if left else _rem_right)(field, twist, r, g._c)
+        qq, rr = SkewPoly._of(field, q, twist), SkewPoly._of(field, r, twist)
+        check_rebuild(lambda: (self, _rebuild(qq, g, rr, left)))
         return qq, rr
 
     def mod_right(self, g: "SkewPoly") -> "SkewPoly":
@@ -399,13 +366,10 @@ class SkewPoly(Frozen):
         targets = [
             field._combine([rows[r][j] % p for r in range(e)]) for j in range(e)
         ]
-        mul, add = field._mul, field._add
+        addmul = field._addmul
         coeffs = [0] * e
         for t, d_pows in zip(targets, field.dual_frobenius()):
-            if t:
-                for k in range(e):
-                    v, prev = mul(t, d_pows[k]), coeffs[k]
-                    coeffs[k] = add(prev, v) if prev else v
+            addmul(coeffs, t, d_pows, 0)
         return cls._of(field, coeffs, 1)
 
     def is_permutation(self) -> bool:
@@ -447,29 +411,102 @@ def check_rebuild(sides: Callable[[], tuple[SkewPoly, SkewPoly]]) -> None:
 
 
 # ----------------------------------------------------------------------
+# the remainder cores: one division on trimmed index lists
+
+
+def _rem_right(field: FiniteField, twist: int, r: list[int], g: Sequence[int]) -> list[int]:
+    """Reduce r in place to its right remainder by the nonzero g, so that
+    the old r is q * g + r, and return the quotient q.
+
+    From the top down, r[k + n] is the top of what is left, and one
+    _addmul subtracts q_k sigma^k(g) Y^k, its row read once per k."""
+    mul, neg, frob, e = field._mul, field._neg, field._frob, field.e
+    addmul, frob_row = field._addmul, field._frob_row
+    n = len(g) - 1
+    q = [0] * max(len(r) - n, 0)
+    g_inv = 1 if g[-1] == 1 else field._inv(g[-1])
+    rows = {0: g}  # s -> sigma^s(g), coefficient-wise
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + n]
+        if top:
+            s = twist * k % e
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = frob_row(g, s)
+            c = q[k] = top if g_inv == 1 else mul(top, frob(g_inv, s))
+            addmul(r, neg(c), row, k)  # r[k + n] becomes 0
+    del r[n:]
+    while r and not r[-1]:
+        del r[-1]
+    return q
+
+
+def _rem_left(field: FiniteField, twist: int, r: list[int], g: Sequence[int]) -> list[int]:
+    """Reduce r in place to its left remainder by the nonzero g, so that
+    the old r is g * q + r, and return the quotient q.
+
+    From the top down, q_k = sigma^(-n)(r[k + n] / g_n), and one
+    _addmul_right subtracts g * q_k Y^k, the row g twisted by q_k."""
+    mul, neg, frob, e = field._mul, field._neg, field._frob, field.e
+    addmul_right = field._addmul_right
+    n = len(g) - 1
+    q = [0] * max(len(r) - n, 0)
+    g_inv = 1 if g[-1] == 1 else field._inv(g[-1])
+    shift = -twist * n % e
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + n]
+        if top:
+            c = top if g_inv == 1 else mul(g_inv, top)
+            c = q[k] = frob(c, shift) if shift else c
+            addmul_right(r, g, neg(c), k, twist)  # r[k + n] becomes 0
+    del r[n:]
+    while r and not r[-1]:
+        del r[-1]
+    return q
+
+
+def _rebuild(q: SkewPoly, g: SkewPoly, r: SkewPoly, left: bool) -> SkewPoly:
+    """The multiply-back of a division by g: g * q + r when left, else
+    q * g + r, as one fused product."""
+    return g._mul_add(q, r) if left else q._mul_add(g, r)
+
+
+# ----------------------------------------------------------------------
 # one-sided gcds
+
+
+def _euclid(f: SkewPoly, g: SkewPoly, left: bool) -> SkewPoly:
+    """The last nonzero remainder of Euclid's loop on f and g (left:
+    left-division remainders), each step one remainder core on index
+    lists, multiplied back under CHECK_DIVISION as a division is."""
+    f._peer(g)
+    if not (f._c or g._c):
+        raise BothZeroError("gcd of two zero polynomials")
+    field, twist = f.field, f.twist
+    rem, of = _rem_left if left else _rem_right, SkewPoly._of
+    a, b = f._c, g._c
+    while b:
+        r = list(a)
+        q = rem(field, twist, r, b)
+        # the two sides as coefficient tuples, a and its multiply-back
+        check_rebuild(
+            lambda: (
+                tuple(a),
+                _rebuild(of(field, q, twist), of(field, b, twist), of(field, r, twist), left)._c,
+            )
+        )
+        a, b = b, r
+    return of(field, a, twist)
 
 
 def gcd_right(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic greatest common right divisor, via right-division remainders."""
-    f._peer(g)
-    if f.is_zero and g.is_zero:
-        raise BothZeroError("gcd of two zero polynomials")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a.mod_right(b)
-    return a.monic_left()
+    return _euclid(f, g, False).monic_left()
 
 
 def gcd_left(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic greatest common left divisor, via left-division remainders."""
-    f._peer(g)
-    if f.is_zero and g.is_zero:
-        raise BothZeroError("gcd of two zero polynomials")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a.mod_left(b)
-    return a.monic_right()
+    return _euclid(f, g, True).monic_right()
 
 
 def gcldf(L1: SkewPoly, L2: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]:

@@ -230,6 +230,28 @@ def divmod_left(a, g):
     return SkewPoly(field, q, a.twist), SkewPoly(field, r, a.twist)
 
 
+def euclid(f, g, divmod_):
+    """The last nonzero remainder of Euclid's loop on f and g under the
+    division divmod_, and the number of divisions it made."""
+    a, b, steps = f, g, 0
+    while not b.is_zero:
+        a, b, steps = b, divmod_(a, b)[1], steps + 1
+    return a, steps
+
+
+def gcd_right(f, g):
+    """Monic gcrd: the last remainder of right division, made monic on the left."""
+    a = euclid(f, g, divmod_right)[0]
+    return left_scalar(a, a.coeffs[-1].inv())
+
+
+def gcd_left(f, g):
+    """Monic gcld: the last remainder of left division times the c with
+    lead * sigma^n(c) = 1 on the right."""
+    a = euclid(f, g, divmod_left)[0]
+    return right_scalar(a, _sigma(a, a.coeffs[-1].inv(), -(len(a.coeffs) - 1)))
+
+
 def times_y(a, f):
     """(t, Y a - t f) for a residue a of the monic f, t the coefficient of
     Y^(deg f) in Y a."""

@@ -5,8 +5,10 @@ and a lost shortcut should show as more work, not only as a slower run.
 So 120 operations of three in-process workloads run here at seed 7, each
 result checked as the benchmark checks it, and the calls into each
 layer are counted through wrappers on the module and class attributes
-the library calls through.  The counts are exact: the inputs, the rng
-draws and the work they cause are all fixed by the seed.
+the library calls through.  Divisions are counted at the two remainder
+cores, skew._rem_left and skew._rem_right, which every one-sided
+division and every Euclid step runs.  The counts are exact: the inputs,
+the rng draws and the work they cause are all fixed by the seed.
 
 perfbench/workloads.py is loaded read-only, as in test_benchmark_api.
 """
@@ -30,12 +32,12 @@ BUDGETS = {
     "decompose-gf16": {
         (decompose, "minimal_polynomial"): 174,
         (decompose, "eigen_ring"): 44,
-        (SkewPoly, "divmod_right"): 1205,
+        (skew, "_rem_right"): 1205,  # right divisions, gcd steps included
         "checks": 2310,
     },
     "attack-gf256": {
         (hfe, "difference_poly"): 243,
-        (SkewPoly, "divmod_left"): 1060,
+        (skew, "_rem_left"): 1060,  # left divisions, gcd steps included
         (hfe, "try_left_factor"): 123,
         (SkewPoly, "inverse_matrix"): 153,  # F_2 inverses of the key layers
         (hfe.DOPoly, "_set"): 90,  # DOPoly constructions

@@ -944,10 +944,13 @@ def test_central_split_divides_from_f(gf16, monkeypatch):
     lin = SkewPoly(gf16, [gf16.from_int(7), gf16.one()])
     f = quad * lin
     calls = []
-    real = SkewPoly.divmod_right
-    monkeypatch.setattr(
-        SkewPoly, "divmod_right", lambda a, g: calls.append((a.degree, g.degree)) or real(a, g)
-    )
+    real = skew._rem_right  # every right division and gcd step runs it
+
+    def spy(field, twist, r, g):
+        calls.append((len(r) - 1, len(g) - 1))  # before r is reduced in place
+        return real(field, twist, r, g)
+
+    monkeypatch.setattr(skew, "_rem_right", spy)
     res = split_once(f, random.Random(0))
     assert isinstance(res, Split) and res.tries == 0
     assert res.right == lin and res.left == quad

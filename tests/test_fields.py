@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import math
 import random
 import time
 
@@ -503,6 +504,18 @@ def test_row_kernels_match_elementwise_kernels(p, e):
                 want[j] = add(want[j], mul(c, t))
             assert field._addmul(out, c, row, start) is None
             assert out == want, (c, start)
+    # the twisted row: out[start + i] += row[i] c^(p^(step i)), for step
+    # 1, one coprime to e, e (no twist), e + 1 (twist 1 again) and 2e
+    coprime = next(k for k in range(2, 2 * e + 3) if math.gcd(k, e) == 1)
+    for step in (1, coprime, e, e + 1, 2 * e):
+        for c in samples:
+            for start in (0, 1, 5):
+                out = [rng.randrange(q) for _ in range(start + len(row) + 2)]
+                want = list(out)
+                for i, t in enumerate(row):
+                    want[start + i] = add(want[start + i], mul(t, frob(c, step * i)))
+                assert field._addmul_right(out, row, c, start, step) is None
+                assert out == want, (c, start, step)
     for k in range(e):
         got = field._frob_row(row, k)
         assert got == [frob(x, k) for x in row] and got is not row, k

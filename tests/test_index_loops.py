@@ -1,9 +1,10 @@
 """The index loops of the skew ring and of DOPoly against their
 FqElem-coefficient oracles.
 
-SkewPoly, the residue steps of decompose and DOPoly run on element
-indices through the field's kernels; tests/oracles.py keeps the same
-loops on FqElem coefficients.  Each field kind is covered: exp/log tables
+SkewPoly (its product, both divisions and both Euclid loops), the
+residue steps of decompose and DOPoly run on element indices through the
+field's kernels; tests/oracles.py keeps the same loops on FqElem
+coefficients.  Each field kind is covered: exp/log tables
 (GF(2^4)), bit kernels (GF(2^16)) and digit kernels (GF(3^3), GF(7)),
 the ring with twist 1 and a twist coprime to e.
 """
@@ -16,7 +17,7 @@ from skewlin import hfe
 from skewlin.decompose import _combine, _step_quotient, _times_y, _y_rows
 from skewlin.fields import FiniteField
 from skewlin.hfe import DOPoly, difference_poly, do_compose_lin
-from skewlin.skew import SkewPoly
+from skewlin.skew import SkewPoly, gcd_left, gcd_right, gcldf
 
 # field, twists: 1 and one coprime to e
 FIELDS = [
@@ -93,6 +94,38 @@ def test_residue_steps_match_oracles(r, data):
     a = poly(data.draw, field, twist, n - 1).mod_right(f)
     assert _combine(a._c, rows, f) == oracles.combine(a.coeffs, rows, f)
     assert _step_quotient(a, rows, f) == oracles.step_quotient(a, rows, f)
+
+
+# the one-sided Euclidean structure also on twists that are not coprime
+# to e: 2 on GF(16), where sigma has order 2, and e + 1, which acts as 1
+EUCLID_RINGS = [(field, t) for field, twists in FIELDS for t in (*twists, field.e + 1)]
+EUCLID_RINGS.append((FIELDS[0][0], 2))
+
+
+@SETTINGS
+@given(r=st.sampled_from(EUCLID_RINGS), data=st.data())
+def test_left_division_and_euclid_match_oracles(r, data):
+    field, twist = r
+    zero = SkewPoly.zero(field, twist)
+    c = nonzero(data.draw, field)
+    # a divisor of degree 0 .. 3 with a lead other than 1
+    g = poly(data.draw, field, twist, 2, monic=True).left_scalar(c)
+    a, b = poly(data.draw, field, twist, 6), poly(data.draw, field, twist, 6)
+    for d in (g, SkewPoly(field, [c], twist)):  # and a divisor of degree 0
+        for f in (a, d * a, a * d):  # d * a is an exact left division
+            assert f.divmod_left(d) == oracles.divmod_left(f, d)
+            assert f.divmod_right(d) == oracles.divmod_right(f, d)
+        assert (d * a).divmod_left(d) == (a, zero)
+    # coprime operands, a common left factor, a common right factor, and
+    # one zero operand on either side
+    for f1, f2 in ((a, b), (g * a, g * b), (a * g, b * g), (g, zero), (zero, g)):
+        if f1.is_zero and f2.is_zero:
+            continue
+        G = oracles.gcd_left(f1, f2)
+        assert gcd_left(f1, f2) == G
+        assert gcd_right(f1, f2) == oracles.gcd_right(f1, f2)
+        A, B = oracles.divmod_left(f1, G)[0], oracles.divmod_left(f2, G)[0]
+        assert gcldf(f1, f2) == (G, A, B)
 
 
 def test_kernels_and_polynomials_hold_indices():

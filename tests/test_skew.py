@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 import skewlin.linpoly as linpoly
 import skewlin.serialize as ser
 import skewlin.skew as skew
@@ -155,6 +156,31 @@ def test_tampered_division_raises_invariant_error(gf4, monkeypatch):
         f.divmod_right(g)
     with pytest.raises(InvariantError):
         f.divmod_left(g)
+    # and inside a Euclid step of either gcd, which divides no other way
+    with pytest.raises(InvariantError):
+        gcd_left(f, g)
+    with pytest.raises(InvariantError):
+        gcd_right(f, g)
+
+
+def test_every_euclid_step_is_checked(gf16, gf27):
+    # each step of both Euclid loops is one checked division; gcldf adds
+    # its two witness divisions
+    assert skew.CHECK_DIVISION
+    for field in (gf16, gf27):
+        rng = random.Random(47)
+        for twist in (1, 2):
+            for _ in range(5):
+                c = random_skew(field, rng, 2, twist)
+                f = c * random_skew(field, rng, 4, twist)
+                g = c * random_skew(field, rng, 4, twist)
+                left = oracles.euclid(f, g, oracles.divmod_left)[1]
+                right = oracles.euclid(f, g, oracles.divmod_right)[1]
+                assert left and right
+                for run, steps in ((gcd_left, left), (gcd_right, right), (gcldf, left + 2)):
+                    before = skew.DIVISION_CHECKS
+                    run(f, g)
+                    assert skew.DIVISION_CHECKS - before == steps, (field, run.__name__)
 
 
 def test_monic_normalisations(gf9):
