@@ -4,6 +4,15 @@ A polynomial c_0 + c_1 x + ... + c_n x^n is the list [c_0, ..., c_n] with
 each c_i an int in [0, p); the zero polynomial is the empty list.  Every
 function returns freshly trimmed lists and never mutates its arguments.
 These are internal helpers: inputs are assumed well formed.
+
+The irreducible-factor search (_first_split, behind is_irreducible,
+first_irreducible and first_factor, and first_factor's equal-degree
+candidate scan) has one arithmetic per characteristic, as the package's
+F_p-vectors do.  Over F_2 it runs on ints, bit i holding the coefficient
+of x^i: a sum is an XOR, squaring spreads the bits apart, and a
+reduction modulo m (_mod2, which the gcd also runs) XORs shifted copies
+of m under the leading bit.  In odd characteristic it runs on the lists.
+Lists go in and come out either way.
 """
 
 from __future__ import annotations
@@ -133,11 +142,54 @@ def pow_mod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
     return result
 
 
+def _bits(a: list[int]) -> int:
+    """The polynomial a over F_2 as an int, bit i holding the coefficient of x^i."""
+    n = 0
+    for c in reversed(a):
+        n = n << 1 | c
+    return n
+
+
+def _from_bits(n: int) -> list[int]:
+    """The coefficient list of the F_2 polynomial n, trimmed."""
+    return [n >> i & 1 for i in range(n.bit_length())]
+
+
+def _mod2(a: int, m: int) -> int:
+    """a mod m over F_2, on ints: while deg a >= deg m, XOR away the
+    leading bit of a with m shifted under it."""
+    dm = m.bit_length()
+    n = a.bit_length()
+    while n >= dm:
+        a ^= m << (n - dm)
+        n = a.bit_length()
+    return a
+
+
+def _gcd2(a: int, b: int) -> int:
+    """gcd(a, b) over F_2, on ints; monic, as every nonzero F_2 polynomial is."""
+    while b:
+        a, b = b, _mod2(a, b)
+    return a
+
+
 def _first_split(m: list[int], p: int) -> Optional[tuple[int, list[int]]]:
     """(k, h) for the least k <= deg(m)/2 with h = gcd(m, x^(p^k) - x) nonconstant.
 
     h is the product of the distinct degree-k irreducible factors of m;
-    None means m has no irreducible factor of degree at most deg(m)/2."""
+    None means m has no irreducible factor of degree at most deg(m)/2.
+    Over F_2 the loop runs on ints: x^(2^k) is the square of x^(2^(k-1)),
+    its bits spread apart (the binary digits joined by zeros) and
+    reduced by _mod2."""
+    if p == 2:
+        mb = _bits(m)
+        y = 2  # x
+        for k in range(1, degree(m) // 2 + 1):
+            y = _mod2(int("0".join(bin(y)[2:]), 2), mb)
+            h = _gcd2(mb, y ^ 2)
+            if h.bit_length() > 1:
+                return k, _from_bits(h)
+        return None
     x = [0, 1]
     y = x
     for k in range(1, degree(m) // 2 + 1):
@@ -182,7 +234,9 @@ def first_factor(m: list[int], p: int) -> list[int]:
     From the distinct-degree split (k, h) of _first_split, the answer is
     h itself when deg h = k and otherwise the first degree-k iter_monic
     candidate dividing h.  m is returned when no k <= deg(m)/2 qualifies,
-    that is when m is irreducible.
+    that is when m is irreducible.  Over F_2 the candidates are the ints
+    2^k, ..., 2^(k+1) - 1, which is iter_monic order, each tried by one
+    _mod2.
     """
     split = _first_split(m, p)
     if split is None:
@@ -190,4 +244,7 @@ def first_factor(m: list[int], p: int) -> list[int]:
     k, h = split
     if degree(h) == k:
         return h
+    if p == 2:
+        hb = _bits(h)
+        return _from_bits(next(c for c in range(1 << k, 2 << k) if not _mod2(hb, c)))
     return next(c for c in iter_monic(p, k) if not mod(h, c, p))

@@ -47,12 +47,18 @@ reads each column f b Y^i = sum_j f_j sigma^j(b) Y^(i+j) off the same
 table.  Right multiplication by Y is not defined on R/Rf and is never
 used.  These residue steps work on whole coefficient rows through the
 field's row kernels: a left multiplication by Y is one _frob_row and
-one _addmul, a combination one _addmul per nonzero coefficient, and an
-eigenring column is an index list, built with no SkewPoly.
+one _addmul, a combination one _addmul per nonzero coefficient.  A
+residue is an index list from end to end, from the residue table
+through the Krylov powers, the eigenring columns and draws, to the
+zero-divisor witness; a SkewPoly is built only for a part pushed on
+the decomposition stack, for the z handed to gcd_right, and for public
+results (minimal_polynomial's argument, EigenRing.basis, ZeroDivisor).
 skew.CHECK_DIVISION multiplies back, like a division and without one,
 every computed row and the last Krylov step of each minimal polynomial
-(through its quotient), each by one fused product (SkewPoly._mul_add);
-find_zero_divisor checks each eigenring draw u against f u mod f = 0.
+(through its quotient), each by one call of the ring's list product
+core (skew._product), and compares the two sides as index tuples;
+find_zero_divisor checks each eigenring draw u against f u mod f = 0,
+one product and one checked division on index lists.
 
 The F_p-linear algebra is one elimination, in _linalg: the package's
 only Gaussian elimination, _linalg.eliminator, is fed the F_p-vectors
@@ -139,7 +145,7 @@ from . import _linalg
 from ._record import Record
 from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, _pack
-from .skew import SkewPoly, check_rebuild, gcd_right
+from .skew import SkewPoly, _divide, _product, _trim, check_rebuild, gcd_right
 
 ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
 
@@ -162,13 +168,16 @@ class EigenRing(Record):
         return len(self.basis)
 
     def random_element(self, rng: random.Random) -> SkewPoly:
-        p = self.field.p
-        out = SkewPoly.zero(self.field, self.modulus.twist)
+        """sum_k c_k basis[k] for c_k drawn uniformly from F_p, one
+        randrange per basis element, summed on one index list."""
+        field = self.field
+        addmul, p = field._addmul, field.p
+        out = [0] * (len(self.modulus._c) - 1)
         for b in self.basis:
             c = rng.randrange(p)
             if c:
-                out = out + b._left(c)  # c < p is the index of the scalar c
-        return out
+                addmul(out, c, b._c, 0)  # c < p is the index of the scalar c
+        return SkewPoly._of(field, out, self.modulus.twist)
 
     def __repr__(self) -> str:
         return f"EigenRing(dim={self.dim}, modulus_degree={self.modulus.degree})"
@@ -255,53 +264,59 @@ def _vectors(field: FiniteField, n: int) -> Union[_BitVectors, _DigitVectors]:
     return (_BitVectors if field.p == 2 else _DigitVectors)(field, n)
 
 
-def _times_y(a: SkewPoly, f: SkewPoly) -> tuple[int, SkewPoly]:
-    """(t, Y a - t f) for a residue a modulo the monic f: one left
-    multiplication by Y on R/Rf.  Y a = sum_i sigma(a_i) Y^(i+1), and t,
-    an element index, is its coefficient of Y^(deg f)."""
+def _times_y(a: Sequence[int], f: SkewPoly) -> tuple[int, list[int]]:
+    """(t, Y a - t f) for the residue a, an index list, of the monic f: one
+    left multiplication by Y on R/Rf.  Y a = sum_i sigma(a_i) Y^(i+1), and
+    t, an element index, is its coefficient of Y^(deg f); the new residue
+    has deg f entries."""
     field, fc = f.field, f._c
     n = len(fc) - 1
-    shifted = [0, *field._frob_row(a._c, f.twist)]
+    shifted = [0, *field._frob_row(a, f.twist)]
     shifted += [0] * (n + 1 - len(shifted))
     top = shifted[n]
     if top:
         field._addmul(shifted, field._neg(top), fc, 0)  # zeroes shifted[n]
-    return top, SkewPoly._of(field, shifted[:n], f.twist)
+    del shifted[n:]
+    return top, shifted
 
 
-def _y_rows(a: SkewPoly, f: SkewPoly, count: int) -> list[SkewPoly]:
-    """[Y^i a mod f for i < count], for a residue a of the monic f.
+def _y_rows(a: Sequence[int], f: SkewPoly, count: int) -> list[Sequence[int]]:
+    """[Y^i a mod f for i < count], index lists, for a residue a of the monic f.
 
     Rf is a left ideal, so left multiplication by Y is well defined on
     R/Rf: each row is _times_y of the row before, and under
-    skew.CHECK_DIVISION it is multiplied back through the fused ring
-    product (t f + row = Y prev) and counted like a division.
+    skew.CHECK_DIVISION it is multiplied back through the product core
+    (t f + row = Y prev) and counted like a division.
     """
-    Y = SkewPoly._of(f.field, (0, 1), f.twist)
+    field, twist = f.field, f.twist
     rows = [a]
     for _ in range(1, count):
         prev = rows[-1]
         top, row = _times_y(prev, f)
-        check_rebuild(lambda: (Y * prev, SkewPoly._of(f.field, (top,), f.twist)._mul_add(f, row)))
+        check_rebuild(
+            lambda: (
+                tuple(_product(field, twist, (0, 1), prev)),
+                tuple(_product(field, twist, (top,), f._c, row)),
+            )
+        )
         rows.append(row)
     return rows
 
 
-def _residue_table(f: SkewPoly, size: int) -> list[SkewPoly]:
-    """T[j] = Y^j mod f for j < size, f monic of degree n.
+def _residue_table(f: SkewPoly, size: int) -> list[Sequence[int]]:
+    """T[j] = Y^j mod f for j < size, as index lists, f monic of degree n.
 
     The rows j < n are the monomials themselves; the rows past them are
     the _y_rows of Y^(n-1), each one checked step.
     """
-    field, n = f.field, len(f._c) - 1
-    k = min(n, size)
-    monomials = [SkewPoly._of(field, [0] * j + [1], f.twist) for j in range(k)]
+    k = min(len(f._c) - 1, size)
+    monomials = [[0] * j + [1] for j in range(k)]
     return monomials[:-1] + _y_rows(monomials[-1], f, size - k + 1)
 
 
-def _combine(coeffs: Sequence[int], rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
-    """sum_k c_k rows[k], a residue modulo f, for coefficient indices c_k;
-    len(coeffs) <= len(rows).
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], f: SkewPoly) -> list[int]:
+    """sum_k c_k rows[k], a residue modulo f with deg f entries, for
+    coefficient indices c_k; len(coeffs) <= len(rows).
 
     Reduction modulo the left ideal Rf is left F_q-linear, so with
     rows[k] = Y^k a mod f this is (sum_k c_k Y^k) a mod f.
@@ -310,11 +325,11 @@ def _combine(coeffs: Sequence[int], rows: list[SkewPoly], f: SkewPoly) -> SkewPo
     out = [0] * (len(f._c) - 1)
     for c, row in zip(coeffs, rows):
         if c:
-            addmul(out, c, row._c, 0)
-    return SkewPoly._of(f.field, out, f.twist)
+            addmul(out, c, row, 0)
+    return out
 
 
-def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
+def _step_quotient(a: Sequence[int], rows: Sequence[Sequence[int]], f: SkewPoly) -> list[int]:
     """Q with a u = Q f + sum_i a_i rows[i], for the _y_rows of u.
 
     Y^i u = q_i f + rows[i] with q_0 = 0 and q_i = Y q_(i-1) + t_i, where
@@ -324,19 +339,18 @@ def _step_quotient(a: SkewPoly, rows: list[SkewPoly], f: SkewPoly) -> SkewPoly:
     """
     field, n = f.field, len(f._c) - 1
     mul, add, frob, e = field._mul, field._add, field._frob, field.e
-    tops = [row._c[n - 1] if len(row._c) == n else 0 for row in rows]
-    cs = a._c
+    tops = [row[n - 1] if len(row) == n else 0 for row in rows]
     out = []
-    for m in range(len(cs) - 1):
+    for m in range(len(a) - 1):
         s = f.twist * (m + 1) % e
         acc = 0
-        for i in range(m + 1, len(cs)):
+        for i in range(m + 1, len(a)):
             top = tops[i - m - 1]
-            if cs[i] and top:
-                v = mul(cs[i], frob(top, s) if s else top)
+            if a[i] and top:
+                v = mul(a[i], frob(top, s) if s else top)
                 acc = add(acc, v) if acc else v
         out.append(acc)
-    return SkewPoly._of(field, out, f.twist)
+    return out
 
 
 def eigen_ring(f: SkewPoly) -> EigenRing:
@@ -356,7 +370,7 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     field = f.field
     n, e, p = len(f._c) - 1, field.e, field.p
     monic = f.monic_left()  # R f = R monic, with the same residues
-    high = [row._c for row in _residue_table(monic, 2 * n)[n:]]  # Y^j mod f, n <= j < 2n
+    high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f, n <= j < 2n
     fbs = [f._right(p**d)._c for d in range(e)]  # f b for b = t^d
     addmul = field._addmul
     space = _vectors(field, n)
@@ -392,52 +406,65 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
     elimination, _linalg.eliminator, in order, and the first that depends
     on those before it gives the monic relation mu.
     """
-    field = modulus.field
+    field, twist = modulus.field, modulus.twist
     n = len(modulus._c) - 1
     f = modulus.monic_left()  # R modulus = R f, with the same residues
-    ys = _y_rows(u, f, n)
+    ys = _y_rows(u._c, f, n)
     space = _vectors(field, n)
     add = _linalg.eliminator(field.p)
     powers: list = []
-    prev, power = None, SkewPoly.one(field, modulus.twist)
+    prev, power = None, [1]
     while True:
-        vec = space.pack(power._c)
+        vec = space.pack(power)
         dependency = add(vec)
         if dependency is not None:
-            check_rebuild(lambda: (prev * u, _step_quotient(prev, ys, f)._mul_add(f, power)))
+            check_rebuild(
+                lambda: (
+                    tuple(_product(field, twist, prev, u._c)),
+                    tuple(_product(field, twist, _step_quotient(prev, ys, f), f._c, power)),
+                )
+            )
             return space.scalars(dependency, len(powers) + 1), powers
         powers.append(vec)
-        prev, power = power, _combine(power._c, ys, f)
+        prev, power = power, _combine(power, ys, f)
 
 
-def _poly_at(poly: list[int], powers: list, modulus: SkewPoly) -> SkewPoly:
-    """poly(u) modulo the modulus from the powers of u of minimal_polynomial;
-    deg poly < len(powers)."""
-    field, n = modulus.field, len(modulus._c) - 1
-    space = _vectors(field, n)
-    return SkewPoly._of(field, space.unpack(space.span(poly, powers)), modulus.twist)
+def _poly_at(poly: list[int], powers: list, modulus: SkewPoly) -> tuple[int, ...]:
+    """poly(u) modulo the modulus, a trimmed index tuple, from the powers
+    of u of minimal_polynomial; deg poly < len(powers)."""
+    space = _vectors(modulus.field, len(modulus._c) - 1)
+    return _trim(space.unpack(space.span(poly, powers)))
 
 
 # ----------------------------------------------------------------------
 # zero divisors
 
 
+def _product_mod(a: Sequence[int], b: Sequence[int], modulus: SkewPoly) -> list[int]:
+    """(a b) mod the modulus, a trimmed index list: one product core call
+    and one checked right division."""
+    field, twist = modulus.field, modulus.twist
+    return _divide(field, twist, _product(field, twist, a, b), modulus._c, False)[1]
+
+
 def _witness(
-    mu: list[int], nu: list[int], at: Callable[[list[int]], SkewPoly], modulus: SkewPoly
-) -> tuple[SkewPoly, SkewPoly, list[int]]:
-    """(z, w, mu/nu) with z = nu(u) and w = (mu/nu)(u), checked.
+    mu: list[int], nu: list[int], at: Callable[[list[int]], Sequence[int]], modulus: SkewPoly
+) -> tuple[Sequence[int], Sequence[int], list[int]]:
+    """(z, w, mu/nu) with z = nu(u) and w = (mu/nu)(u), trimmed index
+    sequences, checked.
 
     mu is the minimal polynomial of a residue u in the eigenring of the
     modulus (a central residue or an eigenring draw), nu a proper factor
-    of mu, and at(poly) is poly(u) modulo the modulus.  z and w are
-    nonzero and z w is zero modulo the modulus, or InvariantError: a mu
-    that does not annihilate u fails here.
+    of mu, and at(poly) is poly(u) modulo the modulus, trimmed.  z and w
+    are nonzero and z w is zero modulo the modulus (one product and one
+    checked division on index lists), or InvariantError: a mu that does
+    not annihilate u fails here.
     """
     rest, rem = fp.divmod_(mu, nu, modulus.field.p)
     if rem:
         raise InvariantError("a factor of the minimal polynomial does not divide it")
     z, w = at(nu), at(rest)
-    if z.is_zero or w.is_zero or not (z * w).mod_right(modulus).is_zero:
+    if not z or not w or _product_mod(z, w, modulus):
         raise InvariantError("zero-divisor witness does not annihilate")
     return z, w, rest
 
@@ -455,7 +482,8 @@ def _zero_divisor_pair(
     if nu == mu:
         return None
     z, w, _ = _witness(mu, nu, lambda poly: _poly_at(poly, powers, modulus), modulus)
-    return z, w
+    field, twist = modulus.field, modulus.twist
+    return SkewPoly._of(field, z, twist), SkewPoly._of(field, w, twist)
 
 
 class ZeroDivisor(Record):
@@ -487,7 +515,6 @@ def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optio
     if E.dim <= 1:
         return None
     f = E.modulus
-    none = SkewPoly.zero(f.field, f.twist)
     for t in range(1, max_tries + 1):
         u = E.random_element(rng)
         guard = 0
@@ -496,7 +523,7 @@ def find_zero_divisor(E: EigenRing, rng: random.Random, max_tries: int) -> Optio
             guard += 1
             if guard > 1000:
                 raise InvariantError("nonscalar redraw failed to terminate")
-        check_rebuild(lambda: (none, (f * u).mod_right(f)))
+        check_rebuild(lambda: ((), tuple(_product_mod(f._c, u._c, f))))
         pair = _zero_divisor_pair(*minimal_polynomial(u, f), f)
         if pair is not None:
             return ZeroDivisor(element=pair[0], witness=pair[1], tries=t)
@@ -552,7 +579,7 @@ def _fixed_field_span(powers: list, f: SkewPoly, g: int) -> int:
     """
     field = f.field
     n, p = len(f._c) - 1, field.p
-    frob, sub = field._frob, field._sub
+    frob, sub, mul = field._frob, field._sub, field._mul
     elements = _vectors(field, 1)
     add = _linalg.eliminator(p)
     deps = (add(elements.pack([sub(frob(p**j, g), p**j)])) for j in range(field.e))
@@ -561,8 +588,8 @@ def _fixed_field_span(powers: list, f: SkewPoly, g: int) -> int:
     add = _linalg.eliminator(p)
     rank = 0
     for vec in powers:
-        power = SkewPoly._of(field, space.unpack(vec), f.twist)
-        rank += sum(add(space.pack(power._left(b)._c)) is None for b in fixed)
+        power = space.unpack(vec)
+        rank += sum(add(space.pack([mul(b, c) for c in power])) is None for b in fixed)
     return rank
 
 
@@ -595,15 +622,16 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
 Hint = tuple[list[int], Optional[list[int]]]
 
 
-def _at_centre(poly: list[int], r: int, f: SkewPoly) -> SkewPoly:
-    """poly(Y^r) mod f for an F_p-polynomial poly, by one ring division."""
+def _at_centre(poly: list[int], r: int, f: SkewPoly) -> list[int]:
+    """poly(Y^r) mod f for an F_p-polynomial poly, a trimmed index list, by
+    one checked ring division."""
     cs = [0] * (r * (len(poly) - 1) + 1)
     cs[::r] = poly  # c < p is the index of the scalar c
-    return SkewPoly._of(f.field, cs, f.twist).mod_right(f)
+    return _divide(f.field, f.twist, cs, f._c, False)[1]
 
 
 def _central_split(
-    f: SkewPoly, mu: list[int], nu: list[int], at: Callable[[list[int]], SkewPoly]
+    f: SkewPoly, mu: list[int], nu: list[int], at: Callable[[list[int]], Sequence[int]]
 ) -> tuple[Split, list[int]]:
     """The Split of f through gcd_right(f, nu(u)), and mu/nu.
 
@@ -614,7 +642,7 @@ def _central_split(
     checked either way.
     """
     z, _, rest = _witness(mu, nu, at, f)
-    return _split_off(f, gcd_right(f, z), 0), rest
+    return _split_off(f, gcd_right(f, SkewPoly._of(f.field, z, f.twist)), 0), rest
 
 
 def _split(
@@ -643,7 +671,8 @@ def _split(
     g = math.gcd(f.twist, field.e)
     r = field.e // g
     if hint is None:
-        mu, powers = minimal_polynomial(_residue_table(f, r + 1)[r], f)
+        central = SkewPoly._of(field, _residue_table(f, r + 1)[r], f.twist)
+        mu, powers = minimal_polynomial(central, f)
         nu = fp.first_factor(mu, p)
         at = lambda poly: _poly_at(poly, powers, f)
     else:

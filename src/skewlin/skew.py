@@ -10,20 +10,24 @@ and greatest common left divisors of additive polynomials are all exact.
 A SkewPoly stores its coefficients once, as the trimmed tuple _c of their
 field-element indices, and its arithmetic (sums, products, both
 divisions, both gcds, scalars, evaluation, reduction, the matrix views)
-runs on those indices through the field's index kernels.  The product
-and right division work on whole rows: each nonzero coefficient adds one
-scaled row c sigma^k(g), read once per k by the field's _frob_row,
-through one _addmul call.  Left division and right scalars add the
-twisted row g * c = sum_i g_i sigma^i(c) Y^i through one _addmul_right
-call.  Each side has one remainder core on index lists, _rem_right and
-_rem_left: it reduces a list in place from the top down and returns the
-quotient.  Every one-sided division and every step of the one Euclid
-loop behind gcd_left and gcd_right (_euclid) runs through that core,
-and a SkewPoly is built only for the results.  FqElem objects are
-made only at the boundary: coeffs and lead build them from the indices,
-and the public constructor and the scalar methods take them.  Internal
+runs on those indices through the field's index kernels.  The ring has
+one product, the list-level core _product(field, twist, a, b, addend):
+a * b + addend on index sequences, each nonzero a_i adding one scaled
+row a_i sigma^k(b), read once per k by the field's _frob_row, through
+one _addmul call.  SkewPoly.__mul__ and SkewPoly._mul_add wrap it, and
+so does every multiply-back below.  Left division and right scalars add
+the twisted row g * c = sum_i g_i sigma^i(c) Y^i through one
+_addmul_right call.  Each side has one remainder core on index lists,
+_rem_right and _rem_left: it reduces a list in place from the top down
+and returns the quotient.  _divide runs one of them on a copy of the
+dividend and checks it; every one-sided division and every step of the
+one Euclid loop behind gcd_left and gcd_right (_euclid) is one _divide,
+and a SkewPoly is built only for the results.  FqElem objects are made
+only at the boundary: coeffs and lead build them from the indices, and
+the public constructor and the scalar methods take them.  Internal
 results come from the unchecked SkewPoly._of, which takes indices; the
-public constructor keeps its checks.  Decompose and hfe read _c too.
+public constructor keeps its checks.  Decompose and hfe read _c too,
+and decompose calls _product and _divide on its index lists.
 
 Ore's correspondence reads the same tuple as the additive polynomial
 sum_i f_i X^(p^(twist i)): the ring product f * g is the composition
@@ -44,15 +48,15 @@ serves as a dict key.
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair, those of the Euclid steps included, is multiplied back and
 compared against the dividend before being used, and DIVISION_CHECKS
-counts how many such checks ran.  The
-multiply-back is one fused product, q g + r (g q + r for left
-division), which accumulates the product into a copy of the remainder
-(SkewPoly._mul_add, which the plain product also runs), so no separate
-product and sum are built.  It is built only when the flag is on: with
-the flag off a division makes no ring product.  check_rebuild is that
-check; code that computes a residue modulo f without a division (the
-residue rows of decompose) calls it too, so DIVISION_CHECKS counts those
-multiply-backs as well.
+counts how many such checks ran.  The multiply-back is one call of the
+product core, q g + r (g q + r for left division), which accumulates
+the product into a copy of the remainder, so no separate product and
+sum are built, and the two sides are compared as index tuples, with no
+SkewPoly built.  It is computed only when the flag is on: with the flag
+off a division makes no ring product.  check_rebuild is that check;
+code that computes a residue modulo f without a division (the residue
+rows of decompose) calls it too, with index tuples on both sides, so
+DIVISION_CHECKS counts those multiply-backs as well.
 """
 
 from __future__ import annotations
@@ -221,24 +225,10 @@ class SkewPoly(Frozen):
     compose = __mul__
 
     def _mul_add(self, other: "SkewPoly", addend: Optional["SkewPoly"] = None) -> "SkewPoly":
-        """The fused product self * other + addend, in one pass: the rows
-        sigma^(twist i)(other), scaled by self_i, are accumulated into a
-        copy of the addend's coefficients.  Unchecked: other and addend
-        are of self's ring."""
+        """The fused product self * other + addend through the product core,
+        _product.  Unchecked: other and addend are of self's ring."""
         field, twist = self.field, self.twist
-        a, b = self._c, other._c
-        out = [] if addend is None else list(addend._c)
-        if a and b:
-            out += [0] * (len(a) + len(b) - 1 - len(out))
-            addmul, frob_row, e = field._addmul, field._frob_row, field.e
-            rows = {0: b}  # k -> sigma^k(b), coefficient-wise
-            for i, ai in enumerate(a):
-                if ai:
-                    k = twist * i % e
-                    row = rows.get(k)
-                    if row is None:
-                        row = rows[k] = frob_row(b, k)
-                    addmul(out, ai, row, i)
+        out = _product(field, twist, self._c, other._c, () if addend is None else addend._c)
         return SkewPoly._of(field, out, twist)
 
     def left_scalar(self, c: FqElem) -> "SkewPoly":
@@ -272,17 +262,13 @@ class SkewPoly(Frozen):
         return self._divmod(g, True)
 
     def _divmod(self, g: "SkewPoly", left: bool) -> tuple["SkewPoly", "SkewPoly"]:
-        """divmod_left when left, else divmod_right: one remainder core on
-        a copy of the coefficients, checked under CHECK_DIVISION."""
+        """divmod_left when left, else divmod_right: one checked _divide."""
         self._peer(g)
         if not g._c:
             raise ZeroDivisionError("division by the zero polynomial")
         field, twist = self.field, self.twist
-        r = list(self._c)
-        q = (_rem_left if left else _rem_right)(field, twist, r, g._c)
-        qq, rr = SkewPoly._of(field, q, twist), SkewPoly._of(field, r, twist)
-        check_rebuild(lambda: (self, _rebuild(qq, g, rr, left)))
-        return qq, rr
+        q, r = _divide(field, twist, self._c, g._c, left)
+        return SkewPoly._of(field, q, twist), SkewPoly._of(field, r, twist)
 
     def mod_right(self, g: "SkewPoly") -> "SkewPoly":
         return self.divmod_right(g)[1]
@@ -393,11 +379,11 @@ _set_twist = SkewPoly.twist.__set__
 _set_c = SkewPoly._c.__set__
 
 
-def check_rebuild(sides: Callable[[], tuple[SkewPoly, SkewPoly]]) -> None:
-    """Under CHECK_DIVISION, count one check and compare the two sides that
-    sides() returns: a dividend and its rebuild from quotient and
-    remainder, or any residue computed without a division and its
-    multiply-back through the ring product.
+def check_rebuild(sides: Callable[[], tuple[Sequence[int], Sequence[int]]]) -> None:
+    """Under CHECK_DIVISION, count one check and compare the two index
+    tuples that sides() returns: a dividend and its rebuild from quotient
+    and remainder, or any residue computed without a division and its
+    multiply-back through the product core.
 
     sides is called only when the flag is on, so the multiply-back costs
     nothing otherwise.
@@ -411,7 +397,30 @@ def check_rebuild(sides: Callable[[], tuple[SkewPoly, SkewPoly]]) -> None:
 
 
 # ----------------------------------------------------------------------
-# the remainder cores: one division on trimmed index lists
+# the product core and the remainder cores, on index sequences
+
+
+def _product(
+    field: FiniteField, twist: int, a: Sequence[int], b: Sequence[int], addend: Sequence[int] = ()
+) -> list[int]:
+    """The fused product a * b + addend as a trimmed index list, the ring's
+    one product: the rows sigma^(twist i)(b), scaled by a_i, are
+    accumulated into a copy of the addend, each row read once per k."""
+    out = list(addend)
+    if a and b:
+        out += [0] * (len(a) + len(b) - 1 - len(out))
+        addmul, frob_row, e = field._addmul, field._frob_row, field.e
+        rows = {0: b}  # k -> sigma^k(b), coefficient-wise
+        for i, ai in enumerate(a):
+            if ai:
+                k = twist * i % e
+                row = rows.get(k)
+                if row is None:
+                    row = rows[k] = frob_row(b, k)
+                addmul(out, ai, row, i)
+    while out and not out[-1]:
+        del out[-1]
+    return out
 
 
 def _rem_right(field: FiniteField, twist: int, r: list[int], g: Sequence[int]) -> list[int]:
@@ -465,10 +474,22 @@ def _rem_left(field: FiniteField, twist: int, r: list[int], g: Sequence[int]) ->
     return q
 
 
-def _rebuild(q: SkewPoly, g: SkewPoly, r: SkewPoly, left: bool) -> SkewPoly:
-    """The multiply-back of a division by g: g * q + r when left, else
-    q * g + r, as one fused product."""
-    return g._mul_add(q, r) if left else q._mul_add(g, r)
+def _divide(
+    field: FiniteField, twist: int, a: Sequence[int], g: Sequence[int], left: bool
+) -> tuple[list[int], list[int]]:
+    """(q, r) with a = g * q + r when left, else a = q * g + r, and
+    deg r < deg g, for the nonzero trimmed g: one remainder core on a copy
+    of a, multiplied back under CHECK_DIVISION through the product core,
+    g * q + r or q * g + r, and compared as index tuples."""
+    r = list(a)
+    q = (_rem_left if left else _rem_right)(field, twist, r, g)
+    check_rebuild(
+        lambda: (
+            _trim(a),
+            tuple(_product(field, twist, g, q, r) if left else _product(field, twist, q, g, r)),
+        )
+    )
+    return q, r
 
 
 # ----------------------------------------------------------------------
@@ -477,26 +498,16 @@ def _rebuild(q: SkewPoly, g: SkewPoly, r: SkewPoly, left: bool) -> SkewPoly:
 
 def _euclid(f: SkewPoly, g: SkewPoly, left: bool) -> SkewPoly:
     """The last nonzero remainder of Euclid's loop on f and g (left:
-    left-division remainders), each step one remainder core on index
-    lists, multiplied back under CHECK_DIVISION as a division is."""
+    left-division remainders), each step one checked _divide on index
+    lists."""
     f._peer(g)
     if not (f._c or g._c):
         raise BothZeroError("gcd of two zero polynomials")
     field, twist = f.field, f.twist
-    rem, of = _rem_left if left else _rem_right, SkewPoly._of
     a, b = f._c, g._c
     while b:
-        r = list(a)
-        q = rem(field, twist, r, b)
-        # the two sides as coefficient tuples, a and its multiply-back
-        check_rebuild(
-            lambda: (
-                tuple(a),
-                _rebuild(of(field, q, twist), of(field, b, twist), of(field, r, twist), left)._c,
-            )
-        )
-        a, b = b, r
-    return of(field, a, twist)
+        a, b = b, _divide(field, twist, a, b, left)[1]
+    return SkewPoly._of(field, a, twist)
 
 
 def gcd_right(f: SkewPoly, g: SkewPoly) -> SkewPoly:

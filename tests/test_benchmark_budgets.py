@@ -18,6 +18,7 @@ import pathlib
 
 import pytest
 
+import skewlin._fppoly as fp
 import skewlin.skew as skew
 from skewlin import decompose, hfe
 from skewlin.skew import SkewPoly
@@ -32,6 +33,7 @@ BUDGETS = {
     "decompose-gf16": {
         (decompose, "minimal_polynomial"): 174,
         (decompose, "eigen_ring"): 44,
+        (fp, "first_factor"): 212,  # first irreducible factors of minimal polynomials
         (skew, "_rem_right"): 1205,  # right divisions, gcd steps included
         "checks": 2310,
     },

@@ -6,6 +6,7 @@ import pytest
 from sympy import GF, Poly, symbols
 
 import skewlin._fppoly as fp
+from skewlin.errors import InvariantError
 
 from oracles import factor_monic
 
@@ -133,6 +134,69 @@ def test_first_irreducible_frozen():
     assert fp.first_irreducible(5, 1) == [0, 1]
 
 
+# first_irreducible(2, e) at e = 1 .. 20, the default modulus of every
+# GF(2^e), little-endian
+FIRST_IRREDUCIBLE_F2 = {
+    1: [0, 1],
+    2: [1, 1, 1],
+    3: [1, 1, 0, 1],
+    4: [1, 1, 0, 0, 1],
+    5: [1, 0, 1, 0, 0, 1],
+    6: [1, 1, 0, 0, 0, 0, 1],
+    7: [1, 1, 0, 0, 0, 0, 0, 1],
+    8: [1, 1, 0, 1, 1, 0, 0, 0, 1],
+    9: [1, 1, 0, 0, 0, 0, 0, 0, 0, 1],
+    10: [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1],
+    11: [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    12: [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    13: [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    14: [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    15: [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    16: [1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    17: [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    18: [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    19: [1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    20: [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+def test_f2_search_matches_factor_monic_exhaustively():
+    # every monic polynomial over F_2 of degree 1 .. 12 against the trial
+    # division oracle: the first factor is the oracle's first (least
+    # degree, then first in iter_monic order, which equal-degree products
+    # pin down), and the irreducibility verdict is the oracle's; and the
+    # default moduli of GF(2^e), e <= 20, are the pinned ones
+    equal_degree = 0
+    for d in range(1, 13):
+        for m in fp.iter_monic(2, d):
+            parts = factor_monic(m, 2)
+            nu = fp.first_factor(m, 2)
+            assert nu == parts[0][0], m
+            assert fp.is_irreducible(m, 2) == (parts == [(m, 1)]), m
+            k = fp.degree(nu)
+            equal_degree += sum(fp.degree(g) == k for g, _ in parts) > 1
+    assert equal_degree > 1000
+    for e, m in FIRST_IRREDUCIBLE_F2.items():
+        assert fp.first_irreducible(2, e) == m, e
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_first_irreducible_raises_when_no_candidate_qualifies(p, monkeypatch):
+    # a gcd that hands back the modulus makes every candidate look
+    # reducible, on the int search over F_2 and on the list search for
+    # odd p alike; the scan then runs dry and raises instead of returning
+    if p == 2:
+        monkeypatch.setattr(fp, "_gcd2", lambda a, b: a)
+    else:
+        monkeypatch.setattr(fp, "gcd", lambda a, m, p: fp.monic(m, p))
+    # x^3 + x + 1 over F_2 and x^3 + 2x + 1 over F_3 are irreducible, yet
+    # the faulty search calls them reducible
+    cubic = {2: [1, 1, 0, 1], 3: [1, 2, 0, 1]}[p]
+    assert not fp.is_irreducible(cubic, p)
+    with pytest.raises(InvariantError, match="irreducibles exist in every degree"):
+        fp.first_irreducible(p, 3)
+
+
 def test_factor_monic():
     rng = random.Random(5)
     for p in (2, 3):
@@ -185,8 +249,10 @@ def test_first_factor_divides_far_less_than_full_factorisation(monkeypatch):
     # the degree-30 minimal polynomial of the central Y modulo a product of
     # random monic factors of degrees 1 and 2 over GF(2^10), twist 10: its
     # first factor has degree 10, which trial division reaches only after
-    # every candidate of lower degree.  Counting Z_p divisions keeps the
-    # comparison deterministic.
+    # every candidate of lower degree.  Counting reductions keeps the
+    # comparison deterministic: over F_2 the search reduces on ints, each
+    # one _mod2 call (a square modulo mu, a gcd step or a candidate tried),
+    # and factor_monic divides through fp.divmod_.
     from skewlin.decompose import minimal_polynomial
     from skewlin.fields import FiniteField
     from skewlin.skew import SkewPoly
@@ -200,12 +266,13 @@ def test_first_factor_divides_far_less_than_full_factorisation(monkeypatch):
     f = parts[0] * parts[1]
     mu, _ = minimal_polynomial(SkewPoly.monomial(field, 1, field.one(), 10), f)
     assert fp.degree(mu) == 30
-    calls = []
-    real = fp.divmod_
+    calls, reductions = [], []
+    real, real_mod2 = fp.divmod_, fp._mod2
     monkeypatch.setattr(fp, "divmod_", lambda a, b, p: calls.append(b) or real(a, b, p))
+    monkeypatch.setattr(fp, "_mod2", lambda a, m: reductions.append(m) or real_mod2(a, m))
     nu = fp.first_factor(mu, 2)
-    searched = len(calls)
-    calls.clear()
+    searched = len(reductions)
+    assert searched and not calls  # the F_2 search makes no list division
     full = factor_monic(mu, 2)
     assert nu == full[0][0] and fp.degree(nu) == 10
     assert 4 * searched < len(calls)
@@ -220,7 +287,7 @@ def test_pow_mod(monkeypatch):
             for n in range(41):
                 assert fp.pow_mod(a, n, m, p) == naive, (p, a, n)
                 naive = fp.mod(fp.mul(naive, a, p), m, p)
-    # the Frobenius step of _first_split over F_2 is one square
+    # x^p for p = 2 is one square
     a, m = [0, 1, 1], [1, 1, 0, 1]
     square = fp.mod(fp.mul(a, a, 2), m, 2)
     calls = []

@@ -87,13 +87,16 @@ def test_residue_steps_match_oracles(r, data):
         f = SkewPoly(field, [nonzero(data.draw, field), field.one()], twist)
         n = 1
     u = poly(data.draw, field, twist, 6).mod_right(f)
-    top, row = _times_y(u, f)
+    # the residue steps take and return index lists
+    residue = lambda cs: SkewPoly._of(field, cs, twist)
+    top, row = _times_y(u._c, f)
     want_top, want_row = oracles.times_y(u, f)
-    assert (field.from_int(top), row) == (want_top, want_row)
-    rows = _y_rows(u, f, n)
+    assert (field.from_int(top), residue(row)) == (want_top, want_row)
+    lists = _y_rows(u._c, f, n)
+    rows = [residue(r) for r in lists]
     a = poly(data.draw, field, twist, n - 1).mod_right(f)
-    assert _combine(a._c, rows, f) == oracles.combine(a.coeffs, rows, f)
-    assert _step_quotient(a, rows, f) == oracles.step_quotient(a, rows, f)
+    assert residue(_combine(a._c, lists, f)) == oracles.combine(a.coeffs, rows, f)
+    assert residue(_step_quotient(a._c, lists, f)) == oracles.step_quotient(a, rows, f)
 
 
 # the one-sided Euclidean structure also on twists that are not coprime

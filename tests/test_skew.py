@@ -122,14 +122,18 @@ def test_division_checks_counter(gf4):
 
 def test_unchecked_division_makes_no_product(gf16, monkeypatch):
     # with the multiply-back off, neither division builds a ring product
-    # (every product, plain or fused, runs SkewPoly._mul_add), counts a
-    # check, or inverts the lead of a monic divisor
+    # (every product, plain, fused or a multiply-back, runs the list core
+    # skew._product), counts a check, or inverts the lead of a monic divisor
     monkeypatch.setattr(skew, "CHECK_DIVISION", False)
     rng = random.Random(45)
     products, inversions = [], []
-    real_mul_add, real_inv = SkewPoly._mul_add, type(gf16.one()).inv
-    spy = lambda a, b, addend=None: products.append(b) or real_mul_add(a, b, addend)
-    monkeypatch.setattr(SkewPoly, "_mul_add", spy)
+    real_product, real_inv = skew._product, type(gf16.one()).inv
+
+    def spy(field, twist, a, b, addend=()):
+        products.append(b)
+        return real_product(field, twist, a, b, addend)
+
+    monkeypatch.setattr(skew, "_product", spy)
     f = SkewPoly(gf16, [gf16.random_element(rng) for _ in range(6)] + [gf16.generator()])
     g = SkewPoly(gf16, [gf16.random_element(rng) for _ in range(3)] + [gf16.one()])
     before = skew.DIVISION_CHECKS
@@ -138,20 +142,22 @@ def test_unchecked_division_makes_no_product(gf16, monkeypatch):
     ql, rl = f.divmod_left(g)
     assert products == [] and inversions == []
     assert skew.DIVISION_CHECKS == before
-    assert real_mul_add(qr, g, rr) == f and real_mul_add(g, ql, rl) == f
+    assert qr._mul_add(g, rr) == f and g._mul_add(ql, rl) == f
     # the spy sees the fused product where one runs
+    assert products == [g._c, ql._c]
+    products.clear()
     qr * g
-    assert products == [g]
+    assert products == [g._c]
 
 
 def test_tampered_division_raises_invariant_error(gf4, monkeypatch):
-    # with the multiply-back check on, a fused product that no longer
+    # with the multiply-back check on, a product core that no longer
     # rebuilds the dividend is reported as a broken invariant
     assert skew.CHECK_DIVISION
     f = SkewPoly(gf4, [gf4.one(), gf4.one(), gf4.one()])
     g = SkewPoly(gf4, [gf4.generator(), gf4.one()])
-    zero = lambda a, b, addend=None: SkewPoly.zero(a.field, a.twist)
-    monkeypatch.setattr(SkewPoly, "_mul_add", zero)
+    zero = lambda field, twist, a, b, addend=(): []
+    monkeypatch.setattr(skew, "_product", zero)
     with pytest.raises(InvariantError):
         f.divmod_right(g)
     with pytest.raises(InvariantError):
