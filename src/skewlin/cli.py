@@ -176,7 +176,7 @@ def _attack_batch(args: argparse.Namespace) -> dict:
         raise ParseError("attack --instances needs --p and --e")
     if args.instances < 0:
         raise ParseError("--instances must be nonnegative")
-    field = FiniteField(args.p, args.e, args.modulus)
+    field = _field_from_args(args)
     results = []
     successes = 0
     for i in range(args.instances):

@@ -93,23 +93,24 @@ The witness check z != 0, w != 0, z w = 0 mod f runs either way, so
 an inherited polynomial that does not annihilate u raises
 InvariantError instead of splitting.
 
-A split also proves the minimal polynomial of each part, when g = 1.
-Let M = R/Rf.  A central c annuls M exactly when c lies in Rf, so the
-annihilator of M in F_p[Y^e] is (mu).  Lemma: let f = left * right be
-a split of f made by split_once.
+A split also proves the minimal polynomial of each part, for every
+twist: the argument uses only that Y^r is central.  Let M = R/Rf.  A
+central c annuls M exactly when c lies in Rf, so the annihilator of M in
+F_p[Y^r] is (mu).  Lemma: let f = left * right be a split of f made by
+split_once.
   * Central split, with nu the first irreducible factor of mu,
-    z = nu(u) and right = gcd_right(f, z): Y^e mod right has minimal
-    polynomial nu, and Y^e mod left has minimal polynomial mu/nu.
-    Proof: nu(Y^e) = z + a f for some a, and right right-divides both
-    z and f, so nu(Y^e) lies in R right and the minimal polynomial of
-    Y^e modulo right divides nu.  It is not 1, as right has degree at
+    z = nu(u) and right = gcd_right(f, z): Y^r mod right has minimal
+    polynomial nu, and Y^r mod left has minimal polynomial mu/nu.
+    Proof: nu(Y^r) = z + a f for some a, and right right-divides both
+    z and f, so nu(Y^r) lies in R right and the minimal polynomial of
+    Y^r modulo right divides nu.  It is not 1, as right has degree at
     least 1, and nu is irreducible.  For left: R right = Rf + Rz, so
-    R right / Rf = nu(Y^e) M, and x right -> x makes it isomorphic to
+    R right / Rf = nu(Y^r) M, and x right -> x makes it isomorphic to
     R/R left (R is a domain).  Its annihilator is
     {P : mu divides P nu} = (mu/nu).
   * Eigenring split (mu irreducible, f reducible): both parts have minimal
-    polynomial mu.  Proof: c = mu(Y^e) is central and lies in Rf,
-    which lies in R right, so mu annuls Y^e modulo right.  And
+    polynomial mu.  Proof: c = mu(Y^r) is central and lies in Rf,
+    which lies in R right, so mu annuls Y^r modulo right.  And
     c right = right c lies in Rf = R left right, so c lies in R left
     (R is a domain).  The minimal polynomials divide mu, which is
     irreducible.
@@ -121,12 +122,13 @@ eigenring split (mu, mu), known irreducible and never factored again;
 the left part gets (mu/nu, nu) when nu divides mu/nu (nu is the least
 irreducible factor of mu, so of mu/nu too) and (mu/nu, None)
 otherwise.  A part with a reducible polynomial splits centrally as
-above; one with an irreducible polynomial of its own degree is
-certified indecomposable by the g = 1 rule deg mu = deg f, with no
-computation; a larger one is reducible, and goes straight to the
-eigenring.  decompose_complete carries these pairs down its stack.
-For g > 1 the certificate needs the part's own span D, so nothing is
-carried.
+above.  One with an irreducible polynomial of degree d is certified
+indecomposable when D = g deg f = lcm(g, d): for g = 1 that reads
+deg mu = deg f, with no computation, and for g > 1 D is the rank of the
+b Y^(r i) mod f, b in F_Q and i < d, read off the part's residue table,
+at the root and at an inherited part alike.  Any other part is
+reducible, and goes straight to the eigenring.  decompose_complete
+carries these pairs down its stack.
 
 oracle_decompose is an independent brute-force reference: it repeatedly
 peels the lexicographically first smallest-degree monic right factor.
@@ -404,8 +406,14 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
     _vectors(field, deg f), for i < deg mu: over GF(2^e) one int, the
     coefficient indices side by side.  The powers go through the one
     elimination, _linalg.eliminator, in order, and the first that depends
-    on those before it gives the monic relation mu.
+    on those before it gives the monic relation mu.  u must be a residue
+    of the modulus's ring: ValueError when deg u >= deg modulus or the
+    modulus has degree below 1, and the ring's mismatch errors for
+    another field or twist.
     """
+    modulus._peer(u)
+    if modulus.degree < 1 or u.degree >= modulus.degree:
+        raise ValueError("minimal_polynomial needs deg modulus >= 1 and deg u < deg modulus")
     field, twist = modulus.field, modulus.twist
     n = len(modulus._c) - 1
     f = modulus.monic_left()  # R modulus = R f, with the same residues
@@ -568,15 +576,21 @@ def _split_off(f: SkewPoly, right: SkewPoly, tries: int) -> Split:
     return Split(left=left, right=right, tries=tries)
 
 
-def _fixed_field_span(powers: list, f: SkewPoly, g: int) -> int:
-    """dim over F_p of F_Q[u] modulo f, Q = p^g, from the powers of u.
+def _fixed_field_span(f: SkewPoly, r: int, d: int, g: int) -> int:
+    """dim over F_p of F_Q[u] modulo f, Q = p^g, for u = Y^r mod f whose
+    minimal polynomial over F_p has degree d.
 
-    The F_p-basis of F_Q is the kernel of x -> x^(p^g) - x on the digit
-    basis: the dependencies of the images of t^0, ..., t^(e-1).  F_Q[u]
-    is spanned by b u^i for b in it and i < deg mu, with the powers u^i
-    of minimal_polynomial, and its dimension is the number of echelon
-    rows they leave.
+    For g = 1, F_Q[u] = F_p[u] has dimension d, and nothing is computed.
+    Otherwise the F_p-basis of F_Q is the kernel of x -> x^(p^g) - x on
+    the digit basis: the dependencies of the images of t^0, ..., t^(e-1).
+    F_Q[u] is spanned by b u^i for b in it and i < d, with the powers
+    u^i = Y^(r i) mod f read off the residue table (each row checked
+    under skew.CHECK_DIVISION), and its dimension is the number of
+    echelon rows they leave.  The root and an inherited part run the
+    same steps.
     """
+    if g == 1:
+        return d
     field = f.field
     n, p = len(f._c) - 1, field.p
     frob, sub, mul = field._frob, field._sub, field._mul
@@ -587,8 +601,7 @@ def _fixed_field_span(powers: list, f: SkewPoly, g: int) -> int:
     space = _vectors(field, n)
     add = _linalg.eliminator(p)
     rank = 0
-    for vec in powers:
-        power = space.unpack(vec)
+    for power in _residue_table(f, r * (d - 1) + 1)[::r]:
         rank += sum(add(space.pack([mul(b, c) for c in power])) is None for b in fixed)
     return rank
 
@@ -617,8 +630,9 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
     return _split(f, rng, None)[0]
 
 
-# The minimal polynomial of Y^e modulo a part, paired with its first
-# irreducible factor when that is known (None otherwise)
+# The minimal polynomial of the central Y^r, r = e/gcd(s, e), modulo a
+# part, paired with its first irreducible factor when that is known (None
+# otherwise)
 Hint = tuple[list[int], Optional[list[int]]]
 
 
@@ -651,14 +665,15 @@ def _split(
     """split_once(f, rng), with the minimal polynomials it proved for the parts.
 
     Returns (result, left, right): left and right are the Hints proved
-    for the parts of a Split, the minimal polynomials of Y^e modulo them
+    for the parts of a Split, the minimal polynomials of Y^r modulo them
     (see the module docstring) with their first irreducible factors when
-    known, or None.  Only g = 1 proves them.  hint, when given, is such a
-    pair for f itself, and stands in for the central residue's mu and
-    its first factor, with no Krylov search: a reducible mu splits f
-    through nu(Y^e) mod f, an irreducible one of degree deg f certifies
-    f, and any other goes straight to the eigenring, as split_once would
-    after recomputing mu.
+    known, for every twist, or None for a leaf and for the split that
+    takes off Y.  hint, when given, is such a pair for f itself, and
+    stands in for the central residue's mu and its first factor, with no
+    Krylov search: a reducible mu splits f through nu(Y^r) mod f, an
+    irreducible one that passes the fixed-field certificate (for g = 1,
+    deg mu = deg f) makes f a leaf, and any other goes straight to the
+    eigenring, as split_once would after recomputing mu.
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("split_once expects a monic polynomial")
@@ -682,14 +697,10 @@ def _split(
         at = lambda poly: _at_centre(poly, r, f)
     if nu != mu:
         split, rest = _central_split(f, mu, nu, at)
-        if g > 1:
-            return split, None, None
         # nu is the least irreducible factor of mu, so of mu/nu when it divides it
         return split, (rest, None if fp.mod(rest, nu, p) else nu), (nu, nu)
     d = len(mu) - 1
-    # a hint is only given for g = 1, so for g > 1 the powers are the root's
-    span = d if g == 1 else _fixed_field_span(powers, f, g)
-    if span == g * n == math.lcm(g, d):
+    if g * n == math.lcm(g, d) == _fixed_field_span(f, r, d, g):
         return Indecomposable(), None, None
     # f is reducible and R/Rf is semisimple, so E(f) is not a field and
     # the search cannot run dry
@@ -697,8 +708,7 @@ def _split(
     if E.dim <= 1:
         raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
     zd = find_zero_divisor(E, rng, sys.maxsize)
-    proven = (mu, mu) if g == 1 else None
-    return _split_off(f, gcd_right(f, zd.element), zd.tries), proven, proven
+    return _split_off(f, gcd_right(f, zd.element), zd.tries), (mu, mu), (mu, mu)
 
 
 # ----------------------------------------------------------------------
@@ -727,22 +737,23 @@ def decompose_complete(f: SkewPoly, rng: random.Random) -> Decomposition:
     rng is the caller's and is required; a seeded one makes the result
     reproducible.
 
-    Each part carries the minimal polynomial of Y^e modulo it that its
-    split proved (twist coprime to e; the lemma of the module
-    docstring), with its first irreducible factor when known.  The
-    right part of a central split through nu gets nu: nu(Y^e) is z plus
-    a multiple of f, and right divides both.  The left part gets mu/nu:
-    R right / Rf = nu(Y^e) R/Rf is isomorphic to R/R left, and its
-    annihilator is (mu/nu).  Both parts of an eigenring split get the
-    irreducible mu: the central mu(Y^e) lies in Rf, so in R right, and
-    mu(Y^e) right in Rf gives mu(Y^e) in R left.  So only the root runs
-    a central Krylov search.  A part with a reducible polynomial splits
-    through gcd_right(h, nu(Y^e) mod h), which equals
-    gcd_right(h, nu(u)) for u = Y^e mod h; one whose irreducible
-    polynomial has its degree is a certified leaf with no further work,
-    and a larger one goes straight to the eigenring.  The factors and
-    the state of rng afterwards are those of calling split_once on
-    every part.
+    Each part carries the minimal polynomial of the central Y^r,
+    r = e/gcd(s, e), modulo it that its split proved (for every twist s;
+    the lemma of the module docstring), with its first irreducible
+    factor when known.  The right part of a central split through nu
+    gets nu: nu(Y^r) is z plus a multiple of f, and right divides both.
+    The left part gets mu/nu: R right / Rf = nu(Y^r) R/Rf is isomorphic
+    to R/R left, and its annihilator is (mu/nu).  Both parts of an
+    eigenring split get the irreducible mu: the central mu(Y^r) lies in
+    Rf, so in R right, and mu(Y^r) right in Rf gives mu(Y^r) in R left.
+    So only the root runs a central Krylov search.  A part with a
+    reducible polynomial splits through gcd_right(h, nu(Y^r) mod h),
+    which equals gcd_right(h, nu(u)) for u = Y^r mod h; one whose
+    irreducible polynomial passes the fixed-field certificate is a
+    leaf, with no further work for g = 1 and one rank off its residue
+    table for g > 1, and any other goes straight to the eigenring.  The
+    factors and the state of rng afterwards are those of calling
+    split_once on every part.
     """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")

@@ -489,10 +489,6 @@ class FiniteField(Frozen):
         duals = map(self._combine, gram_inv)
         return tuple(tuple(frob(d, k) for k in range(e)) for d in duals)
 
-    def _mul_digits(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """The digit product of digit tuples a and b, for the tests' oracle."""
-        return _mul_digits(self.p, self.e, self.modulus, a, b)
-
 
 # ----------------------------------------------------------------------
 # index kernels: module functions, so that no kernel refers to its field

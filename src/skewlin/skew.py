@@ -14,20 +14,21 @@ runs on those indices through the field's index kernels.  The ring has
 one product, the list-level core _product(field, twist, a, b, addend):
 a * b + addend on index sequences, each nonzero a_i adding one scaled
 row a_i sigma^k(b), read once per k by the field's _frob_row, through
-one _addmul call.  SkewPoly.__mul__ and SkewPoly._mul_add wrap it, and
-so does every multiply-back below.  Left division and right scalars add
-the twisted row g * c = sum_i g_i sigma^i(c) Y^i through one
-_addmul_right call.  Each side has one remainder core on index lists,
-_rem_right and _rem_left: it reduces a list in place from the top down
-and returns the quotient.  _divide runs one of them on a copy of the
-dividend and checks it; every one-sided division and every step of the
-one Euclid loop behind gcd_left and gcd_right (_euclid) is one _divide,
-and a SkewPoly is built only for the results.  FqElem objects are made
-only at the boundary: coeffs and lead build them from the indices, and
-the public constructor and the scalar methods take them.  Internal
-results come from the unchecked SkewPoly._of, which takes indices; the
-public constructor keeps its checks.  Decompose and hfe read _c too,
-and decompose calls _product and _divide on its index lists.
+one _addmul call.  SkewPoly.__mul__ wraps it, and every multiply-back
+below calls it with the remainder as the addend.  Left division and
+right scalars add the twisted row g * c = sum_i g_i sigma^i(c) Y^i
+through one _addmul_right call.  Each side has one remainder core on
+index lists, _rem_right and _rem_left: it reduces a list in place from
+the top down and returns the quotient.  _divide runs one of them on a
+copy of the dividend and checks it; every one-sided division and every
+step of the one Euclid loop behind gcd_left and gcd_right (_euclid) is
+one _divide, and a SkewPoly is built only for the results.  FqElem
+objects are made only at the boundary: coeffs and lead build them from
+the indices, and the public constructor and the scalar methods take
+them.  Internal results come from the unchecked SkewPoly._of, which
+takes indices; the public constructor keeps its checks.  Decompose and
+hfe read _c too, and decompose calls _product and _divide on its index
+lists.
 
 Ore's correspondence reads the same tuple as the additive polynomial
 sum_i f_i X^(p^(twist i)): the ring product f * g is the composition
@@ -61,7 +62,7 @@ DIVISION_CHECKS counts those multiply-backs as well.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _linalg
 from ._record import Frozen
@@ -220,16 +221,10 @@ class SkewPoly(Frozen):
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         """Ring product; as additive polynomials, self after other."""
         self._peer(other)
-        return self._mul_add(other)
+        field, twist = self.field, self.twist
+        return SkewPoly._of(field, _product(field, twist, self._c, other._c), twist)
 
     compose = __mul__
-
-    def _mul_add(self, other: "SkewPoly", addend: Optional["SkewPoly"] = None) -> "SkewPoly":
-        """The fused product self * other + addend through the product core,
-        _product.  Unchecked: other and addend are of self's ring."""
-        field, twist = self.field, self.twist
-        out = _product(field, twist, self._c, other._c, () if addend is None else addend._c)
-        return SkewPoly._of(field, out, twist)
 
     def left_scalar(self, c: FqElem) -> "SkewPoly":
         """(c) * self as ring elements: coefficients multiplied by c on the left."""

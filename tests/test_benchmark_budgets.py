@@ -10,17 +10,23 @@ cores, skew._rem_left and skew._rem_right, which every one-sided
 division and every Euclid step runs.  The counts are exact: the inputs,
 the rng draws and the work they cause are all fixed by the seed.
 
+The workloads all run at twist 1.  A sweep of planted products over
+GF(2^4) at twists 2 and 4, where gcd(twist, e) > 1, pins the Krylov
+searches and eigenrings of the split path for the other twists.
+
 perfbench/workloads.py is loaded read-only, as in test_benchmark_api.
 """
 
 import importlib.util
 import pathlib
+import random
 
 import pytest
 
 import skewlin._fppoly as fp
 import skewlin.skew as skew
 from skewlin import decompose, hfe
+from skewlin.fields import FiniteField
 from skewlin.skew import SkewPoly
 
 WORKLOADS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -48,6 +54,18 @@ BUDGETS = {
         (hfe.DOPoly, "__call__"): 120,
         (hfe, "to_multivariate"): 4,
     },
+}
+
+
+# twist -> calls over the decompositions of TWISTED_PRODUCTS planted
+# products over GF(2^4).  g = gcd(twist, 4) is 2 and 4, and every part
+# below a root inherits the minimal polynomial of the central Y^(4/g)
+# that its split proved; a split path that handed no hints for g > 1
+# would run 647 and 596 minimal polynomials here
+TWISTED_PRODUCTS, TWISTED_SEED = 150, 5
+TWISTED_BUDGETS = {
+    2: {"minimal_polynomial": 289, "eigen_ring": 101},
+    4: {"minimal_polynomial": 238, "eigen_ring": 71},
 }
 
 
@@ -87,3 +105,30 @@ def test_workload_runs_its_exact_budget(name, tmp_path, monkeypatch):
         skew.CHECK_DIVISION = old
     readable = lambda d: {k if k == "checks" else k[1]: v for k, v in d.items()}
     assert readable(counts) == readable(BUDGETS[name])
+
+
+def _planted_products(field, twist):
+    """TWISTED_PRODUCTS products of 2 to 4 random monic parts of degree 1
+    or 2, drawn from one rng seeded with TWISTED_SEED."""
+    rng = random.Random(TWISTED_SEED)
+    products = []
+    for _ in range(TWISTED_PRODUCTS):
+        f = SkewPoly.one(field, twist)
+        for _ in range(rng.randint(2, 4)):
+            coeffs = [field.random_element(rng) for _ in range(rng.randint(1, 2))]
+            f = f * SkewPoly(field, coeffs + [field.one()], twist)
+        products.append(f)
+    return products
+
+
+@pytest.mark.parametrize("twist", sorted(TWISTED_BUDGETS))
+def test_twisted_sweep_runs_its_exact_budget(twist, monkeypatch):
+    field = FiniteField(2, 4)
+    products = _planted_products(field, twist)
+    counts = dict.fromkeys(TWISTED_BUDGETS[twist], 0)
+    for name in counts:
+        monkeypatch.setattr(decompose, name, _counting(getattr(decompose, name), counts, name))
+    for i, f in enumerate(products):
+        dec = decompose.decompose_complete(f, random.Random(i))
+        assert dec.product() == f
+    assert counts == TWISTED_BUDGETS[twist]

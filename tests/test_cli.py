@@ -621,7 +621,9 @@ def test_policy_cap_env(capsys, tmp_path, monkeypatch):
 # sha256 of `python -m skewlin decompose --in F --seed S` stdout, F a seeded
 # product of random monic parts of the given degrees; the fresh process
 # runs with division checks off.  GF(2^16) and GF(2^20) use the bit
-# kernels, twist 2 over GF(2^20) has a fixed field larger than F_2
+# kernels, twist 2 over GF(2^20) has a fixed field larger than F_2, and
+# twists 2 and 4 over GF(2^4) have gcd(twist, e) > 1 with quadratic
+# parts that inherit the minimal polynomial of Y^(e/g) from their splits
 @pytest.mark.parametrize(
     "case,digest",
     [
@@ -645,8 +647,19 @@ def test_policy_cap_env(capsys, tmp_path, monkeypatch):
             (2, 20, 2, (1, 1, 1), 5),
             "070b9f1af57d814166f1e186f6d7727c59661785575912470d4872284bfc3bb9",
         ),
+        (
+            (2, 4, 2, (2, 2, 2), 6),
+            "a7c8f86462d6231c216b39f8dc68502fefed7f38842730bebaa87a96e495c455",
+        ),
+        (
+            (2, 4, 4, (2, 2, 2), 9),
+            "93dd2da7b957bc16d559a3199a03900761b5bb95af55db21b094fea8e0c14709",
+        ),
     ],
-    ids=["gf16", "gf16-twist3", "gf2^16", "gf2^20-twist3", "gf2^20-twist2"],
+    ids=[
+        "gf16", "gf16-twist3", "gf2^16", "gf2^20-twist3", "gf2^20-twist2",
+        "gf16-twist2", "gf16-twist4",
+    ],
 )
 def test_decompose_bytes_pinned(tmp_path, case, digest):
     p, e, twist, degrees, seed = case

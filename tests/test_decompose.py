@@ -31,7 +31,7 @@ from skewlin.decompose import (
     oracle_decompose,
     split_once,
 )
-from skewlin.errors import InvariantError, TooLargeError
+from skewlin.errors import ContextMismatchError, InvariantError, TooLargeError, TwistMismatchError
 from skewlin.fields import FiniteField
 from skewlin.skew import SkewPoly
 
@@ -151,6 +151,28 @@ def test_eigen_ring_needs_positive_degree(gf4):
         eigen_ring(SkewPoly.one(gf4))
     with pytest.raises(ValueError):
         eigen_ring(SkewPoly.zero(gf4))
+
+
+@pytest.mark.parametrize("checks", [True, False])
+def test_minimal_polynomial_needs_a_residue_of_its_ring(gf4, gf16, checks, monkeypatch):
+    # u must be a residue modulo the modulus, in the modulus's ring.  A u
+    # of degree >= deg f has no Krylov rows to combine, so it is refused
+    # by name before any step, with the multiply-backs on and off
+    monkeypatch.setattr(skew, "CHECK_DIVISION", checks)
+    f = random_monic(gf16, random.Random(61), 2)
+    assert minimal_polynomial(SkewPoly.zero(gf16), f)[0] == [0, 1]
+    for u in (random_monic(gf16, random.Random(62), 3), SkewPoly.monomial(gf16, 2, gf16.one())):
+        with pytest.raises(ValueError, match="deg u < deg modulus"):
+            minimal_polynomial(u, f)
+    for modulus in (SkewPoly.one(gf16), SkewPoly.zero(gf16)):
+        with pytest.raises(ValueError, match="deg modulus >= 1"):
+            minimal_polynomial(SkewPoly.zero(gf16), modulus)
+    with pytest.raises(ContextMismatchError):
+        minimal_polynomial(SkewPoly.one(gf4), f)
+    with pytest.raises(TwistMismatchError):
+        minimal_polynomial(SkewPoly.one(gf16, 2), f)
+    with pytest.raises(TypeError):
+        minimal_polynomial(gf16.one(), f)
 
 
 TABLE_FIELDS = ["gf4", "gf8", "gf9", "gf16"]
@@ -716,10 +738,11 @@ def test_decompose_matches_oracle_exhaustively(gf4):
 def _check_against_split_once(f, seed):
     """decompose_complete(f) against oracles.decompose_by_split_once, the
     loop that calls split_once on every part: the same unit, factors and
-    rng state afterwards.  Every minimal polynomial a split hands a part
-    is that of Y^e modulo the part, the first factor handed with it is
-    its first irreducible factor, and a part it makes a leaf is one
-    split_once certifies.  Returns the (part, hint, result) of each step."""
+    rng state afterwards.  For every twist s, every minimal polynomial a
+    split hands a part is that of the central Y^r, r = e/gcd(s, e),
+    modulo the part, the first factor handed with it is its first
+    irreducible factor, and a part it makes a leaf is one split_once
+    certifies.  Returns the (part, hint, result) of each step."""
     steps = []
     real = decompose._split
 
@@ -736,16 +759,16 @@ def _check_against_split_once(f, seed):
     assert mine == ref
     assert mine_rng.getstate() == ref_rng.getstate()
     field = f.field
+    g = math.gcd(f.twist, field.e)
     for h, hint, res in steps:
         if hint is None:
             continue
-        assert math.gcd(f.twist, field.e) == 1
         mu, nu = hint
-        u = SkewPoly.monomial(field, field.e, field.one(), f.twist).mod_right(h)
+        u = SkewPoly.monomial(field, field.e // g, field.one(), f.twist).mod_right(h)
         assert minimal_polynomial(u, h)[0] == mu
         assert nu is None or nu == fp.first_factor(mu, field.p)
         if isinstance(res, Indecomposable):
-            assert len(mu) - 1 == h.degree
+            assert math.lcm(g, len(mu) - 1) == g * h.degree
             assert isinstance(split_once(h, random.Random(0)), Indecomposable)
     return steps
 
@@ -758,8 +781,9 @@ def test_decompose_matches_split_once_loop_exhaustively(gf4, twist):
             for h, hint, res in _check_against_split_once(f, deg):
                 if hint is not None:
                     hinted["leaf" if isinstance(res, Indecomposable) else "split"] += 1
-    # twist 2 over GF(4) is commutative (g = 2) and proves no hint
-    assert (min(hinted.values()) > 0) == (twist == 1)
+    # twist 2 over GF(4) is commutative (g = 2, central Y): its parts
+    # inherit too, and the leaves among them are certified by their span
+    assert min(hinted.values()) > 0
 
 
 HINT_FIELDS = [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)]

@@ -17,7 +17,7 @@ from skewlin import hfe
 from skewlin.decompose import _combine, _step_quotient, _times_y, _y_rows
 from skewlin.fields import FiniteField
 from skewlin.hfe import DOPoly, difference_poly, do_compose_lin
-from skewlin.skew import SkewPoly, gcd_left, gcd_right, gcldf
+from skewlin.skew import SkewPoly, _product, gcd_left, gcd_right, gcldf
 
 # field, twists: 1 and one coprime to e
 FIELDS = [
@@ -60,14 +60,15 @@ def test_ring_ops_match_oracles(r, data):
     g = g.left_scalar(c)  # a divisor with a lead other than 1
     assert a * b == oracles.skew_mul(a, b)
     assert b * a == oracles.skew_mul(b, a)
-    # the fused product, with an addend shorter or longer than the
+    # the fused product core, with an addend shorter or longer than the
     # product, and one that cancels it down to zero
+    fused = lambda x, y, z=(): SkewPoly._of(field, _product(field, twist, x._c, y._c, z), twist)
     addend = poly(data.draw, field, twist, 12)
-    assert a._mul_add(b, addend) == oracles.skew_add(oracles.skew_mul(a, b), addend)
-    assert b._mul_add(a, addend) == oracles.skew_add(oracles.skew_mul(b, a), addend)
-    assert a._mul_add(b) == a * b
+    assert fused(a, b, addend._c) == oracles.skew_add(oracles.skew_mul(a, b), addend)
+    assert fused(b, a, addend._c) == oracles.skew_add(oracles.skew_mul(b, a), addend)
+    assert fused(a, b) == a * b
     minus = oracles.left_scalar(oracles.skew_mul(a, b), -field.one())
-    assert a._mul_add(b, minus).is_zero
+    assert fused(a, b, minus._c).is_zero
     assert a.left_scalar(c) == oracles.left_scalar(a, c)
     assert a.right_scalar(c) == oracles.right_scalar(a, c)
     assert a.divmod_right(g) == oracles.divmod_right(a, g)
