@@ -7,11 +7,12 @@ These are internal helpers: inputs are assumed well formed.
 
 The irreducible-factor search (_first_split, behind is_irreducible,
 first_irreducible and first_factor, and first_factor's equal-degree
-candidate scan) has one arithmetic per characteristic, as the package's
-F_p-vectors do.  Over F_2 it runs on ints, bit i holding the coefficient
-of x^i: a sum is an XOR, squaring spreads the bits apart, and a
-reduction modulo m (_mod2, which the gcd also runs) XORs shifted copies
-of m under the leading bit.  In odd characteristic it runs on the lists.
+candidate scan) has one arithmetic per characteristic, as the F_p-vectors
+of _linalg's elimination do.  Over F_2 it runs on ints, bit i holding
+the coefficient of x^i: a sum is an XOR, squaring spreads the bits
+apart, and a reduction modulo m (_mod2, which the gcd also runs) XORs
+shifted copies of m under the leading bit.  In odd characteristic it
+runs on the lists.
 Lists go in and come out either way.
 """
 

@@ -1,7 +1,6 @@
 """Immutable values: the Frozen base, and the records built on it (the
-result types of decompose and hfe, decompose's two arithmetics of
-F_p-vectors, and the value classes EigenRing, MultivariateKey,
-HFEPublicKey, HFESecretKey, HFEKeyPair and FqPoly).
+result types of decompose and hfe, and the value classes EigenRing,
+MultivariateKey, HFEPublicKey, HFESecretKey, HFEKeyPair and FqPoly).
 
 Frozen is the one immutability of the package.  Its subclasses are
 slotted, and both assignment and deletion of an attribute raise

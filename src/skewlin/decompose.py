@@ -31,7 +31,8 @@ D = dim_Fp F_Q[u] (mu = Z would need f_0 = 0):
     is a product of matrix algebras that is not a field, and holds
     zero divisors.  Random residues of E(f), an F_p-algebra under
     multiplication modulo f, are drawn until one has a reducible
-    minimal polynomial; most draws succeed.
+    minimal polynomial; most draws succeed, and ZERO_DIVISOR_DRAWS
+    misses in a row raise InvariantError.
 
 No Krylov power and no eigenring column needs a ring product or
 division.  Rf is a left ideal, so left multiplication by Y is well
@@ -62,20 +63,23 @@ one product and one checked division on index lists.
 
 The F_p-linear algebra is one elimination, in _linalg: the package's
 only Gaussian elimination, _linalg.eliminator, is fed the F_p-vectors
-of residues (_vectors) in order.  Each becomes an echelon row, pivoted
-at its lowest nonzero coordinate and recording the combination of
-inputs it stands for, or reduces to zero and yields its unique
-dependency on the inputs before it.  minimal_polynomial feeds the
-powers 1, u, u^2, ... and stops at the first dependency, which is mu;
-eigen_ring feeds its deg f * e columns and keeps every dependency, the
-nullspace basis of reduced row echelon form, one vector per free
-column; the fixed-field certificate reads the basis of F_Q and a rank
-off it.  Vectors have one arithmetic per characteristic.  Over GF(2^e)
-an element's index is its digit vector, so a residue's F_2 vector is
-one int, its coefficient indices side by side (sum_i c_i 2^(e i)): a
-row step is one XOR, and a vector is read back by e-bit shifts.  In
-odd characteristic a vector is the list of the coefficients' base-p
-digits.
+of residues in order.  Each becomes an echelon row, pivoted at its
+lowest nonzero coordinate and recording the combination of inputs it
+stands for, or reduces to zero and yields its unique dependency on the
+inputs before it.  minimal_polynomial feeds the powers 1, u, u^2, ...
+and stops at the first dependency, which is mu; eigen_ring feeds its
+deg f * e columns and keeps every dependency, the nullspace basis of
+reduced row echelon form, one vector per free column; the fixed-field
+certificate reads the basis of F_Q and a rank off it.  A residue is
+packed into a vector only to be fed, by _packer, in the one arithmetic
+of its characteristic: over GF(2^e) an element's index is its digit
+vector, so a residue's F_2 vector is one int, its coefficient indices
+side by side (sum_i c_i 2^(e i)), and a row step is one XOR; in odd
+characteristic it is the list of the coefficients' base-p digits.
+Nothing is unpacked.  What the elimination hands back is a dependency,
+which _decoded reads as F_p coefficients (mu), or e digits per
+coefficient as a residue (an eigenring basis vector, an element of
+F_Q).
 
 One zero-divisor rule serves the central residue and every eigenring
 draw.  For the first irreducible factor nu of a reducible mu, found by
@@ -83,12 +87,12 @@ distinct-degree search, z = nu(u) and w = (mu/nu)(u) are nonzero (mu
 is minimal) while z w = mu(u) = 0, so z is a zero divisor and
 gcd_right(f, z) is a proper right factor of f.  For an eigenring draw
 and for the central residue of the root, minimal_polynomial returns mu
-together with the vectors of the powers u^0, ..., u^(d-1) its Krylov
-loop builds, and z and w are F_p-combinations of them.  A part that
-inherited its mu (below) needs no powers: u^i = Y^(r i) mod f, so
-z = nu(Y^r) mod f and w = (mu/nu)(Y^r) mod f are two ring divisions,
-and gcd_right(f, nu(u)) = gcd_right(f, nu(Y^r) mod f) is the same
-factor.
+together with the powers u^0, ..., u^(d-1) its Krylov loop builds, as
+residues, and z and w are F_p-combinations of them: one _combine each,
+one _addmul per nonzero coefficient.  A part that inherited its mu
+(below) needs no powers: u^i = Y^(r i) mod f, so z = nu(Y^r) mod f and
+w = (mu/nu)(Y^r) mod f are two ring divisions, and
+gcd_right(f, nu(u)) = gcd_right(f, nu(Y^r) mod f) is the same factor.
 The witness check z != 0, w != 0, z w = 0 mod f runs either way, so
 an inherited polynomial that does not annihilate u raises
 InvariantError instead of splitting.
@@ -139,7 +143,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from typing import Callable, Optional, Sequence, Union
 
 from . import _fppoly as fp
@@ -147,9 +150,16 @@ from . import _linalg
 from ._record import Record
 from .errors import InvariantError, TooLargeError
 from .fields import FiniteField, _pack
-from .skew import SkewPoly, _divide, _product, _trim, check_rebuild, gcd_right
+from .skew import SkewPoly, _divide, _product, check_rebuild, gcd_right
 
 ORACLE_LIMIT = 12  # max deg(f) * e for oracle_decompose
+# nonscalar eigenring draws before the splitter gives up on a reducible f
+# and raises InvariantError.  Over GF(2), GF(4), GF(8), GF(16), GF(3),
+# GF(9), GF(5), GF(2^8) and GF(3^4), degrees 2 to 4 and twists 1 and 2,
+# every eigenring the splitter searched split on at least 35 of 64 draws,
+# so 256 misses in a row mean an irreducible f, sent there by a wrong
+# certificate, not bad luck
+ZERO_DIVISOR_DRAWS = 256
 
 
 # ----------------------------------------------------------------------
@@ -189,81 +199,43 @@ class EigenRing(Record):
 # F_p-vectors of residues, in the form of _linalg.eliminator
 
 
-class _BitVectors(Record):
-    """F_2-vectors of residues with n coefficients, over GF(2^e).
+def _packer(field: FiniteField, n: int) -> Callable[[Sequence[int]], Union[int, list[int]]]:
+    """pack(cs), the F_p-vector of the residue cs (at most n coefficient
+    indices) in the form of _linalg.eliminator(p): one int over GF(2^e),
+    the coefficient indices side by side (sum_i c_i 2^(e i)), since an
+    element's index is its digit vector; for odd p the list of the n e
+    base-p digits, e per coefficient, low first."""
+    e = field.e
+    if field.p == 2:
 
-    An element's index is its digit vector, one bit per digit, so the
-    F_2 coordinates of a residue are its coefficient indices side by
-    side: the int sum_i c_i 2^(e i), read back by e-bit shifts.  A sum is
-    an XOR, and the only nonzero scalar is 1.
-    """
+        def pack(cs: Sequence[int]) -> int:
+            vec = 0
+            for c in reversed(cs):
+                vec = vec << e | c
+            return vec
 
-    __slots__ = ("field", "n")
+        return pack
+    digits = field._digits
 
-    def pack(self, cs: Sequence[int]) -> int:
-        e, vec = self.field.e, 0
-        for c in reversed(cs):
-            vec = vec << e | c
-        return vec
-
-    def unpack(self, vec: int) -> list[int]:
-        e = self.field.e
-        mask = (1 << e) - 1
-        return [vec >> (e * i) & mask for i in range(self.n)]
-
-    def scalars(self, vec: int, count: int) -> list[int]:
-        """The first count coordinates of vec, as F_p elements."""
-        return [vec >> i & 1 for i in range(count)]
-
-    def span(self, coeffs: Sequence[int], vecs: Sequence[int]) -> int:
-        """sum_k c_k vecs[k], for F_p coefficients c_k."""
-        acc = 0
-        for c, vec in zip(coeffs, vecs):
-            if c:
-                acc ^= vec
-        return acc
-
-
-class _DigitVectors(Record):
-    """F_p-vectors of residues with n coefficients, over GF(p^e), p odd:
-    lists of n e base-p digits, e digits per coefficient, low first."""
-
-    __slots__ = ("field", "n")
-
-    def pack(self, cs: Sequence[int]) -> list[int]:
-        digits, e = self.field._digits, self.field.e
-        vec = [0] * (self.n * e)
+    def pack_digits(cs: Sequence[int]) -> list[int]:
+        vec = [0] * (n * e)
         for i, c in enumerate(cs):
             vec[i * e : i * e + e] = digits(c)
         return vec
 
-    def unpack(self, vec: list[int]) -> list[int]:
-        p, e = self.field.p, self.field.e
-        return [_pack(p, vec[i * e : i * e + e]) for i in range(self.n)]
-
-    def scalars(self, vec: list[int], count: int) -> list[int]:
-        return vec + [0] * (count - len(vec))
-
-    def span(self, coeffs: Sequence[int], vecs: Sequence[list[int]]) -> list[int]:
-        acc = [0] * (self.n * self.field.e)
-        for c, vec in zip(coeffs, vecs):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        return [a % self.field.p for a in acc]
+    return pack_digits
 
 
-def _vectors(field: FiniteField, n: int) -> Union[_BitVectors, _DigitVectors]:
-    """The F_p-vectors of residues with n coefficients over the field, in
-    the one arithmetic of its characteristic, which is the vector form of
-    _linalg.eliminator(p): an int over F_2, a list of digits for odd p.
-
-    The records only convert between residues and vectors (pack, unpack,
-    scalars, span); the elimination itself is _linalg's.  Fed the columns
-    of a matrix, it returns the nullspace vectors of reduced row echelon
-    form, one per free column in order, and leaves as many rows as the
-    rank.
+def _decoded(dependency: Union[int, list[int]], field: FiniteField, width: int = 1) -> list[int]:
+    """A dependency that _linalg.eliminator(p) returned, as a list: its F_p
+    coefficients, low first (trimmed over F_2), each width of them read as
+    the base-p digits of one element index.  Width 1 gives the F_p
+    coefficients themselves; width e reads the dependency of residues'
+    vectors as a residue, coefficient i from coordinates i e to i e + e - 1.
     """
-    return (_BitVectors if field.p == 2 else _DigitVectors)(field, n)
+    p = field.p
+    cs = fp._from_bits(dependency) if p == 2 else dependency
+    return [_pack(p, cs[i : i + width]) for i in range(0, len(cs), width)]
 
 
 def _times_y(a: Sequence[int], f: SkewPoly) -> tuple[int, list[int]]:
@@ -363,8 +335,8 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     table of Y^j mod f: no ring product or division.  The columns go
     through the one elimination, _linalg.eliminator, in order, and each
     that depends on those before it gives a basis vector, its dependency
-    read as a residue (coordinate i e + d is the digit of t^d in the
-    coefficient of Y^i): the nullspace basis of reduced row echelon
+    read as a residue by _decoded (coordinate i e + d is the digit of t^d
+    in the coefficient of Y^i): the nullspace basis of reduced row echelon
     form, one vector per free column.
     """
     if f.is_zero or f.degree < 1:
@@ -375,7 +347,7 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
     high = _residue_table(monic, 2 * n)[n:]  # Y^j mod f, n <= j < 2n
     fbs = [f._right(p**d)._c for d in range(e)]  # f b for b = t^d
     addmul = field._addmul
-    space = _vectors(field, n)
+    pack = _packer(field, n)
     add = _linalg.eliminator(p)
     basis = []
     for i in range(n):
@@ -386,13 +358,13 @@ def eigen_ring(f: SkewPoly) -> EigenRing:
             for c, row in zip(fb[n:], high):
                 if c:
                     addmul(col, c, row, 0)
-            dependency = add(space.pack(col))
+            dependency = add(pack(col))
             if dependency is not None:
-                basis.append(SkewPoly._of(field, space.unpack(dependency), f.twist))
+                basis.append(SkewPoly._of(field, _decoded(dependency, field, e), f.twist))
     return EigenRing(field, f, tuple(basis))
 
 
-def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]:
+def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list[list[int]]]:
     """Monic minimal polynomial mu over F_p of the residue u, and the powers of u.
 
     With f the monic form of the modulus (same residues), the rows
@@ -402,13 +374,13 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
     rows are the residue table rows T[r+i].  Under skew.CHECK_DIVISION the
     last step is multiplied back like a division, a u = Q f + (a u mod f)
     with the quotient Q of _step_quotient, and counted.  mu is
-    little-endian; powers[i] is the F_p-vector of u^i in
-    _vectors(field, deg f), for i < deg mu: over GF(2^e) one int, the
-    coefficient indices side by side.  The powers go through the one
-    elimination, _linalg.eliminator, in order, and the first that depends
-    on those before it gives the monic relation mu.  u must be a residue
-    of the modulus's ring: ValueError when deg u >= deg modulus or the
-    modulus has degree below 1, and the ring's mismatch errors for
+    little-endian; powers[i] is u^i mod f, an index list of deg f
+    entries, for i < deg mu, so poly(u) for deg poly < deg mu is
+    _combine(poly, powers, f).  The powers are packed (_packer) into the
+    one elimination, _linalg.eliminator, in order, and the first that
+    depends on those before it gives the monic relation mu.  u must be a
+    residue of the modulus's ring: ValueError when deg u >= deg modulus
+    or the modulus has degree below 1, and the ring's mismatch errors for
     another field or twist.
     """
     modulus._peer(u)
@@ -418,13 +390,12 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
     n = len(modulus._c) - 1
     f = modulus.monic_left()  # R modulus = R f, with the same residues
     ys = _y_rows(u._c, f, n)
-    space = _vectors(field, n)
+    pack = _packer(field, n)
     add = _linalg.eliminator(field.p)
-    powers: list = []
-    prev, power = None, [1]
+    powers: list[list[int]] = []
+    prev, power = None, [1] + [0] * (n - 1)
     while True:
-        vec = space.pack(power)
-        dependency = add(vec)
+        dependency = add(pack(power))
         if dependency is not None:
             check_rebuild(
                 lambda: (
@@ -432,16 +403,9 @@ def minimal_polynomial(u: SkewPoly, modulus: SkewPoly) -> tuple[list[int], list]
                     tuple(_product(field, twist, _step_quotient(prev, ys, f), f._c, power)),
                 )
             )
-            return space.scalars(dependency, len(powers) + 1), powers
-        powers.append(vec)
+            return _decoded(dependency, field), powers
+        powers.append(power)
         prev, power = power, _combine(power, ys, f)
-
-
-def _poly_at(poly: list[int], powers: list, modulus: SkewPoly) -> tuple[int, ...]:
-    """poly(u) modulo the modulus, a trimmed index tuple, from the powers
-    of u of minimal_polynomial; deg poly < len(powers)."""
-    space = _vectors(modulus.field, len(modulus._c) - 1)
-    return _trim(space.unpack(space.span(poly, powers)))
 
 
 # ----------------------------------------------------------------------
@@ -458,12 +422,12 @@ def _product_mod(a: Sequence[int], b: Sequence[int], modulus: SkewPoly) -> list[
 def _witness(
     mu: list[int], nu: list[int], at: Callable[[list[int]], Sequence[int]], modulus: SkewPoly
 ) -> tuple[Sequence[int], Sequence[int], list[int]]:
-    """(z, w, mu/nu) with z = nu(u) and w = (mu/nu)(u), trimmed index
-    sequences, checked.
+    """(z, w, mu/nu) with z = nu(u) and w = (mu/nu)(u), index sequences,
+    checked.
 
     mu is the minimal polynomial of a residue u in the eigenring of the
     modulus (a central residue or an eigenring draw), nu a proper factor
-    of mu, and at(poly) is poly(u) modulo the modulus, trimmed.  z and w
+    of mu, and at(poly) is poly(u) modulo the modulus.  z and w
     are nonzero and z w is zero modulo the modulus (one product and one
     checked division on index lists), or InvariantError: a mu that does
     not annihilate u fails here.
@@ -472,13 +436,13 @@ def _witness(
     if rem:
         raise InvariantError("a factor of the minimal polynomial does not divide it")
     z, w = at(nu), at(rest)
-    if not z or not w or _product_mod(z, w, modulus):
+    if not any(z) or not any(w) or _product_mod(z, w, modulus):
         raise InvariantError("zero-divisor witness does not annihilate")
     return z, w, rest
 
 
 def _zero_divisor_pair(
-    mu: list[int], powers: list, modulus: SkewPoly
+    mu: list[int], powers: list[list[int]], modulus: SkewPoly
 ) -> Optional[tuple[SkewPoly, SkewPoly]]:
     """(nu(u), (mu/nu)(u)) for the first irreducible factor nu of mu.
 
@@ -489,7 +453,7 @@ def _zero_divisor_pair(
     nu = fp.first_factor(mu, modulus.field.p)
     if nu == mu:
         return None
-    z, w, _ = _witness(mu, nu, lambda poly: _poly_at(poly, powers, modulus), modulus)
+    z, w, _ = _witness(mu, nu, lambda poly: _combine(poly, powers, modulus), modulus)
     field, twist = modulus.field, modulus.twist
     return SkewPoly._of(field, z, twist), SkewPoly._of(field, w, twist)
 
@@ -594,15 +558,15 @@ def _fixed_field_span(f: SkewPoly, r: int, d: int, g: int) -> int:
     field = f.field
     n, p = len(f._c) - 1, field.p
     frob, sub, mul = field._frob, field._sub, field._mul
-    elements = _vectors(field, 1)
+    element = _packer(field, 1)
     add = _linalg.eliminator(p)
-    deps = (add(elements.pack([sub(frob(p**j, g), p**j)])) for j in range(field.e))
-    fixed = [elements.unpack(dep)[0] for dep in deps if dep is not None]
-    space = _vectors(field, n)
+    deps = (add(element([sub(frob(p**j, g), p**j)])) for j in range(field.e))
+    fixed = [_decoded(dep, field, field.e)[0] for dep in deps if dep is not None]
+    pack = _packer(field, n)
     add = _linalg.eliminator(p)
     rank = 0
     for power in _residue_table(f, r * (d - 1) + 1)[::r]:
-        rank += sum(add(space.pack([mul(b, c) for c in power])) is None for b in fixed)
+        rank += sum(add(pack([mul(b, c) for c in power])) is None for b in fixed)
     return rank
 
 
@@ -623,7 +587,7 @@ def split_once(f: SkewPoly, rng: random.Random) -> Union[Split, Indecomposable]:
         Indecomposable, with no eigenring (tries 0);
       * any other irreducible mu: f is reducible, and the eigenring
         search runs until it finds a zero divisor (tries counts every
-        draw).
+        draw), or raises InvariantError after ZERO_DIVISOR_DRAWS misses.
 
     Every verdict is certified, whatever the size of f.
     """
@@ -689,7 +653,7 @@ def _split(
         central = SkewPoly._of(field, _residue_table(f, r + 1)[r], f.twist)
         mu, powers = minimal_polynomial(central, f)
         nu = fp.first_factor(mu, p)
-        at = lambda poly: _poly_at(poly, powers, f)
+        at = lambda poly: _combine(poly, powers, f)
     else:
         mu, nu = hint
         if nu is None:
@@ -703,11 +667,14 @@ def _split(
     if g * n == math.lcm(g, d) == _fixed_field_span(f, r, d, g):
         return Indecomposable(), None, None
     # f is reducible and R/Rf is semisimple, so E(f) is not a field and
-    # the search cannot run dry
+    # most draws find a zero divisor; a search that runs dry means a wrong
+    # certificate sent an irreducible f here
     E = eigen_ring(f)
-    if E.dim <= 1:
-        raise InvariantError(f"reducible f with an eigenring of dimension {E.dim}")
-    zd = find_zero_divisor(E, rng, sys.maxsize)
+    zd = find_zero_divisor(E, rng, ZERO_DIVISOR_DRAWS)
+    if zd is None:
+        raise InvariantError(
+            f"no zero divisor in {ZERO_DIVISOR_DRAWS} draws from an eigenring of dimension {E.dim}"
+        )
     return _split_off(f, gcd_right(f, zd.element), zd.tries), (mu, mu), (mu, mu)
 
 

@@ -12,7 +12,8 @@ the rng draws and the work they cause are all fixed by the seed.
 
 The workloads all run at twist 1.  A sweep of planted products over
 GF(2^4) at twists 2 and 4, where gcd(twist, e) > 1, pins the Krylov
-searches and eigenrings of the split path for the other twists.
+searches, eigenrings, right divisions and first irreducible factors of
+the split path for the other twists.
 
 perfbench/workloads.py is loaded read-only, as in test_benchmark_api.
 """
@@ -58,14 +59,25 @@ BUDGETS = {
 
 
 # twist -> calls over the decompositions of TWISTED_PRODUCTS planted
-# products over GF(2^4).  g = gcd(twist, 4) is 2 and 4, and every part
-# below a root inherits the minimal polynomial of the central Y^(4/g)
-# that its split proved; a split path that handed no hints for g > 1
-# would run 647 and 596 minimal polynomials here
+# products over GF(2^4), with the division checks on.  g = gcd(twist, 4)
+# is 2 and 4, and every part below a root inherits the minimal
+# polynomial of the central Y^(4/g) that its split proved; a split path
+# that handed no hints for g > 1 would run 647 and 596 minimal
+# polynomials here
 TWISTED_PRODUCTS, TWISTED_SEED = 150, 5
 TWISTED_BUDGETS = {
-    2: {"minimal_polynomial": 289, "eigen_ring": 101},
-    4: {"minimal_polynomial": 238, "eigen_ring": 71},
+    2: {
+        (decompose, "minimal_polynomial"): 289,
+        (decompose, "eigen_ring"): 101,
+        (skew, "_rem_right"): 2055,  # right divisions, gcd steps included
+        (fp, "first_factor"): 448,
+    },
+    4: {
+        (decompose, "minimal_polynomial"): 238,
+        (decompose, "eigen_ring"): 71,
+        (skew, "_rem_right"): 2053,
+        (fp, "first_factor"): 484,
+    },
 }
 
 
@@ -126,9 +138,10 @@ def test_twisted_sweep_runs_its_exact_budget(twist, monkeypatch):
     field = FiniteField(2, 4)
     products = _planted_products(field, twist)
     counts = dict.fromkeys(TWISTED_BUDGETS[twist], 0)
-    for name in counts:
-        monkeypatch.setattr(decompose, name, _counting(getattr(decompose, name), counts, name))
+    for owner, attr in counts:
+        monkeypatch.setattr(owner, attr, _counting(getattr(owner, attr), counts, (owner, attr)))
     for i, f in enumerate(products):
         dec = decompose.decompose_complete(f, random.Random(i))
         assert dec.product() == f
-    assert counts == TWISTED_BUDGETS[twist]
+    readable = lambda d: {attr: v for (_, attr), v in d.items()}
+    assert readable(counts) == readable(TWISTED_BUDGETS[twist])

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import signal
 import sys
 
 import pytest
@@ -84,11 +85,6 @@ def eigen_ring_by_products(f):
         coeffs = [field.element(tuple(vec[i * e : i * e + e])) for i in range(n)]
         basis.append(SkewPoly(field, coeffs, f.twist))
     return EigenRing(field, f, tuple(basis))
-
-
-def unpacked(vec, f):
-    """The residue modulo f whose F_p-vector minimal_polynomial returned as vec."""
-    return SkewPoly._of(f.field, decompose._vectors(f.field, f.degree).unpack(vec), f.twist)
 
 
 def residue(row, f):
@@ -218,8 +214,10 @@ def test_krylov_powers_match_products(name, twist, request):
                 assert row == (Yi * u).mod_right(f)
             mu, powers = minimal_polynomial(u, f)
             step, a = times_right(u, f), SkewPoly.one(field, twist)
-            for vec in powers:
-                assert unpacked(vec, f) == a
+            for power in powers:
+                # powers[i] is u^i mod f, an index list of deg f entries
+                assert len(power) == degree
+                assert residue(power, f) == a
                 a = step(a)
             assert _eval_fp_poly(mu, u, f).is_zero
 
@@ -245,11 +243,11 @@ VECTOR_FIELDS = [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2)]
 @given(pe=st.sampled_from(VECTOR_FIELDS), data=st.data())
 def test_vectors_match_rref_oracle(pe, data):
     # the packed kernel of each characteristic against the digit lists:
-    # a residue packs and unpacks to itself, a span is the digit-wise sum,
-    # and _linalg.eliminator, fed the packed vectors, finds the nullspace
-    # and rank that the entry-indexing oracles.rref finds on the matrix of
-    # the vectors as columns; rank-deficient shapes by copying a
-    # combination of two vectors over a third
+    # _linalg.eliminator, fed the packed residues, finds the nullspace and
+    # rank that the entry-indexing oracles.rref finds on the matrix of the
+    # vectors as columns, each dependency decoded as F_p coefficients, and
+    # a residue's digits decode back to the residue; rank-deficient shapes
+    # by copying a combination of two vectors over a third
     p, e = pe
     field = FiniteField(p, e)
     n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
@@ -264,16 +262,21 @@ def test_vectors_match_rref_oracle(pe, data):
     def index(digits):
         return [field.element(tuple(digits[c * e : c * e + e])).as_int() for c in range(n)]
 
-    space = decompose._vectors(field, n)
+    pack = decompose._packer(field, n)
     coeffs = [index(col) for col in cols]
-    vecs = [space.pack(cs) for cs in coeffs]
-    assert [space.unpack(v) for v in vecs] == coeffs
-    scalars = data.draw(st.lists(digit, min_size=k, max_size=k))
-    total = [sum(c * col[r] for c, col in zip(scalars, cols)) % p for r in range(n * e)]
-    assert space.unpack(space.span(scalars, vecs)) == index(total)
+    for col, cs in zip(cols, coeffs):
+        # the digits of a residue, as the elimination hands a dependency back
+        digits = sum(d << i for i, d in enumerate(col)) if p == 2 else col
+        decoded = decompose._decoded(digits, field, e)
+        assert decoded + [0] * (n - len(decoded)) == cs
+
+    def padded(dependency):
+        scalars = decompose._decoded(dependency, field)
+        return scalars + [0] * (k - len(scalars))
+
     add = _linalg.eliminator(p)
-    deps = [add(v) for v in vecs]
-    got = [space.scalars(d, k) for d in deps if d is not None], deps.count(None)
+    deps = [add(pack(cs)) for cs in coeffs]
+    got = [padded(d) for d in deps if d is not None], deps.count(None)
     matrix = [[col[r] for col in cols] for r in range(n * e)]
     assert got == (oracles.nullspace(matrix, p), len(oracles.rref(matrix, p)[1]))
 
@@ -390,6 +393,32 @@ def test_redraw_of_scalars_is_bounded(gf16):
     assert len(seen) == draws
 
 
+@pytest.mark.parametrize("name, twist", [("gf16", 1), ("gf16", 2), ("gf9", 1)])
+def test_wrong_certificate_raises_instead_of_searching_forever(name, twist, request, monkeypatch):
+    # a fixed-field certificate that rejects an irreducible f sends it to
+    # the eigenring, a field with no zero divisor: the splitter's capped
+    # search raises, where an unbounded one would never return (the alarm
+    # turns that into a failure)
+    field = request.getfixturevalue(name)
+    f = next(
+        f for f in all_monic(field, 2, twist) if f._c[0] and _smallest_right_factor(f) is None
+    )
+    assert isinstance(split_once(f, random.Random(92)), Indecomposable)
+    monkeypatch.setattr(decompose, "_fixed_field_span", lambda f, r, d, g: 0)
+
+    def hung(signum, frame):
+        raise TimeoutError("the eigenring search did not stop")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(InvariantError, match="no zero divisor"):
+            split_once(f, random.Random(92))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_oracle_checks_its_sweep_factor(gf16, monkeypatch):
     # a sweep factor that does not right-divide (Y, against a nonzero
     # constant coefficient) is refused, not peeled
@@ -431,11 +460,11 @@ def test_minimal_polynomial_annuls_and_is_minimal(gf4, gf9):
             u = E.random_element(rng)
             m, powers = minimal_polynomial(u, f)
             assert m[-1] == 1
-            # powers[i] is the F_p-vector of u^i, one for each i < deg m
+            # powers[i] is u^i mod f, one for each i < deg m
             assert len(powers) == len(m) - 1
             power = SkewPoly.one(field)
-            for vec in powers:
-                assert unpacked(vec, f) == power
+            for row in powers:
+                assert residue(row, f) == power
                 power = (power * u).mod_right(f)
             assert _eval_fp_poly(m, u, f).is_zero
             # dropping any irreducible factor breaks annihilation
