@@ -1,11 +1,12 @@
 """Exact linear algebra over Z_p: one incremental elimination.
 
-Matrices are lists of row lists of ints in [0, p).  Everything copies its
-input; nothing here mutates caller data.  eliminator(p) is the package's
-one Gaussian elimination: decompose feeds it the F_p-vectors of residues,
-and rank and inv feed it the columns of a matrix.  Over F_2 a vector is
-one int, coordinate i its bit i, so a row step is one XOR; for odd p it
-is a list of coordinates.
+Matrices are lists of row lists of ints in [0, p).  Everything copies
+its input; nothing here mutates caller data.  eliminator(p) is the
+package's one Gaussian elimination: decompose feeds it the F_p-vectors
+of residues, skew the digit vectors of the basis images of an additive
+map (its rank, and the preimages of the basis), and inv the columns of a
+matrix.  Over F_2 a vector is one int, coordinate i its bit i, so a row
+step is one XOR; for odd p it is a list of coordinates.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ def _columns(a, p: int) -> list:
     if p == 2:
         return [sum(x << i for i, x in enumerate(col)) for col in zip(*a)]
     return [list(col) for col in zip(*a)]
-
-
-def rank(a, p: int) -> int:
-    add = eliminator(p)
-    return sum(add(col) is None for col in _columns(a, p))
 
 
 def inv(a, p: int) -> Optional[list[list[int]]]:

@@ -28,8 +28,9 @@ kernel refers back to the field and every cache holds indices, so a
 dropped field is freed at once, without the cyclic collector.  An
 FqElem is made only where the public API takes or returns one.  Fields
 and elements are immutable values (_record.Frozen): no slot can be set
-or deleted, and the two tables of basis and dual Frobenius rows are
-built on first use through Frozen._cached.
+or deleted, and the tables of basis and dual Frobenius rows (and the
+columns of the basis table) are built on first use through
+Frozen._cached.
 
 Each characteristic has one arithmetic.  A field of characteristic 2
 reads its index as a polynomial over Z_2, one bit per digit: a product
@@ -42,7 +43,8 @@ an index's bits are its F_2 coordinates, and a vector of n elements
 has its F_2 coordinates in one int, the indices side by side
 (sum_i c_i 2^(e i)), where an F_2-linear combination is an XOR; the
 package's one elimination, _linalg.eliminator, runs on such ints over
-F_2, for decompose and for rank and inverse alike.  With at most
+F_2, for decompose and for the permutation test and inverse of additive
+maps alike.  With at most
 TABLE_MAX_Q elements the field fills exp and log tables with
 that product at construction, over the smallest index of multiplicative
 order q - 1 (the modulus root t need not be primitive), and runs on
@@ -264,6 +266,7 @@ class FiniteField(Frozen):
         "_coord_inv",
         "_dual_frob",
         "_basis_frob",
+        "_frob_cols",
         "_key",
         "_exp",
         "_log",
@@ -316,7 +319,7 @@ class FiniteField(Frozen):
                 raise ReducibleModulusError(f"modulus {list(mod)} is reducible over Z_{p}")
         object.__setattr__(self, "modulus", mod)
 
-        for name in ("_dual_frob", "_basis_frob", "_exp", "_log"):
+        for name in ("_dual_frob", "_basis_frob", "_frob_cols", "_exp", "_log"):
             object.__setattr__(self, name, None)
         digits = _digit_reader(p, e)
         slots = _bit_kernels(e, mod) if p == 2 else _digit_kernels(p, e, mod, digits)
@@ -460,6 +463,18 @@ class FiniteField(Frozen):
         frob, e = self._frob, self.e
         return self._cached(
             "_basis_frob", lambda: tuple(tuple(frob(b, k) for k in range(e)) for b in self._basis)
+        )
+
+    def _frobenius_columns(self) -> tuple[tuple[int, ...], ...]:
+        """basis_frobenius transposed: row k holds the indices of
+        basis_s^(p^k) for s = 0 .. e-1.  Built on first use.
+
+        The images of the whole basis under sum_k c_k x^(p^k) are then
+        sum_k c_k row_k, one _addmul per nonzero c_k.
+        """
+        frob, e = self._frob, self.e
+        return self._cached(
+            "_frob_cols", lambda: tuple(tuple(frob(b, k) for b in self._basis) for k in range(e))
         )
 
     def dual_frobenius(self) -> tuple[tuple[int, ...], ...]:

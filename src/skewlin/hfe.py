@@ -4,15 +4,19 @@ A DO polynomial is sum c_ij X^(p^i + p^j) plus an additive part plus a
 constant: every exponent has base-p digit sum at most 2.  It is stored as
 one dict from exponent to coefficient index, so the algebra is exponent
 arithmetic on the field's index kernels; the quadratic and additive parts
-are decoded once, when the polynomial is built.  Evaluation groups the
-terms by Frobenius rows, sum_i x^(p^i) (l_i + sum_j c_ij x^(p^j)): one
-field product per quadratic term and one per nonzero row, at most
-|quad| + e in all.  In characteristic 2 a diagonal pair is the carry
-2^i + 2^i = 2^(i+1), an additive exponent.  Composing with X^(p^k)
-multiplies exponents by p^k, and reduce() folds each exponent x >= 1
-through x^q = x to (x - 1) mod (q - 1) + 1.  A reduced polynomial has
-ordinary degree below q, so reduce() returns it as it is, and two
-reduced polynomials are equal exactly when they agree as functions.
+are decoded once, when the polynomial is built.  Sums, negation,
+reduction and compositions carry each term's indices along with its
+exponent, from the parts their operands already hold, so only a
+polynomial built from bare exponents (DOPoly._of) decodes them, by base-p
+digits.  Evaluation groups the terms by Frobenius rows, sum_i x^(p^i)
+(l_i + sum_j c_ij x^(p^j)): one field product per quadratic term and one
+per nonzero row, at most |quad| + e in all.  In characteristic 2 a
+diagonal pair is the carry 2^i + 2^i = 2^(i+1), an additive exponent.
+Composing with X^(p^k) multiplies exponents by p^k, and reduce() folds
+each exponent x >= 1 through x^q = x to (x - 1) mod (q - 1) + 1.  A
+reduced polynomial has ordinary degree below q, so reduce() returns it as
+it is, and two reduced polynomials are equal exactly when they agree as
+functions.
 
 The difference operator t -> t(X + a) - t(X) - t(a) sends a constant-free
 DO polynomial to an additive polynomial in X, computed symbolically here
@@ -136,33 +140,72 @@ class DOPoly(Frozen):
         if not isinstance(const, FqElem) or const.field != field:
             raise ContextMismatchError("constant term belongs to a different field")
         p = field.p
-        pairs = [(0, const._n)] + [(p**k, c) for k, c in enumerate(lin._c)]
+        pairs = [(0, const._n, (), 0)] + [(p**k, c, (k,), 0) for k, c in enumerate(lin._c)]
         for (i, j), c in quad.items():
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                 raise ValueError(f"quad indices must be ints >= 0, got {(i, j)!r}")
             if not isinstance(c, FqElem) or c.field != field:
                 raise ContextMismatchError("quad coefficient belongs to a different field")
-            pairs.append((p**i + p**j, c._n))
+            pairs.append((p**i + p**j, c._n, (i, j), 0))
         self._set(field, pairs)
 
     @classmethod
-    def _of(cls, field: FiniteField, pairs, fold: bool = False) -> "DOPoly":
+    def _of(cls, field: FiniteField, pairs) -> "DOPoly":
+        """sum c X^x over the (x, c) index pairs, each exponent's indices
+        read off its base-p digits."""
+        p = field.p
+        return cls._summed(field, [(x, c, _indices(x, p), 0) for x, c in pairs])
+
+    @classmethod
+    def _summed(cls, field: FiniteField, pairs, fold: bool = False) -> "DOPoly":
         return object.__new__(cls)._set(field, pairs, fold)
 
+    def _parts(self) -> list[tuple[int, int, tuple[int, ...], int]]:
+        """The terms as _set pairs (x, c, idx, 0): the constant, the
+        additive and the quadratic terms, with the indices they were
+        decoded to."""
+        p = self.field.p
+        const = self._t.get(0)
+        out = [(0, const, (), 0)] if const else []
+        out += [(p**k, c, (k,), 0) for k, c in enumerate(self._l) if c]
+        out += [(p**i + p**j, c, (i, j), 0) for i, j, c in self._q]
+        return out
+
     def _set(self, field, pairs, fold=False) -> "DOPoly":
-        """Sum the (x, c) index pairs, whose exponents have digit sum <= 2,
-        with fold each first folded through X^q = X (x >= 1 to
-        (x - 1) mod (q - 1) + 1), and decode the parts: a folded exponent's
-        indices come from the table _do_slots, any other's from its digits."""
-        if fold:
-            m, slots = field.q - 1, _do_slots(field.p, field.e)
-            pairs = [((x - 1) % m + 1 if x else 0, c) for x, c in pairs]
-        terms = _sum_terms(field, pairs)
-        parts = [(slots[x] if fold else _indices(x, field.p), c) for x, c in terms.items() if x]
-        quad = tuple((*idx, c) for idx, c in parts if len(idx) == 2)
-        lin = {idx[0]: c for idx, c in parts if len(idx) == 1}
+        """Sum the (x, c, idx, k) pairs, each the term c X^x whose exponent
+        x = sum_(i in idx) p^(i + k) has digit sum <= 2: the indices idx of
+        an operand's term, shifted by the k of a composition with
+        X^(p^k).  With fold each x is first folded through X^q = X (x >= 1
+        to (x - 1) mod (q - 1) + 1), and its indices mod e with it.
+
+        A term's parts come from the indices of its first pair, so no
+        exponent is decoded and no table of DO slots is built: a pair
+        (i, j) is quadratic, (k,) additive, except that in characteristic
+        2 an equal pair (i, i) is the carry 2^i + 2^i = 2^(i+1), whose
+        additive index is read off x itself (folded, 2^(e-1) + 2^(e-1) = q
+        wraps to X).
+        """
+        p, e, m = field.p, field.e, field.q - 1
+        sums, first = [], {}
+        for x, c, idx, k in pairs:
+            if fold and x:
+                x = (x - 1) % m + 1
+            sums.append((x, c))
+            if x not in first:
+                first[x] = idx, k
+        terms = _sum_terms(field, sums)
+        quad, lin = [], {}
+        for x, c in terms.items():
+            idx, k = first[x]
+            ids = [(i + k) % e if fold else i + k for i in idx]
+            if len(ids) == 2 and ids[0] == ids[1] and p == 2:
+                ids = [x.bit_length() - 1]  # the carry: x is 2^(i+1)
+            if len(ids) == 2:
+                quad.append((min(ids), max(ids), c))
+            elif ids:
+                lin[ids[0]] = c
         lin = tuple(lin.get(k, 0) for k in range(max(lin, default=-1) + 1))
-        for name, v in zip(DOPoly.__slots__, (field, terms, quad, lin)):
+        for name, v in zip(DOPoly.__slots__, (field, terms, tuple(quad), lin)):
             object.__setattr__(self, name, v)
         return self
 
@@ -223,11 +266,12 @@ class DOPoly(Frozen):
             raise TypeError(f"expected DOPoly, got {type(other).__name__}")
         if self.field != other.field:
             raise ContextMismatchError("polynomials over different fields")
-        return DOPoly._of(self.field, [*self._t.items(), *other._t.items()])
+        return DOPoly._summed(self.field, self._parts() + other._parts())
 
     def __neg__(self) -> "DOPoly":
         neg = self.field._neg
-        return DOPoly._of(self.field, [(x, neg(c)) for x, c in self._t.items()])
+        parts = [(x, neg(c), idx, k) for x, c, idx, k in self._parts()]
+        return DOPoly._summed(self.field, parts)
 
     def __sub__(self, other: "DOPoly") -> "DOPoly":
         return self + (-other)
@@ -258,7 +302,7 @@ class DOPoly(Frozen):
         """
         if self.degree < self.field.q:
             return self
-        return DOPoly._of(self.field, self._t.items(), fold=True)
+        return DOPoly._summed(self.field, self._parts(), fold=True)
 
     def to_fqpoly(self) -> FqPoly:
         """Dense form, one coefficient per exponent."""
@@ -357,7 +401,8 @@ def check_do_shape(f: FqPoly) -> DOShapeResult:
     terms = f.monomials()
     offender = next((x for x in sorted(terms) if x and x not in slots), None)
     if offender is None:
-        value = DOPoly._of(field, [(x, c._n) for x, c in terms.items()], fold=True)
+        pairs = [(x, c._n, slots[x] if x else (), 0) for x, c in terms.items()]
+        value = DOPoly._summed(field, pairs)
         return DOShapeResult(ok=True, value=value, offender=None, witness=None)
     xs = list(field.elements())
     F = [f(x) for x in xs]
@@ -391,8 +436,10 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
     X^(p^i) -> sum_k b_k^(p^i) X^(p^(k+i)), built once per distinct index,
     so c X^(p^i + p^j) becomes sum_(k,m) c b_k^(p^i) b_m^(p^j)
     X^(p^(k+i) + p^(m+j)).  Each exponent's sum starts from its first
-    term.  With reduce=True exponents fold through X^q = X as the sums
-    accumulate, and the result is reduced.
+    term, and each term carries its indices: on the left those of D's
+    term shifted by k, on the right (k+i, m+j).  With reduce=True
+    exponents and indices fold through X^q = X as the sums accumulate,
+    and the result is reduced.
     """
     if L.field != D.field:
         raise ContextMismatchError("operands over different fields")
@@ -402,21 +449,24 @@ def do_compose_lin(L: SkewPoly, D: DOPoly, side: str, reduce: bool = False) -> D
     p, mul, frob = field.p, field._mul, field._frob
     terms = [(k, b) for k, b in enumerate(L._c) if b]
     if side == "left":
-        pairs = [(x * p**k, mul(b, frob(c, k))) for x, c in D._t.items() for k, b in terms]
+        pairs = [
+            (x * p**k, mul(b, frob(c, k)), idx, k) for x, c, idx, _ in D._parts() for k, b in terms
+        ]
     elif side == "right":
-        rows: dict[int, list[tuple[int, int]]] = {}
-        pairs = [(0, D._t[0])] if 0 in D._t else []
-        lin = [((k,), c) for k, c in enumerate(D._l) if c]
-        for idx, c in lin + [((i, j), c) for i, j, c in D._q]:
-            parts = [(0, c)]
+        rows: dict[int, list[tuple[int, int, tuple[int]]]] = {}
+        pairs = []
+        for _, c, idx, _ in D._parts():
+            parts = [(0, c, (), 0)]
             for i in idx:
                 if i not in rows:
-                    rows[i] = [(p ** (k + i), frob(b, i)) for k, b in terms]
-                parts = [(y + z, mul(v, w)) for y, v in parts for z, w in rows[i]]
+                    rows[i] = [(p ** (k + i), frob(b, i), (k + i,)) for k, b in terms]
+                parts = [
+                    (y + z, mul(v, w), ix + iz, 0) for y, v, ix, _ in parts for z, w, iz in rows[i]
+                ]
             pairs += parts
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return DOPoly._of(field, pairs, reduce)
+    return DOPoly._summed(field, pairs, reduce)
 
 
 # ----------------------------------------------------------------------
@@ -471,18 +521,15 @@ def to_multivariate(E: DOPoly) -> MultivariateKey:
     E = E.reduce()
     field = E.field
     e, p = field.e, field.p
-    mul, add = field._mul, field._add
-    frob = field.basis_frobenius()
+    mul, add, addmul = field._mul, field._add, field._addmul
+    cols = field._frobenius_columns()  # cols[j][t] = b_t^(p^j)
     G: dict[int, list[int]] = {}
     for i, j, c in E._q:
-        row = G.setdefault(i, [0] * e)
-        for t in range(e):
-            v = mul(c, frob[t][j])
-            row[t] = add(row[t], v) if row[t] else v
+        addmul(G.setdefault(i, [0] * e), c, cols[j], 0)
     qcoef: dict[tuple[int, int], int] = {}
     for i, row in G.items():
         for s in range(e):
-            bs = frob[s][i]
+            bs = cols[i][s]
             for t in range(e):
                 key = (s, t) if s <= t else (t, s)
                 v, prev = mul(bs, row[t]), qcoef.get(key)
@@ -707,10 +754,17 @@ def try_left_factor(L: SkewPoly, E: DOPoly, bound: int) -> Optional[DOPoly]:
     Returns the reduced f, or None when L does not permute the field
     (the zero polynomial included) or deg f exceeds the bound.
 
+    L^-1 comes from L.inverse(), which is also the permutation test: it
+    eliminates the basis images of L and interpolates their preimages,
+    with no matrix built.  f = L^-1 . E and the recompose check L . f = E
+    are left compositions that fold as they accumulate, each term's
+    indices taken from the term of E or f it came from.
+
     A unit is decided by deg E alone: a reduced L of degree 0 is c X with
     c != 0, whose inverse c^-1 X scales each coefficient of the reduced E
     and keeps every exponent, so deg f = deg E and the peel fails exactly
-    when deg E exceeds the bound; no matrix or composition is built then.
+    when deg E exceeds the bound; no inverse or composition is computed
+    then.
     """
     if L.field != E.field:
         raise ContextMismatchError("operands over different fields")
@@ -782,8 +836,10 @@ def gcldf_attack(
     peel failed decides the failure at once.
     That peel is itself decided by deg E alone (see try_left_factor): the
     unit c X leaves c^-1 E, of degree deg E, as the core, so an honest
-    key whose gcld collapses to 1 costs no matrix inversion.  The
-    recovered pair is verified to recompose to E before being returned.
+    key whose gcld collapses to 1 costs no inversion, and gcldf hands
+    back a unit gcld with no witness division (the attack reads only the
+    gcld).  The recovered pair is verified to recompose to E before being
+    returned.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")

@@ -22,7 +22,9 @@ index lists, _rem_right and _rem_left: it reduces a list in place from
 the top down and returns the quotient.  _divide runs one of them on a
 copy of the dividend and checks it; every one-sided division and every
 step of the one Euclid loop behind gcd_left and gcd_right (_euclid) is
-one _divide, and a SkewPoly is built only for the results.  FqElem
+one _divide, and a SkewPoly is built only for the results.  gcldf
+divides both inputs by their gcld for the cofactors, except when the
+gcld is the unit 1: its cofactors are the inputs themselves.  FqElem
 objects are made only at the boundary: coeffs and lead build them from
 the indices, and the public constructor and the scalar methods take
 them.  Internal results come from the unchecked SkewPoly._of, which
@@ -37,14 +39,21 @@ reduction through x^(p^e) = x, the matrix of the induced Z_p-linear map
 relative to the field's ordered basis, permutation test and inverse).
 Reduction always re-bases to twist 1, so reduced polynomials live on
 indices 0 .. e-1 and are in bijection with the Z_p-linear maps of the
-field; column j of to_matrix() holds the coordinates of f(basis_j),
-summed from the field's cached table of basis Frobenius powers.
-inverse_matrix() is the Z_p inverse of that matrix.  from_matrix() goes
-back through the trace-dual basis d of the ordered basis (cached per
-field), as x = sum_j Tr(d_j x) basis_j, so inverse() costs one Z_p
-matrix inversion and an e x e product over F_q.  Being a map does not
-make a SkewPoly mutable: it is an immutable value (_record.Frozen), so it
-serves as a dict key.
+field.  Every matrix-view method starts from the basis images
+f(basis_s), computed at once as one _addmul per nonzero coefficient
+over the rows of the field's cached column form of its basis Frobenius
+powers.  Column s of to_matrix() holds the coordinates of f(basis_s).
+is_permutation() feeds the images' digit vectors (over GF(2^e) the
+indices themselves) to one _linalg.eliminator and asks for rank e.  The
+inversion continues that elimination: each basis_j comes back as its
+dependency on the images, which gives the preimage f^-1(basis_j).
+inverse_matrix() holds the preimages' coordinates as columns, and
+inverse() interpolates the preimages through the trace-dual basis d of
+the ordered basis (cached per field), as x = sum_j Tr(d_j x) basis_j:
+one _addmul per preimage, the step that from_matrix() shares.  No
+matrix is built on the way to inverse(), and none is inverted.  Being a
+map does not make a SkewPoly mutable: it is an immutable value
+(_record.Frozen), so it serves as a dict key.
 
 When the module flag CHECK_DIVISION is True every quotient/remainder
 pair, those of the Euclid steps included, is multiplied back and
@@ -62,7 +71,7 @@ DIVISION_CHECKS counts those multiply-backs as well.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _linalg
 from ._record import Frozen
@@ -311,61 +320,108 @@ class SkewPoly(Frozen):
                 acc[k] = add(prev, c) if prev else c
         return SkewPoly._of(field, acc, 1)
 
-    def to_matrix(self) -> Matrix:
-        """e x e matrix over Z_p of the induced linear map, in the field basis.
+    def _basis_images(self) -> list[int]:
+        """The indices of f(basis_s), s = 0 .. e-1.
 
-        Column s holds the coordinates of f(basis_s) = sum_k c_k basis_s^(p^k)
-        for the reduced f, read off the field's cached basis_frobenius table,
-        so no basis element is evaluated.
+        f(basis_s) = sum_i f_i basis_s^(p^(twist i)), so the images of the
+        whole basis are sum_i f_i row_(twist i mod e) over the rows of the
+        field's cached column form of basis_frobenius: one _addmul per
+        nonzero coefficient, with no reduction and no evaluation.
         """
         field = self.field
-        mul, add = field._mul, field._add
-        coeffs = self.reduce()._c
-        cols = []
-        for b_pows in field.basis_frobenius():
-            acc = 0
-            for c, b in zip(coeffs, b_pows):
-                if c:
-                    v = mul(c, b)
-                    acc = add(acc, v) if acc else v
-            cols.append(field._coordinates(acc))
-        return tuple(
-            tuple(cols[j][r] for j in range(field.e)) for r in range(field.e)
-        )
+        e, twist, addmul = field.e, self.twist, field._addmul
+        rows = field._frobenius_columns()
+        images = [0] * e
+        for i, c in enumerate(self._c):
+            if c:
+                addmul(images, c, rows[twist * i % e], 0)
+        return images
+
+    def _eliminated_images(self) -> Optional[Callable]:
+        """A _linalg.eliminator fed the digit vectors of the basis images,
+        or None when one image depends on those before it, that is when f
+        does not permute the field.  Over GF(2^e) an index is already its
+        vector of F_2 digits."""
+        field = self.field
+        add = _linalg.eliminator(field.p)
+        images = self._basis_images()
+        vectors = images if field.p == 2 else map(field._digits, images)
+        if any(add(v) is not None for v in vectors):
+            return None
+        return add
+
+    def _preimages(self) -> list[int]:
+        """The indices of f^-1(basis_j), j = 0 .. e-1, for a permutation f;
+        NotAPermutationError otherwise.
+
+        The independent images f(basis_k) fill the eliminator, so the digit
+        vector of basis_j comes back as its dependency, basis_j + sum_k
+        c_k f(basis_k) = 0: f^-1(basis_j) = sum_k -c_k basis_k.
+        """
+        add = self._eliminated_images()
+        if add is None:
+            raise NotAPermutationError("polynomial does not permute the field")
+        field = self.field
+        p, e = field.p, field.e
+        if p == 2:
+            mask = (1 << e) - 1
+            coords = [add(b) & mask for b in field._basis]
+            if field._default_basis:
+                return coords
+            return [field._combine([x >> k & 1 for k in range(e)]) for x in coords]
+        deps = [add(field._digits(b)) for b in field._basis]
+        return [field._combine([-c for c in dep[:e]]) for dep in deps]
+
+    def to_matrix(self) -> Matrix:
+        """e x e matrix over Z_p of the induced linear map, in the field basis:
+        column s holds the coordinates of f(basis_s)."""
+        return _matrix(self.field, self._basis_images())
 
     @classmethod
     def from_matrix(cls, field: FiniteField, matrix: Sequence[Sequence[int]]) -> "SkewPoly":
-        """Reduced polynomial inducing the given matrix.
-
-        With t_j = combine(column j), the image of basis_j, and d the
-        trace-dual basis, the coefficient of x^(p^k) is sum_j t_j d_j^(p^k).
-        """
+        """Reduced polynomial inducing the given matrix: the interpolation
+        of column j, combined, as the image of basis_j."""
         e, p = field.e, field.p
         rows = [list(r) for r in matrix]
         if len(rows) != e or any(len(r) != e for r in rows):
             raise SingularSystemError(f"matrix must be {e} x {e}")
-        targets = [
-            field._combine([rows[r][j] % p for r in range(e)]) for j in range(e)
-        ]
-        addmul = field._addmul
-        coeffs = [0] * e
-        for t, d_pows in zip(targets, field.dual_frobenius()):
-            addmul(coeffs, t, d_pows, 0)
-        return cls._of(field, coeffs, 1)
+        return _interpolate(
+            field, [field._combine([rows[r][j] % p for r in range(e)]) for j in range(e)]
+        )
 
     def is_permutation(self) -> bool:
-        return _linalg.rank(self.to_matrix(), self.field.p) == self.field.e
+        """Whether f permutes the field: its basis images have rank e."""
+        return self._eliminated_images() is not None
 
     def inverse_matrix(self) -> Matrix:
-        """Z_p matrix of the compositional inverse of a permutation polynomial."""
-        m = _linalg.inv(self.to_matrix(), self.field.p)
-        if m is None:
-            raise NotAPermutationError("polynomial does not permute the field")
-        return tuple(map(tuple, m))
+        """Z_p matrix of the compositional inverse of a permutation polynomial:
+        column j holds the coordinates of f^-1(basis_j)."""
+        return _matrix(self.field, self._preimages())
 
     def inverse(self) -> "SkewPoly":
-        """Compositional inverse of a permutation polynomial, reduced."""
-        return SkewPoly.from_matrix(self.field, self.inverse_matrix())
+        """Compositional inverse of a permutation polynomial, reduced: the
+        interpolation of the preimages of the basis."""
+        return _interpolate(self.field, self._preimages())
+
+
+def _matrix(field: FiniteField, columns: Sequence[int]) -> Matrix:
+    """The e x e Z_p matrix whose column j holds the coordinates of the
+    element of index columns[j]."""
+    cols = [field._coordinates(n) for n in columns]
+    return tuple(tuple(col[r] for col in cols) for r in range(field.e))
+
+
+def _interpolate(field: FiniteField, images: Sequence[int]) -> SkewPoly:
+    """The reduced polynomial sending basis_j to the element of index
+    images[j].  With d the trace-dual basis, every x is
+    sum_j Tr(d_j x) basis_j, so the coefficient of x^(p^k) is
+    sum_j images[j] d_j^(p^k): one _addmul per nonzero image."""
+    addmul = field._addmul
+    coeffs = [0] * field.e
+    for t, d_pows in zip(images, field.dual_frobenius()):
+        if t:
+            addmul(coeffs, t, d_pows, 0)
+    return SkewPoly._of(field, coeffs, 1)
 
 
 # slot setters that bypass Frozen.__setattr__, for the constructors alone
@@ -522,8 +578,15 @@ def gcldf(L1: SkewPoly, L2: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]:
     composition, no reduction), G monic.  Raises BothZeroError when both
     inputs are zero; if exactly one is zero the other's monic form is
     returned with the matching witness zero.
+
+    When G is the unit 1, then 1 . L = L exactly, so (1, L1, L2) is
+    returned with no division.  Any other G left-divides both inputs
+    through one checked division each, and a nonzero remainder raises
+    InvariantError.
     """
     g = gcd_left(L1, L2)
+    if len(g._c) == 1:  # monic of degree 0
+        return g, L1, L2
     a, ra = L1.divmod_left(g)
     b, rb = L2.divmod_left(g)
     if not (ra.is_zero and rb.is_zero):

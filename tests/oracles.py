@@ -387,6 +387,34 @@ def difference_poly(D, a):
     return SkewPoly(field, [acc.get(k, field.zero()) for k in range(n)])
 
 
+def frobenius_orbits(field):
+    """[x, x^p, .., x^(p^(e-1))] for every x of the field, by element
+    index, by repeated p-th powers."""
+    p, e = field.p, field.e
+    orbits = []
+    for x in field.elements():
+        orbit = [x]
+        while len(orbit) < e:
+            orbit.append(orbit[-1] ** p)
+        orbits.append(orbit)
+    return orbits
+
+
+def additive_table(L, orbits):
+    """[L(x) for every x of the field, by element index]: sum_i c_i
+    x^(p^(twist i)), the powers read off the orbits of frobenius_orbits
+    (x^(p^e) = x), with no reduction of L and no matrix."""
+    field, e = L.field, L.field.e
+    terms = [(c, L.twist * i % e) for i, c in enumerate(L.coeffs) if c]
+    out = []
+    for orbit in orbits:
+        acc = field.zero()
+        for c, k in terms:
+            acc = acc + c * orbit[k]
+        out.append(acc)
+    return out
+
+
 # ----------------------------------------------------------------------
 # the key-pair check as it ran before it composed the secret half
 

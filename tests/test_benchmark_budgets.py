@@ -46,9 +46,10 @@ BUDGETS = {
     },
     "attack-gf256": {
         (hfe, "difference_poly"): 243,
-        (skew, "_rem_left"): 1060,  # left divisions, gcd steps included
+        (skew, "_rem_left"): 880,  # left divisions, gcd steps included; a unit gcld divides no more
         (hfe, "try_left_factor"): 123,
-        (SkewPoly, "inverse_matrix"): 153,  # F_2 inverses of the key layers
+        # F_2 inversions: 33 peels (inverse) and 120 key layers of the checks (inverse_matrix)
+        (SkewPoly, "_preimages"): 153,
         (hfe.DOPoly, "_set"): 90,  # DOPoly constructions
     },
     "roundtrip-gf729": {

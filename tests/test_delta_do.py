@@ -546,6 +546,45 @@ def test_top_diagonal_reduces_through_the_carry(p, e):
             assert R(x) == (L(D0(x)) if side == "left" else D0(L(x)))
 
 
+@pytest.mark.parametrize("p,e", [(2, 4), (2, 8), (3, 3), (5, 2)], ids=["gf16", "gf256", "gf27", "gf25"])
+def test_folds_build_no_slot_table(p, e, monkeypatch):
+    # reduce(), do_compose_lin(..., reduce=True) and __add__ read each
+    # term's indices off its exponent: no table of DO slots is built, and
+    # terms and parts equal the oracle's terms decoded through that table.
+    # The unreduced X^(p^(e-1) + p^(2e-1)) folds to the top diagonal, which
+    # for p = 2 is the carry 2^(e-1) + 2^(e-1) = q, the additive X
+    field = FiniteField(p, e)
+    slots = hfe._do_slots(p, e)
+
+    def refuse(p, e):
+        raise AssertionError("slot table built")
+
+    def check(R, terms):
+        assert R.terms == terms
+        parts = {slots[x]: c for x, c in terms.items() if x}
+        assert R.quad == {idx: c for idx, c in parts.items() if len(idx) == 2}
+        lin = {idx[0]: c for idx, c in parts.items() if len(idx) == 1}
+        assert R.lin == LinPoly(field, [lin.get(k, field.zero()) for k in range(e)])
+
+    rng = random.Random(100 * p + e)
+    c = field.random_element(rng, nonzero=True)
+    carry = DOPoly(field, {(e - 1, 2 * e - 1): c})
+    Ds = [carry] + [random_do(field, rng, max_index=2 * e, with_const=True) for _ in range(6)]
+    monkeypatch.setattr(hfe, "_do_slots", refuse)
+    folded = [D.reduce() for D in Ds]
+    for D, R in zip(Ds, folded):
+        check(R, oracles.do_reduce(D))
+    if p == 2:
+        assert folded[0] == DOPoly(field, {}, LinPoly(field, [c]))
+    for D in Ds:
+        L = random_linpoly(field, rng, 2 * e)
+        for side in ("left", "right"):
+            check(do_compose_lin(L, D, side, reduce=True), oracles.do_compose_lin(L, D, side, True))
+    for A, B in zip(folded, folded[1:] + folded[:1]):
+        check(A + B, oracles.do_add(A, B))
+        check(A - A, {})
+
+
 def test_parts_rebuild_and_equal_inputs_compare_equal(gf16, gf27, gf4):
     for field in (gf16, gf27):
         rng = random.Random(97)

@@ -658,7 +658,11 @@ def test_try_left_factor_unit_decided_by_degree(p, e, monkeypatch):
     field = FiniteField(p, e)
     rng = random.Random(10 * p + e)
     calls = []
-    real_matrix, real_inverse, real_compose = SkewPoly.to_matrix, SkewPoly.inverse, do_compose_lin
+    real_images, real_inverse, real_compose = (
+        SkewPoly._basis_images,
+        SkewPoly.inverse,
+        do_compose_lin,
+    )
 
     def spy(name, real):
         def wrapped(*args, **kwargs):
@@ -676,7 +680,7 @@ def test_try_left_factor_unit_decided_by_degree(p, e, monkeypatch):
                 expected = full_peel(L, E, bound)
                 assert (expected is None) == (bound < deg)
                 with monkeypatch.context() as m:
-                    m.setattr(SkewPoly, "to_matrix", spy("to_matrix", real_matrix))
+                    m.setattr(SkewPoly, "_basis_images", spy("_basis_images", real_images))
                     m.setattr(SkewPoly, "inverse", spy("inverse", real_inverse))
                     m.setattr(hfe, "do_compose_lin", spy("do_compose_lin", real_compose))
                     calls.clear()
@@ -685,8 +689,8 @@ def test_try_left_factor_unit_decided_by_degree(p, e, monkeypatch):
                 if bound < deg:
                     assert calls == []
                 else:
-                    # inverse, its matrix, the peel and the recompose check
-                    assert calls == ["inverse", "to_matrix", "do_compose_lin", "do_compose_lin"]
+                    # inverse, its basis images, the peel and the recompose check
+                    assert calls == ["inverse", "_basis_images", "do_compose_lin", "do_compose_lin"]
                     assert got.degree == deg
 
 
@@ -701,23 +705,23 @@ def test_attack_recovers_foldfree_composition(gf256):
 
 def test_attack_builds_one_matrix_per_round(gf256, monkeypatch):
     # inverse() is the one permutation test: each round that reaches
-    # try_left_factor builds the matrix of its candidate at most once;
-    # none for a unit decided by degree
+    # try_left_factor computes the basis images of its candidate at most
+    # once; none for a unit decided by degree
     import skewlin.hfe as hfe
 
     counts = {"matrix": 0, "peel": 0}
-    real_matrix, real_peel = LinPoly.to_matrix, hfe.try_left_factor
+    real_images, real_peel = LinPoly._basis_images, hfe.try_left_factor
 
-    def to_matrix(self):
+    def basis_images(self):
         counts["matrix"] += 1
-        return real_matrix(self)
+        return real_images(self)
 
     def peel(L, E, bound):
         counts["peel"] += 1
         return real_peel(L, E, bound)
 
     _, _, E = foldfree_instance(gf256)
-    monkeypatch.setattr(LinPoly, "to_matrix", to_matrix)
+    monkeypatch.setattr(LinPoly, "_basis_images", basis_images)
     monkeypatch.setattr(hfe, "try_left_factor", peel)
     res = gcldf_attack(E, 16, random.Random(123), max_rounds=8)
     assert counts["peel"] == res.rounds == 2
@@ -950,16 +954,18 @@ PINNED_ATTACKS = {
 @pytest.mark.parametrize("case", sorted(PINNED_ATTACKS))
 def test_attack_on_a_reduced_key_decodes_no_exponent(case, monkeypatch):
     # E's parts were decoded when it was built, reduce() of a reduced E is
-    # E itself, and the attack's compositions read the slot table: no
-    # exponent goes through the digit decode, and the outcome, the shifts
-    # the attack popped and the rng state afterwards are the pinned ones
+    # E itself, and the attack's compositions take each term's indices
+    # from the term it came from: no exponent goes through the digit
+    # decode or the slot table, and the outcome, the shifts the attack
+    # popped and the rng state afterwards are the pinned ones
     p, e, seed = case
     field = FiniteField(p, e)
     E = hfe_keygen(field, random.Random(seed)).public.poly
     assert E.reduce() is E
     decoded, shifts = [], []
-    real, difference = hfe._indices, hfe.difference_poly
+    real, difference, slots = hfe._indices, hfe.difference_poly, hfe._do_slots
     monkeypatch.setattr(hfe, "_indices", lambda x, p: decoded.append(x) or real(x, p))
+    monkeypatch.setattr(hfe, "_do_slots", lambda p, e: decoded.append("slots") or slots(p, e))
     monkeypatch.setattr(
         hfe, "difference_poly", lambda t, a: shifts.append(a.as_int()) or difference(t, a)
     )

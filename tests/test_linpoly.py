@@ -276,10 +276,16 @@ def test_matrix_inverse_matches_rank(p, data):
     rows = [list(r) for r in a]
     b = la.inv(a, p)
     assert a == rows
-    assert (b is None) == (la.rank(a, p) < n)
+    assert (b is None) == (len(oracles.rref(a, p)[1]) < n)
     if b is not None:
         assert matmul(b, a, p) == identity(n)
         assert matmul(a, b, p) == identity(n)
+
+
+def eliminated_rank(a, p):
+    """The rank of a: how many of its columns the eliminator keeps."""
+    add = la.eliminator(p)
+    return sum(add(col) is None for col in la._columns(a, p))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -299,7 +305,7 @@ def test_linalg_matches_rref_oracle(p, data):
         a[i] = [c * x % p for x in a[j]]
     rows = [list(r) for r in a]
     square = a if rows_n == cols_n else [r[:rows_n] + [0] * (rows_n - cols_n) for r in a]
-    assert la.rank(a, p) == len(oracles.rref(a, p)[1])
+    assert eliminated_rank(a, p) == len(oracles.rref(a, p)[1])
     assert la.inv(square, p) == oracles.inv(square, p)
     assert a == rows
 
@@ -316,6 +322,67 @@ def test_from_matrix_inverse_oracle_sampled(p, e, samples):
     while invertible < samples:  # singular draws are checked on the way
         M = [[rng.randrange(p) for _ in range(e)] for _ in range(e)]
         invertible += _check_matrix_oracle(field, M)
+
+
+INVERSION_FIELDS = {
+    "gf2": (2, 1, None),
+    "gf16": (2, 4, None),
+    "gf256": (2, 8, None),
+    "gf9": (3, 2, None),
+    "gf729": (3, 6, None),
+    "gf25": (5, 2, None),
+    "gf7": (7, 1, None),
+    "gf16-basis": (2, 4, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))),
+    "gf27-basis": (3, 3, ((1, 2, 0), (0, 1, 1), (2, 0, 1))),
+}
+
+
+def inversion_cases(field, rng):
+    """Additive polynomials over field, of twist 1 and 2 and up to twice
+    the reduced length: random ones, the zero polynomial, and one with a
+    kernel, K . A with K = X^p - a^(p-1) X killing a (the zero map when
+    e = 1)."""
+    p, e = field.p, field.e
+    for twist in (1, 2):
+        for _ in range(3):
+            yield random_linpoly(field, rng, 2 * e - 1, twist)
+    yield LinPoly.zero(field)
+    a = field.random_element(rng, nonzero=True)
+    K = LinPoly(field, [-(a ** (p - 1)), field.one()])
+    yield K.compose(random_linpoly(field, rng, e - 1))
+
+
+@pytest.mark.parametrize("name", sorted(INVERSION_FIELDS))
+def test_inverse_against_value_table(name):
+    # the inversion on basis images against L tabulated over the field:
+    # L^-1(L(x)) = x for every x, is_permutation exactly when L is
+    # injective, inverse_matrix the Z_p inverse of to_matrix, and
+    # inverse the polynomial that matrix interpolates
+    p, e, basis = INVERSION_FIELDS[name]
+    field = FiniteField(p, e, basis=basis)
+    rng = random.Random(sum(map(ord, name)))
+    orbits = oracles.frobenius_orbits(field)
+    kinds = set()
+    for L in inversion_cases(field, rng):
+        table = oracles.additive_table(L, orbits)
+        injective = len(set(table)) == field.q
+        kinds.add(injective)
+        assert L.is_permutation() == injective
+        m = la.inv([list(r) for r in L.to_matrix()], p)
+        assert (m is not None) == injective
+        if not injective:
+            with pytest.raises(NotAPermutationError):
+                L.inverse()
+            with pytest.raises(NotAPermutationError):
+                L.inverse_matrix()
+            continue
+        inv = L.inverse()
+        assert inv.twist == 1 and inv.degree < e
+        assert inv == LinPoly.from_matrix(field, m)
+        assert L.inverse_matrix() == tuple(map(tuple, m))
+        back = oracles.additive_table(inv, orbits)
+        assert [back[y.as_int()] for y in table] == list(field.elements())
+    assert kinds == {False, True}
 
 
 def test_from_matrix_validation(gf4):

@@ -383,6 +383,7 @@ def _cache_owners():
     kp = hfe_keygen(FiniteField(2, 4), random.Random(0))
     return {
         "_basis_frob": (field, lambda F: F.basis_frobenius()),
+        "_frob_cols": (field, lambda F: F._frobenius_columns()),
         "_dual_frob": (field, lambda F: F.dual_frobenius()),
         "_multivariate": (kp.public, lambda key: key.multivariate),
         "_outer_inv": (kp.secret, lambda key: key.outer_inverse()),

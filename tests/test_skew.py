@@ -172,8 +172,10 @@ def test_tampered_division_raises_invariant_error(gf4, monkeypatch):
 
 def test_every_euclid_step_is_checked(gf16, gf27):
     # each step of both Euclid loops is one checked division; gcldf adds
-    # its two witness divisions
+    # its two witness divisions, except for a unit gcld, whose cofactors
+    # are the inputs themselves
     assert skew.CHECK_DIVISION
+    units = {False: 0, True: 0}
     for field in (gf16, gf27):
         rng = random.Random(47)
         for twist in (1, 2):
@@ -181,13 +183,17 @@ def test_every_euclid_step_is_checked(gf16, gf27):
                 c = random_skew(field, rng, 2, twist)
                 f = c * random_skew(field, rng, 4, twist)
                 g = c * random_skew(field, rng, 4, twist)
-                left = oracles.euclid(f, g, oracles.divmod_left)[1]
+                gcd, left = oracles.euclid(f, g, oracles.divmod_left)
                 right = oracles.euclid(f, g, oracles.divmod_right)[1]
                 assert left and right
-                for run, steps in ((gcd_left, left), (gcd_right, right), (gcldf, left + 2)):
+                unit = gcd.degree == 0
+                units[unit] += 1
+                witnesses = 0 if unit else 2
+                for run, steps in ((gcd_left, left), (gcd_right, right), (gcldf, left + witnesses)):
                     before = skew.DIVISION_CHECKS
                     run(f, g)
                     assert skew.DIVISION_CHECKS - before == steps, (field, run.__name__)
+    assert units[False] and units[True]
 
 
 def test_monic_normalisations(gf9):
@@ -342,6 +348,62 @@ def test_gcldf_checks_its_gcd_divides(gf8, monkeypatch):
     monkeypatch.setattr(skew, "gcd_left", lambda f, g: SkewPoly.monomial(gf8, 5, gf8.one()))
     with pytest.raises(InvariantError, match="does not left-divide its inputs"):
         gcldf(L1, L2)
+
+
+def _counting_rem_left(monkeypatch):
+    """Count the calls of skew._rem_left, the left remainder core."""
+    calls = []
+    real = skew._rem_left
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(skew, "_rem_left", counted)
+    return calls
+
+
+def test_gcldf_unit_returns_its_inputs_undivided(gf8, gf9, monkeypatch):
+    # 1 . L = L exactly: a unit gcld hands back the inputs themselves,
+    # after its Euclid loop and no left division more
+    calls = _counting_rem_left(monkeypatch)
+    seen = 0
+    for field in (gf8, gf9):
+        rng = random.Random(53)
+        for twist in (1, 2):
+            for _ in range(20):
+                L1, L2 = random_skew(field, rng, 4, twist), random_skew(field, rng, 4, twist)
+                gcd, steps = oracles.euclid(L1, L2, oracles.divmod_left)
+                if gcd.degree != 0:
+                    continue
+                seen += 1
+                calls.clear()
+                G, A, B = gcldf(L1, L2)
+                assert G == SkewPoly.one(field, twist)
+                assert A is L1 and B is L2
+                assert len(calls) == steps
+    assert seen >= 20
+
+
+def test_gcldf_non_unit_runs_both_witness_divisions(gf8, gf9, monkeypatch):
+    calls = _counting_rem_left(monkeypatch)
+    for field in (gf8, gf9):
+        rng = random.Random(54)
+        for twist in (1, 2):
+            for _ in range(10):
+                c = random_skew(field, rng, 3, twist, monic=True)
+                if c.degree == 0:
+                    continue
+                L1 = c * random_skew(field, rng, 3, twist)
+                L2 = c * random_skew(field, rng, 3, twist)
+                steps = oracles.euclid(L1, L2, oracles.divmod_left)[1]
+                calls.clear()
+                G, A, B = gcldf(L1, L2)
+                assert G.degree >= c.degree
+                assert len(calls) == steps + 2
+                # the two witness divisions divide the inputs by G
+                assert calls[-2:] == [G._c, G._c]
+                assert G * A == L1 and G * B == L2
 
 
 def test_peer_errors(gf4, gf9):
